@@ -3,12 +3,12 @@ information, plus the harness to compare them against the plain
 pseudo-inverse baseline."""
 
 from .datasets import Dataset, load_dataset, make_blobs, make_two_moons, sample_labeled
-from .dictlearn import (ArmijoResult, DictionaryState, FitResult, LearnConfig,
-                        SideInformation, SolverReport, armijo_step, factorize, fit,
+from .dictlearn import (DictionaryState, FitResult, LearnConfig,
+                        SideInformation, SolverReport, factorize, fit,
                         gradient, init_closed_form, objective, psd_project)
 from .errors import (DegenerateBandwidthError, GNystromError, InputError,
                      ModelFormatError, NumericalError, ParseError,
-                     StepFailureError, UndefinedAlignmentError)
+                     UndefinedAlignmentError)
 from .experiment import (ExperimentConfig, RepeatResult, RunReport,
                          default_landmark_count, emit_report,
                          experiment_config_from_file, read_config, run_experiment)
@@ -27,15 +27,15 @@ from .nystrom import (BoundCheck, LandmarkEigensystem, NystromCore, build_core,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmijoResult", "BoundCheck", "Dataset", "DegenerateBandwidthError",
+    "BoundCheck", "Dataset", "DegenerateBandwidthError",
     "DictionaryState", "ExperimentConfig", "FitResult", "GNystromError",
     "InductiveModel", "InputError", "KMeansConfig", "KernelParams",
     "LabelVector", "LambdaRecord", "LandmarkEigensystem", "LandmarkSet",
     "LearnConfig", "LinearModel", "ModelFormatError", "NumericalError",
     "NystromCore", "ParseError", "RepeatResult", "RunReport", "SelectionReport",
-    "SideInformation", "SolverReport", "StepFailureError",
+    "SideInformation", "SolverReport",
     "UndefinedAlignmentError", "DEFAULT_LAMBDA_GRID",
-    "alignment_scores", "armijo_step", "bandwidth_heuristic", "build_core",
+    "alignment_scores", "bandwidth_heuristic", "build_core",
     "default_landmark_count", "double_center", "embed", "emit_report",
     "experiment_config_from_file", "extrapolate_eigenvectors", "factorize",
     "fit", "gradient", "ideal_kernel", "init_closed_form", "kernel_matrix",

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 
 def as_data_matrix(x, name="X"):
@@ -49,3 +49,11 @@ def as_index_array(x, name="indices"):
         if np.unique(arr).size != arr.size:
             raise InputError(f"{name} must be distinct")
     return arr
+
+
+def eigh(M):
+    """numpy.linalg.eigh, with a LAPACK failure raised as NumericalError."""
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc

@@ -195,9 +195,12 @@ def _cmd_select_lambda(args):
     print(f"{'lambda':>12}  {'rho_prior':>10}  {'rho_align':>10}  "
           f"{'criterion':>10}  {'iters':>5}  stopped_by")
     for rec in selection.records:
+        if rec.solver is None:
+            iters, stopped = "-", f"failed: {rec.failure}"
+        else:
+            iters, stopped = rec.solver.iterations, rec.solver.converged_by
         print(f"{rec.lam:>12g}  {rec.rho_prior:>10.6f}  {rec.rho_align:>10.6f}  "
-              f"{rec.criterion:>10.6f}  {rec.solver.iterations:>5d}  "
-              f"{rec.solver.converged_by}")
+              f"{rec.criterion:>10.6f}  {iters:>5}  {stopped}")
     print(f"chosen lambda = {selection.chosen_lambda:g}")
     return 0
 

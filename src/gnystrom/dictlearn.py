@@ -8,24 +8,53 @@ minimizing
 over positive semidefinite S, where S0 is the pseudo-inverse prior from the
 landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
-limits which pairs are constrained). J is convex, so projected gradient
-descent with a backtracking curvature estimate converges; a closed-form
-solution of the unconstrained problem provides the warm start.
+limits which pairs are constrained). J is a convex quadratic; a closed-form
+solution of the unconstrained problem provides the warm start. Every solver
+iteration costs exactly one m x m eigendecomposition, the PSD projection.
+Both step kinds run in the eigenbasis V of C = El.T @ El = V diag(c) V.T,
+rescaled by the congruence diag(1 / sqrt(sqrt(lam) + c)), which maps the
+PSD cone onto itself and evens out the curvature at small lam:
+
+* label kind: the Hessian of J is diagonal in V, with weights
+  2 * (lam + c_i * c_j). ADMM (Boyd et al. 2011) splits J from the PSD
+  constraint: the x-step is exact and elementwise, the y-step is the
+  projection, and the penalty rho is set by residual balancing;
+* grouping kind: the mask couples the entries, so nonmonotone spectral
+  projected gradient (Birgin, Martinez & Raydan 2000) takes
+  Barzilai-Borwein steps. J is quadratic, so its value and gradient along
+  the search direction are exact and the line search needs no further
+  eigendecomposition.
+
+Both stop on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
+with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
+constant of grad J. It vanishes exactly at the constrained optimum. Each
+iteration bounds it by ||grad J(S) - M||_F, where M is a PSD matrix
+orthogonal to S that the projection leaves behind (the ADMM dual, or the
+projected-off negative part); that residual of the optimality conditions
+needs no further eigendecomposition. A second test stops once the best
+objective stalls.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_index_array, as_square_matrix
-from .errors import InputError, StepFailureError
+from ._arrays import as_index_array, as_square_matrix, eigh
+from .errors import InputError, NumericalError
 from .kernels import LabelVector, ideal_kernel
 
 SIDE_KINDS = ("labels", "grouping")
 CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 
-# Relative slack for "the accepted step may not increase the objective".
+# Relative slack for "the recorded objective may not increase".
 _ACCEPT_SLACK = 1e-12
+# Iterations over which the best objective must improve by obj_rel_tol.
+_OBJ_WINDOW = 20
+# Objectives the nonmonotone line search remembers, and its sufficient
+# decrease factor.
+_SPG_MEMORY = 10
+_SPG_GAMMA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -123,21 +152,22 @@ class SideInformation:
 class LearnConfig:
     """Solver settings.
 
-    ``grad_norm_tol`` and ``armijo_a0`` default to None, meaning the
-    scale-aware values 1e-6 * (1 + ||S0||_F) and 1e-3 * (1 + ||grad||_F)
-    resolved at run time. ``lam = 0`` is legal (pure data fitting); the
-    closed-form initializer then does not apply and fitting starts from the
-    projected prior.
+    The solver stops once the gradient-mapping norm is at most
+    ``grad_norm_tol``, or once the best objective has improved by at most
+    ``obj_rel_tol`` (relative) over the last 20 iterations, or after
+    ``max_iters`` iterations. ``grad_norm_tol = None`` means
+    1e-6 * (1 + ||2 El.T @ target @ El||_F), resolved at run time: relative
+    to the pull of the data term on the gradient, which has the gradient's
+    units, unlike ||S0||. ``obj_rel_tol = 0`` disables the objective
+    test. ``lam = 0`` is legal (pure data fitting); the closed-form
+    initializer then does not apply and fitting starts from the projected
+    prior.
     """
 
     lam: float = 1.0
-    max_iters: int = 200
+    max_iters: int = 2000
     grad_norm_tol: float | None = None
     obj_rel_tol: float = 1e-9
-    armijo_a0: float | None = None
-    armijo_growth: float = 2.0
-    armijo_max_backtracks: int = 60
-    symmetrize_each_iter: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -148,12 +178,6 @@ class LearnConfig:
             raise InputError("grad_norm_tol must be >= 0")
         if not self.obj_rel_tol >= 0:
             raise InputError("obj_rel_tol must be >= 0")
-        if self.armijo_a0 is not None and not self.armijo_a0 > 0:
-            raise InputError("armijo_a0 must be positive")
-        if not self.armijo_growth > 1:
-            raise InputError(f"armijo_growth must exceed 1, got {self.armijo_growth}")
-        if self.armijo_max_backtracks < 1:
-            raise InputError("armijo_max_backtracks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -189,7 +213,11 @@ class SolverReport:
     """What happened during fitting.
 
     ``objective_trace[0]`` is the objective at the initializer and one entry
-    follows per accepted step; the sequence never increases.
+    follows per iteration: the best objective among the PSD iterates so
+    far, so the sequence never increases (``iterates``, when recorded, holds
+    the matching matrices). ``final_grad_norm`` is the gradient-mapping norm
+    L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
+    at its initializer reports ||grad J||_F instead, which bounds it.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
     stopping at the iteration cap is reported, not raised.
     """
@@ -197,7 +225,6 @@ class SolverReport:
     iterations: int
     objective_trace: np.ndarray
     final_grad_norm: float
-    armijo_backtracks_total: int
     converged_by: str
     iterates: tuple | None = None
 
@@ -217,14 +244,6 @@ class SolverReport:
 class FitResult:
     state: DictionaryState
     report: SolverReport
-
-
-@dataclass(frozen=True)
-class ArmijoResult:
-    s_next: np.ndarray
-    a_used: float
-    backtracks: int
-    objective: float
 
 
 def _supervised_rows(core, side):
@@ -278,50 +297,13 @@ def psd_project(M):
     M = as_square_matrix(M, "M")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix contains non-finite entries")
-    sym = 0.5 * (M + M.T)
-    vals, vecs = np.linalg.eigh(sym)
+    return _project(M)
+
+
+def _project(M):
+    vals, vecs = eigh(0.5 * (M + M.T))
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
-
-
-def armijo_step(s_t, grad, cfg, obj_at):
-    """One projected-gradient step with a backtracking curvature search.
-
-    Starting from A = cfg.armijo_a0 (or its scale-aware default), the
-    candidate psd_project(s_t - grad / A) is accepted once
-
-        J(B) <= J(s_t) + <grad, B - s_t> + (A/2) * ||B - s_t||_F^2,
-
-    with A multiplied by cfg.armijo_growth after every rejection and a hard
-    cap of cfg.armijo_max_backtracks rejections. Because the candidate
-    minimizes the right-hand side over the PSD cone, an accepted step can
-    never increase the objective; that is asserted at run time.
-    """
-    s_t = as_square_matrix(s_t, "s_t")
-    grad = as_square_matrix(grad, "grad")
-    if s_t.shape != grad.shape:
-        raise InputError("iterate and gradient must have equal shape")
-    j_t = float(obj_at(s_t))
-    a = cfg.armijo_a0
-    if a is None:
-        a = 1e-3 * (1.0 + float(np.linalg.norm(grad)))
-    backtracks = 0
-    while True:
-        candidate = psd_project(s_t - grad / a)
-        delta = candidate - s_t
-        j_cand = float(obj_at(candidate))
-        bound = j_t + float(np.sum(grad * delta)) + 0.5 * a * float(np.sum(delta * delta))
-        if j_cand <= bound + _ACCEPT_SLACK * (1.0 + abs(j_t)):
-            break
-        if backtracks >= cfg.armijo_max_backtracks:
-            raise StepFailureError(
-                f"no acceptable step after {backtracks} curvature doublings")
-        a *= cfg.armijo_growth
-        backtracks += 1
-    if j_cand > j_t + _ACCEPT_SLACK * (1.0 + abs(j_t)):
-        raise StepFailureError("accepted step increased the objective")
-    return ArmijoResult(s_next=candidate, a_used=float(a), backtracks=backtracks,
-                        objective=j_cand)
 
 
 def init_closed_form(core, side, lam, project=True):
@@ -342,18 +324,21 @@ def init_closed_form(core, side, lam, project=True):
     if side.kind != "labels":
         raise InputError("closed-form initialization applies to label-kind side information")
     El = _supervised_rows(core, side)
-    return _closed_form(El, side.target, core.S0, lam, project)
+    S, _ = _closed_form(El, El.T @ side.target @ El, core.S0, lam)
+    return psd_project(S) if project else S
 
 
-def _closed_form(El, target, S0, lam, project):
+def _closed_form(El, B, S0, lam):
+    """Unprojected closed form for B = El.T @ target @ El, with the
+    eigenpairs (c, V) of C = El.T @ El that the diagonalization of
+    P = C / sqrt(lam) yields for free."""
     P = (El.T @ El) / np.sqrt(lam)
-    Q = S0 + (El.T @ target @ El) / lam
-    vals, U = np.linalg.eigh(0.5 * (P + P.T))
+    Q = S0 + B / lam
+    vals, U = eigh(0.5 * (P + P.T))
     q_tilde = U.T @ Q @ U
     s_tilde = q_tilde / (1.0 + np.outer(vals, vals))
     S = U @ s_tilde @ U.T
-    S = 0.5 * (S + S.T)
-    return psd_project(S) if project else S
+    return 0.5 * (S + S.T), (vals * np.sqrt(lam), U)
 
 
 def fit(core, side, cfg, init="auto", record_iterates=False):
@@ -366,71 +351,241 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
       * "closed_form": force the closed form; for grouping-kind side
         information this solves the unmasked system, a heuristic warm start.
 
-    Iteration stops when the gradient norm falls below grad_norm_tol, when
-    the relative objective change falls below obj_rel_tol, or at max_iters;
-    the stopping reason lands in the report's ``converged_by``.
+    A start whose gradient norm is already at most grad_norm_tol is returned
+    after 0 iterations. Otherwise label-kind side information runs ADMM and
+    grouping-kind runs spectral projected gradient (see the module
+    docstring), until the gradient-mapping norm falls below grad_norm_tol,
+    the best objective stalls (obj_rel_tol), or max_iters; the stopping
+    reason lands in the report's ``converged_by``.
     """
     if init not in ("auto", "prior", "closed_form"):
         raise InputError(f"unknown init scheme {init!r}")
     S0 = core.S0
+    El = _supervised_rows(core, side)
+    B = El.T @ side.target @ El
     use_closed = (init == "closed_form") or (
         init == "auto" and side.kind == "labels" and cfg.lam > 0
         and side.indices.size > 0)
+    basis = None
     if use_closed:
         if cfg.lam <= 0:
             raise InputError("closed-form initialization requires lam > 0")
-        El = _supervised_rows(core, side)
-        S = _closed_form(El, side.target, S0, cfg.lam, True)
+        S, basis = _closed_form(El, B, S0, cfg.lam)
+        S = _project(S)
     else:
         S = psd_project(S0)
 
     grad_tol = cfg.grad_norm_tol
     if grad_tol is None:
-        grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(S0)))
+        grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(B)))
 
-    def obj_at(M):
-        return objective(M, core, side, cfg.lam)
-
-    trace = [float(obj_at(S))]
-    iterates = [S.copy()] if record_iterates else None
-    backtracks_total = 0
-    iterations = 0
-    converged_by = "max_iters"
+    value = objective(S, core, side, cfg.lam)
     grad = gradient(S, core, side, cfg.lam)
+    trace = [value]
+    iterates = [S] if record_iterates else None
+    iterations = 0
+    # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
     gnorm = float(np.linalg.norm(grad))
-    for _ in range(cfg.max_iters):
-        if gnorm <= grad_tol:
-            converged_by = "grad_norm"
-            break
-        step = armijo_step(S, grad, cfg, obj_at)
-        S = step.s_next
-        if cfg.symmetrize_each_iter:
-            S = 0.5 * (S + S.T)
-        iterations += 1
-        backtracks_total += step.backtracks
-        prev = trace[-1]
-        current = float(obj_at(S))
-        trace.append(current)
-        if record_iterates:
-            iterates.append(S.copy())
-        grad = gradient(S, core, side, cfg.lam)
-        gnorm = float(np.linalg.norm(grad))
-        if abs(prev - current) <= cfg.obj_rel_tol * max(1.0, abs(prev)):
-            converged_by = "obj_rel"
-            break
-    else:
+    converged_by = "grad_norm"
+    if gnorm > grad_tol:
+        c, V = basis if basis is not None else eigh(El.T @ El)
+        basis = (np.maximum(c, 0.0), V)
+        if side.kind == "labels":
+            solver = _LabelADMM(S, grad, value, basis, cfg.lam)
+        else:
+            solver = _PairSPG(S, El, side, S0, cfg.lam, basis)
+        best = solver.point
         converged_by = "max_iters"
-    if converged_by == "max_iters" and gnorm <= grad_tol:
-        converged_by = "grad_norm"
+        while iterations < cfg.max_iters:
+            point, value, bound = solver.step()
+            iterations += 1
+            if not np.isfinite(value):
+                raise NumericalError(f"solver diverged at iteration {iterations}")
+            if value < trace[-1]:
+                best = point
+            trace.append(min(value, trace[-1]))
+            if record_iterates:
+                iterates.append(solver.matrix(best))
+            if bound <= grad_tol:
+                converged_by = "grad_norm"
+                break
+            # The best objective has stalled over the window, and the iterate
+            # has settled on it (ADMM and the nonmonotone search may wander
+            # above the best for a while before improving on it).
+            slack = cfg.obj_rel_tol * max(1.0, abs(trace[-1]))
+            if (cfg.obj_rel_tol > 0 and iterations >= _OBJ_WINDOW
+                    and trace[-1 - _OBJ_WINDOW] - trace[-1] <= slack
+                    and value - trace[-1] <= slack):
+                converged_by = "obj_rel"
+                break
+        S = solver.matrix(best)
+        gnorm = solver.lipschitz * float(np.linalg.norm(
+            S - _project(S - gradient(S, core, side, cfg.lam) / solver.lipschitz)))
+        if converged_by == "max_iters" and gnorm <= grad_tol:
+            converged_by = "grad_norm"
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace),
         final_grad_norm=gnorm,
-        armijo_backtracks_total=backtracks_total,
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
     )
     return FitResult(state=DictionaryState(S=S, S0=S0), report=report)
+
+
+class _ScaledBasis:
+    """Coordinates Z in which both step kinds run: S = V (DD * Z) V^T, with
+    C = El.T @ El = V diag(c) V^T and DD = d d^T, d_i = 1 / sqrt(sqrt(lam) + c_i).
+
+    The congruence by V diag(d) maps the PSD cone onto itself, so the
+    projection is unchanged, while the Hessian of the label-kind J, diagonal
+    in V with weights 2 * (lam + c_i c_j), gets weights of at most 2 (all 2
+    at lam = 0). Without it, small lam leaves those weights spread over
+    many orders of magnitude and first-order steps crawl along the flat
+    directions.
+    """
+
+    def __init__(self, basis, lam):
+        c, self.V = basis
+        h = np.sqrt(lam) + c
+        self.scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
+        self.DD = np.outer(self.scale, self.scale)
+        # Lipschitz constant of grad J in S, for the gradient mapping.
+        self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
+
+    def coords(self, M):
+        """Z coordinates of an S-space matrix."""
+        return (self.V.T @ M @ self.V) / self.DD
+
+    def matrix(self, Z):
+        S = self.V @ (Z * self.DD) @ self.V.T
+        return 0.5 * (S + S.T)
+
+    def mapping_bound(self, residual):
+        """||E|| in S for the Z-space KKT residual E_Z = DD * (V^T E V)."""
+        return float(np.linalg.norm(residual / self.DD))
+
+
+class _LabelADMM(_ScaledBasis):
+    """ADMM for label-kind side information.
+
+    In Z, J = J(Z0) + <G0, Z - Z0> + sum(Hs * (Z - Z0)**2) with
+    Hs = (lam + c c^T) * DD**2, so the x-step of
+    min J(X) + (rho/2) ||X - Y + U||^2 is elementwise and exact and the
+    y-step Y = P(X + U) is the projection.
+    """
+
+    def __init__(self, S, grad, value, basis, lam):
+        super().__init__(basis, lam)
+        c = basis[0]
+        self.Hs = (lam + np.outer(c, c)) * self.DD ** 2
+        self.Y0 = self.coords(S)
+        self.G0 = (self.V.T @ grad @ self.V) * self.DD
+        self.J0 = value
+        self.point = self.Y0
+        self.U = np.zeros_like(self.Y0)
+        self.rho = 2.0 * float(np.mean(self.Hs))
+
+    def step(self):
+        Hs, Y, rho = self.Hs, self.point, self.rho
+        X = self.Y0 + (0.5 * rho * (Y - self.Y0 - self.U) - 0.5 * self.G0) / (Hs + 0.5 * rho)
+        Y_next = _project(X + self.U)
+        self.U += X - Y_next
+        D = Y_next - self.Y0
+        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(Hs * D * D))
+        # -rho * U, with U the part the projection cut off, is PSD and
+        # orthogonal to Y_next, so its distance to grad J(Y_next) bounds the
+        # mapping norm at Y_next.
+        bound = self.mapping_bound(self.G0 + 2.0 * Hs * D + rho * self.U)
+        # Residual balancing (Boyd et al. 2011, section 3.4.1).
+        primal = float(np.linalg.norm(X - Y_next))
+        dual = rho * float(np.linalg.norm(Y_next - Y))
+        if primal > 10.0 * dual:
+            self.rho *= 2.0
+            self.U /= 2.0
+        elif dual > 10.0 * primal:
+            self.rho /= 2.0
+            self.U *= 2.0
+        self.point = Y_next
+        return Y_next, value, bound
+
+
+class _PairSPG(_ScaledBasis):
+    """Nonmonotone spectral projected gradient for grouping-kind side
+    information, evaluated on the list of constrained pairs.
+
+    The mask's nonzero upper-triangle entries (a, b) give the rows
+    Fa = Et[a] and Fb = Et[b] of Et = El V diag(d), so every masked product
+    costs O(p m^2) for p pairs instead of O(l^2 m). With
+    d = P(Z - a * grad) - Z, J and its gradient along Z + t d are exact
+    quadratics; t = 1 is kept when it passes a nonmonotone sufficient
+    decrease test (Grippo, Lampariello & Lucidi 1986), else the exact
+    minimizer along d is taken. Convex combinations of PSD matrices stay
+    PSD, and the step length a is the Barzilai-Borwein ratio
+    ||d||^2 / <d, H d>.
+    """
+
+    def __init__(self, S, El, side, S0, lam, basis):
+        super().__init__(basis, lam)
+        c = basis[0]
+        Et = (El @ self.V) * self.scale
+        a, b = np.nonzero(np.triu(side.mask))
+        self.Fa, self.Fb = Et[a], Et[b]
+        # A diagonal pair appears once in the mask, an off-diagonal one twice.
+        self.weight = np.where(a == b, 0.5, 1.0)
+        self.target = side.target[a, b]
+        self.W = lam * self.DD ** 2
+        self.Z0 = self.coords(S0)
+        # Et.T @ Et = diag(c * d**2), so 1 / step_size bounds the Hessian in Z.
+        self.step_size = 1.0 / (2.0 * float(self.W.max())
+                                + 2.0 * float(np.max(c * self.scale ** 2, initial=0.0)) ** 2)
+        self.max_step = 1e10 * self.step_size
+        self.point = self.coords(S)
+        self.value, self.grad = self._evaluate(self.point)
+        self.recent = deque([self.value], maxlen=_SPG_MEMORY)
+
+    def _at_pairs(self, M):
+        """Entries of Et @ M @ Et.T at the constrained pairs."""
+        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
+
+    def _spread(self, r):
+        """Et.T @ R @ Et for the symmetric R that holds r at the pairs."""
+        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
+        return A + A.T
+
+    def _evaluate(self, Z):
+        r = self._at_pairs(Z) - self.target
+        prior = Z - self.Z0
+        value = float(np.sum(self.W * prior * prior)) + 2.0 * float(np.sum(self.weight * r * r))
+        return value, 2.0 * self.W * prior + 2.0 * self._spread(r)
+
+    def hess(self, d):
+        """Hessian of J in Z applied to d."""
+        return 2.0 * self.W * d + 2.0 * self._spread(self._at_pairs(d))
+
+    def step(self):
+        Z, g, a = self.point, self.grad, self.step_size
+        d = _project(Z - a * g) - Z
+        Hd = self.hess(d)
+        # g + d / a, the part the projection cut off over a, is PSD and
+        # orthogonal to Z + d, so its distance to grad J(Z + d) = g + Hd
+        # bounds the mapping norm at Z + d.
+        bound = self.mapping_bound(Hd - d / a)
+        dd = float(np.sum(d * d))
+        if dd == 0.0:
+            return Z, self.value, 0.0
+        gd = float(np.sum(g * d))
+        curv = float(np.sum(d * Hd))
+        t = 1.0
+        if self.value + gd + 0.5 * curv > max(self.recent) + _SPG_GAMMA * gd:
+            t = min(1.0, -gd / curv)
+        Z = Z + t * d
+        Z = 0.5 * (Z + Z.T)
+        self.point = Z
+        self.value, self.grad = self._evaluate(Z)
+        self.recent.append(self.value)
+        self.step_size = min(dd / curv, self.max_step) if curv > 0 else self.max_step
+        return Z, self.value, bound
 
 
 def factorize(state, rel_tol=1e-12):
@@ -442,7 +597,7 @@ def factorize(state, rel_tol=1e-12):
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
     if not 0 <= rel_tol < 1:
         raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    vals, vecs = eigh(0.5 * (S + S.T))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -40,9 +40,5 @@ class UndefinedAlignmentError(NumericalError):
     """Kernel alignment is undefined because a centered operand is zero."""
 
 
-class StepFailureError(NumericalError):
-    """Backtracking line search exhausted its budget without acceptance."""
-
-
 class ModelFormatError(InputError):
     """A serialized model file is corrupt or violates model invariants."""

@@ -4,8 +4,9 @@ Each candidate weight is scored by the product of two normalized alignments:
 how much the learned dictionary kernel still agrees with its pseudo-inverse
 prior, and how well the reconstructed similarities of the supervised rows
 agree with their target. The candidate maximizing the product wins; ties
-resolve toward the smallest weight, and a candidate whose alignment is
-undefined scores -inf rather than failing the whole search.
+resolve toward the smallest weight. A candidate whose fit fails numerically
+or whose alignment is undefined scores -inf, with the reason recorded,
+rather than failing the whole search.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dictlearn import LearnConfig, SolverReport, _supervised_rows, fit
-from .errors import InputError, UndefinedAlignmentError
+from .errors import InputError, NumericalError, UndefinedAlignmentError
 from .kernels import nka_score
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
@@ -22,14 +23,20 @@ DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 @dataclass(frozen=True)
 class LambdaRecord:
     """Outcome for one candidate weight; S is kept so the chosen fit can be
-    reused without re-running the solver."""
+    reused without re-running the solver.
+
+    ``failure`` says why a candidate scored -inf: the message of its fit's
+    NumericalError (``solver`` and ``S`` are then None) or of its undefined
+    alignment. It is None for a scored candidate.
+    """
 
     lam: float
     rho_prior: float
     rho_align: float
     criterion: float
-    solver: SolverReport
-    S: np.ndarray
+    solver: SolverReport | None
+    S: np.ndarray | None
+    failure: str | None = None
 
 
 @dataclass(frozen=True)
@@ -78,19 +85,30 @@ def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID, cfg=None):
         cfg = LearnConfig()
     records = []
     for lam in vals:
-        result = fit(core, side, replace(cfg, lam=lam))
+        try:
+            result = fit(core, side, replace(cfg, lam=lam))
+        except NumericalError as exc:
+            records.append(LambdaRecord(lam=lam, rho_prior=float("nan"),
+                                        rho_align=float("nan"), criterion=float("-inf"),
+                                        solver=None, S=None, failure=str(exc)))
+            continue
         S = result.state.S
+        failure = None
         try:
             rho_prior, rho_align = alignment_scores(S, core, side)
             criterion = rho_prior * rho_align
-        except UndefinedAlignmentError:
+        except UndefinedAlignmentError as exc:
             rho_prior = float("nan")
             rho_align = float("nan")
             criterion = float("-inf")
+            failure = str(exc)
         records.append(LambdaRecord(lam=lam, rho_prior=rho_prior, rho_align=rho_align,
-                                    criterion=criterion, solver=result.report, S=S))
-    best = 0
-    for idx, record in enumerate(records):
-        if record.criterion > records[best].criterion:
-            best = idx
-    return SelectionReport(records=tuple(records), chosen_lambda=records[best].lam)
+                                    criterion=criterion, solver=result.report, S=S,
+                                    failure=failure))
+    fitted = [record for record in records if record.S is not None]
+    if not fitted:
+        reasons = "; ".join(f"lambda={r.lam:g}: {r.failure}" for r in records)
+        raise NumericalError(f"every candidate fit failed ({reasons})")
+    # max keeps the first of equal criteria, so ties go to the smallest weight.
+    best = max(fitted, key=lambda record: record.criterion)
+    return SelectionReport(records=tuple(records), chosen_lambda=best.lam)

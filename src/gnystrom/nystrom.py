@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._arrays import as_data_matrix
+from ._arrays import as_data_matrix, eigh
 from .errors import InputError
 from .kernels import kernel_matrix
 from .landmarks import LandmarkSet
@@ -96,7 +96,7 @@ def build_core(X, Z, params, pinv_tol=1e-10):
         raise InputError(f"pinv_tol must lie in [0, 1), got {pinv_tol}")
     E = kernel_matrix(X, Zp, params)
     W = kernel_matrix(Zp, Zp, params)
-    vals, vecs = np.linalg.eigh(W)
+    vals, vecs = eigh(W)
     cutoff = max(pinv_tol * float(vals.max()), 0.0)
     keep = vals > cutoff
     kept_vals = vals[keep]
@@ -109,7 +109,7 @@ def build_core(X, Z, params, pinv_tol=1e-10):
 
 def landmark_eigensystem(core):
     """Eigendecompose core.W, keeping eigenvalues above the core's cutoff."""
-    vals, vecs = np.linalg.eigh(core.W)
+    vals, vecs = eigh(core.W)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gnystrom import load, load_dataset
+from gnystrom import cli, load, load_dataset
 from gnystrom.cli import main
 
 
@@ -148,6 +148,27 @@ def test_degenerate_data_exits_3(tmp_path, capsys):
                "--m", "2", "--model-out", str(tmp_path / "model.bin")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_linalg_failure_exits_3(blob_csv, tmp_path, monkeypatch, capsys):
+    # A LAPACK failure inside the solver is a numerical error (exit 3), not
+    # a traceback.
+    real_fit = cli.fit
+
+    def broken_eigh(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def failing_fit(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", broken_eigh)
+            return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", failing_fit)
+    rc = main(["fit", "--input", str(blob_csv), "--labels-per-class", "5",
+               "--m", "8", "--lambda", "1e-3", "--seed", "0",
+               "--model-out", str(tmp_path / "model.bin")])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

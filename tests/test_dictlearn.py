@@ -1,8 +1,10 @@
 """Tests for dictionary learning: objective/gradient, PSD projection, the
-backtracking step, the closed-form warm start, the fit loop, and factoring."""
+closed-form warm start, the fit loop and its two step kinds, and factoring."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gnystrom import (
@@ -10,21 +12,26 @@ from gnystrom import (
     InputError,
     KernelParams,
     LabelVector,
+    KMeansConfig,
     LearnConfig,
+    NumericalError,
     NystromCore,
     SideInformation,
     SolverReport,
-    StepFailureError,
-    armijo_step,
+    bandwidth_heuristic,
     build_core,
     factorize,
     fit,
     gradient,
     init_closed_form,
+    make_blobs,
     objective,
     psd_project,
+    sample_labeled,
+    select_kmeans,
     select_random,
 )
+from gnystrom import dictlearn
 
 
 def _identity_problem():
@@ -314,58 +321,6 @@ def test_psd_project_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# armijo_step
-
-
-def test_armijo_zero_gradient_is_stationary():
-    S = np.diag([2.0, 1.0])
-    cfg = LearnConfig()
-    result = armijo_step(S, np.zeros((2, 2)), cfg, lambda M: float(np.sum(M * M)))
-    assert_allclose(result.s_next, S, atol=1e-12)
-    assert result.backtracks == 0
-
-
-def test_armijo_scalar_quadratic_descends():
-    # J(s) = 2 (s - 3)^2 on 1x1 matrices, gradient at s=0 is -12.
-    def obj(M):
-        return float(2.0 * (M[0, 0] - 3.0) ** 2)
-
-    s0 = np.array([[0.0]])
-    grad = np.array([[-12.0]])
-    result = armijo_step(s0, grad, LearnConfig(), obj)
-    assert result.objective < obj(s0)
-    assert 0.0 < result.s_next[0, 0] <= 3.0 + 1e-12
-
-
-def test_armijo_accepted_step_never_increases_objective():
-    rng = np.random.default_rng(13)
-    core, side = _random_labeled_problem(rng)
-    cfg = LearnConfig()
-    for _ in range(10):
-        S = psd_project(_random_symmetric(rng, core.m))
-        lam = float(rng.uniform(0.1, 2.0))
-        obj = lambda M: objective(M, core, side, lam)
-        result = armijo_step(S, gradient(S, core, side, lam), cfg, obj)
-        assert result.objective <= obj(S) + 1e-12 * (1.0 + abs(obj(S)))
-
-
-def test_armijo_step_failure_on_wrong_direction():
-    # A linear objective with the gradient deliberately negated can never
-    # satisfy the acceptance inequality, so the curvature search must give up.
-    obj = lambda M: float(np.sum(M))
-    s0 = np.eye(2)
-    wrong_grad = -np.ones((2, 2))
-    cfg = LearnConfig(armijo_a0=1.0, armijo_max_backtracks=20)
-    with pytest.raises(StepFailureError):
-        armijo_step(s0, wrong_grad, cfg, obj)
-
-
-def test_armijo_shape_mismatch():
-    with pytest.raises(InputError):
-        armijo_step(np.eye(2), np.eye(3), LearnConfig(), lambda M: 0.0)
-
-
-# ---------------------------------------------------------------------------
 # init_closed_form
 
 
@@ -515,6 +470,98 @@ def test_fit_deterministic():
     assert np.array_equal(a.report.objective_trace, b.report.objective_trace)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), grouping=st.booleans(),
+       lam=st.sampled_from((0.0, 1e-3, 1.0, 100.0)))
+def test_fit_satisfies_kkt_conditions(seed, grouping, lam):
+    """At the optimum over the PSD cone, S >= 0, grad J(S) >= 0 and
+    <S, grad J(S)> = 0. Tolerances scale with the gradient at S = 0.
+
+    At lam = 0 a masked fit need not attain its infimum (masking can leave
+    the image of the PSD cone unclosed, so J only decreases as S grows
+    without bound), so grouping-kind examples take lam > 0."""
+    assume(not (grouping and lam == 0.0))
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    if grouping:
+        core, side = _random_grouping_problem(rng, m=m)
+    else:
+        core, side = _random_labeled_problem(rng, m=m, l=int(rng.integers(2, 9)))
+    # A generous budget: a few ill-conditioned draws need several thousand
+    # iterations, and this test is about where the solver ends up.
+    S = fit(core, side, LearnConfig(lam=lam, max_iters=20000)).state.S
+    G = gradient(S, core, side, lam)
+    scale = 1.0 + np.linalg.norm(gradient(np.zeros_like(S), core, side, lam))
+    tol = 1e-4 * scale
+    assert np.linalg.eigvalsh(S).min() >= -1e-8 * max(1.0, np.linalg.norm(S))
+    assert np.linalg.eigvalsh(G).min() >= -tol
+    assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
+
+
+def test_pair_list_hessian_matches_dense_masked_form():
+    """The grouping solver evaluates J, grad J and the Hessian on the list of
+    constrained pairs; compare with the dense masked l x l form, for a mask
+    that also constrains diagonal entries."""
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(12, 2))
+    core = build_core(X, select_random(X, 5, seed=3), KernelParams(bandwidth=2.0))
+    mask = np.zeros((4, 4))
+    target = np.zeros((4, 4))
+    for a, b, must in ((0, 1, 1.0), (1, 3, 0.0), (2, 2, 1.0), (3, 3, 0.0), (0, 2, 1.0)):
+        mask[a, b] = mask[b, a] = 1.0
+        target[a, b] = target[b, a] = must
+    side = SideInformation(kind="grouping", indices=np.array([1, 4, 7, 9]),
+                           target=target, mask=mask)
+    El = core.E[side.indices]
+    lam = 0.3
+    S = psd_project(_random_symmetric(rng, 5))
+    spg = dictlearn._PairSPG(S, El, side, core.S0, lam, np.linalg.eigh(El.T @ El))
+
+    def to_z(M):
+        # A gradient or Hessian product in S, expressed in the solver's
+        # coordinates Z, where S = V (DD * Z) V^T.
+        return spg.DD * (spg.V.T @ M @ spg.V)
+
+    value, grad = spg._evaluate(spg.coords(S))
+    assert_allclose(value, objective(S, core, side, lam), rtol=1e-12)
+    assert_allclose(grad, to_z(gradient(S, core, side, lam)), rtol=1e-10, atol=1e-12)
+    for _ in range(5):
+        d = _random_symmetric(rng, 5)
+        D = spg.matrix(d)
+        dense = 2.0 * lam * D + 2.0 * El.T @ (mask * (El @ D @ El.T)) @ El
+        assert_allclose(spg.hess(d), to_z(dense), rtol=1e-10, atol=1e-12)
+        assert np.sum(d * spg.hess(d)) <= np.sum(d * d) / spg.step_size * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("lam, reference", [(1e-3, 42.9811990362), (0.1, 68.2695641497)])
+def test_fit_reaches_long_run_optimum_on_blobs600(lam, reference):
+    """configs/blobs600.cfg repeat 0 (m=20, 20 labels). The references come
+    from 30,000-iteration fits with both stop tests disabled."""
+    ds = make_blobs(600, 10, n_classes=2, separation=2.0, seed=7)
+    seeds = np.random.SeedSequence(0).generate_state(2)
+    labeled = sample_labeled(ds, 20, int(seeds[0]))
+    Z = select_kmeans(ds.X, KMeansConfig(k=20, seed=int(seeds[1])))
+    core = build_core(ds.X, Z, KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    side = SideInformation.from_labels(labeled)
+    result = fit(core, side, LearnConfig(lam=lam))
+    assert result.report.converged_by != "max_iters"
+    assert abs(result.report.objective_trace[-1] - reference) <= 1e-6 * reference
+    assert_allclose(objective(result.state.S, core, side, lam),
+                    result.report.objective_trace[-1], rtol=1e-9)
+
+
+def test_fit_wraps_linalg_error(monkeypatch):
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+
+    def broken(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(NumericalError, match="did not converge"):
+        fit(core, side, LearnConfig(lam=1e-3))
+
+
 # ---------------------------------------------------------------------------
 # reports and states
 
@@ -525,11 +572,9 @@ def test_learn_config_validation():
     with pytest.raises(InputError):
         LearnConfig(max_iters=0)
     with pytest.raises(InputError):
-        LearnConfig(armijo_growth=1.0)
-    with pytest.raises(InputError):
         LearnConfig(obj_rel_tol=-1e-9)
     with pytest.raises(InputError):
-        LearnConfig(armijo_a0=0.0)
+        LearnConfig(grad_norm_tol=-1.0)
 
 
 def test_dictionary_state_validation():
@@ -544,12 +589,10 @@ def test_dictionary_state_validation():
 def test_solver_report_rejects_rising_trace():
     with pytest.raises(InputError):
         SolverReport(iterations=1, objective_trace=np.array([1.0, 2.0]),
-                     final_grad_norm=0.0, armijo_backtracks_total=0,
-                     converged_by="grad_norm")
+                     final_grad_norm=0.0, converged_by="grad_norm")
     with pytest.raises(InputError):
         SolverReport(iterations=0, objective_trace=np.array([1.0]),
-                     final_grad_norm=0.0, armijo_backtracks_total=0,
-                     converged_by="other")
+                     final_grad_norm=0.0, converged_by="other")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gnystrom import (
     KernelParams,
     LabelVector,
     LearnConfig,
+    NumericalError,
     NystromCore,
     SideInformation,
     alignment_scores,
@@ -23,6 +24,7 @@ from gnystrom import (
     select_random,
     validate_grid,
 )
+from gnystrom import modelselect
 
 
 def _blob_problem(seed=0, n=60, m=8, l=10):
@@ -141,7 +143,46 @@ def test_undefined_alignment_scores_minus_infinity():
     report = select_lambda(core, side, grid=(0.1, 1.0))
     assert all(r.criterion == -np.inf for r in report.records)
     assert all(np.isnan(r.rho_prior) for r in report.records)
+    assert all(r.failure for r in report.records)
     assert report.chosen_lambda == 0.1  # tie-break on the smallest
+
+
+def _fit_failing_at(monkeypatch, bad_lams):
+    """Replace the fit select_lambda calls with one whose eigendecompositions
+    raise LinAlgError for the candidates in bad_lams."""
+    real_fit = modelselect.fit
+
+    def broken_eigh(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def patched(core, side, cfg, *args, **kwargs):
+        if cfg.lam not in bad_lams:
+            return real_fit(core, side, cfg, *args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", broken_eigh)
+            return real_fit(core, side, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(modelselect, "fit", patched)
+
+
+def test_failed_fit_scores_minus_infinity(monkeypatch):
+    core, side = _blob_problem(seed=8)
+    _fit_failing_at(monkeypatch, {1e-3})
+    report = select_lambda(core, side, grid=(1e-3, 1e-1, 10.0))
+    failed = report.records[0]
+    assert failed.criterion == -np.inf
+    assert failed.solver is None and failed.S is None
+    assert "did not converge" in failed.failure
+    assert all(r.failure is None for r in report.records[1:])
+    assert report.chosen_lambda != 1e-3
+    assert report.chosen.S is not None
+
+
+def test_every_failed_fit_raises(monkeypatch):
+    core, side = _blob_problem(seed=9)
+    _fit_failing_at(monkeypatch, {0.1, 1.0})
+    with pytest.raises(NumericalError, match="every candidate"):
+        select_lambda(core, side, grid=(0.1, 1.0))
 
 
 def test_select_lambda_requires_supervision():
