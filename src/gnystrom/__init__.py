@@ -15,8 +15,7 @@ from .experiment import (ExperimentConfig, RepeatResult, RunReport,
 from .inductive import InductiveModel, embed, load, save, similarity
 from .kernels import (KernelParams, LabelVector, bandwidth_heuristic, double_center,
                       ideal_kernel, kernel_matrix, nka_score, rbf_kernel)
-from .landmarks import (KMeansConfig, LandmarkSet, lloyd_iterations, select_kmeans,
-                        select_random)
+from .landmarks import KMeansConfig, LandmarkSet, select_kmeans, select_random
 from .linear_svm import LinearModel, train_linear
 from .modelselect import (DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport,
                           alignment_scores, select_lambda, validate_grid)
@@ -39,7 +38,7 @@ __all__ = [
     "default_landmark_count", "double_center", "embed", "emit_report",
     "experiment_config_from_file", "extrapolate_eigenvectors", "factorize",
     "fit", "gradient", "ideal_kernel", "init_closed_form", "kernel_matrix",
-    "landmark_eigensystem", "lloyd_iterations", "load", "load_dataset",
+    "landmark_eigensystem", "load", "load_dataset",
     "make_blobs", "make_two_moons", "nka_score", "objective", "extrapolation_bound",
     "psd_project", "rbf_kernel", "rbf_lipschitz_constant", "read_config",
     "reconstruct_entry", "run_experiment", "sample_labeled", "save",

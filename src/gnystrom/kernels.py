@@ -95,34 +95,22 @@ def kernel_matrix(A, B, params):
     return np.exp(-sq / params.bandwidth)
 
 
-def bandwidth_heuristic(X, *, exact=None, subsample_threshold=2000,
-                        subsample_pairs=1_000_000, seed=0):
+def bandwidth_heuristic(X):
     """Mean squared Euclidean distance over unordered sample pairs.
 
-    Up to ``subsample_threshold`` samples (or with ``exact=True`` at any
-    size) the mean is computed in closed form from centered squared norms,
-    which equals the average over all n*(n-1)/2 pairs exactly. Beyond the
-    threshold it is estimated from ``subsample_pairs`` pairs drawn with a
-    fixed seed, so repeated calls agree bit for bit.
+    Computed exactly in O(nd) time from centered squared norms, with one
+    n x d temporary: the average over all n*(n-1)/2 pairs equals
+    ``2 * sum_i ||x_i - mean||^2 / (n - 1)``.
     """
     X = as_data_matrix(X)
     n = X.shape[0]
     if n < 2:
         raise InputError("bandwidth heuristic needs at least two samples")
-    if exact is None:
-        exact = n <= subsample_threshold
-    if exact:
-        centered = X - X.mean(axis=0)
-        # sum_{i<j} ||x_i - x_j||^2 == n * sum_i ||x_i - mean||^2
-        total = float(np.sum(centered * centered))
-        mean_sq = 2.0 * total / (n - 1)
-    else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=int(subsample_pairs))
-        j = rng.integers(0, n, size=int(subsample_pairs))
-        keep = i != j
-        diffs = X[i[keep]] - X[j[keep]]
-        mean_sq = float(np.mean(np.sum(diffs * diffs, axis=1)))
+    squares = X - X.mean(axis=0)
+    squares *= squares
+    # sum_{i<j} ||x_i - x_j||^2 == n * sum_i ||x_i - mean||^2
+    total = float(np.sum(squares))
+    mean_sq = 2.0 * total / (n - 1)
     if mean_sq <= 0.0:
         raise DegenerateBandwidthError("all samples coincide; mean pairwise distance is zero")
     return mean_sq

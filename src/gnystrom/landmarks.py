@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._arrays import as_data_matrix
 from .errors import InputError
@@ -17,7 +16,8 @@ class KMeansConfig:
     """Settings for Lloyd's algorithm.
 
     ``tol`` is a relative movement tolerance: iteration stops once the
-    largest center shift falls below ``tol * (1 + max|X|)``. The "spread"
+    largest center shift falls below ``tol * max|X - mean(X)|``, so the
+    rule does not change when the data are translated. The "spread"
     init seeds centers with distance-weighted sampling; "uniform" picks
     distinct rows uniformly.
     """
@@ -97,34 +97,57 @@ def lloyd_iterations(X, centers, max_iters, tol):
     each assignment step; the sequence is non-increasing. Clusters that come
     up empty are re-seeded with points farthest from their assigned center,
     which also cannot increase the objective.
+
+    Each assignment step is one n x k matrix product (see :func:`_assign`),
+    and each update one weighted ``bincount``. Iteration stops once no
+    center moves more than ``tol * max|X - mean(X)|``.
     """
     X = as_data_matrix(X)
     centers = np.array(centers, dtype=np.float64)
-    n = X.shape[0]
+    n, d = X.shape
     k = centers.shape[0]
-    if centers.ndim != 2 or centers.shape[1] != X.shape[1]:
+    if centers.ndim != 2 or centers.shape[1] != d:
         raise InputError("initial centers must match the feature dimension")
     if k > n:
         raise InputError(f"cannot maintain {k} nonempty clusters with {n} samples")
-    scale = 1.0 + float(np.abs(X).max())
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    threshold = tol * float(np.abs(Xc).max())
+    # Row-major flat index of (assign[i], j) for every entry X[i, j].
+    columns = np.arange(d)
     trace = []
     for _ in range(max_iters):
-        d2 = cdist(X, centers, "sqeuclidean")
-        assign = d2.argmin(axis=1)
-        nearest = d2[np.arange(n), assign]
+        assign, nearest = _assign(X, Xc, mean, centers)
         trace.append(float(nearest.sum()))
 
         assign = _repair_empty(assign, nearest, k)
         counts = np.bincount(assign, minlength=k)
-        new_centers = np.zeros_like(centers)
-        np.add.at(new_centers, assign, X)
+        flat = (assign[:, None] * d + columns).ravel()
+        new_centers = np.bincount(flat, weights=X.ravel(), minlength=k * d).reshape(k, d)
         new_centers /= counts[:, None]
 
         movement = float(np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
-        if movement <= tol * scale:
+        if movement <= threshold:
             break
     return centers, trace
+
+
+def _assign(X, Xc, mean, centers):
+    """Nearest center of every row of X, and the squared distance to it.
+
+    Ranks centers by ``||z||^2 - 2 x.z`` with one matrix product. Both sides
+    are shifted by ``mean`` first (``Xc = X - mean``), which keeps the
+    expansion's cancellation error at the scale of the data's spread rather
+    than of its offset. The distances are recomputed from the original rows.
+    """
+    Zc = centers - mean
+    scores = Xc @ Zc.T
+    scores *= -2.0
+    scores += np.einsum("ij,ij->i", Zc, Zc)
+    assign = scores.argmin(axis=1)
+    diff = X - centers[assign]
+    return assign, np.einsum("ij,ij->i", diff, diff)
 
 
 def _repair_empty(assign, nearest, k):

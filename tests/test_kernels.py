@@ -1,9 +1,12 @@
 """Tests for kernel evaluation, the bandwidth heuristic, ideal-kernel
 construction, double-centering, and the normalized alignment score."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from gnystrom import (
     DegenerateBandwidthError,
@@ -174,14 +177,22 @@ def test_bandwidth_translation_invariant():
     assert abs(b1 - b0) < 1e-9 * b0
 
 
-def test_bandwidth_subsample_close_to_exact():
+def test_bandwidth_matches_pdist_mean_at_n_2500():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(2500, 3))
-    exact = bandwidth_heuristic(X, exact=True)
-    approx = bandwidth_heuristic(X, subsample_pairs=200_000, seed=0)
-    assert abs(approx - exact) < 0.05 * exact
-    # same seed, same estimate
-    assert approx == bandwidth_heuristic(X, subsample_pairs=200_000, seed=0)
+    assert_allclose(bandwidth_heuristic(X), pdist(X, "sqeuclidean").mean(), rtol=1e-12)
+
+
+def test_bandwidth_memory_is_linear_in_n():
+    # The exact mean needs at most one n x d temporary at any n.
+    X = np.random.default_rng(7).normal(size=(3000, 8))
+    tracemalloc.start()
+    try:
+        bandwidth_heuristic(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * X.nbytes
 
 
 # ---------------------------------------------------------------------------

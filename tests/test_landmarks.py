@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from gnystrom import (
     InputError,
     KMeansConfig,
     LandmarkSet,
-    lloyd_iterations,
+    make_blobs,
+    make_two_moons,
     select_kmeans,
     select_random,
 )
+from gnystrom.landmarks import _assign, _init_spread, _repair_empty, lloyd_iterations
 
 
 def _sorted_rows(A):
@@ -105,6 +110,16 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+def test_kmeans_commutes_with_translation():
+    # The stop rule scales with the spread, not with max|X|: at an offset of
+    # 1e6 a max|X|-scaled threshold is about one unit and stops Lloyd after
+    # its first pass.
+    X = make_two_moons(400, noise=0.1, seed=3).X
+    cfg = KMeansConfig(k=25, seed=0)
+    shifted = select_kmeans(X + 1e6, cfg)
+    assert_allclose(shifted.points, select_kmeans(X, cfg).points + 1e6, rtol=1e-9)
+
+
 def test_kmeans_k_too_large():
     with pytest.raises(InputError):
         select_kmeans(np.zeros((2, 1)), KMeansConfig(k=3, seed=0))
@@ -158,6 +173,60 @@ def test_lloyd_fixed_point_stays_put():
     centers = np.array([[0.0], [10.0]])
     out, _ = lloyd_iterations(X, centers, max_iters=10, tol=1e-9)
     assert_allclose(_sorted_rows(out), [[0.0], [10.0]], atol=1e-12)
+
+
+def _reference_lloyd(X, centers, max_iters, tol):
+    """Plain Lloyd: exact distances from cdist, centers summed with np.add.at."""
+    threshold = tol * np.abs(X - X.mean(axis=0)).max()
+    for _ in range(max_iters):
+        d2 = cdist(X, centers, "sqeuclidean")
+        assign = d2.argmin(axis=1)
+        assign = _repair_empty(assign, d2[np.arange(len(X)), assign], len(centers))
+        new_centers = np.zeros_like(centers)
+        np.add.at(new_centers, assign, X)
+        new_centers /= np.bincount(assign, minlength=len(centers))[:, None]
+        movement = np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=1)))
+        centers = new_centers
+        if movement <= threshold:
+            break
+    return centers
+
+
+@pytest.mark.parametrize("X, k", [
+    (make_two_moons(400, noise=0.1, seed=3).X, 25),
+    (make_blobs(3000, 10, seed=8).X, 60),
+])
+def test_kmeans_matches_reference_lloyd_exactly(X, k):
+    cfg = KMeansConfig(k=k, seed=0)
+    start = _init_spread(X, k, np.random.default_rng(cfg.seed))
+    reference = _reference_lloyd(X, start, cfg.max_iters, cfg.tol)
+    assert np.array_equal(select_kmeans(X, cfg).points, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 60), d=st.integers(1, 5),
+       k=st.integers(1, 8), scale=st.sampled_from((1e-3, 1.0, 100.0)),
+       offset=st.sampled_from((0.0, 1e3, 1e6)))
+def test_assignment_matches_cdist_and_trace_never_rises(seed, n, d, k, scale, offset):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    X = offset + scale * rng.normal(size=(n, d))
+    centers = X[rng.choice(n, size=k, replace=False)] + 0.3 * scale * rng.normal(size=(k, d))
+
+    mean = X.mean(axis=0)
+    assign, nearest = _assign(X, X - mean, mean, centers)
+    d2 = cdist(X, centers, "sqeuclidean")
+    assert_allclose(nearest, d2[np.arange(n), assign], rtol=1e-12, atol=0)
+    # Where the two nearest centers are not within rounding of a tie, the
+    # expansion must pick the exact nearest one.
+    two = np.sort(np.hstack([d2, np.full((n, 1), np.inf)]), axis=1)[:, :2]
+    size = np.sum((X - mean) ** 2, axis=1) + np.max(np.sum((centers - mean) ** 2, axis=1))
+    clear = two[:, 1] - two[:, 0] > 1e-9 * size
+    assert np.array_equal(assign[clear], d2.argmin(axis=1)[clear])
+
+    _, trace = lloyd_iterations(X, centers, max_iters=30, tol=0.0)
+    trace = np.array(trace)
+    assert np.all(np.diff(trace) <= 1e-9 * (trace[:-1] + scale**2))
 
 
 # ---------------------------------------------------------------------------
