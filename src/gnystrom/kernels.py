@@ -81,9 +81,15 @@ def rbf_kernel(x, y, params):
 def kernel_matrix(A, B, params):
     """Pairwise kernel matrix between the rows of A and the rows of B.
 
-    Squared distances are computed pairwise (no expansion tricks), so calling
-    this with the same array on both sides gives an exactly symmetric result
-    with a unit diagonal.
+    Squared distances are computed pairwise, never by the expansion
+    ``|a|^2 + |b|^2 - 2 a.b``, so every entry is the kernel of its own pair
+    rounded once. The training blocks (E and W in ``build_core``, eigenvector
+    extrapolation, ``similarity``) rely on that: the same array on both sides
+    gives an exactly symmetric result with a unit diagonal, and a sample that
+    coincides with a landmark gets W's row bit for bit, which the Nystrom
+    interpolation property and its error bound (zero error at a landmark)
+    need. The expansion's cancellation error, about 1e-16 per entry, breaks
+    both. Serving uses the faster :func:`_rbf_block` instead.
     """
     A = as_data_matrix(A, "A")
     B = as_data_matrix(B, "B")
@@ -92,7 +98,37 @@ def kernel_matrix(A, B, params):
             f"operands must share a feature dimension, got {A.shape[1]} and {B.shape[1]}"
         )
     sq = cdist(A, B, "sqeuclidean")
-    return np.exp(-sq / params.bandwidth)
+    sq /= -params.bandwidth
+    return np.exp(sq, out=sq)
+
+
+def _rbf_block(X, Z, bandwidth):
+    """Kernel block ``exp(-|x - z|^2 / bandwidth)`` for rows X and landmarks Z.
+
+    Squared distances come from one matrix product,
+    ``|x-c|^2 + |z-c|^2 - 2 (x-c).(z-c)``, with both sides centred at the
+    landmark mean ``c`` so that cancellation error scales with the data's
+    spread, not with its offset. A row with an entry the expansion cannot
+    tell from zero (at or below its rounding bound, which covers every
+    negative result) is recomputed pairwise, so a row equal to a landmark
+    gets exactly 1 in that landmark's column. The exponential is taken in
+    place: one n x m buffer. Agrees with :func:`kernel_matrix` to about 1e-15.
+    """
+    c = Z.mean(axis=0)
+    Zc = Z - c
+    Xc = X - c
+    sq_x = np.einsum("ij,ij->i", Xc, Xc)
+    sq_z = np.einsum("ij,ij->i", Zc, Zc)
+    block = Xc @ (-2.0 * Zc).T
+    block += sq_x[:, None]
+    block += sq_z
+    # A computed dot product of length d is off by at most about
+    # d * eps * |x||z|; the norms and the two additions add a few eps more.
+    bound = (X.shape[1] + 2) * np.finfo(np.float64).eps * (sq_x + sq_z.max())
+    near = np.flatnonzero(block.min(axis=1) <= bound)
+    block[near] = cdist(X[near], Z, "sqeuclidean")
+    block /= -bandwidth
+    return np.exp(block, out=block)
 
 
 def bandwidth_heuristic(X):

@@ -142,8 +142,9 @@ def _assign(X, Xc, mean, centers):
     than of its offset. The distances are recomputed from the original rows.
     """
     Zc = centers - mean
-    scores = Xc @ Zc.T
-    scores *= -2.0
+    # Scaling by -2 is exact, so folding it into the k x d operand gives the
+    # same bits as scaling the n x k product.
+    scores = Xc @ (-2.0 * Zc).T
     scores += np.einsum("ij,ij->i", Zc, Zc)
     assign = scores.argmin(axis=1)
     diff = X - centers[assign]
@@ -172,21 +173,47 @@ def _repair_empty(assign, nearest, k):
 
 
 def _init_spread(X, k, rng):
-    # Distance-weighted seeding: first center uniform, each later center
-    # drawn with probability proportional to the squared distance to the
-    # closest center picked so far.
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[int(rng.integers(n))]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    """Distance-weighted seeding: the first center is a uniform pick, each
+    later one is drawn with probability proportional to the squared distance
+    to the closest center picked so far.
+
+    Each pick's distances take one matrix-vector product on mean-centred
+    rows, ``|xc|^2 - 2 Xc @ xc_pick + |xc_pick|^2``. Entries at or below the
+    expansion's rounding bound (the pick itself, its duplicates, and every
+    negative result) are recomputed pairwise, so duplicates of a center
+    weigh exactly 0. The draw inverts the same cumulative distribution as
+    ``rng.choice(n, p=closest / total)`` and consumes the same random
+    number, without re-validating p.
+    """
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    sq = np.einsum("ij,ij->i", Xc, Xc)
+    # Bound on the expansion's rounding error, as in kernels._rbf_block.
+    rounding = (d + 2) * np.finfo(np.float64).eps
+    top = sq.max()
+
+    def distances_to(pick):
+        dist = Xc @ (-2.0 * Xc[pick])
+        dist += sq
+        dist += sq[pick]
+        near = np.flatnonzero(dist <= rounding * (top + sq[pick]))
+        dist[near] = np.sum((X[near] - X[pick]) ** 2, axis=1)
+        return dist
+
+    centers = np.empty((k, d))
+    pick = int(rng.integers(n))
+    centers[0] = X[pick]
+    closest = distances_to(pick)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             pick = int(rng.integers(n))
         else:
-            pick = int(rng.choice(n, p=closest / total))
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centers[i] = X[pick]
-        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+        np.minimum(closest, distances_to(pick), out=closest)
     return centers
 
 

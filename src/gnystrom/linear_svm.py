@@ -31,7 +31,8 @@ class LinearModel:
         object.__setattr__(self, "weights", weights)
 
     def decision_function(self, G):
-        return _augment(G, self.weights.shape[1] - 1) @ self.weights.T
+        G = _check_features(G, self.weights.shape[1] - 1)
+        return G @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def predict(self, G):
         scores = self.decision_function(G)
@@ -40,7 +41,7 @@ class LinearModel:
         return self.classes[np.argmax(scores, axis=1)]
 
 
-def _augment(G, expected_cols=None):
+def _check_features(G, expected_cols=None):
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {G.shape}")
@@ -48,7 +49,7 @@ def _augment(G, expected_cols=None):
         raise InputError("feature matrix contains non-finite values")
     if expected_cols is not None and G.shape[1] != expected_cols:
         raise InputError(f"expected {expected_cols} features, got {G.shape[1]}")
-    return np.hstack([G, np.ones((G.shape[0], 1))])
+    return G
 
 
 def train_linear(G, labels, c_reg=1.0, n_iters=1000):
@@ -58,13 +59,16 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
     class, by full-batch subgradient steps of length 1/(reg * (t+1)) with
     projection onto the ball of radius 1/sqrt(reg). The iteration budget is
     fixed, so degenerate inputs (duplicate points with clashing labels)
-    still terminate.
+    still terminate. All classes step together: each iteration is one
+    ``A @ W`` and one ``A.T @ hinge`` product over the p x classes weights,
+    and each column is projected onto the ball on its own.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise InputError("labels must be 1-D")
-    A = _augment(G)
-    n, p = A.shape
+    G = _check_features(G)
+    n = G.shape[0]
+    A = np.hstack([G, np.ones((n, 1))])
     if labels.shape[0] != n:
         raise InputError("one label per feature row required")
     if not c_reg > 0:
@@ -76,17 +80,14 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
         raise InputError("training needs at least two classes")
     reg = 1.0 / (float(c_reg) * n)
     radius = 1.0 / np.sqrt(reg)
-    weights = np.zeros((classes.size, p))
-    for ci, cls in enumerate(classes):
-        y = np.where(labels == cls, 1.0, -1.0)
-        w = np.zeros(p)
-        for t in range(int(n_iters)):
-            margins = y * (A @ w)
-            active = margins < 1.0
-            grad = reg * w - (y[active] @ A[active]) / n
-            w = w - grad / (reg * (t + 1))
-            norm = float(np.linalg.norm(w))
-            if norm > radius:
-                w *= radius / norm
-        weights[ci] = w
-    return LinearModel(classes=classes, weights=weights)
+    # Column c holds +1 where a row is in class c and -1 elsewhere.
+    Y = np.where(labels[:, None] == classes, 1.0, -1.0)
+    W = np.zeros((A.shape[1], classes.size))
+    for t in range(int(n_iters)):
+        hinge = np.where(Y * (A @ W) < 1.0, Y, 0.0)
+        grad = reg * W - (A.T @ hinge) / n
+        W = W - grad / (reg * (t + 1))
+        norms = np.linalg.norm(W, axis=0)
+        outside = norms > radius
+        W[:, outside] *= radius / norms[outside]
+    return LinearModel(classes=classes, weights=W.T.copy())

@@ -2,6 +2,7 @@
 binary save/load round trip."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,33 @@ def test_embed_matches_dense_quadratic_form():
     e = kernel_matrix(Xnew, Z.points, p)
     expected = e @ model.S @ e.T
     assert_allclose(G @ G.T, expected, atol=1e-10)
+
+
+def test_embed_matches_pairwise_kernel_product():
+    model, _, Z, _, p = _fitted_model(seed=6)
+    rng = np.random.default_rng(60)
+    Xnew = np.vstack([rng.normal(size=(40, 3)), Z.points, 1e3 + rng.normal(size=(5, 3))])
+    expected = kernel_matrix(Xnew, Z.points, p) @ model.L
+    atol = 1e-12 * (1.0 + np.linalg.norm(model.L))
+    assert_allclose(embed(model, Xnew), expected, rtol=0, atol=atol)
+
+
+def test_embed_memory_is_one_block():
+    # One n x m kernel block plus the n x rank result; the pairwise path held
+    # three n x m arrays at once.
+    n, m, d = 4000, 100, 5
+    rng = np.random.default_rng(61)
+    L = rng.normal(size=(m, m))
+    model = InductiveModel(landmarks=rng.normal(size=(m, d)),
+                           kernel=KernelParams(bandwidth=2.0 * d), S=L @ L.T, L=L)
+    Xnew = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        embed(model, Xnew)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * m * 8
 
 
 def test_embed_dimension_mismatch():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
@@ -21,6 +23,7 @@ from gnystrom import (
     nka_score,
     rbf_kernel,
 )
+from gnystrom.kernels import _rbf_block
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,23 @@ def test_kernel_matrix_is_psd():
 def test_kernel_matrix_dimension_mismatch():
     with pytest.raises(InputError):
         kernel_matrix([[0.0, 1.0]], [[0.0]], KernelParams(bandwidth=1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), m=st.integers(1, 12),
+       d=st.integers(1, 20), scale=st.sampled_from((1e-3, 1.0, 100.0)),
+       offset=st.sampled_from((0.0, 1e3, 1e6)), width=st.floats(0.05, 20.0))
+def test_rbf_block_matches_kernel_matrix(seed, n, m, d, scale, offset, width):
+    rng = np.random.default_rng(seed)
+    Z = offset + scale * rng.normal(size=(m, d))
+    X = offset + scale * rng.normal(size=(n, d))
+    # The first rows coincide with landmarks: their kernel value is exactly 1.
+    hits = rng.integers(0, m, size=min(n, m))
+    X[:hits.size] = Z[hits]
+    params = KernelParams(bandwidth=width * d * scale**2)
+    block = _rbf_block(X, Z, params.bandwidth)
+    assert_allclose(block, kernel_matrix(X, Z, params), rtol=0, atol=1e-13)
+    assert np.all(block[np.arange(hits.size), hits] == 1.0)
 
 
 # ---------------------------------------------------------------------------

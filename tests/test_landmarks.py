@@ -192,6 +192,38 @@ def _reference_lloyd(X, centers, max_iters, tol):
     return centers
 
 
+def _reference_spread(X, k, rng):
+    """Distance-weighted seeding with pairwise distances and ``rng.choice``."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centers[i] = X[pick]
+        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+    return centers
+
+
+@pytest.mark.parametrize("X, k", [
+    (make_two_moons(400, noise=0.1, seed=3).X, 25),
+    (make_blobs(3000, 10, seed=8).X, 60),
+    (make_blobs(8000, 20, n_classes=4, separation=3.0, seed=9).X, 200),
+    (np.array([[0.0], [0.0], [10.0], [10.0]]), 3),
+    # More centers than distinct rows: duplicates of a center must weigh
+    # exactly 0, so the uniform fallback fires as in the reference.
+    (np.repeat(1e3 + np.random.default_rng(2).normal(size=(4, 3)), 2, axis=0), 6),
+])
+def test_spread_seeding_matches_reference_exactly(X, k):
+    for seed in (0, 1):
+        expected = _reference_spread(X, k, np.random.default_rng(seed))
+        assert np.array_equal(_init_spread(X, k, np.random.default_rng(seed)), expected)
+
+
 @pytest.mark.parametrize("X, k", [
     (make_two_moons(400, noise=0.1, seed=3).X, 25),
     (make_blobs(3000, 10, seed=8).X, 60),

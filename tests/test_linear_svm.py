@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from gnystrom import (
     InductiveModel,
@@ -10,6 +11,7 @@ from gnystrom import (
     LinearModel,
     build_core,
     embed,
+    make_blobs,
     train_linear,
 )
 
@@ -85,6 +87,39 @@ def test_input_validation():
         train_linear(np.ones((2, 1)), np.array([0, 1]), n_iters=0)
     with pytest.raises(InputError):
         train_linear(np.array([[np.inf]]), np.array([0]))
+
+
+def _reference_weights(G, labels, c_reg=1.0, n_iters=1000):
+    """One class at a time, with the active rows gathered explicitly."""
+    A = np.hstack([G, np.ones((G.shape[0], 1))])
+    n, p = A.shape
+    reg = 1.0 / (c_reg * n)
+    radius = 1.0 / np.sqrt(reg)
+    classes = np.unique(labels)
+    weights = np.zeros((classes.size, p))
+    for ci, cls in enumerate(classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        w = np.zeros(p)
+        for t in range(n_iters):
+            active = y * (A @ w) < 1.0
+            grad = reg * w - (y[active] @ A[active]) / n
+            w = w - grad / (reg * (t + 1))
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
+        weights[ci] = w
+    return weights
+
+
+@pytest.mark.parametrize("n_classes, c_reg", [(2, 1.0), (4, 1.0), (3, 100.0)])
+def test_all_class_training_matches_per_class_reference(n_classes, c_reg):
+    ds = make_blobs(300, 6, n_classes=n_classes, separation=2.0, seed=n_classes)
+    G = ds.X @ np.random.default_rng(4).normal(size=(6, 12))
+    model = train_linear(G, ds.y, c_reg=c_reg)
+    expected = _reference_weights(G, ds.y, c_reg=c_reg)
+    assert_allclose(model.weights, expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+    reference = np.argmax(np.hstack([G, np.ones((300, 1))]) @ expected.T, axis=1)
+    assert np.array_equal(model.predict(G), model.classes[reference])
 
 
 def test_xor_separable_after_embedding():
