@@ -9,36 +9,37 @@ over positive semidefinite S, where S0 is the pseudo-inverse prior from the
 landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
 limits which pairs are constrained). J is a convex quadratic; a closed-form
-solution of the unconstrained problem provides the warm start. Every solver
-iteration costs exactly one m x m eigendecomposition, the PSD projection.
-Both step kinds run in the eigenbasis V of C = El.T @ El = V diag(c) V.T,
-rescaled by the congruence diag(1 / sqrt(sqrt(lam) + c)), which maps the
-PSD cone onto itself and evens out the curvature at small lam:
+solution of the unconstrained problem provides the warm start.
+
+One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
+splits J from the PSD constraint: the x-step minimizes J plus a proximal
+term exactly, the y-step is the projection, the penalty rho is set by
+residual balancing, and every iteration costs exactly one m x m
+eigendecomposition. It runs in the eigenbasis V of C = El.T @ El =
+V diag(c) V.T, rescaled by the congruence diag(1 / sqrt(sqrt(lam) + c)),
+which maps the PSD cone onto itself and evens out the curvature at small
+lam. Only the x-step differs by kind:
 
 * label kind: the Hessian of J is diagonal in V, with weights
-  2 * (lam + c_i * c_j). ADMM (Boyd et al. 2011) splits J from the PSD
-  constraint: the x-step is exact and elementwise, the y-step is the
-  projection, and the penalty rho is set by residual balancing;
-* grouping kind: the mask couples the entries, so nonmonotone spectral
-  projected gradient (Birgin, Martinez & Raydan 2000) takes
-  Barzilai-Borwein steps. J is quadratic, so its value and gradient along
-  the search direction are exact and the line search needs no further
-  eigendecomposition.
+  2 * (lam + c_i * c_j), so the x-step is elementwise;
+* grouping kind: the mask couples the entries, and the Hessian is diagonal
+  plus a rank-p term for p constrained pairs; the x-step solves a p x p
+  system (Woodbury), factored once per value of rho.
 
-Both stop on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
+The loop stops on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
 with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
 constant of grad J. It vanishes exactly at the constrained optimum. Each
-iteration bounds it by ||grad J(S) - M||_F, where M is a PSD matrix
-orthogonal to S that the projection leaves behind (the ADMM dual, or the
-projected-off negative part); that residual of the optimality conditions
-needs no further eigendecomposition. A second test stops once the best
-objective stalls.
+iteration bounds it by ||grad J(S) - M||_F, where M = -rho * U is the PSD
+part the projection cut off, orthogonal to S; that residual of the
+optimality conditions needs no further eigendecomposition. A second test
+stops once the best objective stalls.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 from ._arrays import as_index_array, as_square_matrix, eigh
 from .errors import InputError, NumericalError
@@ -51,10 +52,6 @@ CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 _ACCEPT_SLACK = 1e-12
 # Iterations over which the best objective must improve by obj_rel_tol.
 _OBJ_WINDOW = 20
-# Objectives the nonmonotone line search remembers, and its sufficient
-# decrease factor.
-_SPG_MEMORY = 10
-_SPG_GAMMA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -150,18 +147,20 @@ class SideInformation:
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Solver settings.
+    """Settings of the ADMM loop, shared by both kinds of side information.
 
-    The solver stops once the gradient-mapping norm is at most
+    The loop stops once the gradient-mapping norm is at most
     ``grad_norm_tol``, or once the best objective has improved by at most
     ``obj_rel_tol`` (relative) over the last 20 iterations, or after
-    ``max_iters`` iterations. ``grad_norm_tol = None`` means
+    ``max_iters`` iterations, each costing one m x m eigendecomposition.
+    ``grad_norm_tol = None`` means
     1e-6 * (1 + ||2 El.T @ target @ El||_F), resolved at run time: relative
     to the pull of the data term on the gradient, which has the gradient's
     units, unlike ||S0||. ``obj_rel_tol = 0`` disables the objective
     test. ``lam = 0`` is legal (pure data fitting); the closed-form
     initializer then does not apply and fitting starts from the projected
-    prior.
+    prior. A grouping-kind fit at ``lam = 0`` may end at ``max_iters``: the
+    masked problem need not attain its infimum.
     """
 
     lam: float = 1.0
@@ -352,11 +351,11 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
         information this solves the unmasked system, a heuristic warm start.
 
     A start whose gradient norm is already at most grad_norm_tol is returned
-    after 0 iterations. Otherwise label-kind side information runs ADMM and
-    grouping-kind runs spectral projected gradient (see the module
-    docstring), until the gradient-mapping norm falls below grad_norm_tol,
-    the best objective stalls (obj_rel_tol), or max_iters; the stopping
-    reason lands in the report's ``converged_by``.
+    after 0 iterations. Otherwise one ADMM loop runs for both kinds, with an
+    elementwise x-step for labels and a p x p Woodbury x-step for pairs (see
+    the module docstring), until the gradient-mapping norm falls below
+    grad_norm_tol, the best objective stalls (obj_rel_tol), or max_iters;
+    the stopping reason lands in the report's ``converged_by``.
     """
     if init not in ("auto", "prior", "closed_form"):
         raise InputError(f"unknown init scheme {init!r}")
@@ -390,10 +389,7 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
     if gnorm > grad_tol:
         c, V = basis if basis is not None else eigh(El.T @ El)
         basis = (np.maximum(c, 0.0), V)
-        if side.kind == "labels":
-            solver = _LabelADMM(S, grad, value, basis, cfg.lam)
-        else:
-            solver = _PairSPG(S, El, side, S0, cfg.lam, basis)
+        solver = _ADMM(S, grad, value, basis, cfg.lam, El, side)
         best = solver.point
         converged_by = "max_iters"
         while iterations < cfg.max_iters:
@@ -433,25 +429,53 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
     return FitResult(state=DictionaryState(S=S, S0=S0), report=report)
 
 
-class _ScaledBasis:
-    """Coordinates Z in which both step kinds run: S = V (DD * Z) V^T, with
-    C = El.T @ El = V diag(c) V^T and DD = d d^T, d_i = 1 / sqrt(sqrt(lam) + c_i).
+class _ADMM:
+    """ADMM (Boyd et al. 2011) over the PSD cone, for both kinds of side
+    information.
 
+    It runs in coordinates Z with S = V (DD * Z) V^T, where
+    C = El.T @ El = V diag(c) V^T and DD = d d^T, d_i = 1 / sqrt(sqrt(lam) + c_i).
     The congruence by V diag(d) maps the PSD cone onto itself, so the
     projection is unchanged, while the Hessian of the label-kind J, diagonal
     in V with weights 2 * (lam + c_i c_j), gets weights of at most 2 (all 2
     at lam = 0). Without it, small lam leaves those weights spread over
-    many orders of magnitude and first-order steps crawl along the flat
+    many orders of magnitude and the iterates crawl along the flat
     directions.
+
+    With D = Z - Y0 for the start Y0, J is the exact quadratic
+    J(Y0) + <G0, D> + sum(Hs * D**2) + 2 * sum(w * at_pairs(D)**2). For
+    labels Hs = (lam + c c^T) * DD**2 is the whole Hessian and there is no
+    pair term. For pairs Hs = lam * DD**2, and the mask's nonzero
+    upper-triangle entries (a, b) give the rows Fa = Et[a] and Fb = Et[b] of
+    Et = El V diag(d), so the masked residual costs O(p m^2) for p pairs
+    instead of O(l^2 m); w is 1/2 on a diagonal pair (it appears once in the
+    mask) and 1 otherwise.
     """
 
-    def __init__(self, basis, lam):
+    def __init__(self, S, grad, value, basis, lam, El, side):
         c, self.V = basis
         h = np.sqrt(lam) + c
         self.scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
         self.DD = np.outer(self.scale, self.scale)
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
+        self.Y0 = self.point = self.coords(S)
+        self.G0 = (self.V.T @ grad @ self.V) * self.DD
+        self.J0 = value
+        self.U = np.zeros_like(self.Y0)
+        self.Fa = self.factor_rho = None
+        pairs = side.kind == "grouping"
+        self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
+        # The mean diagonal of the Hessian in Z.
+        self.rho = 2.0 * float(np.mean(self.Hs))
+        if pairs and side.mask.any():
+            a, b = np.nonzero(np.triu(side.mask))
+            Et = (El @ self.V) * self.scale
+            self.Fa, self.Fb = Et[a], Et[b]
+            self.weight = np.where(a == b, 0.5, 1.0)
+            ab = np.einsum("pi,pi->p", self.Fa, self.Fb)
+            aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
+            self.rho += 2.0 * float(np.sum(self.weight * (aabb + ab * ab))) / self.Hs.size
 
     def coords(self, M):
         """Z coordinates of an S-space matrix."""
@@ -465,38 +489,81 @@ class _ScaledBasis:
         """||E|| in S for the Z-space KKT residual E_Z = DD * (V^T E V)."""
         return float(np.linalg.norm(residual / self.DD))
 
+    def _at_pairs(self, M):
+        """Entries of Et @ M @ Et.T at the constrained pairs."""
+        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
 
-class _LabelADMM(_ScaledBasis):
-    """ADMM for label-kind side information.
+    def _spread(self, r):
+        """Et.T @ R @ Et for the symmetric R that holds r at the pairs."""
+        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
+        return A + A.T
 
-    In Z, J = J(Z0) + <G0, Z - Z0> + sum(Hs * (Z - Z0)**2) with
-    Hs = (lam + c c^T) * DD**2, so the x-step of
-    min J(X) + (rho/2) ||X - Y + U||^2 is elementwise and exact and the
-    y-step Y = P(X + U) is the projection.
-    """
+    def _evaluate(self, Z):
+        """J and its gradient at Z."""
+        D = Z - self.Y0
+        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
+        grad = self.G0 + 2.0 * self.Hs * D
+        if self.Fa is not None:
+            r = self._at_pairs(D)
+            value += 2.0 * float(np.sum(self.weight * r * r))
+            grad += 2.0 * self._spread(r)
+        return value, grad
 
-    def __init__(self, S, grad, value, basis, lam):
-        super().__init__(basis, lam)
-        c = basis[0]
-        self.Hs = (lam + np.outer(c, c)) * self.DD ** 2
-        self.Y0 = self.coords(S)
-        self.G0 = (self.V.T @ grad @ self.V) * self.DD
-        self.J0 = value
-        self.point = self.Y0
-        self.U = np.zeros_like(self.Y0)
-        self.rho = 2.0 * float(np.mean(self.Hs))
+    def _x_step(self, Y, U):
+        """The exact minimizer X = Y0 + D of J(X) + (rho/2) ||X - Y + U||^2.
+
+        D solves Dg * D + spread(at_pairs(D)) = N, with Dg = Hs + rho/2 and
+        N = (rho (Y - Y0 - U) - G0) / 2: elementwise without pairs; with them
+        (Woodbury), y = at_pairs(D) solves (I + 2 K diag(w)) y = at_pairs(N / Dg)
+        for K = B diag(1/Dg) B^T, B = at_pairs, B^T = spread / 2, and
+        D = (N - spread(y)) / Dg.
+        """
+        rho = self.rho
+        N = 0.5 * rho * (Y - self.Y0 - U) - 0.5 * self.G0
+        Dg = self.Hs + 0.5 * rho
+        if self.Fa is not None:
+            if self.factor_rho != rho:
+                self._factor(Dg)
+            root = np.sqrt(self.weight)
+            z = cho_solve(self.factor, root * self._at_pairs(N / Dg), check_finite=False)
+            N = N - self._spread(z / root)
+        return self.Y0 + N / Dg
+
+    def _factor(self, Dg):
+        """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)).
+
+        K[q, s] = <g_q, g_s / Dg> with g_q = sym(fa_q fb_q^T), a sum over the
+        entries i <= j of Z (twice off the diagonal). Row i adds one
+        rank-(m - i) update in place, so besides the p x p factor nothing
+        larger than p x m is held.
+        """
+        p, m = self.Fa.shape
+        root = np.sqrt(self.weight)[:, None]
+        # G below holds 2 g; with the system's factor 2, entry (i, j) weighs
+        # 1 / Dg off the diagonal (where it counts twice) and 1 / (2 Dg) on it.
+        scale = 1.0 / np.sqrt(Dg + np.diag(np.diag(Dg)))
+        # Release the old factor before the new p x p array is allocated.
+        self.factor = None
+        M = np.zeros((p, p), order="F")
+        M.flat[::p + 1] = 1.0
+        for i in range(m):
+            G = self.Fa[:, i, None] * self.Fb[:, i:]
+            G += self.Fb[:, i, None] * self.Fa[:, i:]
+            G *= root * scale[i, i:]
+            M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
+        self.factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        self.factor_rho = self.rho
 
     def step(self):
-        Hs, Y, rho = self.Hs, self.point, self.rho
-        X = self.Y0 + (0.5 * rho * (Y - self.Y0 - self.U) - 0.5 * self.G0) / (Hs + 0.5 * rho)
+        Y, rho = self.point, self.rho
+        X = self._x_step(Y, self.U)
         Y_next = _project(X + self.U)
         self.U += X - Y_next
-        D = Y_next - self.Y0
-        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(Hs * D * D))
+        value, grad = self._evaluate(Y_next)
         # -rho * U, with U the part the projection cut off, is PSD and
         # orthogonal to Y_next, so its distance to grad J(Y_next) bounds the
         # mapping norm at Y_next.
-        bound = self.mapping_bound(self.G0 + 2.0 * Hs * D + rho * self.U)
+        bound = self.mapping_bound(grad + rho * self.U)
         # Residual balancing (Boyd et al. 2011, section 3.4.1).
         primal = float(np.linalg.norm(X - Y_next))
         dual = rho * float(np.linalg.norm(Y_next - Y))
@@ -508,84 +575,6 @@ class _LabelADMM(_ScaledBasis):
             self.U *= 2.0
         self.point = Y_next
         return Y_next, value, bound
-
-
-class _PairSPG(_ScaledBasis):
-    """Nonmonotone spectral projected gradient for grouping-kind side
-    information, evaluated on the list of constrained pairs.
-
-    The mask's nonzero upper-triangle entries (a, b) give the rows
-    Fa = Et[a] and Fb = Et[b] of Et = El V diag(d), so every masked product
-    costs O(p m^2) for p pairs instead of O(l^2 m). With
-    d = P(Z - a * grad) - Z, J and its gradient along Z + t d are exact
-    quadratics; t = 1 is kept when it passes a nonmonotone sufficient
-    decrease test (Grippo, Lampariello & Lucidi 1986), else the exact
-    minimizer along d is taken. Convex combinations of PSD matrices stay
-    PSD, and the step length a is the Barzilai-Borwein ratio
-    ||d||^2 / <d, H d>.
-    """
-
-    def __init__(self, S, El, side, S0, lam, basis):
-        super().__init__(basis, lam)
-        c = basis[0]
-        Et = (El @ self.V) * self.scale
-        a, b = np.nonzero(np.triu(side.mask))
-        self.Fa, self.Fb = Et[a], Et[b]
-        # A diagonal pair appears once in the mask, an off-diagonal one twice.
-        self.weight = np.where(a == b, 0.5, 1.0)
-        self.target = side.target[a, b]
-        self.W = lam * self.DD ** 2
-        self.Z0 = self.coords(S0)
-        # Et.T @ Et = diag(c * d**2), so 1 / step_size bounds the Hessian in Z.
-        self.step_size = 1.0 / (2.0 * float(self.W.max())
-                                + 2.0 * float(np.max(c * self.scale ** 2, initial=0.0)) ** 2)
-        self.max_step = 1e10 * self.step_size
-        self.point = self.coords(S)
-        self.value, self.grad = self._evaluate(self.point)
-        self.recent = deque([self.value], maxlen=_SPG_MEMORY)
-
-    def _at_pairs(self, M):
-        """Entries of Et @ M @ Et.T at the constrained pairs."""
-        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
-
-    def _spread(self, r):
-        """Et.T @ R @ Et for the symmetric R that holds r at the pairs."""
-        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
-        return A + A.T
-
-    def _evaluate(self, Z):
-        r = self._at_pairs(Z) - self.target
-        prior = Z - self.Z0
-        value = float(np.sum(self.W * prior * prior)) + 2.0 * float(np.sum(self.weight * r * r))
-        return value, 2.0 * self.W * prior + 2.0 * self._spread(r)
-
-    def hess(self, d):
-        """Hessian of J in Z applied to d."""
-        return 2.0 * self.W * d + 2.0 * self._spread(self._at_pairs(d))
-
-    def step(self):
-        Z, g, a = self.point, self.grad, self.step_size
-        d = _project(Z - a * g) - Z
-        Hd = self.hess(d)
-        # g + d / a, the part the projection cut off over a, is PSD and
-        # orthogonal to Z + d, so its distance to grad J(Z + d) = g + Hd
-        # bounds the mapping norm at Z + d.
-        bound = self.mapping_bound(Hd - d / a)
-        dd = float(np.sum(d * d))
-        if dd == 0.0:
-            return Z, self.value, 0.0
-        gd = float(np.sum(g * d))
-        curv = float(np.sum(d * Hd))
-        t = 1.0
-        if self.value + gd + 0.5 * curv > max(self.recent) + _SPG_GAMMA * gd:
-            t = min(1.0, -gd / curv)
-        Z = Z + t * d
-        Z = 0.5 * (Z + Z.T)
-        self.point = Z
-        self.value, self.grad = self._evaluate(Z)
-        self.recent.append(self.value)
-        self.step_size = min(dd / curv, self.max_step) if curv > 0 else self.max_step
-        return Z, self.value, bound
 
 
 def factorize(state, rel_tol=1e-12):

@@ -1,5 +1,7 @@
 """Tests for dictionary learning: objective/gradient, PSD projection, the
-closed-form warm start, the fit loop and its two step kinds, and factoring."""
+closed-form warm start, the ADMM fit loop and its two x-steps, and factoring."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,10 +500,11 @@ def test_fit_satisfies_kkt_conditions(seed, grouping, lam):
     assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
 
 
-def test_pair_list_hessian_matches_dense_masked_form():
-    """The grouping solver evaluates J, grad J and the Hessian on the list of
-    constrained pairs; compare with the dense masked l x l form, for a mask
-    that also constrains diagonal entries."""
+def test_pair_x_step_solves_dense_masked_system():
+    """The grouping solver evaluates J and grad J on the list of constrained
+    pairs and solves its x-step through a p x p system; compare with the
+    dense masked l x l form, and with the x-step's m^2 x m^2 linear system
+    solved densely, for a mask that also constrains diagonal entries."""
     rng = np.random.default_rng(29)
     X = rng.normal(size=(12, 2))
     core = build_core(X, select_random(X, 5, seed=3), KernelParams(bandwidth=2.0))
@@ -515,22 +518,34 @@ def test_pair_list_hessian_matches_dense_masked_form():
     El = core.E[side.indices]
     lam = 0.3
     S = psd_project(_random_symmetric(rng, 5))
-    spg = dictlearn._PairSPG(S, El, side, core.S0, lam, np.linalg.eigh(El.T @ El))
+    solver = dictlearn._ADMM(S, gradient(S, core, side, lam), objective(S, core, side, lam),
+                             np.linalg.eigh(El.T @ El), lam, El, side)
 
     def to_z(M):
-        # A gradient or Hessian product in S, expressed in the solver's
-        # coordinates Z, where S = V (DD * Z) V^T.
-        return spg.DD * (spg.V.T @ M @ spg.V)
+        # A gradient in S, expressed in the solver's coordinates Z, where
+        # S = V (DD * Z) V^T.
+        return solver.DD * (solver.V.T @ M @ solver.V)
 
-    value, grad = spg._evaluate(spg.coords(S))
-    assert_allclose(value, objective(S, core, side, lam), rtol=1e-12)
-    assert_allclose(grad, to_z(gradient(S, core, side, lam)), rtol=1e-10, atol=1e-12)
-    for _ in range(5):
-        d = _random_symmetric(rng, 5)
-        D = spg.matrix(d)
-        dense = 2.0 * lam * D + 2.0 * El.T @ (mask * (El @ D @ El.T)) @ El
-        assert_allclose(spg.hess(d), to_z(dense), rtol=1e-10, atol=1e-12)
-        assert np.sum(d * spg.hess(d)) <= np.sum(d * d) / spg.step_size * (1 + 1e-12)
+    S1 = psd_project(_random_symmetric(rng, 5))
+    value, grad = solver._evaluate(solver.coords(S1))
+    assert_allclose(value, objective(S1, core, side, lam), rtol=1e-12)
+    assert_allclose(grad, to_z(gradient(S1, core, side, lam)), rtol=1e-10, atol=1e-12)
+
+    # The Hessian in Z, one column per entry of Z, from the dense masked form.
+    m = 5
+    H = np.empty((m * m, m * m))
+    for k in range(m * m):
+        D = solver.V @ (solver.DD * np.eye(m * m)[k].reshape(m, m)) @ solver.V.T
+        H[:, k] = to_z(2.0 * lam * D + 2.0 * El.T @ (mask * (El @ D @ El.T)) @ El).ravel()
+    G_at_zero = to_z(gradient(solver.matrix(np.zeros((m, m))), core, side, lam))
+    for rho in (0.05, 40.0):
+        solver.rho = rho
+        Y = _random_symmetric(rng, m)
+        U = _random_symmetric(rng, m)
+        # grad J(X) + rho (X - Y + U) = 0, with grad J(X) = G(0) + H X.
+        dense = np.linalg.solve(H + rho * np.eye(m * m), (rho * (Y - U) - G_at_zero).ravel())
+        assert_allclose(solver._x_step(Y, U), dense.reshape(m, m), rtol=1e-9, atol=1e-11)
+        assert solver.factor_rho == rho
 
 
 @pytest.mark.parametrize("lam, reference", [(1e-3, 42.9811990362), (0.1, 68.2695641497)])
@@ -548,6 +563,73 @@ def test_fit_reaches_long_run_optimum_on_blobs600(lam, reference):
     assert abs(result.report.objective_trace[-1] - reference) <= 1e-6 * reference
     assert_allclose(objective(result.state.S, core, side, lam),
                     result.report.objective_trace[-1], rtol=1e-9)
+
+
+def _fit_pairs_problem():
+    """The benchmark's fit-pairs problem 0 at seed 0: 100 random index pairs
+    split into must-link and cannot-link by class, k-means m=60."""
+    ds = make_blobs(3000, 10, n_classes=2, separation=2.0, seed=7)
+    side_seed, landmark_seed = (int(s) for s in np.random.SeedSequence(0).generate_state(2))
+    pairs = np.random.default_rng(side_seed).integers(0, ds.n, size=(100, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    same = ds.y[pairs[:, 0]] == ds.y[pairs[:, 1]]
+    side = SideInformation.from_constraints(pairs[same].tolist(), pairs[~same].tolist())
+    Z = select_kmeans(ds.X, KMeansConfig(k=60, seed=landmark_seed))
+    core = build_core(ds.X, Z, KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    return core, side
+
+
+def test_grouping_fit_reaches_long_run_optimum():
+    """The reference comes from a 30,000-iteration fit with both stop tests
+    disabled."""
+    core, side = _fit_pairs_problem()
+    reference = 19.9793485462
+    result = fit(core, side, LearnConfig(lam=0.1))
+    assert result.report.converged_by != "max_iters"
+    assert abs(result.report.objective_trace[-1] - reference) <= 2e-7 * reference
+    assert_allclose(objective(result.state.S, core, side, 0.1),
+                    result.report.objective_trace[-1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [218, 277])
+def test_grouping_fit_converges_within_default_budget(seed):
+    """Ill-conditioned masked problems at small lam on which spectral
+    projected gradient ran into the default iteration cap."""
+    core, side = _random_grouping_problem(np.random.default_rng(seed), m=4)
+    lam = 1e-3
+    result = fit(core, side, LearnConfig(lam=lam))
+    assert result.report.converged_by != "max_iters"
+    # The optimality conditions of test_fit_satisfies_kkt_conditions.
+    S = result.state.S
+    G = gradient(S, core, side, lam)
+    tol = 1e-4 * (1.0 + np.linalg.norm(gradient(np.zeros_like(S), core, side, lam)))
+    assert np.linalg.eigvalsh(S).min() >= -1e-8 * max(1.0, np.linalg.norm(S))
+    assert np.linalg.eigvalsh(G).min() >= -tol
+    assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
+
+
+def test_grouping_fit_memory_stays_below_pair_by_entry_array():
+    """The pair x-step's p x p system is accumulated over the rows of Z, so a
+    fit never holds a p x m^2 array (one would take p * m^2 * 8 bytes)."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(200, 3))
+    m = 40
+    core = build_core(X, select_random(X, m, seed=5), KernelParams(bandwidth=3.0))
+    # Pairs among 100 rows, so the l x l arrays of the dense objective and
+    # gradient stay small next to the p x p system.
+    upper = np.transpose(np.triu_indices(100, 1))
+    pairs = upper[rng.choice(len(upper), size=400, replace=False)]
+    must = rng.random(len(pairs)) < 0.5
+    side = SideInformation.from_constraints(pairs[must].tolist(), pairs[~must].tolist())
+    p = int(np.count_nonzero(np.triu(side.mask)))
+    tracemalloc.start()
+    try:
+        result = fit(core, side, LearnConfig(lam=0.1, max_iters=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.report.iterations > 0
+    assert peak < 0.5 * p * m * m * 8
 
 
 def test_fit_wraps_linalg_error(monkeypatch):
