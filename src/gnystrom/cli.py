@@ -11,19 +11,18 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .datasets import load_dataset, make_blobs, make_two_moons, sample_labeled
-from .dictlearn import LearnConfig, SideInformation, fit
+from .dictlearn import SideInformation
 from .errors import InputError, NumericalError
-from .experiment import (build_core_for, default_landmark_count, emit_report,
-                         experiment_config_from_file, run_experiment)
+from .experiment import (ExperimentConfig, _parse_value, emit_report,
+                         experiment_config_from_file, pipeline, run_experiment)
 from .inductive import InductiveModel, embed, load, save
-from .kernels import KernelParams, bandwidth_heuristic
 from .landmarks import KMeansConfig, select_kmeans, select_random
-from .modelselect import DEFAULT_LAMBDA_GRID, select_lambda
-from .nystrom import build_core
+from .modelselect import DEFAULT_LAMBDA_GRID
 
 
 def build_parser():
@@ -122,38 +121,23 @@ def _cmd_landmarks(args):
 def _cmd_fit(args):
     ds = load_dataset(args.input, format=args.format)
     count = args.labels_per_class * ds.classes.size
-    labeled = sample_labeled(ds, count, args.seed)
-    side = SideInformation.from_labels(labeled)
-
-    if args.bandwidth == "heuristic":
-        bandwidth = bandwidth_heuristic(ds.X)
-    else:
-        bandwidth = float(args.bandwidth)
-    params = KernelParams(bandwidth=bandwidth)
-    m = args.m if args.m is not None else default_landmark_count(ds.n)
-    if args.method == "kmeans":
-        Z = select_kmeans(ds.X, KMeansConfig(k=m, seed=args.seed))
-    else:
-        Z = select_random(ds.X, m, args.seed)
-    core = build_core(ds.X, Z, params)
-
+    side = SideInformation.from_labels(sample_labeled(ds, count, args.seed))
+    grid = None
     if args.lambda_grid is not None:
-        grid = tuple(float(tok) for tok in args.lambda_grid.split(",") if tok.strip())
-        selection = select_lambda(core, side, grid)
-        record = selection.chosen
-        lam = record.lam
-        state_s = record.S
-        report = record.solver
-        print(f"selected lambda={lam:g} "
-              f"(criterion={record.criterion:.6f} over {len(grid)} candidates)")
-    else:
-        lam = args.lam if args.lam is not None else 1.0
-        result = fit(core, side, LearnConfig(lam=lam))
-        state_s = result.state.S
-        report = result.report
-    model = InductiveModel.from_state(Z, params, state_s, lam=lam, report=report)
+        grid = _parse_value("lambda_grid", args.lambda_grid, "--lambda-grid")
+    cfg = ExperimentConfig(labeled_per_run=count, m=args.m,
+                           landmark_method=args.method,
+                           bandwidth=_parse_value("bandwidth", args.bandwidth, "--bandwidth"),
+                           lam=args.lam if grid is None else None, lambda_grid=grid)
+    run = pipeline(ds.X, side, cfg, args.seed)
+    record, report = run.record, run.record.solver
+    if run.selection is not None:
+        print(f"selected lambda={record.lam:g} (criterion={record.criterion:.6f} "
+              f"over {len(run.selection.records)} candidates)")
+    model = InductiveModel.from_state(run.landmarks, run.kernel, record.S, lam=record.lam,
+                                      report=report)
     save(model, args.model_out)
-    print(f"fitted on {count} labeled samples, m={m}: "
+    print(f"fitted on {count} labeled samples, m={run.core.m}: "
           f"{report.iterations} iterations, stopped by {report.converged_by}, "
           f"objective {report.objective_trace[-1]:.6g}")
     print(f"saved model to {args.model_out}")
@@ -182,16 +166,10 @@ def _cmd_evaluate(args):
 def _cmd_select_lambda(args):
     ds = load_dataset(args.input, format=args.format)
     cfg = experiment_config_from_file(args.config)
-    labeled = sample_labeled(ds, cfg.labeled_per_run, cfg.seed)
-    side = SideInformation.from_labels(labeled)
-    m = cfg.m if cfg.m is not None else default_landmark_count(ds.n)
-    if cfg.landmark_method == "kmeans":
-        Z = select_kmeans(ds.X, KMeansConfig(k=m, seed=cfg.seed))
-    else:
-        Z = select_random(ds.X, m, cfg.seed)
-    core = build_core_for(ds.X, Z, cfg)
+    side = SideInformation.from_labels(sample_labeled(ds, cfg.labeled_per_run, cfg.seed))
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else DEFAULT_LAMBDA_GRID
-    selection = select_lambda(core, side, grid)
+    selection = pipeline(ds.X, side, replace(cfg, lam=None, lambda_grid=grid),
+                         cfg.seed).selection
     print(f"{'lambda':>12}  {'rho_prior':>10}  {'rho_align':>10}  "
           f"{'criterion':>10}  {'iters':>5}  stopped_by")
     for rec in selection.records:

@@ -52,6 +52,8 @@ CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 _ACCEPT_SLACK = 1e-12
 # Iterations over which the best objective must improve by obj_rel_tol.
 _OBJ_WINDOW = 20
+# factorize keeps eigenvalues above this fraction of the largest.
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,20 +183,16 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class DictionaryState:
-    """Learned inverse dictionary kernel alongside its prior.
+    """Learned inverse dictionary kernel.
 
     S must be symmetric to 1e-10 absolute and PSD up to a -1e-8 relative
     eigenvalue tolerance; violations raise at construction.
     """
 
     S: np.ndarray
-    S0: np.ndarray
 
     def __post_init__(self):
         S = as_square_matrix(self.S, "S")
-        S0 = as_square_matrix(self.S0, "S0")
-        if S.shape != S0.shape:
-            raise InputError("S and S0 must have equal shape")
         if S.size:
             if float(np.abs(S - S.T).max()) > 1e-10:
                 raise InputError("S must be symmetric to 1e-10")
@@ -204,7 +202,6 @@ class DictionaryState:
                 raise InputError(
                     f"S must be PSD: smallest eigenvalue {lo} below tolerance")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "S0", S0)
 
 
 @dataclass(frozen=True)
@@ -323,32 +320,27 @@ def init_closed_form(core, side, lam, project=True):
     if side.kind != "labels":
         raise InputError("closed-form initialization applies to label-kind side information")
     El = _supervised_rows(core, side)
-    S, _ = _closed_form(El, El.T @ side.target @ El, core.S0, lam)
+    c, V = eigh(El.T @ El)
+    S = _closed_form(c, V, El.T @ side.target @ El, core.S0, lam)
     return psd_project(S) if project else S
 
 
-def _closed_form(El, B, S0, lam):
-    """Unprojected closed form for B = El.T @ target @ El, with the
-    eigenpairs (c, V) of C = El.T @ El that the diagonalization of
-    P = C / sqrt(lam) yields for free."""
-    P = (El.T @ El) / np.sqrt(lam)
-    Q = S0 + B / lam
-    vals, U = eigh(0.5 * (P + P.T))
-    q_tilde = U.T @ Q @ U
-    s_tilde = q_tilde / (1.0 + np.outer(vals, vals))
-    S = U @ s_tilde @ U.T
-    return 0.5 * (S + S.T), (vals * np.sqrt(lam), U)
+def _closed_form(c, V, B, S0, lam):
+    """Unprojected closed form for B = El.T @ target @ El, given the
+    eigenpairs (c, V) of C = El.T @ El: P = C / sqrt(lam) has eigenvalues
+    c / sqrt(lam) and the same eigenvectors, so v_i * v_j = c_i * c_j / lam."""
+    q_tilde = V.T @ (S0 + B / lam) @ V
+    S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
+    return 0.5 * (S + S.T)
 
 
-def fit(core, side, cfg, init="auto", record_iterates=False):
+def fit(core, side, cfg, record_iterates=False):
     """Minimize the penalized objective over the PSD cone.
 
-    init:
-      * "auto": closed form for label-kind side information with lam > 0,
-        projected prior otherwise;
-      * "prior": always psd_project(S0);
-      * "closed_form": force the closed form; for grouping-kind side
-        information this solves the unmasked system, a heuristic warm start.
+    The start is the closed form (:func:`init_closed_form`) for label-kind
+    side information with lam > 0 and at least one supervised row, and the
+    projected prior psd_project(S0) otherwise. C = El.T @ El is
+    eigendecomposed once, for the closed form and the loop alike.
 
     A start whose gradient norm is already at most grad_norm_tol is returned
     after 0 iterations. Otherwise one ADMM loop runs for both kinds, with an
@@ -357,22 +349,13 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
     grad_norm_tol, the best objective stalls (obj_rel_tol), or max_iters;
     the stopping reason lands in the report's ``converged_by``.
     """
-    if init not in ("auto", "prior", "closed_form"):
-        raise InputError(f"unknown init scheme {init!r}")
-    S0 = core.S0
     El = _supervised_rows(core, side)
     B = El.T @ side.target @ El
-    use_closed = (init == "closed_form") or (
-        init == "auto" and side.kind == "labels" and cfg.lam > 0
-        and side.indices.size > 0)
-    basis = None
-    if use_closed:
-        if cfg.lam <= 0:
-            raise InputError("closed-form initialization requires lam > 0")
-        S, basis = _closed_form(El, B, S0, cfg.lam)
-        S = _project(S)
+    c, V = eigh(El.T @ El)
+    if side.kind == "labels" and cfg.lam > 0 and side.indices.size > 0:
+        S = _project(_closed_form(c, V, B, core.S0, cfg.lam))
     else:
-        S = psd_project(S0)
+        S = psd_project(core.S0)
 
     grad_tol = cfg.grad_norm_tol
     if grad_tol is None:
@@ -387,9 +370,7 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
     gnorm = float(np.linalg.norm(grad))
     converged_by = "grad_norm"
     if gnorm > grad_tol:
-        c, V = basis if basis is not None else eigh(El.T @ El)
-        basis = (np.maximum(c, 0.0), V)
-        solver = _ADMM(S, grad, value, basis, cfg.lam, El, side)
+        solver = _ADMM(S, grad, value, (np.maximum(c, 0.0), V), cfg.lam, El, side)
         best = solver.point
         converged_by = "max_iters"
         while iterations < cfg.max_iters:
@@ -406,8 +387,8 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
                 converged_by = "grad_norm"
                 break
             # The best objective has stalled over the window, and the iterate
-            # has settled on it (ADMM and the nonmonotone search may wander
-            # above the best for a while before improving on it).
+            # has settled on it (ADMM may wander above the best for a while
+            # before improving on it).
             slack = cfg.obj_rel_tol * max(1.0, abs(trace[-1]))
             if (cfg.obj_rel_tol > 0 and iterations >= _OBJ_WINDOW
                     and trace[-1 - _OBJ_WINDOW] - trace[-1] <= slack
@@ -426,7 +407,7 @@ def fit(core, side, cfg, init="auto", record_iterates=False):
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
     )
-    return FitResult(state=DictionaryState(S=S, S0=S0), report=report)
+    return FitResult(state=DictionaryState(S=S), report=report)
 
 
 class _ADMM:
@@ -577,19 +558,17 @@ class _ADMM:
         return Y_next, value, bound
 
 
-def factorize(state, rel_tol=1e-12):
-    """Factor S = L @ L.T over eigenvalues above rel_tol * largest.
+def factorize(state):
+    """Factor S = L @ L.T over eigenvalues above 1e-12 times the largest.
 
     Accepts a DictionaryState or a bare PSD matrix; columns of L are ordered
     by decreasing eigenvalue. A zero matrix yields an (m, 0) factor.
     """
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
-    if not 0 <= rel_tol < 1:
-        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
     vals, vecs = eigh(0.5 * (S + S.T))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
     top = float(vals[0]) if vals.size else 0.0
-    keep = vals > max(rel_tol * top, 0.0)
+    keep = vals > max(_RANK_RTOL * top, 0.0)
     return vecs[:, keep] * np.sqrt(vals[keep])

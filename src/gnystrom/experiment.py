@@ -1,11 +1,13 @@
 """End-to-end comparison harness: baseline dictionary vs learned dictionary.
 
-One run draws a balanced labeled subset, selects landmarks, builds the
-kernel blocks, optionally learns the dictionary from the labeled rows, then
-trains a linear classifier on the embeddings of the labeled rows and scores
-it on everything else. Repeats differ only in their derived seeds, so a
-report is reproducible from (dataset, config, seed); wall-clock phase
-timings are the one field exempt from that guarantee.
+One run draws a balanced labeled subset, then :func:`pipeline` selects
+landmarks, builds the kernel blocks and, for the generalized method, learns
+the dictionary from the labeled rows; a linear classifier is trained on the
+embeddings of the labeled rows and scored on everything else. The CLI's
+``fit`` and ``select-lambda`` run the same :func:`pipeline`. Repeats differ
+only in their derived seeds, so a report is reproducible from (dataset,
+config, seed); wall-clock phase timings are the one field exempt from that
+guarantee.
 """
 
 import time
@@ -15,12 +17,14 @@ import numpy as np
 
 from .datasets import Dataset, sample_labeled
 from .dictlearn import LearnConfig, SideInformation, fit, factorize
-from .errors import InputError, ParseError, UndefinedAlignmentError
+from .errors import InputError, ParseError
 from .kernels import KernelParams, bandwidth_heuristic
-from .landmarks import KMeansConfig, LANDMARK_METHODS, select_kmeans, select_random
+from .landmarks import (KMeansConfig, LANDMARK_METHODS, LandmarkSet, select_kmeans,
+                        select_random)
 from .linear_svm import train_linear
-from .modelselect import alignment_scores, select_lambda, validate_grid
-from .nystrom import build_core
+from .modelselect import (LambdaRecord, SelectionReport, _score_fit, select_lambda,
+                          validate_grid)
+from .nystrom import NystromCore, build_core
 
 EXPERIMENT_METHODS = ("nystrom_baseline", "generalized")
 REPORT_FORMATS = ("text_table", "csv")
@@ -122,17 +126,73 @@ class RunReport:
         return [r.chosen_lambda for r in self.results]
 
 
+@dataclass(frozen=True)
+class PipelineResult:
+    """What :func:`pipeline` built.
+
+    ``record`` describes the dictionary in use: the chosen candidate of a
+    grid, the fit at a fixed weight, or for the baseline a record with
+    ``lam = None``, NaN scores, no solver report and ``S = core.S0``.
+    ``selection`` is the grid's report (None without a grid), and
+    ``seconds`` maps the phases "landmarks", "core" and "fit" to their
+    wall-clock time.
+    """
+
+    landmarks: LandmarkSet
+    kernel: KernelParams
+    core: NystromCore
+    record: LambdaRecord
+    selection: SelectionReport | None
+    seconds: dict
+
+
+def pipeline(X, side, cfg, landmark_seed):
+    """Landmarks, core, then fit or select, as the config says.
+
+    Resolves m (:func:`default_landmark_count` when ``cfg.m`` is None),
+    selects the landmarks with ``landmark_seed``, resolves the bandwidth and
+    builds the core. ``side = None`` keeps the baseline S = core.S0; with
+    side information, ``cfg.lambda_grid`` runs :func:`select_lambda`, and
+    otherwise one :func:`fit` runs at ``cfg.lam`` (1.0 when unset), whose
+    NumericalError propagates.
+    """
+    m = cfg.m if cfg.m is not None else default_landmark_count(len(X))
+    t0 = time.perf_counter()
+    if cfg.landmark_method == "kmeans":
+        Z = select_kmeans(X, KMeansConfig(k=m, seed=landmark_seed))
+    else:
+        Z = select_random(X, m, landmark_seed)
+    t1 = time.perf_counter()
+    if cfg.bandwidth == "heuristic":
+        params = KernelParams(bandwidth=bandwidth_heuristic(X))
+    else:
+        params = KernelParams(bandwidth=cfg.bandwidth)
+    core = build_core(X, Z, params, pinv_tol=cfg.pinv_tol)
+    t2 = time.perf_counter()
+    selection = None
+    if side is None:
+        nan = float("nan")
+        record = LambdaRecord(lam=None, rho_prior=nan, rho_align=nan, criterion=nan,
+                              solver=None, S=core.S0)
+    elif cfg.lambda_grid is not None:
+        selection = select_lambda(core, side, cfg.lambda_grid)
+        record = selection.chosen
+    else:
+        lam = cfg.lam if cfg.lam is not None else 1.0
+        record = _score_fit(core, side, lam, fit(core, side, LearnConfig(lam=lam)))
+    t3 = time.perf_counter()
+    return PipelineResult(landmarks=Z, kernel=params, core=core, record=record,
+                          selection=selection,
+                          seconds={"landmarks": t1 - t0, "core": t2 - t1, "fit": t3 - t2})
+
+
 def run_experiment(ds, cfg, method):
     """Run ``cfg.repeats`` train/evaluate cycles of one method."""
     if method not in EXPERIMENT_METHODS:
         raise InputError(f"unknown experiment method {method!r}")
     if not isinstance(ds, Dataset):
         raise InputError("ds must be a Dataset")
-    n = ds.n
-    m = cfg.m if cfg.m is not None else default_landmark_count(n)
-    if m > n:
-        raise InputError(f"m={m} exceeds the number of samples {n}")
-    if cfg.labeled_per_run >= n:
+    if cfg.labeled_per_run >= ds.n:
         raise InputError("labeled_per_run must leave at least one test sample")
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.repeats)
     phase_totals = dict.fromkeys(PHASES, 0.0)
@@ -141,68 +201,27 @@ def run_experiment(ds, cfg, method):
         label_seed = int(seeds[2 * rep])
         landmark_seed = int(seeds[2 * rep + 1])
         labeled = sample_labeled(ds, cfg.labeled_per_run, label_seed)
+        side = SideInformation.from_labels(labeled) if method == "generalized" else None
+        run = pipeline(ds.X, side, cfg, landmark_seed)
 
         t0 = time.perf_counter()
-        if cfg.landmark_method == "kmeans":
-            Z = select_kmeans(ds.X, KMeansConfig(k=m, seed=landmark_seed))
-        else:
-            Z = select_random(ds.X, m, landmark_seed)
-        t1 = time.perf_counter()
-        core = build_core_for(ds.X, Z, cfg)
-        t2 = time.perf_counter()
-
-        chosen_lambda = None
-        rho_prior = float("nan")
-        rho_align = float("nan")
-        if method == "generalized":
-            side = SideInformation.from_labels(labeled)
-            if cfg.lambda_grid is not None:
-                selection = select_lambda(core, side, cfg.lambda_grid)
-                record = selection.chosen
-                S = record.S
-                chosen_lambda = record.lam
-                rho_prior = record.rho_prior
-                rho_align = record.rho_align
-            else:
-                chosen_lambda = cfg.lam if cfg.lam is not None else 1.0
-                S = fit(core, side, LearnConfig(lam=chosen_lambda)).state.S
-                try:
-                    rho_prior, rho_align = alignment_scores(S, core, side)
-                except UndefinedAlignmentError:
-                    pass
-        else:
-            S = core.S0
-        t3 = time.perf_counter()
-
-        L = factorize(S)
-        G = core.E @ L
+        G = run.core.E @ factorize(run.record.S)
         model = train_linear(G[labeled.indices], labeled.labels,
                              c_reg=cfg.svm_c, n_iters=cfg.svm_iters)
-        test_mask = np.ones(n, dtype=bool)
+        test_mask = np.ones(ds.n, dtype=bool)
         test_mask[labeled.indices] = False
         predictions = model.predict(G[test_mask])
         error = float(np.mean(predictions != ds.y[test_mask]))
-        t4 = time.perf_counter()
 
-        phase_totals["landmarks"] += t1 - t0
-        phase_totals["core"] += t2 - t1
-        phase_totals["fit"] += t3 - t2
-        phase_totals["classify"] += t4 - t3
-        results.append(RepeatResult(error=error, chosen_lambda=chosen_lambda,
-                                    rho_prior=rho_prior, rho_align=rho_align))
+        for phase, seconds in run.seconds.items():
+            phase_totals[phase] += seconds
+        phase_totals["classify"] += time.perf_counter() - t0
+        results.append(RepeatResult(error=error, chosen_lambda=run.record.lam,
+                                    rho_prior=run.record.rho_prior,
+                                    rho_align=run.record.rho_align))
     phase_seconds = {k: v / cfg.repeats for k, v in phase_totals.items()}
     return RunReport(dataset=ds.name, method=method, results=tuple(results),
                      phase_seconds=phase_seconds)
-
-
-def build_core_for(X, Z, cfg):
-    """Resolve the bandwidth and assemble the kernel blocks per the config."""
-    if cfg.bandwidth == "heuristic":
-        bandwidth = bandwidth_heuristic(X)
-    else:
-        bandwidth = float(cfg.bandwidth)
-    params = KernelParams(bandwidth=bandwidth)
-    return build_core(X, Z, params, pinv_tol=cfg.pinv_tol)
 
 
 def emit_report(report, format="text_table"):
@@ -266,18 +285,22 @@ _CONFIG_PARSERS = {
 _CONFIG_RENAMES = {"lambda": "lam"}
 
 
+def _parse_value(key, value, source):
+    """Parse one config value; an unknown key or a malformed value raises
+    InputError naming ``source`` (the file or the command-line flag)."""
+    if key not in _CONFIG_PARSERS:
+        raise InputError(f"{source}: unknown config key {key!r}")
+    try:
+        return _CONFIG_PARSERS[key](value)
+    except ValueError:
+        raise InputError(f"{source}: bad value {value!r} for key {key!r}") from None
+
+
 def experiment_config_from_file(path):
     """Build an ExperimentConfig from a flat key-value file."""
     raw = read_config(path)
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_PARSERS:
-            raise InputError(f"{path}: unknown config key {key!r}")
-        try:
-            parsed = _CONFIG_PARSERS[key](value)
-        except ValueError:
-            raise InputError(f"{path}: bad value {value!r} for key {key!r}") from None
-        kwargs[_CONFIG_RENAMES.get(key, key)] = parsed
+    kwargs = {_CONFIG_RENAMES.get(key, key): _parse_value(key, value, path)
+              for key, value in raw.items()}
     if "labeled_per_run" not in kwargs:
         raise InputError(f"{path}: config must set labeled_per_run")
     return ExperimentConfig(**kwargs)

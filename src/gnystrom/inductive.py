@@ -1,15 +1,15 @@
 """Deployable model: landmarks plus a learned dictionary embed new samples.
 
-A fitted model keeps the landmark coordinates Z, the kernel parameters, the
-learned PSD matrix S, and its factor L with S = L @ L.T. New samples embed
-as k(X, Z) @ L, so inner products of embeddings reproduce the learned
-similarity k(x, Z) @ S @ k(y, Z).T without refactorizing.
+A fitted model keeps the landmark coordinates Z, the kernel parameters and
+the factor L of the learned PSD matrix S = L @ L.T; S itself is not stored.
+New samples embed as k(X, Z) @ L, so inner products of embeddings reproduce
+the learned similarity k(x, Z) @ S @ k(y, Z).T.
 
 Serialization uses a self-describing little-endian binary container:
 
     offset  size          field
     0       4             magic "GNYM"
-    4       4             format version, uint32 (currently 1)
+    4       4             format version, uint32 (currently 2)
     8       4             m, landmark count, uint32
     12      4             d, feature dimension, uint32
     16      4             r, factor rank, uint32
@@ -18,11 +18,11 @@ Serialization uses a self-describing little-endian binary container:
     36      4             metadata byte length, uint32
     40      meta          metadata, UTF-8 JSON object
     ...     m*d*8         Z, row-major float64
-    ...     m*m*8         S, row-major float64
     ...     m*r*8         L, row-major float64
 
-Every load re-validates the model invariants, so a corrupt or truncated
-file raises :class:`ModelFormatError` rather than producing a bad model.
+A file of any other version is rejected. Every load re-validates the model
+invariants, so a corrupt or truncated file raises :class:`ModelFormatError`
+rather than producing a bad model.
 """
 
 import json
@@ -34,16 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import as_data_matrix, as_vector
-from .dictlearn import DictionaryState, factorize
+from .dictlearn import factorize
 from .errors import InputError, ModelFormatError
 from .kernels import KernelParams, _rbf_block, kernel_matrix
 from .landmarks import LandmarkSet
 
 _MAGIC = b"GNYM"
-_VERSION = 1
+_VERSION = 2
 _HEADER_FMT = "<4sIIIId8sI"
-_PSD_RTOL = 1e-8
-_FACTOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class InductiveModel:
 
     landmarks: np.ndarray
     kernel: KernelParams
-    S: np.ndarray
     L: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -61,38 +58,25 @@ class InductiveModel:
         # results whether it came from fitting or from a file: BLAS products
         # round differently per memory layout.
         Z = np.ascontiguousarray(as_data_matrix(self.landmarks, "landmarks"))
-        S = np.ascontiguousarray(self.S, dtype=np.float64)
         L = np.ascontiguousarray(self.L, dtype=np.float64)
         m = Z.shape[0]
-        if S.shape != (m, m):
-            raise InputError(f"S must be {m}x{m}, got {S.shape}")
         if L.ndim != 2 or L.shape[0] != m:
             raise InputError(f"L must have {m} rows, got {L.shape}")
         if L.shape[1] > m:
             raise InputError("factor rank cannot exceed the landmark count")
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(L))):
-            raise InputError("S and L must be finite")
-        if not np.allclose(S, S.T, rtol=0.0, atol=1e-10 * (1.0 + float(np.abs(S).max()))):
-            raise InputError("S must be symmetric")
-        vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-        top = max(float(vals.max()), 0.0)
-        if float(vals.min()) < -_PSD_RTOL * max(top, 1e-300):
-            raise InputError("S must be positive semidefinite")
-        norm_s = float(np.linalg.norm(S))
-        if float(np.linalg.norm(L @ L.T - S)) > _FACTOR_RTOL * max(norm_s, 1e-300):
-            raise InputError("L @ L.T must reproduce S")
+        if not np.all(np.isfinite(L)):
+            raise InputError("L must be finite")
         if not isinstance(self.metadata, dict):
             raise InputError("metadata must be a dict")
         object.__setattr__(self, "landmarks", Z)
-        object.__setattr__(self, "S", S)
         object.__setattr__(self, "L", L)
 
     @classmethod
     def from_state(cls, landmarks, kernel, state, lam=None, report=None):
-        """Package a fit: factorizes S and records fitting context."""
+        """Package a fit: factorizes S (a DictionaryState or a PSD matrix)
+        and records fitting context."""
         Z = landmarks.points if isinstance(landmarks, LandmarkSet) else landmarks
-        S = state.S if isinstance(state, DictionaryState) else np.asarray(state, dtype=np.float64)
-        L = factorize(S)
+        L = factorize(state)
         metadata = {
             "lambda": None if lam is None else float(lam),
             "created": datetime.now(timezone.utc).isoformat(),
@@ -104,7 +88,7 @@ class InductiveModel:
                 "final_grad_norm": float(report.final_grad_norm),
                 "final_objective": float(report.objective_trace[-1]),
             }
-        return cls(landmarks=Z, kernel=kernel, S=S, L=L, metadata=metadata)
+        return cls(landmarks=Z, kernel=kernel, L=L, metadata=metadata)
 
     @property
     def m(self):
@@ -134,20 +118,18 @@ def embed(model, Xnew):
 def similarity(model, x, y):
     """Learned similarity k(x, Z) @ S @ k(y, Z).T for a single pair.
 
-    Evaluated in symmetrized form so swapping the arguments returns the
-    identical float; the self-similarity of a point is nonnegative.
+    Evaluated as the sum of the elementwise product of the two feature rows
+    k(., Z) @ L, so swapping the arguments returns the identical float and
+    the self-similarity of a point, a sum of squares, is nonnegative.
     """
     x = as_vector(x, "x")
     y = as_vector(y, "y")
     d = model.landmarks.shape[1]
     if x.shape[0] != d or y.shape[0] != d:
         raise InputError(f"points must have {d} features")
-    ex = kernel_matrix(x[None, :], model.landmarks, model.kernel)[0]
-    ey = kernel_matrix(y[None, :], model.landmarks, model.kernel)[0]
-    value = 0.5 * (ex @ (model.S @ ey) + ey @ (model.S @ ex))
-    if np.array_equal(x, y):
-        value = max(value, 0.0)
-    return float(value)
+    gx = kernel_matrix(x[None, :], model.landmarks, model.kernel)[0] @ model.L
+    gy = kernel_matrix(y[None, :], model.landmarks, model.kernel)[0] @ model.L
+    return float(np.sum(gx * gy))
 
 
 def save(model, path):
@@ -165,7 +147,6 @@ def save(model, path):
         fh.write(header)
         fh.write(meta_bytes)
         fh.write(np.ascontiguousarray(model.landmarks, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.S, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.L, dtype="<f8").tobytes())
 
 
@@ -191,7 +172,7 @@ def load(path):
     if not isinstance(metadata, dict):
         raise ModelFormatError(f"{path}: metadata must be a JSON object")
     offset += meta_len
-    expected = (m * d + m * m + m * r) * 8
+    expected = (m * d + m * r) * 8
     if len(data) != offset + expected:
         raise ModelFormatError(
             f"{path}: expected {offset + expected} bytes, found {len(data)}")
@@ -204,11 +185,10 @@ def load(path):
         return block.reshape(rows, cols).copy()
 
     Z = take(m, d)
-    S = take(m, m)
     L = take(m, r)
     try:
         params = KernelParams(bandwidth=bandwidth,
                               family=family_raw.rstrip(b"\0").decode("ascii"))
-        return InductiveModel(landmarks=Z, kernel=params, S=S, L=L, metadata=metadata)
-    except InputError as exc:
+        return InductiveModel(landmarks=Z, kernel=params, L=L, metadata=metadata)
+    except (InputError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: model invariants violated: {exc}") from exc

@@ -7,7 +7,6 @@ import numpy as np
 from ._arrays import as_data_matrix
 from .errors import InputError
 
-INIT_SCHEMES = ("spread", "uniform")
 LANDMARK_METHODS = ("kmeans", "random")
 
 
@@ -17,16 +16,14 @@ class KMeansConfig:
 
     ``tol`` is a relative movement tolerance: iteration stops once the
     largest center shift falls below ``tol * max|X - mean(X)|``, so the
-    rule does not change when the data are translated. The "spread"
-    init seeds centers with distance-weighted sampling; "uniform" picks
-    distinct rows uniformly.
+    rule does not change when the data are translated. Centers are seeded
+    by distance-weighted sampling (:func:`_init_spread`).
     """
 
     k: int
     max_iters: int = 100
     tol: float = 1e-6
     seed: int = 0
-    init: str = "spread"
 
     def __post_init__(self):
         if self.k < 1:
@@ -35,8 +32,6 @@ class KMeansConfig:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol >= 0:
             raise InputError(f"tol must be >= 0, got {self.tol}")
-        if self.init not in INIT_SCHEMES:
-            raise InputError(f"unknown init scheme {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,7 @@ def select_kmeans(X, cfg):
     if cfg.k > X.shape[0]:
         raise InputError(f"k={cfg.k} exceeds the number of samples {X.shape[0]}")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "spread":
-        centers = _init_spread(X, cfg.k, rng)
-    else:
-        centers = _init_uniform(X, cfg.k, rng)
+    centers = _init_spread(X, cfg.k, rng)
     centers, _ = lloyd_iterations(X, centers, cfg.max_iters, cfg.tol)
     return LandmarkSet(points=centers, method="kmeans", seed=int(cfg.seed))
 
@@ -215,8 +207,3 @@ def _init_spread(X, k, rng):
         centers[i] = X[pick]
         np.minimum(closest, distances_to(pick), out=closest)
     return centers
-
-
-def _init_uniform(X, k, rng):
-    idx = rng.choice(X.shape[0], size=k, replace=False)
-    return X[idx].astype(np.float64, copy=True)

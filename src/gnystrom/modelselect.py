@@ -76,6 +76,20 @@ def alignment_scores(S, core, side):
     return rho_prior, rho_align
 
 
+def _score_fit(core, side, lam, result):
+    """LambdaRecord of a finished fit at weight lam; an undefined alignment
+    scores -inf with the reason recorded."""
+    S = result.state.S
+    try:
+        rho_prior, rho_align = alignment_scores(S, core, side)
+    except UndefinedAlignmentError as exc:
+        return LambdaRecord(lam=lam, rho_prior=float("nan"), rho_align=float("nan"),
+                            criterion=float("-inf"), solver=result.report, S=S,
+                            failure=str(exc))
+    return LambdaRecord(lam=lam, rho_prior=rho_prior, rho_align=rho_align,
+                        criterion=rho_prior * rho_align, solver=result.report, S=S)
+
+
 def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID, cfg=None):
     """Fit one dictionary per candidate and keep the best-scoring one."""
     vals = validate_grid(grid)
@@ -92,19 +106,7 @@ def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID, cfg=None):
                                         rho_align=float("nan"), criterion=float("-inf"),
                                         solver=None, S=None, failure=str(exc)))
             continue
-        S = result.state.S
-        failure = None
-        try:
-            rho_prior, rho_align = alignment_scores(S, core, side)
-            criterion = rho_prior * rho_align
-        except UndefinedAlignmentError as exc:
-            rho_prior = float("nan")
-            rho_align = float("nan")
-            criterion = float("-inf")
-            failure = str(exc)
-        records.append(LambdaRecord(lam=lam, rho_prior=rho_prior, rho_align=rho_align,
-                                    criterion=criterion, solver=result.report, S=S,
-                                    failure=failure))
+        records.append(_score_fit(core, side, lam, result))
     fitted = [record for record in records if record.S is not None]
     if not fitted:
         reasons = "; ".join(f"lambda={r.lam:g}: {r.failure}" for r in records)

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from gnystrom import cli, load, load_dataset
+from gnystrom import experiment, load, load_dataset
 from gnystrom.cli import main
 
 
@@ -114,6 +116,52 @@ def test_evaluate_csv_report(blob_csv, eval_config, capsys):
     assert len(lines) == 3
 
 
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# evaluate --report csv rows (error, lambda, rho_prior, rho_align) of the
+# shipped configs on the datasets their comments describe. Errors and
+# lambdas must match exactly; the alignment factors, which move with the
+# solver's rounding, to 1e-9 relative.
+_GOLDEN = {
+    "moons400": (["--kind", "moons", "--n", "400", "--noise", "0.1", "--seed", "3"], [
+        (0.052083333333333336, 0.001, 0.9999999997576519, 0.9850906178200693),
+        (0.06510416666666667, 0.001, 0.9999999999813797, 0.9859124501725954),
+        (0.08072916666666667, 0.001, 0.9999999981128558, 0.9484169625549241),
+        (0.1953125, 0.001, 0.9999999998817268, 0.9432103127876191),
+        (0.07552083333333333, 0.001, 0.9999999999042275, 0.987804298101288),
+    ]),
+    "blobs600": (["--kind", "blobs", "--n", "600", "--d", "10", "--classes", "2",
+                  "--separation", "2.0", "--seed", "7"], [
+        (0.1706896551724138, 1.0, 0.9986190290932713, 0.5086011181866427),
+        (0.1724137931034483, 1.0, 0.9963833468194804, 0.7307136596399642),
+        (0.19310344827586207, 1.0, 0.9951103393901014, 0.7661819568427943),
+        (0.2, 1.0, 0.9978268457747903, 0.6603254589905502),
+        (0.23620689655172414, 1.0, 0.9978623297324921, 0.6221392769802265),
+        (0.2120689655172414, 1.0, 0.9971414328836731, 0.776630436454362),
+        (0.19137931034482758, 1.0, 0.9975817482910652, 0.6642090074213439),
+        (0.22758620689655173, 1.0, 0.9976009644280592, 0.6310135782530182),
+        (0.2189655172413793, 1.0, 0.9981677324847783, 0.5833634639911804),
+        (0.1706896551724138, 1.0, 0.9986422369392045, 0.4784882421681737),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_evaluate_shipped_config_matches_golden_rows(name, tmp_path, capsys):
+    synth_args, expected = _GOLDEN[name]
+    data = tmp_path / f"{name}.csv"
+    assert main(["synth", *synth_args, "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--input", str(data), "--config", str(_CONFIGS / f"{name}.cfg"),
+               "--method", "generalized", "--report", "csv"])
+    assert rc == 0
+    rows = [[float(v) for v in line.split(",")[1:]]
+            for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [row[:2] for row in rows] == [list(row[:2]) for row in expected]
+    assert_allclose([row[2:] for row in rows], [row[2:] for row in expected],
+                    rtol=1e-9, atol=0)
+
+
 def test_select_lambda_prints_table(blob_csv, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("labeled_per_run = 10\nm = 8\nlambda_grid = 0.1,1,10\n")
@@ -139,6 +187,29 @@ def test_bad_config_exits_2(blob_csv, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--bandwidth", "abc"),
+                                         ("--lambda-grid", "0.1,x")])
+def test_fit_bad_number_exits_2(blob_csv, tmp_path, capsys, flag, value):
+    rc = main(["fit", "--input", str(blob_csv), "--labels-per-class", "5",
+               "--m", "8", flag, value, "--model-out", str(tmp_path / "model.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+def test_embed_corrupt_model_exits_2(blob_csv, tmp_path, capsys):
+    model_path = tmp_path / "model.bin"
+    assert main(["fit", "--input", str(blob_csv), "--labels-per-class", "5",
+                 "--m", "8", "--model-out", str(model_path)]) == 0
+    data = bytearray(model_path.read_bytes())
+    data[28] = 0xFF  # first byte of the kernel family name
+    model_path.write_bytes(bytes(data))
+    rc = main(["embed", "--model", str(model_path), "--input", str(blob_csv),
+               "--out", str(tmp_path / "embedded.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_degenerate_data_exits_3(tmp_path, capsys):
     # Identical feature rows make the bandwidth heuristic undefined, which is
     # a numerical failure rather than bad input.
@@ -153,7 +224,7 @@ def test_degenerate_data_exits_3(tmp_path, capsys):
 def test_solver_linalg_failure_exits_3(blob_csv, tmp_path, monkeypatch, capsys):
     # A LAPACK failure inside the solver is a numerical error (exit 3), not
     # a traceback.
-    real_fit = cli.fit
+    real_fit = experiment.fit
 
     def broken_eigh(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -163,7 +234,7 @@ def test_solver_linalg_failure_exits_3(blob_csv, tmp_path, monkeypatch, capsys):
             patch.setattr(np.linalg, "eigh", broken_eigh)
             return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit", failing_fit)
+    monkeypatch.setattr(experiment, "fit", failing_fit)
     rc = main(["fit", "--input", str(blob_csv), "--labels-per-class", "5",
                "--m", "8", "--lambda", "1e-3", "--seed", "0",
                "--model-out", str(tmp_path / "model.bin")])

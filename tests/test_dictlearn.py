@@ -457,12 +457,6 @@ def test_fit_reconstruction_stays_psd():
     assert vals.min() >= -1e-8 * max(vals.max(), 1.0)
 
 
-def test_fit_rejects_unknown_init():
-    core, side = _identity_problem()
-    with pytest.raises(InputError):
-        fit(core, side, LearnConfig(), init="warm")
-
-
 def test_fit_deterministic():
     rng = np.random.default_rng(26)
     core, side = _random_labeled_problem(rng)
@@ -661,10 +655,10 @@ def test_learn_config_validation():
 
 def test_dictionary_state_validation():
     with pytest.raises(InputError):
-        DictionaryState(S=np.array([[0.0, 1.0], [0.0, 0.0]]), S0=np.eye(2))
+        DictionaryState(S=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
-        DictionaryState(S=np.diag([1.0, -1.0]), S0=np.eye(2))
-    state = DictionaryState(S=np.eye(2), S0=np.eye(2))
+        DictionaryState(S=np.diag([1.0, -1.0]))
+    state = DictionaryState(S=np.eye(2))
     assert state.S.shape == (2, 2)
 
 
@@ -713,7 +707,7 @@ def test_factorize_columns_ordered_by_energy():
 
 
 def test_factorize_accepts_dictionary_state():
-    state = DictionaryState(S=np.diag([2.0, 1.0]), S0=np.eye(2))
+    state = DictionaryState(S=np.diag([2.0, 1.0]))
     L = factorize(state)
     assert_allclose(L @ L.T, np.diag([2.0, 1.0]), atol=1e-12)
 

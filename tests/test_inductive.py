@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gnystrom import (
@@ -62,13 +63,13 @@ def test_model_invariants_validated():
     Z = np.zeros((2, 1))
     p = KernelParams(bandwidth=1.0)
     with pytest.raises(InputError):
-        InductiveModel(landmarks=Z, kernel=p, S=np.diag([1.0, -1.0]),
-                       L=np.eye(2))  # not PSD
+        InductiveModel(landmarks=Z, kernel=p, L=np.array([[np.nan], [1.0]]))
     with pytest.raises(InputError):
-        InductiveModel(landmarks=Z, kernel=p, S=np.eye(2),
-                       L=np.zeros((2, 2)))  # factor does not reproduce S
+        InductiveModel(landmarks=Z, kernel=p, L=np.eye(3))  # one row per landmark
     with pytest.raises(InputError):
-        InductiveModel(landmarks=Z, kernel=p, S=np.eye(3), L=np.eye(3))
+        InductiveModel(landmarks=Z, kernel=p, L=np.ones((2, 3)))  # rank above m
+    with pytest.raises(InputError):
+        InductiveModel(landmarks=Z, kernel=p, L=np.eye(2), metadata=[])
 
 
 def test_from_state_records_metadata():
@@ -104,7 +105,7 @@ def test_embed_matches_dense_quadratic_form():
     Xnew = rng.normal(size=(7, 3))
     G = embed(model, Xnew)
     e = kernel_matrix(Xnew, Z.points, p)
-    expected = e @ model.S @ e.T
+    expected = e @ (model.L @ model.L.T) @ e.T
     assert_allclose(G @ G.T, expected, atol=1e-10)
 
 
@@ -124,7 +125,7 @@ def test_embed_memory_is_one_block():
     rng = np.random.default_rng(61)
     L = rng.normal(size=(m, m))
     model = InductiveModel(landmarks=rng.normal(size=(m, d)),
-                           kernel=KernelParams(bandwidth=2.0 * d), S=L @ L.T, L=L)
+                           kernel=KernelParams(bandwidth=2.0 * d), L=L)
     Xnew = rng.normal(size=(n, d))
     tracemalloc.start()
     try:
@@ -216,7 +217,6 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     save(model, path)
     loaded = load(path)
     assert np.array_equal(loaded.landmarks, model.landmarks)
-    assert np.array_equal(loaded.S, model.S)
     assert np.array_equal(loaded.L, model.L)
     assert loaded.kernel == model.kernel
     assert loaded.metadata == model.metadata
@@ -231,8 +231,7 @@ def test_round_trip_bit_exact_for_any_input_memory_layout(tmp_path):
     # could disagree in the last ulp.
     base, X, Z, _, p = _fitted_model(seed=12)
     model = InductiveModel(landmarks=np.asfortranarray(base.landmarks),
-                           kernel=p, S=np.asfortranarray(base.S),
-                           L=np.asfortranarray(base.L))
+                           kernel=p, L=np.asfortranarray(base.L))
     path = tmp_path / "model.bin"
     save(model, path)
     loaded = load(path)
@@ -249,12 +248,12 @@ def test_saved_file_is_self_describing(tmp_path):
     magic, version, m, d, r, bandwidth, family, meta_len = struct.unpack_from(
         _HEADER_FMT, data)
     assert magic == b"GNYM"
-    assert version == 1
+    assert version == 2
     assert (m, d, r) == (model.m, model.landmarks.shape[1], model.rank)
     assert bandwidth == model.kernel.bandwidth
     assert family.rstrip(b"\0") == b"rbf"
     expected_size = (struct.calcsize(_HEADER_FMT) + meta_len
-                     + 8 * (m * d + m * m + m * r))
+                     + 8 * (m * d + m * r))
     assert len(data) == expected_size
 
 
@@ -280,20 +279,69 @@ def test_load_rejects_bad_magic(tmp_path):
         load(bad)
 
 
-def test_load_rejects_injected_non_psd_dictionary(tmp_path):
+def test_load_rejects_injected_non_finite_factor(tmp_path):
     model, *_ = _fitted_model(seed=14)
     path = tmp_path / "model.bin"
     save(model, path)
     data = bytearray(path.read_bytes())
     header_size = struct.calcsize(_HEADER_FMT)
     _, _, m, d, r, _, _, meta_len = struct.unpack_from(_HEADER_FMT, data)
-    s_offset = header_size + meta_len + 8 * m * d
-    bad_S = -np.eye(m)  # symmetric but negative definite
-    data[s_offset:s_offset + 8 * m * m] = bad_S.astype("<f8").tobytes()
+    l_offset = header_size + meta_len + 8 * m * d
+    data[l_offset:l_offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
     poisoned = tmp_path / "poisoned.bin"
     poisoned.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
         load(poisoned)
+
+
+def test_load_rejects_version_1(tmp_path):
+    # Version 1 stored S between Z and L; it is not read.
+    model, *_ = _fitted_model(seed=15)
+    path = tmp_path / "model.bin"
+    save(model, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 4, 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError, match="unsupported format version 1"):
+        load(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    model, X, *_ = _fitted_model(seed=16)
+    path = tmp_path_factory.mktemp("gnym") / "model.bin"
+    save(model, path)
+    return path.read_bytes(), X, path.with_name("corrupt.bin")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_rejects_every_strict_prefix(saved_model, data):
+    raw, _, path = saved_model
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ModelFormatError):
+        load(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset=st.integers(0, 2**16), value=st.integers(0, 255))
+@example(offset=28, value=0xFF)  # a non-ASCII kernel family name
+def test_load_of_corrupt_header_or_metadata_fails_cleanly(saved_model, offset, value):
+    # Any single byte of the header or the metadata may change; the load
+    # either raises ModelFormatError or yields a model that embeds finitely.
+    raw, X, path = saved_model
+    meta_len = struct.unpack_from(_HEADER_FMT, raw)[-1]
+    corrupt = bytearray(raw)
+    corrupt[offset % (struct.calcsize(_HEADER_FMT) + meta_len)] = value
+    path.write_bytes(bytes(corrupt))
+    try:
+        model = load(path)
+    except ModelFormatError:
+        return
+    # A corrupt bandwidth may be tiny; the kernel then underflows to 0.
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(embed(model, X)))
 
 
 def test_load_missing_file(tmp_path):

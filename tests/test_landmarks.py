@@ -125,13 +125,6 @@ def test_kmeans_k_too_large():
         select_kmeans(np.zeros((2, 1)), KMeansConfig(k=3, seed=0))
 
 
-def test_kmeans_uniform_init_also_works():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(30, 2))
-    lm = select_kmeans(X, KMeansConfig(k=4, seed=2, init="uniform"))
-    assert lm.points.shape == (4, 2)
-
-
 def test_kmeans_config_validation():
     with pytest.raises(InputError):
         KMeansConfig(k=0)
@@ -139,8 +132,6 @@ def test_kmeans_config_validation():
         KMeansConfig(k=2, max_iters=0)
     with pytest.raises(InputError):
         KMeansConfig(k=2, tol=-1.0)
-    with pytest.raises(InputError):
-        KMeansConfig(k=2, init="other")
 
 
 # ---------------------------------------------------------------------------
