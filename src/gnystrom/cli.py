@@ -18,10 +18,10 @@ import numpy as np
 from .datasets import load_dataset, make_blobs, make_two_moons, sample_labeled
 from .dictlearn import SideInformation
 from .errors import InputError, NumericalError
-from .experiment import (ExperimentConfig, _parse_value, emit_report,
+from .experiment import (ExperimentConfig, _parse_value, _select_landmarks, emit_report,
                          experiment_config_from_file, pipeline, run_experiment)
 from .inductive import InductiveModel, embed, load, save
-from .landmarks import KMeansConfig, select_kmeans, select_random
+from .landmarks import LANDMARK_METHODS
 from .modelselect import DEFAULT_LAMBDA_GRID
 
 
@@ -45,7 +45,7 @@ def build_parser():
     landmarks = sub.add_parser("landmarks", help="select landmarks and write them as CSV")
     _add_input_args(landmarks)
     landmarks.add_argument("--m", type=int, required=True)
-    landmarks.add_argument("--method", choices=("kmeans", "random"), default="kmeans")
+    landmarks.add_argument("--method", choices=LANDMARK_METHODS, default="kmeans")
     landmarks.add_argument("--seed", type=int, default=0)
     landmarks.add_argument("--out", required=True)
     landmarks.set_defaults(func=_cmd_landmarks)
@@ -56,7 +56,7 @@ def build_parser():
                          help="labeled samples drawn per class")
     fit_cmd.add_argument("--m", type=int, default=None,
                          help="landmark count (default: a tenth of the data)")
-    fit_cmd.add_argument("--method", choices=("kmeans", "random"), default="kmeans")
+    fit_cmd.add_argument("--method", choices=LANDMARK_METHODS, default="kmeans")
     fit_cmd.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="fixed prior weight")
     fit_cmd.add_argument("--lambda-grid", default=None,
@@ -109,10 +109,7 @@ def _cmd_synth(args):
 
 def _cmd_landmarks(args):
     ds = load_dataset(args.input, format=args.format)
-    if args.method == "kmeans":
-        Z = select_kmeans(ds.X, KMeansConfig(k=args.m, seed=args.seed))
-    else:
-        Z = select_random(ds.X, args.m, args.seed)
+    Z = _select_landmarks(ds.X, args.method, args.m, args.seed)
     np.savetxt(args.out, Z.points, delimiter=",", fmt="%.17g")
     print(f"wrote {Z.m} {Z.method} landmarks to {args.out}")
     return 0

@@ -13,9 +13,13 @@ solution of the unconstrained problem provides the warm start.
 
 One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
 splits J from the PSD constraint: the x-step minimizes J plus a proximal
-term exactly, the y-step is the projection, the penalty rho is set by
-residual balancing, and every iteration costs exactly one m x m
-eigendecomposition. It runs in the eigenbasis V of C = El.T @ El =
+term exactly, the y-step is the projection, and the penalty rho is set by
+residual balancing. The projection computes only the eigenpairs it
+removes, those with eigenvalue <= 0 (LAPACK dsyevr), and subtracts them;
+computing only the part of the spectrum a projection changes is the idea
+behind ProxSDP (Souto, Garcia & Veiga 2022). The loop's matrices have a
+handful of negative eigenvalues, so at m = 60 this costs about half of a
+full eigendecomposition. The loop runs in the eigenbasis V of C = El.T @ El =
 V diag(c) V.T, rescaled by the congruence diag(1 / sqrt(sqrt(lam) + c)),
 which maps the PSD cone onto itself and evens out the curvature at small
 lam. Only the x-step differs by kind:
@@ -32,14 +36,18 @@ constant of grad J. It vanishes exactly at the constrained optimum. Each
 iteration bounds it by ||grad J(S) - M||_F, where M = -rho * U is the PSD
 part the projection cut off, orthogonal to S; that residual of the
 optimality conditions needs no further eigendecomposition. A second test
-stops once the best objective stalls.
+stops once the best objective stalls. The returned S goes through one
+full projection: the subtraction leaves rounding along the removed
+directions, which the congruence back to S can magnify past the PSD
+tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrs, dsyevr
 
 from ._arrays import as_index_array, as_square_matrix, eigh
 from .errors import InputError, NumericalError
@@ -154,7 +162,8 @@ class LearnConfig:
     The loop stops once the gradient-mapping norm is at most
     ``grad_norm_tol``, or once the best objective has improved by at most
     ``obj_rel_tol`` (relative) over the last 20 iterations, or after
-    ``max_iters`` iterations, each costing one m x m eigendecomposition.
+    ``max_iters`` iterations, each costing one partial eigendecomposition
+    of an m x m matrix (its negative eigenpairs only).
     ``grad_norm_tol = None`` means
     1e-6 * (1 + ||2 El.T @ target @ El||_F), resolved at run time: relative
     to the pull of the data term on the gradient, which has the gradient's
@@ -302,6 +311,24 @@ def _project(M):
     return 0.5 * (out + out.T)
 
 
+def _cut_negative(M):
+    """PSD projection of the symmetrized M that computes only its
+    eigenpairs with eigenvalue <= 0 and subtracts them.
+
+    Exact in exact arithmetic; in floating point it leaves rounding of
+    size eps * ||M_-|| along the removed directions, so :func:`fit` passes
+    the matrix it returns through one full :func:`_project`.
+    """
+    M = 0.5 * (M + M.T)
+    vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0,
+                                    lower=1)
+    if info != 0:
+        raise NumericalError(f"eigendecomposition failed: dsyevr info={info}")
+    if k:
+        M -= (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+    return 0.5 * (M + M.T)
+
+
 def init_closed_form(core, side, lam, project=True):
     """Closed-form start: the unconstrained stationary point, PSD-projected.
 
@@ -334,7 +361,7 @@ def _closed_form(c, V, B, S0, lam):
     return 0.5 * (S + S.T)
 
 
-def fit(core, side, cfg, record_iterates=False):
+def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     """Minimize the penalized objective over the PSD cone.
 
     The start is the closed form (:func:`init_closed_form`) for label-kind
@@ -348,10 +375,13 @@ def fit(core, side, cfg, record_iterates=False):
     the module docstring), until the gradient-mapping norm falls below
     grad_norm_tol, the best objective stalls (obj_rel_tol), or max_iters;
     the stopping reason lands in the report's ``converged_by``.
+
+    ``_supervision`` is private: :func:`select_lambda` passes the
+    :func:`_decompose_supervision` of (core, side) that its whole grid shares.
     """
-    El = _supervised_rows(core, side)
-    B = El.T @ side.target @ El
-    c, V = eigh(El.T @ El)
+    if _supervision is None:
+        _supervision = _decompose_supervision(core, side)
+    El, B, (c, V) = _supervision
     if side.kind == "labels" and cfg.lam > 0 and side.indices.size > 0:
         S = _project(_closed_form(c, V, B, core.S0, cfg.lam))
     else:
@@ -382,7 +412,7 @@ def fit(core, side, cfg, record_iterates=False):
                 best = point
             trace.append(min(value, trace[-1]))
             if record_iterates:
-                iterates.append(solver.matrix(best))
+                iterates.append(solver.matrix(_project(best)))
             if bound <= grad_tol:
                 converged_by = "grad_norm"
                 break
@@ -395,7 +425,7 @@ def fit(core, side, cfg, record_iterates=False):
                     and value - trace[-1] <= slack):
                 converged_by = "obj_rel"
                 break
-        S = solver.matrix(best)
+        S = solver.matrix(_project(best))
         gnorm = solver.lipschitz * float(np.linalg.norm(
             S - _project(S - gradient(S, core, side, cfg.lam) / solver.lipschitz)))
         if converged_by == "max_iters" and gnorm <= grad_tol:
@@ -408,6 +438,14 @@ def fit(core, side, cfg, record_iterates=False):
         iterates=tuple(iterates) if record_iterates else None,
     )
     return FitResult(state=DictionaryState(S=S), report=report)
+
+
+def _decompose_supervision(core, side):
+    """What every fit on (core, side) shares, whatever lam: the supervised
+    rows El, B = El.T @ target @ El and the eigenpairs (c, V) of
+    C = El.T @ El."""
+    El = _supervised_rows(core, side)
+    return El, El.T @ side.target @ El, eigh(El.T @ El)
 
 
 class _ADMM:
@@ -506,7 +544,9 @@ class _ADMM:
             if self.factor_rho != rho:
                 self._factor(Dg)
             root = np.sqrt(self.weight)
-            z = cho_solve(self.factor, root * self._at_pairs(N / Dg), check_finite=False)
+            z, info = dpotrs(self.factor, root * self._at_pairs(N / Dg), lower=1)
+            if info != 0:
+                raise NumericalError(f"pair system solve failed: dpotrs info={info}")
             N = N - self._spread(z / root)
         return self.Y0 + N / Dg
 
@@ -532,13 +572,13 @@ class _ADMM:
             G += self.Fb[:, i, None] * self.Fa[:, i:]
             G *= root * scale[i, i:]
             M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
-        self.factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        self.factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)[0]
         self.factor_rho = self.rho
 
     def step(self):
         Y, rho = self.point, self.rho
         X = self._x_step(Y, self.U)
-        Y_next = _project(X + self.U)
+        Y_next = _cut_negative(X + self.U)
         self.U += X - Y_next
         value, grad = self._evaluate(Y_next)
         # -rho * U, with U the part the projection cut off, is PSD and

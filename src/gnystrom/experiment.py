@@ -146,6 +146,13 @@ class PipelineResult:
     seconds: dict
 
 
+def _select_landmarks(X, method, m, seed):
+    """m landmarks of X by ``method`` (one of LANDMARK_METHODS)."""
+    if method == "kmeans":
+        return select_kmeans(X, KMeansConfig(k=m, seed=seed))
+    return select_random(X, m, seed)
+
+
 def pipeline(X, side, cfg, landmark_seed):
     """Landmarks, core, then fit or select, as the config says.
 
@@ -158,10 +165,7 @@ def pipeline(X, side, cfg, landmark_seed):
     """
     m = cfg.m if cfg.m is not None else default_landmark_count(len(X))
     t0 = time.perf_counter()
-    if cfg.landmark_method == "kmeans":
-        Z = select_kmeans(X, KMeansConfig(k=m, seed=landmark_seed))
-    else:
-        Z = select_random(X, m, landmark_seed)
+    Z = _select_landmarks(X, cfg.landmark_method, m, landmark_seed)
     t1 = time.perf_counter()
     if cfg.bandwidth == "heuristic":
         params = KernelParams(bandwidth=bandwidth_heuristic(X))

@@ -9,11 +9,12 @@ or whose alignment is undefined scores -inf, with the reason recorded,
 rather than failing the whole search.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dictlearn import LearnConfig, SolverReport, _supervised_rows, fit
+from .dictlearn import (LearnConfig, SolverReport, _decompose_supervision,
+                        _supervised_rows, fit)
 from .errors import InputError, NumericalError, UndefinedAlignmentError
 from .kernels import nka_score
 
@@ -90,17 +91,21 @@ def _score_fit(core, side, lam, result):
                         criterion=rho_prior * rho_align, solver=result.report, S=S)
 
 
-def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID, cfg=None):
-    """Fit one dictionary per candidate and keep the best-scoring one."""
+def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID):
+    """Fit one dictionary per candidate and keep the best-scoring one.
+
+    Every candidate fits with the default :class:`LearnConfig` at its own
+    weight; C = El.T @ El is eigendecomposed once for the whole grid. A
+    failure of that decomposition fails every candidate alike and raises.
+    """
     vals = validate_grid(grid)
     if side.indices.size == 0:
         raise InputError("selection needs at least one supervised sample")
-    if cfg is None:
-        cfg = LearnConfig()
+    supervision = _decompose_supervision(core, side)
     records = []
     for lam in vals:
         try:
-            result = fit(core, side, replace(cfg, lam=lam))
+            result = fit(core, side, LearnConfig(lam=lam), _supervision=supervision)
         except NumericalError as exc:
             records.append(LambdaRecord(lam=lam, rho_prior=float("nan"),
                                         rho_align=float("nan"), criterion=float("-inf"),

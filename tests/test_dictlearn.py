@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -31,6 +31,7 @@ from gnystrom import (
     psd_project,
     sample_labeled,
     select_kmeans,
+    select_lambda,
     select_random,
 )
 from gnystrom import dictlearn
@@ -322,6 +323,28 @@ def test_psd_project_rejects_nonfinite():
         psd_project(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(vals=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1,
+                     max_size=12),
+       sign=st.sampled_from((-1.0, 0.0, 1.0)), seed=st.integers(0, 2**31 - 1))
+@example(vals=[-2.0], sign=0.0, seed=0)                  # m = 1, k = m
+@example(vals=[3.0], sign=0.0, seed=0)                   # m = 1, k = 0
+@example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1)  # repeated zeros
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2)    # k = m
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3)     # k = 0
+def test_negative_cut_matches_psd_project(vals, sign, seed):
+    """The loop's projection subtracts the eigenpairs at or below zero; it
+    must agree with the full clamp of psd_project. sign = +-1 makes every
+    eigenvalue nonnegative or nonpositive, 0 keeps the mixed spectrum."""
+    vals = np.asarray(vals) if sign == 0.0 else sign * np.abs(vals)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
+    M = (Q * vals) @ Q.T
+    expected = psd_project(M)
+    got = dictlearn._cut_negative(M)
+    assert np.array_equal(got, got.T)
+    assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(M))
+
+
 # ---------------------------------------------------------------------------
 # init_closed_form
 
@@ -602,6 +625,25 @@ def test_grouping_fit_converges_within_default_budget(seed):
     assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
 
 
+@pytest.mark.parametrize("seed", [413, 592, 1249, 1417])
+def test_label_fit_at_zero_lambda_returns_psd_optimum(seed):
+    """Draws of test_fit_satisfies_kkt_conditions (labels, lam = 0) whose
+    returned S, without a full projection at exit, kept rounding along the
+    directions the loop's partial projection removed; the congruence back
+    to S magnified it past DictionaryState's PSD tolerance."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    core, side = _random_labeled_problem(rng, m=m, l=int(rng.integers(2, 9)))
+    lam = 0.0
+    S = fit(core, side, LearnConfig(lam=lam, max_iters=20000)).state.S
+    DictionaryState(S=S)
+    G = gradient(S, core, side, lam)
+    tol = 1e-4 * (1.0 + np.linalg.norm(gradient(np.zeros_like(S), core, side, lam)))
+    assert np.linalg.eigvalsh(S).min() >= -1e-8 * max(1.0, np.linalg.norm(S))
+    assert np.linalg.eigvalsh(G).min() >= -tol
+    assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
+
+
 def test_grouping_fit_memory_stays_below_pair_by_entry_array():
     """The pair x-step's p x p system is accumulated over the rows of Z, so a
     fit never holds a p x m^2 array (one would take p * m^2 * 8 bytes)."""
@@ -636,6 +678,48 @@ def test_fit_wraps_linalg_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(NumericalError, match="did not converge"):
         fit(core, side, LearnConfig(lam=1e-3))
+
+
+def _lapack_failing_once(real):
+    """A stand-in for a LAPACK wrapper whose first call returns info = 1
+    (its last output); later calls go to the real routine."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(None)
+        return out[:-1] + (1,) if len(calls) == 1 else out
+
+    return fake
+
+
+@pytest.mark.parametrize("kind, routine", [("labels", "dsyevr"), ("grouping", "dpotrs")])
+def test_lapack_info_raises_and_fails_one_candidate(monkeypatch, kind, routine):
+    """A nonzero info from the loop's projection (dsyevr) or its pair solve
+    (dpotrs) raises NumericalError from fit; select_lambda scores that
+    candidate -inf and goes on with the rest of the grid."""
+    rng = np.random.default_rng(31)
+    if kind == "labels":
+        core, side = _random_labeled_problem(rng, m=5, l=8)
+    else:
+        core, side = _random_grouping_problem(rng, m=5)
+    real = getattr(dictlearn, routine)
+    assert fit(core, side, LearnConfig(lam=1e-3)).report.iterations > 0
+
+    monkeypatch.setattr(dictlearn, routine, _lapack_failing_once(real))
+    with pytest.raises(NumericalError, match=f"{routine} info=1"):
+        fit(core, side, LearnConfig(lam=1e-3))
+
+    # Only the first call fails: the first candidate runs the loop, so it
+    # alone is lost.
+    monkeypatch.setattr(dictlearn, routine, _lapack_failing_once(real))
+    report = select_lambda(core, side, grid=(1e-3, 1.0, 100.0))
+    failed = report.records[0]
+    assert failed.criterion == -np.inf
+    assert failed.solver is None and failed.S is None
+    assert f"{routine} info=1" in failed.failure
+    assert all(r.failure is None and r.S is not None for r in report.records[1:])
+    assert report.chosen_lambda != 1e-3
 
 
 # ---------------------------------------------------------------------------
