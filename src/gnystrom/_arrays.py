@@ -57,3 +57,16 @@ def eigh(M):
         return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def truncated_eigh(M, rtol):
+    """Eigenpairs of the symmetric M with eigenvalue above both ``rtol``
+    times the largest one and 0, in ascending order.
+
+    The rank truncation shared by the Nyström pseudo-inverse and the PSD
+    factor (Kumar, Mohri & Talwalkar 2012, JMLR).
+    """
+    vals, vecs = eigh(M)
+    top = float(vals[-1]) if vals.size else 0.0
+    keep = vals > max(rtol * top, 0.0)
+    return vals[keep], vecs[:, keep]

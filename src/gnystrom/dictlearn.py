@@ -45,11 +45,10 @@ tolerance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrs, dsyevr
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
-from ._arrays import as_index_array, as_square_matrix, eigh
+from ._arrays import as_index_array, as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
 from .kernels import LabelVector, ideal_kernel
 
@@ -160,23 +159,20 @@ class LearnConfig:
     """Settings of the ADMM loop, shared by both kinds of side information.
 
     The loop stops once the gradient-mapping norm is at most
-    ``grad_norm_tol``, or once the best objective has improved by at most
-    ``obj_rel_tol`` (relative) over the last 20 iterations, or after
+    1e-6 * (1 + ||2 El.T @ target @ El||_F), a tolerance relative to the
+    pull of the data term on the gradient, which has the gradient's units,
+    unlike ||S0||; or once the best objective has improved by at most
+    ``obj_rel_tol`` (relative) over the last 20 iterations; or after
     ``max_iters`` iterations, each costing one partial eigendecomposition
-    of an m x m matrix (its negative eigenpairs only).
-    ``grad_norm_tol = None`` means
-    1e-6 * (1 + ||2 El.T @ target @ El||_F), resolved at run time: relative
-    to the pull of the data term on the gradient, which has the gradient's
-    units, unlike ||S0||. ``obj_rel_tol = 0`` disables the objective
-    test. ``lam = 0`` is legal (pure data fitting); the closed-form
-    initializer then does not apply and fitting starts from the projected
-    prior. A grouping-kind fit at ``lam = 0`` may end at ``max_iters``: the
-    masked problem need not attain its infimum.
+    of an m x m matrix (its negative eigenpairs only). ``obj_rel_tol = 0``
+    disables the objective test. ``lam = 0`` is legal (pure data fitting);
+    the closed-form initializer then does not apply and fitting starts from
+    the projected prior. A grouping-kind fit at ``lam = 0`` may end at
+    ``max_iters``: the masked problem need not attain its infimum.
     """
 
     lam: float = 1.0
     max_iters: int = 2000
-    grad_norm_tol: float | None = None
     obj_rel_tol: float = 1e-9
 
     def __post_init__(self):
@@ -184,8 +180,6 @@ class LearnConfig:
             raise InputError(f"lam must be a nonnegative real, got {self.lam}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_norm_tol is not None and not self.grad_norm_tol >= 0:
-            raise InputError("grad_norm_tol must be >= 0")
         if not self.obj_rel_tol >= 0:
             raise InputError("obj_rel_tol must be >= 0")
 
@@ -257,24 +251,18 @@ def _supervised_rows(core, side):
     return core.E[side.indices]
 
 
-def _residual(S, core, side):
-    El = _supervised_rows(core, side)
+def _reconstruction(S, El, side):
+    """El @ S @ El.T for the supervised rows El, masked for the grouping
+    kind: the similarities the side information compares with its target."""
     recon = El @ S @ El.T
     if side.kind == "grouping":
         recon = side.mask * recon
-    return recon - side.target
+    return recon
 
 
 def objective(S, core, side, lam):
     """Penalized fit J(S) = lam * ||S - S0||_F^2 + ||residual(S)||_F^2."""
-    S = as_square_matrix(S, "S")
-    if S.shape != core.S0.shape:
-        raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise InputError(f"lam must be a nonnegative real, got {lam}")
-    res = _residual(S, core, side)
-    prior = S - core.S0
-    return float(lam * np.sum(prior * prior) + np.sum(res * res))
+    return _value_and_gradient(S, core, side, lam)[0]
 
 
 def gradient(S, core, side, lam):
@@ -285,15 +273,22 @@ def gradient(S, core, side, lam):
     already equals the masked residual the chain rule requires. The result
     is symmetrized to remove floating-point asymmetry.
     """
+    return _value_and_gradient(S, core, side, lam)[1]
+
+
+def _value_and_gradient(S, core, side, lam):
+    """(:func:`objective`, :func:`gradient`) at S, from one residual."""
     S = as_square_matrix(S, "S")
     if S.shape != core.S0.shape:
         raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"lam must be a nonnegative real, got {lam}")
     El = _supervised_rows(core, side)
-    res = _residual(S, core, side)
-    grad = 2.0 * lam * (S - core.S0) + 2.0 * (El.T @ res @ El)
-    return 0.5 * (grad + grad.T)
+    res = _reconstruction(S, El, side) - side.target
+    prior = S - core.S0
+    value = float(lam * np.sum(prior * prior) + np.sum(res * res))
+    grad = 2.0 * lam * prior + 2.0 * (El.T @ res @ El)
+    return value, 0.5 * (grad + grad.T)
 
 
 def psd_project(M):
@@ -346,9 +341,8 @@ def init_closed_form(core, side, lam, project=True):
         raise InputError(f"closed-form initialization requires lam > 0, got {lam}")
     if side.kind != "labels":
         raise InputError("closed-form initialization applies to label-kind side information")
-    El = _supervised_rows(core, side)
-    c, V = eigh(El.T @ El)
-    S = _closed_form(c, V, El.T @ side.target @ El, core.S0, lam)
+    _, B, (c, V) = _decompose_supervision(core, side)
+    S = _closed_form(c, V, B, core.S0, lam)
     return psd_project(S) if project else S
 
 
@@ -369,12 +363,13 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     projected prior psd_project(S0) otherwise. C = El.T @ El is
     eigendecomposed once, for the closed form and the loop alike.
 
-    A start whose gradient norm is already at most grad_norm_tol is returned
-    after 0 iterations. Otherwise one ADMM loop runs for both kinds, with an
-    elementwise x-step for labels and a p x p Woodbury x-step for pairs (see
-    the module docstring), until the gradient-mapping norm falls below
-    grad_norm_tol, the best objective stalls (obj_rel_tol), or max_iters;
-    the stopping reason lands in the report's ``converged_by``.
+    A start whose gradient norm is already within the tolerance of
+    :class:`LearnConfig` is returned after 0 iterations. Otherwise one ADMM
+    loop runs for both kinds, with an elementwise x-step for labels and a
+    p x p Woodbury x-step for pairs (see the module docstring), until the
+    gradient-mapping norm falls within that tolerance, the best objective
+    stalls (obj_rel_tol), or max_iters; the stopping reason lands in the
+    report's ``converged_by``.
 
     ``_supervision`` is private: :func:`select_lambda` passes the
     :func:`_decompose_supervision` of (core, side) that its whole grid shares.
@@ -387,12 +382,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     else:
         S = psd_project(core.S0)
 
-    grad_tol = cfg.grad_norm_tol
-    if grad_tol is None:
-        grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(B)))
-
-    value = objective(S, core, side, cfg.lam)
-    grad = gradient(S, core, side, cfg.lam)
+    grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(B)))
+    value, grad = _value_and_gradient(S, core, side, cfg.lam)
     trace = [value]
     iterates = [S] if record_iterates else None
     iterations = 0
@@ -572,7 +563,9 @@ class _ADMM:
             G += self.Fb[:, i, None] * self.Fa[:, i:]
             G *= root * scale[i, i:]
             M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
-        self.factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)[0]
+        self.factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"pair system factorization failed: dpotrf info={info}")
         self.factor_rho = self.rho
 
     def step(self):
@@ -605,10 +598,5 @@ def factorize(state):
     by decreasing eigenvalue. A zero matrix yields an (m, 0) factor.
     """
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
-    vals, vecs = eigh(0.5 * (S + S.T))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    top = float(vals[0]) if vals.size else 0.0
-    keep = vals > max(_RANK_RTOL * top, 0.0)
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    vals, vecs = truncated_eigh(0.5 * (S + S.T), _RANK_RTOL)
+    return vecs[:, ::-1] * np.sqrt(vals[::-1])

@@ -47,7 +47,8 @@ class ExperimentConfig:
     ``m = None`` applies :func:`default_landmark_count`. For the
     generalized method exactly one of ``lam`` (fixed weight) or
     ``lambda_grid`` (criterion-based selection) may be set; with neither,
-    the weight defaults to 1.0.
+    the weight defaults to 1.0. The core and the classifier take the
+    defaults of :func:`build_core` and :func:`train_linear`.
     """
 
     labeled_per_run: int
@@ -58,9 +59,6 @@ class ExperimentConfig:
     bandwidth: float | str = "heuristic"
     lam: float | None = None
     lambda_grid: tuple | None = None
-    svm_c: float = 1.0
-    svm_iters: int = 1000
-    pinv_tol: float = 1e-10
 
     def __post_init__(self):
         if self.labeled_per_run < 1:
@@ -84,10 +82,6 @@ class ExperimentConfig:
         if self.lambda_grid is not None:
             object.__setattr__(self, "lambda_grid",
                                tuple(validate_grid(self.lambda_grid)))
-        if not self.svm_c > 0:
-            raise InputError("svm_c must be positive")
-        if self.svm_iters < 1:
-            raise InputError("svm_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def pipeline(X, side, cfg, landmark_seed):
         params = KernelParams(bandwidth=bandwidth_heuristic(X))
     else:
         params = KernelParams(bandwidth=cfg.bandwidth)
-    core = build_core(X, Z, params, pinv_tol=cfg.pinv_tol)
+    core = build_core(X, Z, params)
     t2 = time.perf_counter()
     selection = None
     if side is None:
@@ -210,8 +204,7 @@ def run_experiment(ds, cfg, method):
 
         t0 = time.perf_counter()
         G = run.core.E @ factorize(run.record.S)
-        model = train_linear(G[labeled.indices], labeled.labels,
-                             c_reg=cfg.svm_c, n_iters=cfg.svm_iters)
+        model = train_linear(G[labeled.indices], labeled.labels)
         test_mask = np.ones(ds.n, dtype=bool)
         test_mask[labeled.indices] = False
         predictions = model.predict(G[test_mask])
@@ -279,9 +272,6 @@ _CONFIG_PARSERS = {
     "bandwidth": lambda v: v if v == "heuristic" else float(v),
     "lambda": float,
     "lambda_grid": lambda v: tuple(float(tok) for tok in v.split(",") if tok.strip()),
-    "svm_c": float,
-    "svm_iters": int,
-    "pinv_tol": float,
 }
 
 # Config keys spell the weight out as "lambda"; the dataclass field avoids

@@ -9,29 +9,27 @@ from .errors import InputError
 
 LANDMARK_METHODS = ("kmeans", "random")
 
+# Iteration cap and relative movement tolerance of select_kmeans's Lloyd run.
+_LLOYD_MAX_ITERS = 100
+_LLOYD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Settings for Lloyd's algorithm.
+    """k-means landmarks: ``k`` centers, seeded by distance-weighted
+    sampling (:func:`_init_spread`) from ``seed``.
 
-    ``tol`` is a relative movement tolerance: iteration stops once the
-    largest center shift falls below ``tol * max|X - mean(X)|``, so the
-    rule does not change when the data are translated. Centers are seeded
-    by distance-weighted sampling (:func:`_init_spread`).
+    Lloyd's algorithm then runs for at most 100 iterations and stops once
+    the largest center shift falls below 1e-6 * max|X - mean(X)|, a
+    relative rule that does not change when the data are translated.
     """
 
     k: int
-    max_iters: int = 100
-    tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol >= 0:
-            raise InputError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def select_kmeans(X, cfg):
         raise InputError(f"k={cfg.k} exceeds the number of samples {X.shape[0]}")
     rng = np.random.default_rng(cfg.seed)
     centers = _init_spread(X, cfg.k, rng)
-    centers, _ = lloyd_iterations(X, centers, cfg.max_iters, cfg.tol)
+    centers, _ = lloyd_iterations(X, centers, _LLOYD_MAX_ITERS, _LLOYD_TOL)
     return LandmarkSet(points=centers, method="kmeans", seed=int(cfg.seed))
 
 

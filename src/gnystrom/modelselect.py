@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictlearn import (LearnConfig, SolverReport, _decompose_supervision,
-                        _supervised_rows, fit)
+                        _reconstruction, _supervised_rows, fit)
 from .errors import InputError, NumericalError, UndefinedAlignmentError
 from .kernels import nka_score
 
@@ -69,10 +69,7 @@ def alignment_scores(S, core, side):
     """(rho_prior, rho_align): alignment of S with the prior, and of the
     reconstructed supervised block with its target."""
     rho_prior = nka_score(S, core.S0)
-    El = _supervised_rows(core, side)
-    recon = El @ S @ El.T
-    if side.kind == "grouping":
-        recon = side.mask * recon
+    recon = _reconstruction(S, _supervised_rows(core, side), side)
     rho_align = nka_score(recon, side.target)
     return rho_prior, rho_align
 

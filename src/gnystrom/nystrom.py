@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._arrays import as_data_matrix, eigh
+from ._arrays import as_data_matrix, truncated_eigh
 from .errors import InputError
 from .kernels import kernel_matrix
 from .landmarks import LandmarkSet
@@ -96,26 +96,16 @@ def build_core(X, Z, params, pinv_tol=1e-10):
         raise InputError(f"pinv_tol must lie in [0, 1), got {pinv_tol}")
     E = kernel_matrix(X, Zp, params)
     W = kernel_matrix(Zp, Zp, params)
-    vals, vecs = eigh(W)
-    cutoff = max(pinv_tol * float(vals.max()), 0.0)
-    keep = vals > cutoff
-    kept_vals = vals[keep]
-    kept_vecs = vecs[:, keep]
-    S0 = (kept_vecs / kept_vals) @ kept_vecs.T
+    vals, vecs = truncated_eigh(W, pinv_tol)
+    S0 = (vecs / vals) @ vecs.T
     S0 = 0.5 * (S0 + S0.T)
-    return NystromCore(E=E, W=W, S0=S0, pinv_rank=int(np.count_nonzero(keep)),
-                       pinv_tol=float(pinv_tol))
+    return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size, pinv_tol=float(pinv_tol))
 
 
 def landmark_eigensystem(core):
     """Eigendecompose core.W, keeping eigenvalues above the core's cutoff."""
-    vals, vecs = eigh(core.W)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    cutoff = max(core.pinv_tol * float(vals[0]), 0.0)
-    keep = vals > cutoff
-    return LandmarkEigensystem(eigvecs=vecs[:, keep], eigvals=vals[keep])
+    vals, vecs = truncated_eigh(core.W, core.pinv_tol)
+    return LandmarkEigensystem(eigvecs=vecs[:, ::-1], eigvals=vals[::-1])
 
 
 def reconstruct_entry(core, i, j):

@@ -187,6 +187,17 @@ def test_bad_config_exits_2(blob_csv, tmp_path, capsys):
     assert rc == 2
 
 
+def test_removed_svm_key_exits_2(blob_csv, tmp_path, capsys):
+    # svm_c is no config key (the classifier runs train_linear's defaults);
+    # it is refused by name, not ignored.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("labeled_per_run = 10\nsvm_c = 1.0\n")
+    rc = main(["evaluate", "--input", str(blob_csv), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'svm_c'" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--bandwidth", "abc"),
                                          ("--lambda-grid", "0.1,x")])
 def test_fit_bad_number_exits_2(blob_csv, tmp_path, capsys, flag, value):

@@ -3,6 +3,9 @@ generators."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from gnystrom import (
@@ -126,6 +129,48 @@ def test_svmlight_bad_label(tmp_path):
     f.write_text("abc 1:0.5\n")
     with pytest.raises(ParseError):
         load_dataset(f, format="svmlight")
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+
+@st.composite
+def _labeled_matrices(draw):
+    """Finite float matrices of 1-6 rows and 1-4 columns, one integer label
+    per row."""
+    X = draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    y = draw(arrays(np.int64, X.shape[0], elements=st.integers(-1000, 1000)))
+    return X, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_labeled_matrices())
+def test_csv_round_trip_is_exact(tmp_path_factory, data):
+    """CSV written as ``gnystrom synth`` writes it loads back bit for bit."""
+    X, y = data
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    rows = np.column_stack([y.astype(np.float64), X])
+    np.savetxt(path, rows, delimiter=",", fmt=["%d"] + ["%.17g"] * X.shape[1])
+    ds = load_dataset(path)
+    assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_labeled_matrices())
+def test_svmlight_round_trip_is_exact(tmp_path_factory, data):
+    """svmlight with repr values, zeros left out and the last column always
+    written (so the width is recovered) loads back bit for bit."""
+    X, y = data
+    d = X.shape[1]
+    path = tmp_path_factory.mktemp("svm") / "d.svm"
+    lines = [" ".join([repr(int(label))] + [f"{j + 1}:{row[j]!r}" for j in range(d)
+                                             if row[j] != 0.0 or j == d - 1])
+             for label, row in zip(y, X.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_dataset(path, format="svmlight")
+    assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
 
 
 # ---------------------------------------------------------------------------

@@ -693,11 +693,13 @@ def _lapack_failing_once(real):
     return fake
 
 
-@pytest.mark.parametrize("kind, routine", [("labels", "dsyevr"), ("grouping", "dpotrs")])
+@pytest.mark.parametrize("kind, routine", [("labels", "dsyevr"), ("grouping", "dpotrf"),
+                                           ("grouping", "dpotrs")])
 def test_lapack_info_raises_and_fails_one_candidate(monkeypatch, kind, routine):
-    """A nonzero info from the loop's projection (dsyevr) or its pair solve
-    (dpotrs) raises NumericalError from fit; select_lambda scores that
-    candidate -inf and goes on with the rest of the grid."""
+    """A nonzero info from the loop's projection (dsyevr), its pair-system
+    factorization (dpotrf) or its pair solve (dpotrs) raises NumericalError
+    from fit; select_lambda scores that candidate -inf and goes on with the
+    rest of the grid."""
     rng = np.random.default_rng(31)
     if kind == "labels":
         core, side = _random_labeled_problem(rng, m=5, l=8)
@@ -733,8 +735,6 @@ def test_learn_config_validation():
         LearnConfig(max_iters=0)
     with pytest.raises(InputError):
         LearnConfig(obj_rel_tol=-1e-9)
-    with pytest.raises(InputError):
-        LearnConfig(grad_norm_tol=-1.0)
 
 
 def test_dictionary_state_validation():

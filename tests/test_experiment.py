@@ -1,5 +1,9 @@
 """Tests for the end-to-end comparison harness and its config plumbing."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +31,7 @@ from gnystrom import (
     select_random,
     train_linear,
 )
+from gnystrom.experiment import _CONFIG_PARSERS, _CONFIG_RENAMES
 
 
 def _small_blobs(seed=0):
@@ -66,8 +71,6 @@ def test_config_validation():
         ExperimentConfig(labeled_per_run=4, lam=1.0, lambda_grid=(0.1, 1.0))
     with pytest.raises(InputError):
         ExperimentConfig(labeled_per_run=4, lambda_grid=(1.0, 0.1))
-    with pytest.raises(InputError):
-        ExperimentConfig(labeled_per_run=4, svm_c=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,6 @@ def test_experiment_config_from_file(tmp_path):
         "landmark_method = kmeans\n"
         "bandwidth = heuristic\n"
         "lambda = 1.0\n"
-        "svm_c = 1.0\n"
     )
     cfg = experiment_config_from_file(f)
     assert cfg.labeled_per_run == 20
@@ -278,3 +280,14 @@ def test_experiment_config_bad_value(tmp_path):
     f.write_text("labeled_per_run = many\n")
     with pytest.raises(InputError):
         experiment_config_from_file(f)
+
+
+def test_config_keys_match_readme_and_fields():
+    """The README's config table, the parsers and ExperimentConfig's fields
+    name the same settings, so none of the three can drift from the others."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE))
+    assert documented == set(_CONFIG_PARSERS)
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert {_CONFIG_RENAMES.get(key, key) for key in _CONFIG_PARSERS} == fields
