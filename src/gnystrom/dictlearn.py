@@ -30,11 +30,22 @@ lam. Only the x-step differs by kind:
   plus a rank-p term for p constrained pairs; the x-step solves a p x p
   system (Woodbury), factored once per value of rho.
 
+The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
+state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
+and f(W) = X + U, so one iteration is one map evaluation (one partial
+eigendecomposition and one x-step). Type-II Anderson acceleration (Walker &
+Ni 2011) extrapolates W from the last 10 differences of f and of the
+residual f(W) - W, as SCS 3 does (Zhang, O'Donoghue & Boyd 2020). An
+extrapolated state is kept only if its residual is no larger than that of
+the last kept state; otherwise the next state is the plain f of the kept
+one and the memory is cleared, as it is whenever rho changes. A rejected
+extrapolation costs an iteration.
+
 The loop stops on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
 with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
 constant of grad J. It vanishes exactly at the constrained optimum. Each
 iteration bounds it by ||grad J(S) - M||_F, where M = -rho * U is the PSD
-part the projection cut off, orthogonal to S; that residual of the
+part the projection cut off, orthogonal to S for any W; that residual of the
 optimality conditions needs no further eigendecomposition. A second test
 stops once the best objective stalls. The returned S goes through one
 full projection: the subtraction leaves rounding along the removed
@@ -61,6 +72,11 @@ _ACCEPT_SLACK = 1e-12
 _OBJ_WINDOW = 20
 # factorize keeps eigenvalues above this fraction of the largest.
 _RANK_RTOL = 1e-12
+# Differences of the ADMM fixed-point map kept by Anderson acceleration.
+_AA_MEMORY = 10
+# Tikhonov weight of its least-squares problem, relative to the trace of the
+# Gram matrix of the residual differences.
+_AA_REG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -163,8 +179,10 @@ class LearnConfig:
     pull of the data term on the gradient, which has the gradient's units,
     unlike ||S0||; or once the best objective has improved by at most
     ``obj_rel_tol`` (relative) over the last 20 iterations; or after
-    ``max_iters`` iterations, each costing one partial eigendecomposition
-    of an m x m matrix (its negative eigenpairs only). ``obj_rel_tol = 0``
+    ``max_iters`` iterations. An iteration is one evaluation of the loop's
+    fixed-point map, which costs one partial eigendecomposition of an m x m
+    matrix (its negative eigenpairs only) and one x-step; an Anderson
+    extrapolation that the safeguard rejects counts as one. ``obj_rel_tol = 0``
     disables the objective test. ``lam = 0`` is legal (pure data fitting);
     the closed-form initializer then does not apply and fitting starts from
     the projected prior. A grouping-kind fit at ``lam = 0`` may end at
@@ -213,8 +231,9 @@ class SolverReport:
 
     ``objective_trace[0]`` is the objective at the initializer and one entry
     follows per iteration: the best objective among the PSD iterates so
-    far, so the sequence never increases (``iterates``, when recorded, holds
-    the matching matrices). ``final_grad_norm`` is the gradient-mapping norm
+    far, so the sequence never increases and, J being a sum of squares,
+    never falls below 0 (``iterates``, when recorded, holds the matching
+    matrices; of iterates with equal objective, the later one counts). ``final_grad_norm`` is the gradient-mapping norm
     L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
     at its initializer reports ||grad J||_F instead, which bounds it.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
@@ -392,14 +411,14 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     converged_by = "grad_norm"
     if gnorm > grad_tol:
         solver = _ADMM(S, grad, value, (np.maximum(c, 0.0), V), cfg.lam, El, side)
-        best = solver.point
+        best = solver.Y0
         converged_by = "max_iters"
         while iterations < cfg.max_iters:
             point, value, bound = solver.step()
             iterations += 1
             if not np.isfinite(value):
                 raise NumericalError(f"solver diverged at iteration {iterations}")
-            if value < trace[-1]:
+            if value <= trace[-1]:
                 best = point
             trace.append(min(value, trace[-1]))
             if record_iterates:
@@ -469,10 +488,10 @@ class _ADMM:
         self.DD = np.outer(self.scale, self.scale)
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
-        self.Y0 = self.point = self.coords(S)
+        self.Y0 = self.coords(S)
         self.G0 = (self.V.T @ grad @ self.V) * self.DD
         self.J0 = value
-        self.U = np.zeros_like(self.Y0)
+        self.memory = _Anderson(self.Y0.shape)
         self.Fa = self.factor_rho = None
         pairs = side.kind == "grouping"
         self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
@@ -486,6 +505,10 @@ class _ADMM:
             ab = np.einsum("pi,pi->p", self.Fa, self.Fb)
             aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
             self.rho += 2.0 * float(np.sum(self.weight * (aabb + ab * ab))) / self.Hs.size
+        # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
+        # state, and the first state evaluated is the map's value there.
+        U = np.zeros_like(self.Y0)
+        self._keep(self.Y0, U, self._x_step(self.Y0, U))
 
     def coords(self, M):
         """Z coordinates of an S-space matrix."""
@@ -517,7 +540,9 @@ class _ADMM:
             r = self._at_pairs(D)
             value += 2.0 * float(np.sum(self.weight * r * r))
             grad += 2.0 * self._spread(r)
-        return value, grad
+        # J is a sum of squares; near J = 0 the cancellation in the expansion
+        # about Y0 can leave it slightly negative.
+        return max(value, 0.0), grad
 
     def _x_step(self, Y, U):
         """The exact minimizer X = Y0 + D of J(X) + (rho/2) ||X - Y + U||^2.
@@ -569,26 +594,87 @@ class _ADMM:
         self.factor_rho = self.rho
 
     def step(self):
-        Y, rho = self.point, self.rho
-        X = self._x_step(Y, self.U)
-        Y_next = _cut_negative(X + self.U)
-        self.U += X - Y_next
-        value, grad = self._evaluate(Y_next)
-        # -rho * U, with U the part the projection cut off, is PSD and
-        # orthogonal to Y_next, so its distance to grad J(Y_next) bounds the
-        # mapping norm at Y_next.
-        bound = self.mapping_bound(grad + rho * self.U)
-        # Residual balancing (Boyd et al. 2011, section 3.4.1).
-        primal = float(np.linalg.norm(X - Y_next))
-        dual = rho * float(np.linalg.norm(Y_next - Y))
-        if primal > 10.0 * dual:
-            self.rho *= 2.0
-            self.U /= 2.0
-        elif dual > 10.0 * primal:
-            self.rho /= 2.0
-            self.U *= 2.0
-        self.point = Y_next
-        return Y_next, value, bound
+        """One evaluation of the fixed-point map f at the state W; returns
+        the projection Y = P(W), J(Y) and the bound on the mapping norm at Y."""
+        Y = _cut_negative(self.W)
+        U = self.W - Y
+        value, grad = self._evaluate(Y)
+        # -rho * U, the part the projection cut off scaled by -rho, is PSD and
+        # orthogonal to Y, whatever W is, so its distance to grad J(Y) bounds
+        # the mapping norm at Y.
+        bound = self.mapping_bound(grad + self.rho * U)
+        X = self._x_step(Y, U)
+        # f(W) - W = X + U - W = X - Y.
+        if self.extrapolated and float(np.linalg.norm(X - Y)) > self.kept_norm:
+            # Safeguard: fall back to the plain step from the last kept state.
+            self.W, self.extrapolated = self.kept, False
+            self.memory.clear()
+            return Y, value, bound
+        # Residual balancing (Boyd et al. 2011, section 3.4.1) against the
+        # last kept state; without extrapolation these are the primal
+        # residual X_k - Y_k = U_k - U_{k-1} and the dual rho (Y_k - Y_{k-1}).
+        primal = float(np.linalg.norm(U - self.U_last))
+        dual = self.rho * float(np.linalg.norm(Y - self.Y_last))
+        factor = 2.0 if primal > 10.0 * dual else 0.5 if dual > 10.0 * primal else 1.0
+        if factor != 1.0:
+            # A new rho is a new map: rescale the state and redo its x-step.
+            self.rho *= factor
+            U /= factor
+            X = self._x_step(Y, U)
+            self.memory.clear()
+        self._keep(Y, U, X)
+        return Y, value, bound
+
+    def _keep(self, Y, U, X):
+        """Make W = Y + U the kept state, with f(W) = X + U, and move to the
+        next state: Anderson's extrapolation, or f(W) while it has no memory."""
+        g = X - Y
+        self.Y_last, self.U_last = Y, U
+        self.kept, self.kept_norm = X + U, float(np.linalg.norm(g))
+        self.W = self.memory.extrapolate(self.kept, g)
+        self.extrapolated = self.memory.size > 0
+
+
+class _Anderson:
+    """Type-II Anderson acceleration (Walker & Ni 2011) of a fixed-point map
+    f, with the residual g(W) = f(W) - W.
+
+    Ring buffers hold the differences of f and of g between the last
+    _AA_MEMORY + 1 kept states, and ``gram`` their Gram matrix dG dG^T, one
+    row of which changes per state. The next state is f - dF^T gamma, with
+    gamma the Tikhonov-regularised least-squares fit of g by the columns of
+    dG^T; a step costs O(_AA_MEMORY * W.size).
+    """
+
+    def __init__(self, shape):
+        size = int(np.prod(shape))
+        self.dF = np.zeros((_AA_MEMORY, size))
+        self.dG = np.zeros((_AA_MEMORY, size))
+        self.gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+        self.clear()
+
+    def clear(self):
+        self.size = self.slot = 0
+        self.last = None
+
+    def extrapolate(self, f, g):
+        """Record f and g at a kept state; return the next state to evaluate."""
+        f_flat, g_flat = f.ravel(), g.ravel()
+        if self.last is not None:
+            k = self.slot
+            np.subtract(f_flat, self.last[0], out=self.dF[k])
+            np.subtract(g_flat, self.last[1], out=self.dG[k])
+            self.size = min(self.size + 1, _AA_MEMORY)
+            self.slot = (k + 1) % _AA_MEMORY
+            self.gram[k, :self.size] = self.gram[:self.size, k] = self.dG[:self.size] @ self.dG[k]
+        self.last = f_flat, g_flat
+        n = self.size
+        scale = float(np.trace(self.gram[:n, :n])) if n else 0.0
+        if not scale > 0.0:
+            return f
+        gamma = np.linalg.solve(self.gram[:n, :n] + _AA_REG * scale * np.eye(n),
+                                self.dG[:n] @ g_flat)
+        return f - (gamma @ self.dF[:n]).reshape(f.shape)
 
 
 def factorize(state):

@@ -1,5 +1,6 @@
 """Tests for dictionary learning: objective/gradient, PSD projection, the
-closed-form warm start, the ADMM fit loop and its two x-steps, and factoring."""
+closed-form warm start, the ADMM fit loop, its two x-steps and its
+Anderson safeguard, and factoring."""
 
 import tracemalloc
 
@@ -608,21 +609,88 @@ def test_grouping_fit_reaches_long_run_optimum():
                     result.report.objective_trace[-1], rtol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [218, 277])
-def test_grouping_fit_converges_within_default_budget(seed):
-    """Ill-conditioned masked problems at small lam on which spectral
-    projected gradient ran into the default iteration cap."""
-    core, side = _random_grouping_problem(np.random.default_rng(seed), m=4)
-    lam = 1e-3
-    result = fit(core, side, LearnConfig(lam=lam))
-    assert result.report.converged_by != "max_iters"
-    # The optimality conditions of test_fit_satisfies_kkt_conditions.
-    S = result.state.S
+def _assert_kkt(S, core, side, lam):
+    """The optimality conditions of test_fit_satisfies_kkt_conditions."""
     G = gradient(S, core, side, lam)
     tol = 1e-4 * (1.0 + np.linalg.norm(gradient(np.zeros_like(S), core, side, lam)))
     assert np.linalg.eigvalsh(S).min() >= -1e-8 * max(1.0, np.linalg.norm(S))
     assert np.linalg.eigvalsh(G).min() >= -tol
     assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
+
+
+# (seed, m); m = None draws m as test_fit_satisfies_kkt_conditions does.
+_CAPPED_GROUPING_DRAWS = [(218, 4), (277, 4)] + [
+    (seed, None) for seed in (13, 15, 80, 138, 228, 245)]
+
+
+@pytest.mark.parametrize("seed, m", _CAPPED_GROUPING_DRAWS,
+                         ids=[str(seed) for seed, _ in _CAPPED_GROUPING_DRAWS])
+def test_grouping_fit_converges_within_default_budget(seed, m):
+    """Ill-conditioned masked problems at small lam that ran into the default
+    iteration cap: seeds 218 and 277 under spectral projected gradient, the
+    draws of test_fit_satisfies_kkt_conditions under plain ADMM."""
+    rng = np.random.default_rng(seed)
+    if m is None:
+        m = int(rng.integers(2, 7))
+    core, side = _random_grouping_problem(rng, m=m)
+    lam = 1e-3
+    result = fit(core, side, LearnConfig(lam=lam))
+    assert result.report.converged_by != "max_iters"
+    _assert_kkt(result.state.S, core, side, lam)
+
+
+def test_objective_trace_never_negative():
+    """J is a sum of squares. Near J = 0 the loop's expansion of J about its
+    start cancels below 0 (-5e-5 here, where J at the returned S is 4e-11)."""
+    ds = make_blobs(3000, 10, n_classes=2, separation=2.0, seed=7)
+    core = build_core(ds.X, select_kmeans(ds.X, KMeansConfig(k=200, seed=0)),
+                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    side = SideInformation.from_labels(sample_labeled(ds, 20, 0))
+    result = fit(core, side, LearnConfig(lam=0.0))
+    assert result.report.iterations > 0
+    assert result.report.objective_trace.min() >= 0.0
+
+
+def test_accelerated_grouping_fit_needs_few_iterations():
+    """Plain ADMM takes 438 iterations on this problem; with Anderson
+    acceleration of its fixed-point map the loop takes 86."""
+    core, side = _fit_pairs_problem()
+    result = fit(core, side, LearnConfig(lam=0.1))
+    assert result.report.converged_by == "grad_norm"
+    assert result.report.iterations <= 200
+
+
+def test_rejected_extrapolation_falls_back_to_plain_step(monkeypatch):
+    """An extrapolated state whose fixed-point residual exceeds that of the
+    last kept state is dropped: the next evaluation is the plain step f from
+    the kept state, and the fit still reaches the optimum."""
+    core, side = _random_grouping_problem(np.random.default_rng(13), m=5)
+    lam = 1e-3
+    extrapolate, cut = dictlearn._Anderson.extrapolate, dictlearn._cut_negative
+    corrupted, inputs = [], []
+
+    def corrupt_first(self, f, g):
+        W = extrapolate(self, f, g)
+        if self.size and not corrupted:
+            noise = _random_symmetric(np.random.default_rng(0), f.shape[0])
+            W = W + 10.0 * (1.0 + np.linalg.norm(f)) * noise
+            corrupted.append((f, W))
+        return W
+
+    def record(M):
+        inputs.append(M)
+        return cut(M)
+
+    monkeypatch.setattr(dictlearn._Anderson, "extrapolate", corrupt_first)
+    monkeypatch.setattr(dictlearn, "_cut_negative", record)
+    result = fit(core, side, LearnConfig(lam=lam))
+    (kept, bad), = corrupted
+    i = next(k for k, M in enumerate(inputs) if M is bad)
+    assert inputs[i + 1] is kept
+    trace = result.report.objective_trace
+    assert np.all(np.diff(trace) <= 0.0)
+    assert result.report.converged_by == "grad_norm"
+    _assert_kkt(result.state.S, core, side, lam)
 
 
 @pytest.mark.parametrize("seed", [413, 592, 1249, 1417])
@@ -637,11 +705,7 @@ def test_label_fit_at_zero_lambda_returns_psd_optimum(seed):
     lam = 0.0
     S = fit(core, side, LearnConfig(lam=lam, max_iters=20000)).state.S
     DictionaryState(S=S)
-    G = gradient(S, core, side, lam)
-    tol = 1e-4 * (1.0 + np.linalg.norm(gradient(np.zeros_like(S), core, side, lam)))
-    assert np.linalg.eigvalsh(S).min() >= -1e-8 * max(1.0, np.linalg.norm(S))
-    assert np.linalg.eigvalsh(G).min() >= -tol
-    assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
+    _assert_kkt(S, core, side, lam)
 
 
 def test_grouping_fit_memory_stays_below_pair_by_entry_array():
