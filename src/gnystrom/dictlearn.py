@@ -332,12 +332,20 @@ def _cut_negative(M):
     Exact in exact arithmetic; in floating point it leaves rounding of
     size eps * ||M_-|| along the removed directions, so :func:`fit` passes
     the matrix it returns through one full :func:`_project`.
+
+    dsyevr's bisection and inverse iteration can fail (nonzero info) when
+    the nonpositive eigenvalues form an exact cluster; the full projection
+    then takes over, and only its failure raises.
     """
     M = 0.5 * (M + M.T)
     vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0,
                                     lower=1)
     if info != 0:
-        raise NumericalError(f"eigendecomposition failed: dsyevr info={info}")
+        try:
+            return _project(M)
+        except NumericalError as exc:
+            raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
+                                 f"and the full fallback: {exc}") from exc
     if k:
         M -= (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
     return 0.5 * (M + M.T)

@@ -136,11 +136,11 @@ _GOLDEN = {
         (0.1724137931034483, 1.0, 0.9963833468194804, 0.7307136596399642),
         (0.19310344827586207, 1.0, 0.9951103400645811, 0.7661818221091463),
         (0.2, 1.0, 0.9978268470006143, 0.6603256736063948),
-        (0.23620689655172414, 1.0, 0.9978622447607343, 0.6221419881957807),
+        (0.23793103448275862, 1.0, 0.9978622447607343, 0.6221419881957807),
         (0.2120689655172414, 1.0, 0.9971414328836731, 0.776630436454362),
         (0.19137931034482758, 1.0, 0.9975817482910652, 0.6642090074213439),
-        (0.22758620689655173, 1.0, 0.9976009644280592, 0.6310135782530182),
-        (0.2189655172413793, 1.0, 0.9981677324847783, 0.5833634639911804),
+        (0.2293103448275862, 1.0, 0.9976009644280592, 0.6310135782530182),
+        (0.2206896551724138, 1.0, 0.9981677324847783, 0.5833634639911804),
         (0.1706896551724138, 1.0, 0.9986422369392045, 0.4784882421681737),
     ]),
 }

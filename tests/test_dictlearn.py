@@ -333,6 +333,7 @@ def test_psd_project_rejects_nonfinite():
 @example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1)  # repeated zeros
 @example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2)    # k = m
 @example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3)     # k = 0
+@example(vals=[0.0625] * 4, sign=-1.0, seed=2)           # cluster: dsyevr info=1
 def test_negative_cut_matches_psd_project(vals, sign, seed):
     """The loop's projection subtracts the eigenpairs at or below zero; it
     must agree with the full clamp of psd_project. sign = +-1 makes every
@@ -746,7 +747,8 @@ def test_fit_wraps_linalg_error(monkeypatch):
 
 def _lapack_failing_once(real):
     """A stand-in for a LAPACK wrapper whose first call returns info = 1
-    (its last output); later calls go to the real routine."""
+    (its last output); later calls go to the real routine. ``fake.calls``
+    counts the calls."""
     calls = []
 
     def fake(*args, **kwargs):
@@ -754,31 +756,52 @@ def _lapack_failing_once(real):
         calls.append(None)
         return out[:-1] + (1,) if len(calls) == 1 else out
 
+    fake.calls = calls
+    return fake
+
+
+def _eigh_failing_after(failing, real):
+    """A stand-in for dictlearn.eigh that raises on its first call after the
+    first (failing) call of ``failing``: the projection's full fallback."""
+    raised = []
+
+    def fake(M):
+        if len(failing.calls) == 1 and not raised:
+            raised.append(None)
+            raise NumericalError("eigendecomposition failed: Eigenvalues did not converge")
+        return real(M)
+
     return fake
 
 
 @pytest.mark.parametrize("kind, routine", [("labels", "dsyevr"), ("grouping", "dpotrf"),
                                            ("grouping", "dpotrs")])
 def test_lapack_info_raises_and_fails_one_candidate(monkeypatch, kind, routine):
-    """A nonzero info from the loop's projection (dsyevr), its pair-system
-    factorization (dpotrf) or its pair solve (dpotrs) raises NumericalError
-    from fit; select_lambda scores that candidate -inf and goes on with the
-    rest of the grid."""
+    """A nonzero info from the loop's projection (dsyevr) together with its
+    full fallback, its pair-system factorization (dpotrf) or its pair solve
+    (dpotrs) raises NumericalError from fit; select_lambda scores that
+    candidate -inf and goes on with the rest of the grid."""
     rng = np.random.default_rng(31)
     if kind == "labels":
         core, side = _random_labeled_problem(rng, m=5, l=8)
     else:
         core, side = _random_grouping_problem(rng, m=5)
-    real = getattr(dictlearn, routine)
+    real, real_eigh = getattr(dictlearn, routine), dictlearn.eigh
     assert fit(core, side, LearnConfig(lam=1e-3)).report.iterations > 0
 
-    monkeypatch.setattr(dictlearn, routine, _lapack_failing_once(real))
+    def fail_once():
+        fake = _lapack_failing_once(real)
+        monkeypatch.setattr(dictlearn, routine, fake)
+        if routine == "dsyevr":
+            monkeypatch.setattr(dictlearn, "eigh", _eigh_failing_after(fake, real_eigh))
+
+    fail_once()
     with pytest.raises(NumericalError, match=f"{routine} info=1"):
         fit(core, side, LearnConfig(lam=1e-3))
 
     # Only the first call fails: the first candidate runs the loop, so it
     # alone is lost.
-    monkeypatch.setattr(dictlearn, routine, _lapack_failing_once(real))
+    fail_once()
     report = select_lambda(core, side, grid=(1e-3, 1.0, 100.0))
     failed = report.records[0]
     assert failed.criterion == -np.inf
@@ -786,6 +809,19 @@ def test_lapack_info_raises_and_fails_one_candidate(monkeypatch, kind, routine):
     assert f"{routine} info=1" in failed.failure
     assert all(r.failure is None and r.S is not None for r in report.records[1:])
     assert report.chosen_lambda != 1e-3
+
+
+def test_failed_partial_projection_falls_back_to_full_one(monkeypatch):
+    """A nonzero dsyevr info in the loop's projection hands the matrix to the
+    full projection; the fit goes on to the optimum."""
+    core, side = _random_labeled_problem(np.random.default_rng(31), m=5, l=8)
+    lam = 1e-3
+    fake = _lapack_failing_once(dictlearn.dsyevr)
+    monkeypatch.setattr(dictlearn, "dsyevr", fake)
+    result = fit(core, side, LearnConfig(lam=lam))
+    assert len(fake.calls) > 1
+    assert result.report.converged_by != "max_iters"
+    _assert_kkt(result.state.S, core, side, lam)
 
 
 # ---------------------------------------------------------------------------

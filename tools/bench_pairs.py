@@ -23,8 +23,9 @@ side always finds the machine in the same state. The output file holds, per
 workload and end-to-end metric, every run, each side's median and quartiles,
 the ratio of the medians and the number of pairs the change wins (it reads
 lower; ties count for neither), plus the failed and attempted operations of
-every run. It also holds one traced run per side of the solver workloads
-(``--seed 0 --seconds 14 --trace 1``), for their quality and solver metrics.
+every run. It also holds one traced run per side of every workload
+(``--seed 0 --seconds 14 --trace 1``), for its quality, solver and
+classifier metrics.
 """
 
 import argparse
@@ -43,10 +44,10 @@ RUN_SECONDS = 28
 # Pairs per workload; a claimed gain needs the change to win 9 of 10.
 PAIRS = 10
 TRACED_SEED, TRACED_SECONDS = 0, 14
-TRACED_WORKLOADS = ("fit-pairs", "select-moons")
 TRACED_METRICS = ("objective", "stationarity", "test_error", "dictlearn.iterations",
                   "dictlearn.converged_ratio", "dictlearn.s_per_iteration",
-                  "dictlearn.fit.s", "dictlearn.fit.calls", "linalg.eigh.calls")
+                  "dictlearn.fit.s", "dictlearn.fit.calls", "linalg.eigh.calls",
+                  "linear_svm.train_linear.s", "linear_svm.predict.s")
 
 
 def parse_args(argv):
@@ -141,7 +142,7 @@ def main(argv=None):
                                      for k, v in result["metrics"].items()), flush=True)
             report[workload] = compare(seeds, results)
         traced = {}
-        for workload in TRACED_WORKLOADS:
+        for workload in workloads:
             sides = {side: run_bench(dirs[side], workload, TRACED_SEED, TRACED_SECONDS,
                                      1)[1]["metrics"]
                      for side in ("parent", "change")}
