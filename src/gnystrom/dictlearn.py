@@ -17,12 +17,15 @@ term exactly, the y-step is the projection, and the penalty rho is set by
 residual balancing. The projection computes only the eigenpairs it
 removes, those with eigenvalue <= 0 (LAPACK dsyevr), and subtracts them;
 computing only the part of the spectrum a projection changes is the idea
-behind ProxSDP (Souto, Garcia & Veiga 2022). The loop's matrices have a
-handful of negative eigenvalues, so at m = 60 this costs about half of a
-full eigendecomposition. The loop runs in the eigenbasis V of C = El.T @ El =
-V diag(c) V.T, rescaled by the congruence diag(1 / sqrt(sqrt(lam) + c)),
-which maps the PSD cone onto itself and evens out the curvature at small
-lam. Only the x-step differs by kind:
+behind ProxSDP (Souto, Garcia & Veiga 2022). The loop's matrices usually
+have a handful of negative eigenvalues, so at m = 60 this costs about half
+of a full eigendecomposition; while the previous projection removed more
+than a quarter of the spectrum, where dsyevr costs about as much as a full
+eigendecomposition or more, the loop takes the full one instead. The loop
+runs in the eigenbasis V of C = El.T @ El = V diag(c) V.T, rescaled by the
+congruence diag(1 / sqrt(sqrt(lam) + c)), which maps the PSD cone onto
+itself and evens out the curvature at small lam. Only the x-step differs
+by kind:
 
 * label kind: the Hessian of J is diagonal in V, with weights
   2 * (lam + c_i * c_j), so the x-step is elementwise;
@@ -72,6 +75,13 @@ _ACCEPT_SLACK = 1e-12
 _OBJ_WINDOW = 20
 # factorize keeps eigenvalues above this fraction of the largest.
 _RANK_RTOL = 1e-12
+# The loop projects with a full eigendecomposition while the previous
+# projection clamped more than this share of the m eigenvalues, and with
+# the partial one (dsyevr) otherwise. Measured ratios of their costs, one
+# BLAS thread, cross 1 at about 0.4 of m for m = 25, 0.23 for m = 60, 0.15
+# for m = 200 and 0.19 for m = 500; between those points and 0.25 the one
+# taken costs at most about a third more than the other.
+_FULL_PROJECTION_SHARE = 0.25
 # Differences of the ADMM fixed-point map kept by Anderson acceleration.
 _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
@@ -325,30 +335,37 @@ def _project(M):
     return 0.5 * (out + out.T)
 
 
-def _cut_negative(M):
-    """PSD projection of the symmetrized M that computes only its
-    eigenpairs with eigenvalue <= 0 and subtracts them.
+def _cut_negative(M, full=False):
+    """PSD projection of the symmetrized M, and the number k of eigenvalues
+    at or below 0 it clamped.
 
-    Exact in exact arithmetic; in floating point it leaves rounding of
-    size eps * ||M_-|| along the removed directions, so :func:`fit` passes
-    the matrix it returns through one full :func:`_project`.
+    It computes those k eigenpairs and subtracts them: only those (dsyevr),
+    or with ``full`` all of them (eigh), which costs less once k is more
+    than ``_FULL_PROJECTION_SHARE`` (a quarter) of m. Exact in exact
+    arithmetic; in floating point it leaves rounding of size eps * ||M_-||
+    along the removed directions, so :func:`fit` passes the matrix it
+    returns through one full :func:`_project`.
 
     dsyevr's bisection and inverse iteration can fail (nonzero info) when
-    the nonpositive eigenvalues form an exact cluster; the full projection
-    then takes over, and only its failure raises.
+    the nonpositive eigenvalues form an exact cluster; the full
+    decomposition then takes over, and only its failure raises.
     """
     M = 0.5 * (M + M.T)
-    vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0,
-                                    lower=1)
-    if info != 0:
-        try:
-            return _project(M)
-        except NumericalError as exc:
-            raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
-                                 f"and the full fallback: {exc}") from exc
+    if full:
+        vals, vecs = eigh(M)
+        k = int(np.count_nonzero(vals <= 0.0))
+    else:
+        vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0,
+                                        lower=1)
+        if info != 0:
+            try:
+                return _cut_negative(M, full=True)
+            except NumericalError as exc:
+                raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
+                                     f"and the full fallback: {exc}") from exc
     if k:
         M -= (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.T), int(k)
 
 
 def init_closed_form(core, side, lam, project=True):
@@ -501,6 +518,8 @@ class _ADMM:
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
         self.Fa = self.factor_rho = None
+        # Eigenvalues the last projection clamped; they pick the next one's method.
+        self.negatives = 0
         pairs = side.kind == "grouping"
         self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
         # The mean diagonal of the Hessian in Z.
@@ -604,7 +623,8 @@ class _ADMM:
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
         the projection Y = P(W), J(Y) and the bound on the mapping norm at Y."""
-        Y = _cut_negative(self.W)
+        Y, self.negatives = _cut_negative(
+            self.W, full=self.negatives > _FULL_PROJECTION_SHARE * self.Y0.shape[0])
         U = self.W - Y
         value, grad = self._evaluate(Y)
         # -rho * U, the part the projection cut off scaled by -rho, is PSD and

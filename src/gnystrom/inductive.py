@@ -103,10 +103,11 @@ def embed(model, Xnew):
     """Low-rank features for new samples: k(Xnew, Z) @ L.
 
     Inner products of the returned rows reproduce the learned similarity.
-    The kernel block comes from one matrix product on landmark-centred
-    copies, with the exponential taken in place (:func:`kernels._rbf_block`),
-    so a call holds one n x m temporary besides its n x rank result; it
-    matches ``kernel_matrix(Xnew, Z) @ L`` to about 1e-15 relative to ``L``.
+    The kernel block's exponents come from one n x (d+2) by (d+2) x m matrix
+    product on landmark-centred copies, with the exponential taken in place
+    (:func:`kernels._rbf_block`), so a call holds one n x m temporary
+    besides its n x rank result; it matches ``kernel_matrix(Xnew, Z) @ L`` to
+    about 1e-15 relative to ``L``.
     """
     Xnew = as_data_matrix(Xnew, "Xnew")
     if Xnew.shape[1] != model.landmarks.shape[1]:

@@ -105,29 +105,43 @@ def kernel_matrix(A, B, params):
 def _rbf_block(X, Z, bandwidth):
     """Kernel block ``exp(-|x - z|^2 / bandwidth)`` for rows X and landmarks Z.
 
-    Squared distances come from one matrix product,
-    ``|x-c|^2 + |z-c|^2 - 2 (x-c).(z-c)``, with both sides centred at the
+    The exponent ``-|x-z|^2 / bandwidth`` comes from one n x (d+2) by
+    (d+2) x m matrix product, ``[x-c, |x-c|^2, 1]`` against
+    ``[2 (z-c) / b, -1 / b, -|z-c|^2 / b]``, with both sides centred at the
     landmark mean ``c`` so that cancellation error scales with the data's
     spread, not with its offset. A row with an entry the expansion cannot
-    tell from zero (at or below its rounding bound, which covers every
-    negative result) is recomputed pairwise, so a row equal to a landmark
-    gets exactly 1 in that landmark's column. The exponential is taken in
-    place: one n x m buffer. Agrees with :func:`kernel_matrix` to about 1e-15.
+    tell from zero distance (at or above minus its rounding bound, which
+    covers every positive result), or one that overflowed, is recomputed
+    pairwise, so a row equal to a landmark gets exactly 1 in that landmark's
+    column. The exponential is taken in place: one n x m buffer, written by
+    the product and rewritten by ``exp``, with one row max read in between.
+    Agrees with :func:`kernel_matrix` to about 1e-15.
     """
-    c = Z.mean(axis=0)
-    Zc = Z - c
-    Xc = X - c
-    sq_x = np.einsum("ij,ij->i", Xc, Xc)
-    sq_z = np.einsum("ij,ij->i", Zc, Zc)
-    block = Xc @ (-2.0 * Zc).T
-    block += sq_x[:, None]
-    block += sq_z
-    # A computed dot product of length d is off by at most about
-    # d * eps * |x||z|; the norms and the two additions add a few eps more.
-    bound = (X.shape[1] + 2) * np.finfo(np.float64).eps * (sq_x + sq_z.max())
-    near = np.flatnonzero(block.min(axis=1) <= bound)
-    block[near] = cdist(X[near], Z, "sqeuclidean")
-    block /= -bandwidth
+    n, d = X.shape
+    # A row whose terms overflow (coordinates near the largest float, or a
+    # bandwidth near the smallest) holds inf or nan and fails the test for
+    # rows to recompute below; a pairwise exponent that overflows is -inf,
+    # whose exponential 0 is right. So overflow here needs no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = Z.mean(axis=0)
+        Zc = Z - c
+        sq_z = np.einsum("ij,ij->i", Zc, Zc)
+        Xa = np.empty((n, d + 2))
+        Xc = np.subtract(X, c, out=Xa[:, :d])
+        sq_x = np.einsum("ij,ij->i", Xc, Xc, out=Xa[:, d])
+        Xa[:, d + 1] = 1.0
+        Za = np.empty((Z.shape[0], d + 2))
+        np.multiply(Zc, 2.0 / bandwidth, out=Za[:, :d])
+        Za[:, d] = -1.0 / bandwidth
+        np.divide(sq_z, -bandwidth, out=Za[:, d + 1])
+        block = Xa @ Za.T
+        # The computed dot product of length d + 2 is off by at most about
+        # (d + 2) * eps times the sum of its terms' magnitudes,
+        # (2 |x-c||z-c| + |x-c|^2 + |z-c|^2) / b <= 2 (|x-c|^2 + |z-c|^2) / b;
+        # rounding the operands' entries adds a few eps more.
+        bound = 2.0 * (d + 4) * np.finfo(np.float64).eps / bandwidth * (sq_x + sq_z.max())
+        near = np.flatnonzero(~(block.max(axis=1) < -bound))
+        block[near] = cdist(X[near], Z, "sqeuclidean") / -bandwidth
     return np.exp(block, out=block)
 
 

@@ -12,6 +12,8 @@ LANDMARK_METHODS = ("kmeans", "random")
 # Iteration cap and relative movement tolerance of select_kmeans's Lloyd run.
 _LLOYD_MAX_ITERS = 100
 _LLOYD_TOL = 1e-6
+# Scores per row block of a Lloyd assignment step (512 KiB, L2-sized).
+_ASSIGN_SCORES = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,11 @@ def lloyd_iterations(X, centers, max_iters, tol):
     up empty are re-seeded with points farthest from their assigned center,
     which also cannot increase the objective.
 
-    Each assignment step is one n x k matrix product (see :func:`_assign`),
-    and each update one weighted ``bincount``. Iteration stops once no
-    center moves more than ``tol * max|X - mean(X)|``.
+    Each assignment step is one matrix product per block of about
+    2**16 / k rows, whose scores stay in cache (see :func:`_assign`), and
+    each update one weighted ``bincount`` per feature. Iteration stops once
+    no center moves more than ``tol * max|X - mean(X)|``. Besides X the run
+    holds one n x d copy, a few length-n vectors and one block of scores.
     """
     X = as_data_matrix(X)
     centers = np.array(centers, dtype=np.float64)
@@ -103,8 +107,6 @@ def lloyd_iterations(X, centers, max_iters, tol):
     mean = X.mean(axis=0)
     Xc = X - mean
     threshold = tol * float(np.abs(Xc).max())
-    # Row-major flat index of (assign[i], j) for every entry X[i, j].
-    columns = np.arange(d)
     trace = []
     for _ in range(max_iters):
         assign, nearest = _assign(X, Xc, mean, centers)
@@ -112,8 +114,9 @@ def lloyd_iterations(X, centers, max_iters, tol):
 
         assign = _repair_empty(assign, nearest, k)
         counts = np.bincount(assign, minlength=k)
-        flat = (assign[:, None] * d + columns).ravel()
-        new_centers = np.bincount(flat, weights=X.ravel(), minlength=k * d).reshape(k, d)
+        new_centers = np.empty((k, d))
+        for j in range(d):
+            new_centers[:, j] = np.bincount(assign, weights=X[:, j], minlength=k)
         new_centers /= counts[:, None]
 
         movement = float(np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=1))))
@@ -126,19 +129,37 @@ def lloyd_iterations(X, centers, max_iters, tol):
 def _assign(X, Xc, mean, centers):
     """Nearest center of every row of X, and the squared distance to it.
 
-    Ranks centers by ``||z||^2 - 2 x.z`` with one matrix product. Both sides
-    are shifted by ``mean`` first (``Xc = X - mean``), which keeps the
-    expansion's cancellation error at the scale of the data's spread rather
-    than of its offset. The distances are recomputed from the original rows.
+    Ranks centers by ``||z||^2 - 2 x.z``, one matrix product per block of
+    rows. Both sides are shifted by ``mean`` first (``Xc = X - mean``), which
+    keeps the expansion's cancellation error at the scale of the data's
+    spread rather than of its offset. The distances are recomputed from the
+    original rows. A block's scores (about 2**16 of them, 512 KiB) stay in
+    cache between the product, the norm addition and the argmin, where one
+    n x k score matrix would go to memory and back; a row's scores do not
+    depend on the block it falls in, so the result is the same as from one
+    product over all rows.
     """
+    n, k = X.shape[0], centers.shape[0]
     Zc = centers - mean
     # Scaling by -2 is exact, so folding it into the k x d operand gives the
     # same bits as scaling the n x k product.
-    scores = Xc @ (-2.0 * Zc).T
-    scores += np.einsum("ij,ij->i", Zc, Zc)
-    assign = scores.argmin(axis=1)
-    diff = X - centers[assign]
-    return assign, np.einsum("ij,ij->i", diff, diff)
+    W = (-2.0 * Zc).T
+    sq_z = np.einsum("ij,ij->i", Zc, Zc)
+    rows = max(2, _ASSIGN_SCORES // k)
+    assign = np.empty(n, dtype=np.intp)
+    nearest = np.empty(n)
+    start = 0
+    while start < n:
+        # A one-row product would go to BLAS's matrix-vector routine, whose
+        # sums may round differently; a lone last row joins the block before.
+        stop = start + rows if n - start - rows > 1 else n
+        scores = Xc[start:stop] @ W
+        scores += sq_z
+        part = scores.argmin(axis=1, out=assign[start:stop])
+        diff = X[start:stop] - centers[part]
+        np.einsum("ij,ij->i", diff, diff, out=nearest[start:stop])
+        start = stop
+    return assign, nearest
 
 
 def _repair_empty(assign, nearest, k):

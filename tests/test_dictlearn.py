@@ -327,22 +327,25 @@ def test_psd_project_rejects_nonfinite():
 @settings(max_examples=200, deadline=None)
 @given(vals=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1,
                      max_size=12),
-       sign=st.sampled_from((-1.0, 0.0, 1.0)), seed=st.integers(0, 2**31 - 1))
-@example(vals=[-2.0], sign=0.0, seed=0)                  # m = 1, k = m
-@example(vals=[3.0], sign=0.0, seed=0)                   # m = 1, k = 0
-@example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1)  # repeated zeros
-@example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2)    # k = m
-@example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3)     # k = 0
-@example(vals=[0.0625] * 4, sign=-1.0, seed=2)           # cluster: dsyevr info=1
-def test_negative_cut_matches_psd_project(vals, sign, seed):
-    """The loop's projection subtracts the eigenpairs at or below zero; it
-    must agree with the full clamp of psd_project. sign = +-1 makes every
-    eigenvalue nonnegative or nonpositive, 0 keeps the mixed spectrum."""
+       sign=st.sampled_from((-1.0, 0.0, 1.0)), seed=st.integers(0, 2**31 - 1),
+       full=st.booleans())
+@example(vals=[-2.0], sign=0.0, seed=0, full=False)                  # m = 1, k = m
+@example(vals=[3.0], sign=0.0, seed=0, full=False)                   # m = 1, k = 0
+@example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1, full=False)  # repeated zeros
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2, full=False)    # k = m
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3, full=False)     # k = 0
+@example(vals=[0.0625] * 4, sign=-1.0, seed=2, full=False)           # cluster: dsyevr info=1
+@example(vals=[-2.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1, full=True)
+def test_negative_cut_matches_psd_project(vals, sign, seed, full):
+    """The loop's projection subtracts the eigenpairs at or below zero,
+    from the partial or the full eigendecomposition; it must agree with the
+    full clamp of psd_project. sign = +-1 makes every eigenvalue nonnegative
+    or nonpositive, 0 keeps the mixed spectrum."""
     vals = np.asarray(vals) if sign == 0.0 else sign * np.abs(vals)
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
     M = (Q * vals) @ Q.T
     expected = psd_project(M)
-    got = dictlearn._cut_negative(M)
+    got, _ = dictlearn._cut_negative(M, full=full)
     assert np.array_equal(got, got.T)
     assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(M))
 
@@ -678,9 +681,9 @@ def test_rejected_extrapolation_falls_back_to_plain_step(monkeypatch):
             corrupted.append((f, W))
         return W
 
-    def record(M):
+    def record(M, **kwargs):
         inputs.append(M)
-        return cut(M)
+        return cut(M, **kwargs)
 
     monkeypatch.setattr(dictlearn._Anderson, "extrapolate", corrupt_first)
     monkeypatch.setattr(dictlearn, "_cut_negative", record)
@@ -824,6 +827,31 @@ def test_failed_partial_projection_falls_back_to_full_one(monkeypatch):
     _assert_kkt(result.state.S, core, side, lam)
 
 
+def test_projection_goes_full_when_most_of_the_spectrum_is_cut(monkeypatch):
+    """At lam = 0 with 20 labels and m = 200, about half of the spectrum of
+    each projected matrix is negative (k = 89-107), where the partial
+    eigendecomposition costs more than the full one: after the first
+    projection the loop takes the full one, and still reaches the optimum."""
+    ds = make_blobs(3000, 10, seed=7)
+    Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=0))
+    core = build_core(ds.X, Z, KernelParams(bandwidth=bandwidth_heuristic(ds.X)))
+    side = SideInformation.from_labels(sample_labeled(ds, 20, 0))
+    cut, calls = dictlearn._cut_negative, []
+
+    def record(M, full=False):
+        Y, k = cut(M, full=full)
+        calls.append((full, k))
+        return Y, k
+
+    monkeypatch.setattr(dictlearn, "_cut_negative", record)
+    result = fit(core, side, LearnConfig(lam=0.0))
+    assert calls[0][0] is False
+    assert all(k > dictlearn._FULL_PROJECTION_SHARE * 200 for _, k in calls)
+    assert all(full for full, _ in calls[1:]) and len(calls) > 1
+    assert result.report.converged_by == "grad_norm"
+    _assert_kkt(result.state.S, core, side, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # reports and states
 
@@ -899,3 +927,4 @@ def test_factorize_accepts_dictionary_state():
 def test_factorize_zero_matrix():
     L = factorize(np.zeros((3, 3)))
     assert L.shape == (3, 0)
+

@@ -2,6 +2,7 @@
 construction, double-centering, and the normalized alignment score."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ def test_rbf_block_matches_kernel_matrix(seed, n, m, d, scale, offset, width):
     block = _rbf_block(X, Z, params.bandwidth)
     assert_allclose(block, kernel_matrix(X, Z, params), rtol=0, atol=1e-13)
     assert np.all(block[np.arange(hits.size), hits] == 1.0)
+
+
+
+@pytest.mark.parametrize("scale, bandwidth", [(1e200, 1.0), (1.0, 1e-310)])
+def test_rbf_block_overflow_goes_pairwise_without_warnings(scale, bandwidth):
+    # Terms of the expansion overflow to inf or nan; those rows are
+    # recomputed pairwise, and nothing warns.
+    Z = scale * np.array([[1.0, 0.0], [-1.0, 1.0], [0.5, 0.5]])
+    X = np.vstack([Z[:1], scale * np.array([[0.0, 0.0], [0.25, -1.0]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = _rbf_block(X, Z, bandwidth)
+    with np.errstate(over="ignore"):
+        expected = kernel_matrix(X, Z, KernelParams(bandwidth=bandwidth))
+    assert np.array_equal(block, expected)
+    assert block[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for landmark selection: uniform sampling and Lloyd k-means."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,46 @@ def test_assignment_matches_cdist_and_trace_never_rises(seed, n, d, k, scale, of
     assert np.all(np.diff(trace) <= 1e-9 * (trace[:-1] + scale**2))
 
 
+def _one_shot_assign(X, Xc, mean, centers):
+    """The assignment step as one n x k product over all rows."""
+    Zc = centers - mean
+    scores = Xc @ (-2.0 * Zc).T
+    scores += np.einsum("ij,ij->i", Zc, Zc)
+    assign = scores.argmin(axis=1)
+    diff = X - centers[assign]
+    return assign, np.einsum("ij,ij->i", diff, diff)
+
+
+# With k = 200 a block holds 327 rows: n = 300 is one block, 327 exactly
+# one, 328 one block with the lone last row joined to it, 330 and 8000 a
+# short last block.
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (300, 200), (327, 200), (328, 200),
+                                  (330, 200), (8000, 200), (3001, 60), (400, 25)])
+def test_blocked_assignment_matches_one_shot_product(n, k):
+    X = make_blobs(8000, 20, n_classes=4, separation=3.0, seed=9).X[:n] + 1e3
+    rng = np.random.default_rng(n + k)
+    centers = X[rng.choice(n, size=k, replace=False)] + 0.3 * rng.normal(size=(k, 20))
+    mean = X.mean(axis=0)
+    assign, nearest = _assign(X, X - mean, mean, centers)
+    expected_assign, expected_nearest = _one_shot_assign(X, X - mean, mean, centers)
+    assert np.array_equal(assign, expected_assign)
+    assert np.array_equal(nearest, expected_nearest)
+
+
+def test_kmeans_memory_stays_below_the_score_matrix():
+    # One n x k score matrix is 12.8 MB here; the blocked assignment holds
+    # one block of scores, besides an n x d copy of X and length-n vectors.
+    n, k = 8000, 200
+    X = make_blobs(n, 20, n_classes=4, separation=3.0, seed=9).X
+    tracemalloc.start()
+    try:
+        select_kmeans(X, KMeansConfig(k=k, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8 / 4
+
+
 # ---------------------------------------------------------------------------
 # LandmarkSet
 
@@ -260,3 +302,4 @@ def test_landmark_set_validation():
         LandmarkSet(points=np.array([[np.nan]]), method="kmeans", seed=0)
     with pytest.raises(InputError):
         LandmarkSet(points=np.ones((2, 2)), method="other", seed=0)
+

@@ -23,13 +23,18 @@ side always finds the machine in the same state. The output file holds, per
 workload and end-to-end metric, every run, each side's median and quartiles,
 the ratio of the medians and the number of pairs the change wins (it reads
 lower; ties count for neither), plus the failed and attempted operations of
-every run. It also holds one traced run per side of every workload
-(``--seed 0 --seconds 14 --trace 1``), for its quality, solver and
-classifier metrics.
+every run and the minor page faults and system CPU seconds each run cost
+(``getrusage(RUSAGE_CHILDREN)`` deltas around it). It also holds three
+traced runs per side of every workload (``--seed S --seconds 14 --trace 1``
+for S = 0, 1, 2, alternating sides like the pairs), with every run, the
+median and the quartiles per side of their quality, solver, classifier and
+per-layer metrics: one traced run per side cannot tell a 30% move of a
+layer from noise.
 """
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import tarfile
@@ -43,11 +48,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 28
 # Pairs per workload; a claimed gain needs the change to win 9 of 10.
 PAIRS = 10
-TRACED_SEED, TRACED_SECONDS = 0, 14
+TRACED_SEEDS, TRACED_SECONDS = (0, 1, 2), 14
 TRACED_METRICS = ("objective", "stationarity", "test_error", "dictlearn.iterations",
                   "dictlearn.converged_ratio", "dictlearn.s_per_iteration",
-                  "dictlearn.fit.s", "dictlearn.fit.calls", "linalg.eigh.calls",
-                  "linear_svm.train_linear.s", "linear_svm.predict.s")
+                  "dictlearn.fit.s", "dictlearn.fit.calls", "dictlearn.factorize.s",
+                  "linalg.eigh.calls", "linalg.eigvalsh.calls",
+                  "landmarks.select_kmeans.s", "nystrom.build_core.s",
+                  "inductive.embed.s", "linear_svm.train_linear.s",
+                  "linear_svm.predict.s")
 
 
 def parse_args(argv):
@@ -78,17 +86,22 @@ def export(rev, into):
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
-    """One bench run; returns (env, result) from its output."""
+    """One bench run; returns (env, result, usage): the run's output, and its
+    minor page faults and system CPU seconds."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
+             "system_s": after.ru_stime - before.ru_stime}
     if proc.returncode != 0:
         raise RuntimeError(f"bench run {workload} seed {seed} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line[len("# env "):]) for line in lines if line.startswith("# env "))
-    return env, json.loads(lines[-1])
+    return env, json.loads(lines[-1]), usage
 
 
 def summary(runs):
@@ -97,12 +110,16 @@ def summary(runs):
             "iqr": float(q3 - q1)}
 
 
-def compare(seeds, results):
-    """Per-metric summary of one workload's pairs; results[side] is a list of
-    bench results in seed order."""
+def compare(seeds, results, usage):
+    """Per-metric summary of one workload's pairs; results[side] and
+    usage[side] are lists of bench results and of resource usages in seed
+    order."""
     out = {"seeds": seeds,
            "failed": {side: [r["failed"] for r in results[side]] for side in results},
            "attempted": {side: [r["attempted"] for r in results[side]] for side in results},
+           "rusage": {side: {key: summary([u[key] for u in usage[side]])
+                             for key in ("minor_faults", "system_s")}
+                      for side in usage},
            "metrics": {}}
     for name, entry in results["parent"][0]["metrics"].items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -118,6 +135,11 @@ def compare(seeds, results):
     return out
 
 
+def order(seed):
+    """Odd seeds run the parent first, even seeds the change."""
+    return ("parent", "change") if seed % 2 else ("change", "parent")
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -130,24 +152,28 @@ def main(argv=None):
         host, report = None, {}
         for workload in workloads:
             results = {"parent": [], "change": []}
+            usage = {"parent": [], "change": []}
             for seed in seeds:
-                order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for side in order:
-                    env, result = run_bench(dirs[side], workload, seed, RUN_SECONDS, 0)
+                for side in order(seed):
+                    env, result, used = run_bench(dirs[side], workload, seed, RUN_SECONDS, 0)
                     host = host or {k: env[k] for k in ("nproc", "blas_threads", "python",
                                                         "numpy", "scipy", "blas")}
                     results[side].append(result)
+                    usage[side].append(used)
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{k}={v['value']:.6g}"
                                      for k, v in result["metrics"].items()), flush=True)
-            report[workload] = compare(seeds, results)
+            report[workload] = compare(seeds, results, usage)
         traced = {}
         for workload in workloads:
-            sides = {side: run_bench(dirs[side], workload, TRACED_SEED, TRACED_SECONDS,
-                                     1)[1]["metrics"]
-                     for side in ("parent", "change")}
-            traced[workload] = {name: {side: sides[side][name]["value"] for side in sides}
-                                for name in TRACED_METRICS}
+            runs = {"parent": [], "change": []}
+            for seed in TRACED_SEEDS:
+                for side in order(seed):
+                    runs[side].append(run_bench(dirs[side], workload, seed, TRACED_SECONDS,
+                                                1)[1]["metrics"])
+            traced[workload] = {
+                name: {side: summary([r[name]["value"] for r in runs[side]]) for side in runs}
+                for name in TRACED_METRICS}
     doc = {
         "description": args.description,
         "trees": trees,
@@ -157,11 +183,14 @@ def main(argv=None):
                    "git trees, named in 'trees' by the hashes of their src/ and bench/; odd seeds run the parent first, even seeds the change "
                    f"first. Per run: python3 bench/run.py --workload W --seed S --seconds "
                    f"{RUN_SECONDS} --trace 0. Medians and quartiles are numpy.percentile over "
-                   "the runs; change_wins counts pairs where the change reads lower."),
+                   "the runs; change_wins counts pairs where the change reads lower. "
+                   "rusage holds each run's minor page faults and system CPU seconds, "
+                   "getrusage(RUSAGE_CHILDREN) deltas around it."),
     }
-    doc["traced_seed"] = {
-        "command": (f"python3 bench/run.py --workload W --seed {TRACED_SEED} "
-                    f"--seconds {TRACED_SECONDS} --trace 1"),
+    doc["traced_seeds"] = {
+        "command": (f"python3 bench/run.py --workload W --seed S --seconds {TRACED_SECONDS} "
+                    f"--trace 1 for S in {list(TRACED_SEEDS)}, sides alternating as in the "
+                    "pairs; per side, the runs in seed order and their median and quartiles"),
         **traced}
     doc["workloads"] = report
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
