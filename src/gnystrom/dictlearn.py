@@ -14,7 +14,11 @@ solution of the unconstrained problem provides the warm start.
 One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
 splits J from the PSD constraint: the x-step minimizes J plus a proximal
 term exactly, the y-step is the projection, and the penalty rho is set by
-residual balancing. The projection computes only the eigenpairs it
+residual balancing: halved or doubled when one residual exceeds the other
+100-fold. It starts at a quarter of the mean Hessian diagonal in the
+loop's coordinates, near where balancing settles (see _RHO_START), since
+each change of rho clears the acceleration's memory and, for pairs,
+refactors the p x p system. The projection computes only the eigenpairs it
 removes, those with eigenvalue <= 0 (LAPACK dsyevr), and subtracts them;
 computing only the part of the spectrum a projection changes is the idea
 behind ProxSDP (Souto, Garcia & Veiga 2022). The loop's matrices usually
@@ -49,7 +53,10 @@ with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
 constant of grad J. It vanishes exactly at the constrained optimum. Each
 iteration bounds it by ||grad J(S) - M||_F, where M = -rho * U is the PSD
 part the projection cut off, orthogonal to S for any W; that residual of the
-optimality conditions needs no further eigendecomposition. A second test
+optimality conditions needs no further eigendecomposition. The bound holds
+at the current iterate, while the loop returns the best one, so a stop on
+it is confirmed by the gradient-mapping norm of the matrix returned, and
+the loop goes on if that exceeds the tolerance. A second test
 stops once the best objective stalls. The returned S goes through one
 full projection: the subtraction leaves rounding along the removed
 directions, which the congruence back to S can magnify past the PSD
@@ -82,6 +89,16 @@ _RANK_RTOL = 1e-12
 # for m = 200 and 0.19 for m = 500; between those points and 0.25 the one
 # taken costs at most about a third more than the other.
 _FULL_PROJECTION_SHARE = 0.25
+# ADMM's penalty rho starts at this fraction of twice the mean diagonal of
+# the Hessian in Z (pair term included). Started at twice that mean and
+# balanced on a 10-fold imbalance, rho ended at 1/4 or 1/8 of its start in
+# 28 of 29 measured fits (the benchmark's 16 iterating label fits at m = 25
+# and 10 pair fits at m = 60, and 3 label fits at m = 200) and at 1/16 in
+# one pair fit.
+_RHO_START = 0.125
+# Residual balancing halves or doubles rho only when one residual exceeds
+# the other by this factor.
+_RHO_IMBALANCE = 100.0
 # Differences of the ADMM fixed-point map kept by Anderson acceleration.
 _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
@@ -247,7 +264,10 @@ class SolverReport:
     L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
     at its initializer reports ||grad J||_F instead, which bounds it.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
-    stopping at the iteration cap is reported, not raised.
+    stopping at the iteration cap is reported, not raised; "grad_norm"
+    means ``final_grad_norm`` is within the tolerance. ``rho_updates``
+    counts the loop's changes of its penalty rho and ``factor_builds`` its
+    Cholesky factorizations of the p x p pair system (0 for labels).
     """
 
     iterations: int
@@ -255,6 +275,8 @@ class SolverReport:
     final_grad_norm: float
     converged_by: str
     iterates: tuple | None = None
+    rho_updates: int = 0
+    factor_builds: int = 0
 
     def __post_init__(self):
         if self.converged_by not in CONVERGENCE_REASONS:
@@ -339,18 +361,28 @@ def _cut_negative(M, full=False):
     """PSD projection of the symmetrized M, and the number k of eigenvalues
     at or below 0 it clamped.
 
-    It computes those k eigenpairs and subtracts them: only those (dsyevr),
-    or with ``full`` all of them (eigh), which costs less once k is more
-    than ``_FULL_PROJECTION_SHARE`` (a quarter) of m. Exact in exact
+    It subtracts the :func:`_negative_part` of M. Exact in exact
     arithmetic; in floating point it leaves rounding of size eps * ||M_-||
     along the removed directions, so :func:`fit` passes the matrix it
     returns through one full :func:`_project`.
-
-    dsyevr's bisection and inverse iteration can fail (nonzero info) when
-    the nonpositive eigenvalues form an exact cluster; the full
-    decomposition then takes over, and only its failure raises.
     """
     M = 0.5 * (M + M.T)
+    N, k = _negative_part(M, full)
+    M -= N
+    return 0.5 * (M + M.T), k
+
+
+def _negative_part(M, full=False):
+    """The part of the symmetric M on its eigenvalues at or below 0, and
+    their number k.
+
+    It computes only those k eigenpairs (dsyevr), or with ``full`` all of
+    them (eigh), which costs less once k is more than
+    ``_FULL_PROJECTION_SHARE`` (a quarter) of m. dsyevr's bisection and
+    inverse iteration can fail (nonzero info) when the nonpositive
+    eigenvalues form an exact cluster; the full decomposition then takes
+    over, and only its failure raises.
+    """
     if full:
         vals, vecs = eigh(M)
         k = int(np.count_nonzero(vals <= 0.0))
@@ -359,13 +391,11 @@ def _cut_negative(M, full=False):
                                         lower=1)
         if info != 0:
             try:
-                return _cut_negative(M, full=True)
+                return _negative_part(M, full=True)
             except NumericalError as exc:
                 raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
                                      f"and the full fallback: {exc}") from exc
-    if k:
-        M -= (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
-    return 0.5 * (M + M.T), int(k)
+    return (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T, int(k)
 
 
 def init_closed_form(core, side, lam, project=True):
@@ -434,10 +464,24 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
     gnorm = float(np.linalg.norm(grad))
     converged_by = "grad_norm"
+    solver = None
     if gnorm > grad_tol:
-        solver = _ADMM(S, grad, value, (np.maximum(c, 0.0), V), cfg.lam, El, side)
+        solver = _ADMM(S, core.S0, value, (np.maximum(c, 0.0), V), cfg.lam, El, side)
         best = solver.Y0
         converged_by = "max_iters"
+
+        def exit_check():
+            """The matrix the fit returns, from the best iterate, and its
+            gradient-mapping norm, taken as ||grad J(S) + L N|| with N the
+            negative part of S - grad J(S) / L. As L ||S - P(S - grad J(S) / L)||,
+            a difference of two nearly equal matrices the size of S, its
+            rounding alone read 1.1-1.3 times the tolerance on a pair fit
+            with L = 1.5e10."""
+            S = solver.matrix(_project(best))
+            grad = gradient(S, core, side, cfg.lam)
+            N, _ = _negative_part(S - grad / solver.lipschitz)
+            return S, float(np.linalg.norm(grad + solver.lipschitz * N))
+
         while iterations < cfg.max_iters:
             point, value, bound = solver.step()
             iterations += 1
@@ -448,9 +492,14 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             trace.append(min(value, trace[-1]))
             if record_iterates:
                 iterates.append(solver.matrix(_project(best)))
+            # The bound holds at the current iterate, which need not be the
+            # best one the fit returns: confirm the stop on the returned
+            # matrix and keep iterating if it fails.
             if bound <= grad_tol:
-                converged_by = "grad_norm"
-                break
+                S, gnorm = exit_check()
+                if gnorm <= grad_tol:
+                    converged_by = "grad_norm"
+                    break
             # The best objective has stalled over the window, and the iterate
             # has settled on it (ADMM may wander above the best for a while
             # before improving on it).
@@ -460,17 +509,18 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
                     and value - trace[-1] <= slack):
                 converged_by = "obj_rel"
                 break
-        S = solver.matrix(_project(best))
-        gnorm = solver.lipschitz * float(np.linalg.norm(
-            S - _project(S - gradient(S, core, side, cfg.lam) / solver.lipschitz)))
-        if converged_by == "max_iters" and gnorm <= grad_tol:
-            converged_by = "grad_norm"
+        if converged_by != "grad_norm":
+            S, gnorm = exit_check()
+            if converged_by == "max_iters" and gnorm <= grad_tol:
+                converged_by = "grad_norm"
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace),
         final_grad_norm=gnorm,
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
+        rho_updates=solver.rho_updates if solver else 0,
+        factor_builds=solver.factor_builds if solver else 0,
     )
     return FitResult(state=DictionaryState(S=S), report=report)
 
@@ -506,7 +556,7 @@ class _ADMM:
     mask) and 1 otherwise.
     """
 
-    def __init__(self, S, grad, value, basis, lam, El, side):
+    def __init__(self, S, S0, value, basis, lam, El, side):
         c, self.V = basis
         h = np.sqrt(lam) + c
         self.scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
@@ -514,24 +564,34 @@ class _ADMM:
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
         self.Y0 = self.coords(S)
-        self.G0 = (self.V.T @ grad @ self.V) * self.DD
+        # grad J in Z, its data term taken from the residual through
+        # Et = El V diag(d) rather than by rotating and scaling grad J: where
+        # C is numerically null, DD reaches 1e12 / c_max and would turn the
+        # rounding in grad J into a slope along which J has no curvature, and
+        # the iterates would drift along it without bound.
+        Et = (El @ self.V) * self.scale
+        G0 = (2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD
+              + 2.0 * (Et.T @ (_reconstruction(S, El, side) - side.target) @ Et))
+        self.G0 = 0.5 * (G0 + G0.T)
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
         self.Fa = self.factor_rho = None
+        self.rho_updates = self.factor_builds = 0
         # Eigenvalues the last projection clamped; they pick the next one's method.
         self.negatives = 0
         pairs = side.kind == "grouping"
         self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
-        # The mean diagonal of the Hessian in Z.
+        # An eighth of twice the mean diagonal of the Hessian in Z (see
+        # _RHO_START).
         self.rho = 2.0 * float(np.mean(self.Hs))
         if pairs and side.mask.any():
             a, b = np.nonzero(np.triu(side.mask))
-            Et = (El @ self.V) * self.scale
             self.Fa, self.Fb = Et[a], Et[b]
             self.weight = np.where(a == b, 0.5, 1.0)
             ab = np.einsum("pi,pi->p", self.Fa, self.Fb)
             aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
             self.rho += 2.0 * float(np.sum(self.weight * (aabb + ab * ab))) / self.Hs.size
+        self.rho *= _RHO_START
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
@@ -619,6 +679,7 @@ class _ADMM:
         if info != 0:
             raise NumericalError(f"pair system factorization failed: dpotrf info={info}")
         self.factor_rho = self.rho
+        self.factor_builds += 1
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
@@ -643,10 +704,12 @@ class _ADMM:
         # residual X_k - Y_k = U_k - U_{k-1} and the dual rho (Y_k - Y_{k-1}).
         primal = float(np.linalg.norm(U - self.U_last))
         dual = self.rho * float(np.linalg.norm(Y - self.Y_last))
-        factor = 2.0 if primal > 10.0 * dual else 0.5 if dual > 10.0 * primal else 1.0
+        factor = (2.0 if primal > _RHO_IMBALANCE * dual
+                  else 0.5 if dual > _RHO_IMBALANCE * primal else 1.0)
         if factor != 1.0:
             # A new rho is a new map: rescale the state and redo its x-step.
             self.rho *= factor
+            self.rho_updates += 1
             U /= factor
             X = self._x_step(Y, U)
             self.memory.clear()

@@ -124,19 +124,19 @@ _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # solver's rounding, to 1e-9 relative.
 _GOLDEN = {
     "moons400": (["--kind", "moons", "--n", "400", "--noise", "0.1", "--seed", "3"], [
-        (0.052083333333333336, 0.001, 0.999999999757572, 0.9850922806108309),
-        (0.06510416666666667, 0.001, 0.9999999999813838, 0.9859131607717365),
-        (0.08072916666666667, 0.001, 0.9999999981130999, 0.9484168058041574),
-        (0.1953125, 0.001, 0.999999999881767, 0.9432146503901607),
-        (0.07552083333333333, 0.001, 0.9999999999041693, 0.9878060822762301),
+        (0.052083333333333336, 0.001, 0.9999999997575513, 0.9850924260962677),
+        (0.06510416666666667, 0.001, 0.999999999981381, 0.9859140840780883),
+        (0.08072916666666667, 0.001, 0.9999999981129903, 0.9484173227846474),
+        (0.1953125, 0.001, 0.9999999998817686, 0.9432153087394437),
+        (0.07552083333333333, 0.001, 0.9999999999041782, 0.9878058531316285),
     ]),
     "blobs600": (["--kind", "blobs", "--n", "600", "--d", "10", "--classes", "2",
                   "--separation", "2.0", "--seed", "7"], [
         (0.1706896551724138, 1.0, 0.9986190290932713, 0.5086011181866427),
         (0.1724137931034483, 1.0, 0.9963833468194804, 0.7307136596399642),
-        (0.19310344827586207, 1.0, 0.9951103400645811, 0.7661818221091463),
-        (0.2, 1.0, 0.9978268470006143, 0.6603256736063948),
-        (0.23793103448275862, 1.0, 0.9978622447607343, 0.6221419881957807),
+        (0.19310344827586207, 1.0, 0.9951103340832139, 0.7661821442326663),
+        (0.2, 1.0, 0.9978268484382603, 0.6603257031959678),
+        (0.23793103448275862, 1.0, 0.9978622534048166, 0.6221414606529952),
         (0.2120689655172414, 1.0, 0.9971414328836731, 0.776630436454362),
         (0.19137931034482758, 1.0, 0.9975817482910652, 0.6642090074213439),
         (0.2293103448275862, 1.0, 0.9976009644280592, 0.6310135782530182),
