@@ -3,9 +3,9 @@ information, plus the harness to compare them against the plain
 pseudo-inverse baseline."""
 
 from .datasets import Dataset, load_dataset, make_blobs, make_two_moons, sample_labeled
-from .dictlearn import (DictionaryState, FitResult, LearnConfig,
-                        SideInformation, SolverReport, factorize, fit,
-                        gradient, init_closed_form, objective, psd_project)
+from .dictlearn import (DictionaryState, FitResult, LearnConfig, SolverReport,
+                        factorize, fit, gradient, init_closed_form, objective,
+                        psd_project)
 from .errors import (DegenerateBandwidthError, GNystromError, InputError,
                      ModelFormatError, NumericalError, ParseError,
                      UndefinedAlignmentError)
@@ -22,6 +22,7 @@ from .modelselect import (DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport,
 from .nystrom import (BoundCheck, LandmarkEigensystem, NystromCore, build_core,
                       extrapolate_eigenvectors, landmark_eigensystem, extrapolation_bound,
                       rbf_lipschitz_constant, reconstruct_entry)
+from .supervision import SideInformation
 
 __version__ = "0.1.0"
 

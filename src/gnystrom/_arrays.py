@@ -35,8 +35,9 @@ def as_vector(x, name="x"):
     return arr
 
 
-def as_index_array(x, name="indices"):
-    """Coerce to a 1-D array of nonnegative, distinct integer indices."""
+def as_index_array(x, name="indices", distinct=True):
+    """Coerce to a 1-D array of nonnegative integer indices, distinct unless
+    ``distinct`` is False."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-D, got shape {arr.shape}")
@@ -46,7 +47,7 @@ def as_index_array(x, name="indices"):
     if arr.size:
         if arr.min() < 0:
             raise InputError(f"{name} must be nonnegative")
-        if np.unique(arr).size != arr.size:
+        if distinct and np.unique(arr).size != arr.size:
             raise InputError(f"{name} must be distinct")
     return arr
 

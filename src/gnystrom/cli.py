@@ -4,7 +4,8 @@ Subcommands cover the full pipeline: ``synth`` writes reproducible toy
 datasets, ``landmarks`` exports selected landmark coordinates,
 ``fit`` learns and saves an inductive model, ``embed`` applies a saved
 model to new samples, ``evaluate`` runs the comparison harness, and
-``select-lambda`` prints the per-candidate selection table.
+``select-lambda`` prints the per-candidate selection table, with a warning
+line for a choice the report flags (see :class:`modelselect.SelectionReport`).
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure.
 """
@@ -16,13 +17,13 @@ from dataclasses import replace
 import numpy as np
 
 from .datasets import load_dataset, make_blobs, make_two_moons, sample_labeled
-from .dictlearn import SideInformation
 from .errors import InputError, NumericalError
 from .experiment import (ExperimentConfig, _parse_value, _select_landmarks, emit_report,
                          experiment_config_from_file, pipeline, run_experiment)
 from .inductive import InductiveModel, embed, load, save
 from .landmarks import LANDMARK_METHODS
-from .modelselect import DEFAULT_LAMBDA_GRID
+from .modelselect import DEFAULT_LAMBDA_GRID, FLAT_PRIOR_SPREAD
+from .supervision import SideInformation
 
 
 def build_parser():
@@ -136,7 +137,7 @@ def _cmd_fit(args):
     save(model, args.model_out)
     print(f"fitted on {count} labeled samples, m={run.core.m}: "
           f"{report.iterations} iterations, stopped by {report.converged_by}, "
-          f"objective {report.objective_trace[-1]:.6g}")
+          f"objective {report.final_objective:.6g}")
     print(f"saved model to {args.model_out}")
     return 0
 
@@ -177,6 +178,12 @@ def _cmd_select_lambda(args):
         print(f"{rec.lam:>12g}  {rec.rho_prior:>10.6f}  {rec.rho_align:>10.6f}  "
               f"{rec.criterion:>10.6f}  {iters:>5}  {stopped}")
     print(f"chosen lambda = {selection.chosen_lambda:g}")
+    if selection.chosen_at_edge:
+        print("warning: the chosen lambda is at an edge of the scored grid; "
+              "the criterion may peak outside it")
+    if selection.prior_is_flat:
+        print(f"warning: rho_prior spreads by at most {FLAT_PRIOR_SPREAD:g} across the "
+              f"scored candidates; the choice rests on rho_align alone")
     return 0
 
 

@@ -11,6 +11,11 @@ the supervised rows against a 0/1 target (optionally through a mask that
 limits which pairs are constrained). J is a convex quadratic; a closed-form
 solution of the unconstrained problem provides the warm start.
 
+Side information (:mod:`supervision`) is held as class codes or as a list
+of constrained pairs, never as l x l arrays, for l supervised rows; J and
+its gradient come from the thin QR factor of the supervised rows (labels)
+or from the pair list (pairs), in O(l m + m^2) memory.
+
 One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
 splits J from the PSD constraint: the x-step minimizes J plus a proximal
 term exactly, the y-step is the projection, and the penalty rho is set by
@@ -69,11 +74,10 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
-from ._arrays import as_index_array, as_square_matrix, eigh, truncated_eigh
+from ._arrays import as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
-from .kernels import LabelVector, ideal_kernel
+from .supervision import _Supervision
 
-SIDE_KINDS = ("labels", "grouping")
 CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 
 # Relative slack for "the recorded objective may not increase".
@@ -104,97 +108,6 @@ _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
 # Gram matrix of the residual differences.
 _AA_REG = 1e-10
-
-
-@dataclass(frozen=True)
-class SideInformation:
-    """Supervision for dictionary learning.
-
-    kind "labels": ``indices`` selects the supervised rows of E and
-    ``target`` is the 0/1 same-class kernel on those rows (``mask`` unused).
-
-    kind "grouping": ``indices`` selects the constrained rows, ``mask``
-    flags which pairs carry a constraint, and ``target`` is 1 on must-link
-    pairs and 0 elsewhere, with support inside the mask.
-    """
-
-    kind: str
-    indices: np.ndarray
-    target: np.ndarray
-    mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in SIDE_KINDS:
-            raise InputError(f"unknown side-information kind {self.kind!r}")
-        indices = as_index_array(self.indices)
-        target = np.asarray(self.target, dtype=np.float64)
-        l = indices.shape[0]
-        if target.shape != (l, l):
-            raise InputError(f"target must be {l}x{l}, got {target.shape}")
-        if target.size:
-            if not np.array_equal(target, target.T):
-                raise InputError("target must be symmetric")
-            if not np.all((target == 0.0) | (target == 1.0)):
-                raise InputError("target entries must be 0 or 1")
-        if self.kind == "labels":
-            if self.mask is not None:
-                raise InputError("label-kind side information takes no mask")
-        else:
-            if self.mask is None:
-                raise InputError("grouping-kind side information requires a mask")
-            mask = np.asarray(self.mask, dtype=np.float64)
-            if mask.shape != (l, l):
-                raise InputError(f"mask must be {l}x{l}, got {mask.shape}")
-            if mask.size:
-                if not np.array_equal(mask, mask.T):
-                    raise InputError("mask must be symmetric")
-                if not np.all((mask == 0.0) | (mask == 1.0)):
-                    raise InputError("mask entries must be 0 or 1")
-                if np.any(target > mask):
-                    raise InputError("target support must lie inside the mask")
-            object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "target", target)
-
-    @classmethod
-    def from_labels(cls, labels):
-        """Build label-kind side information from a LabelVector."""
-        if not isinstance(labels, LabelVector):
-            raise InputError("from_labels expects a LabelVector")
-        if len(labels) == 0:
-            return cls(kind="labels", indices=np.empty(0, dtype=np.intp),
-                       target=np.zeros((0, 0)))
-        return cls(kind="labels", indices=labels.indices, target=ideal_kernel(labels))
-
-    @classmethod
-    def from_constraints(cls, must_link, cannot_link):
-        """Build grouping-kind side information from pairs of sample indices.
-
-        Both arguments are iterables of (i, j) pairs; i and j must differ and
-        no pair may appear in both lists.
-        """
-        must = {tuple(sorted((int(a), int(b)))) for a, b in must_link}
-        cannot = {tuple(sorted((int(a), int(b)))) for a, b in cannot_link}
-        for a, b in must | cannot:
-            if a == b:
-                raise InputError(f"constraint pairs must involve distinct samples, got ({a}, {b})")
-            if a < 0:
-                raise InputError("constraint indices must be nonnegative")
-        conflict = must & cannot
-        if conflict:
-            raise InputError(f"pairs marked both must-link and cannot-link: {sorted(conflict)}")
-        involved = sorted({i for pair in must | cannot for i in pair})
-        pos = {idx: row for row, idx in enumerate(involved)}
-        c = len(involved)
-        mask = np.zeros((c, c))
-        target = np.zeros((c, c))
-        for a, b in must:
-            mask[pos[a], pos[b]] = mask[pos[b], pos[a]] = 1.0
-            target[pos[a], pos[b]] = target[pos[b], pos[a]] = 1.0
-        for a, b in cannot:
-            mask[pos[a], pos[b]] = mask[pos[b], pos[a]] = 1.0
-        return cls(kind="grouping", indices=np.asarray(involved, dtype=np.intp),
-                   target=target, mask=mask)
 
 
 @dataclass(frozen=True)
@@ -260,7 +173,10 @@ class SolverReport:
     follows per iteration: the best objective among the PSD iterates so
     far, so the sequence never increases and, J being a sum of squares,
     never falls below 0 (``iterates``, when recorded, holds the matching
-    matrices; of iterates with equal objective, the later one counts). ``final_grad_norm`` is the gradient-mapping norm
+    matrices; of iterates with equal objective, the later one counts). That
+    entry comes from the loop's expansion of J about its start, so near
+    J = 0 it may differ from J at the returned S, which is
+    ``final_objective``. ``final_grad_norm`` is the gradient-mapping norm
     L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
     at its initializer reports ||grad J||_F instead, which bounds it.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
@@ -273,6 +189,7 @@ class SolverReport:
     iterations: int
     objective_trace: np.ndarray
     final_grad_norm: float
+    final_objective: float
     converged_by: str
     iterates: tuple | None = None
     rho_updates: int = 0
@@ -287,6 +204,9 @@ class SolverReport:
         rises = np.diff(trace) > _ACCEPT_SLACK * (1.0 + np.abs(trace[:-1]))
         if np.any(rises):
             raise InputError("objective_trace must be non-increasing")
+        if not (np.isfinite(self.final_objective) and self.final_objective >= 0):
+            raise InputError(f"final_objective must be a nonnegative real, "
+                             f"got {self.final_objective}")
         object.__setattr__(self, "objective_trace", trace)
 
 
@@ -294,21 +214,6 @@ class SolverReport:
 class FitResult:
     state: DictionaryState
     report: SolverReport
-
-
-def _supervised_rows(core, side):
-    if side.indices.size and int(side.indices.max()) >= core.E.shape[0]:
-        raise InputError("side-information indices exceed the number of samples")
-    return core.E[side.indices]
-
-
-def _reconstruction(S, El, side):
-    """El @ S @ El.T for the supervised rows El, masked for the grouping
-    kind: the similarities the side information compares with its target."""
-    recon = El @ S @ El.T
-    if side.kind == "grouping":
-        recon = side.mask * recon
-    return recon
 
 
 def objective(S, core, side, lam):
@@ -327,18 +232,20 @@ def gradient(S, core, side, lam):
     return _value_and_gradient(S, core, side, lam)[1]
 
 
-def _value_and_gradient(S, core, side, lam):
-    """(:func:`objective`, :func:`gradient`) at S, from one residual."""
+def _value_and_gradient(S, core, side, lam, supervision=None):
+    """(:func:`objective`, :func:`gradient`) at S, from one residual, in the
+    compact forms of :class:`_Supervision` (built here unless given)."""
     S = as_square_matrix(S, "S")
     if S.shape != core.S0.shape:
         raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"lam must be a nonnegative real, got {lam}")
-    El = _supervised_rows(core, side)
-    res = _reconstruction(S, El, side) - side.target
+    if supervision is None:
+        supervision = _Supervision(core, side)
+    res = supervision.residual(S)
     prior = S - core.S0
-    value = float(lam * np.sum(prior * prior) + np.sum(res * res))
-    grad = 2.0 * lam * prior + 2.0 * (El.T @ res @ El)
+    value = float(lam * np.sum(prior * prior) + supervision.loss(res))
+    grad = 2.0 * lam * prior + 2.0 * supervision.pull(res)
     return value, 0.5 * (grad + grad.T)
 
 
@@ -415,8 +322,8 @@ def init_closed_form(core, side, lam, project=True):
         raise InputError(f"closed-form initialization requires lam > 0, got {lam}")
     if side.kind != "labels":
         raise InputError("closed-form initialization applies to label-kind side information")
-    _, B, (c, V) = _decompose_supervision(core, side)
-    S = _closed_form(c, V, B, core.S0, lam)
+    supervision = _Supervision(core, side)
+    S = _closed_form(*supervision.eigenpairs, supervision.B, core.S0, lam)
     return psd_project(S) if project else S
 
 
@@ -445,19 +352,21 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     stalls (obj_rel_tol), or max_iters; the stopping reason lands in the
     report's ``converged_by``.
 
+    The report's ``final_objective`` is J at the returned S, from the same
+    evaluation as its ``final_grad_norm``.
+
     ``_supervision`` is private: :func:`select_lambda` passes the
-    :func:`_decompose_supervision` of (core, side) that its whole grid shares.
+    :class:`_Supervision` of (core, side) that its whole grid shares.
     """
-    if _supervision is None:
-        _supervision = _decompose_supervision(core, side)
-    El, B, (c, V) = _supervision
+    sup = _Supervision(core, side) if _supervision is None else _supervision
     if side.kind == "labels" and cfg.lam > 0 and side.indices.size > 0:
-        S = _project(_closed_form(c, V, B, core.S0, cfg.lam))
+        S = _project(_closed_form(*sup.eigenpairs, sup.B, core.S0, cfg.lam))
     else:
         S = psd_project(core.S0)
 
-    grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(B)))
-    value, grad = _value_and_gradient(S, core, side, cfg.lam)
+    grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
+    value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
+    final = value
     trace = [value]
     iterates = [S] if record_iterates else None
     iterations = 0
@@ -466,21 +375,21 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     converged_by = "grad_norm"
     solver = None
     if gnorm > grad_tol:
-        solver = _ADMM(S, core.S0, value, (np.maximum(c, 0.0), V), cfg.lam, El, side)
+        solver = _ADMM(S, core.S0, value, cfg.lam, sup)
         best = solver.Y0
         converged_by = "max_iters"
 
         def exit_check():
-            """The matrix the fit returns, from the best iterate, and its
-            gradient-mapping norm, taken as ||grad J(S) + L N|| with N the
+            """The matrix the fit returns, from the best iterate, J there and
+            its gradient-mapping norm, taken as ||grad J(S) + L N|| with N the
             negative part of S - grad J(S) / L. As L ||S - P(S - grad J(S) / L)||,
             a difference of two nearly equal matrices the size of S, its
             rounding alone read 1.1-1.3 times the tolerance on a pair fit
             with L = 1.5e10."""
             S = solver.matrix(_project(best))
-            grad = gradient(S, core, side, cfg.lam)
+            value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
             N, _ = _negative_part(S - grad / solver.lipschitz)
-            return S, float(np.linalg.norm(grad + solver.lipschitz * N))
+            return S, value, float(np.linalg.norm(grad + solver.lipschitz * N))
 
         while iterations < cfg.max_iters:
             point, value, bound = solver.step()
@@ -496,7 +405,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             # best one the fit returns: confirm the stop on the returned
             # matrix and keep iterating if it fails.
             if bound <= grad_tol:
-                S, gnorm = exit_check()
+                S, final, gnorm = exit_check()
                 if gnorm <= grad_tol:
                     converged_by = "grad_norm"
                     break
@@ -510,27 +419,20 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
                 converged_by = "obj_rel"
                 break
         if converged_by != "grad_norm":
-            S, gnorm = exit_check()
+            S, final, gnorm = exit_check()
             if converged_by == "max_iters" and gnorm <= grad_tol:
                 converged_by = "grad_norm"
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace),
         final_grad_norm=gnorm,
+        final_objective=final,
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
         rho_updates=solver.rho_updates if solver else 0,
         factor_builds=solver.factor_builds if solver else 0,
     )
     return FitResult(state=DictionaryState(S=S), report=report)
-
-
-def _decompose_supervision(core, side):
-    """What every fit on (core, side) shares, whatever lam: the supervised
-    rows El, B = El.T @ target @ El and the eigenpairs (c, V) of
-    C = El.T @ El."""
-    El = _supervised_rows(core, side)
-    return El, El.T @ side.target @ El, eigh(El.T @ El)
 
 
 class _ADMM:
@@ -549,29 +451,30 @@ class _ADMM:
     With D = Z - Y0 for the start Y0, J is the exact quadratic
     J(Y0) + <G0, D> + sum(Hs * D**2) + 2 * sum(w * at_pairs(D)**2). For
     labels Hs = (lam + c c^T) * DD**2 is the whole Hessian and there is no
-    pair term. For pairs Hs = lam * DD**2, and the mask's nonzero
-    upper-triangle entries (a, b) give the rows Fa = Et[a] and Fb = Et[b] of
-    Et = El V diag(d), so the masked residual costs O(p m^2) for p pairs
-    instead of O(l^2 m); w is 1/2 on a diagonal pair (it appears once in the
-    mask) and 1 otherwise.
+    pair term. For pairs Hs = lam * DD**2, and the pairs (a, b) give the rows
+    Fa = Et[a] and Fb = Et[b] of Et = El V diag(d), so the masked residual
+    costs O(p m^2) for p pairs instead of O(l^2 m); w is 1/2 on a diagonal
+    pair (it appears once in the mask) and 1 otherwise.
     """
 
-    def __init__(self, S, S0, value, basis, lam, El, side):
-        c, self.V = basis
+    def __init__(self, S, S0, value, lam, supervision):
+        c, self.V = supervision.eigenpairs
+        c = np.maximum(c, 0.0)
         h = np.sqrt(lam) + c
         self.scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
         self.DD = np.outer(self.scale, self.scale)
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
         self.Y0 = self.coords(S)
-        # grad J in Z, its data term taken from the residual through
-        # Et = El V diag(d) rather than by rotating and scaling grad J: where
-        # C is numerically null, DD reaches 1e12 / c_max and would turn the
-        # rounding in grad J into a slope along which J has no curvature, and
-        # the iterates would drift along it without bound.
-        Et = (El @ self.V) * self.scale
+        # grad J in Z, its data term taken from the residual through the
+        # factor times V diag(d) (Et = El V diag(d) for pairs) rather
+        # than by rotating and scaling grad J: where C is numerically null,
+        # DD reaches 1e12 / c_max and would turn the rounding in grad J into
+        # a slope along which J has no curvature, and the iterates would
+        # drift along it without bound.
+        F = (supervision.F @ self.V) * self.scale
         G0 = (2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD
-              + 2.0 * (Et.T @ (_reconstruction(S, El, side) - side.target) @ Et))
+              + 2.0 * supervision.pull(supervision.residual(S), F))
         self.G0 = 0.5 * (G0 + G0.T)
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
@@ -579,15 +482,15 @@ class _ADMM:
         self.rho_updates = self.factor_builds = 0
         # Eigenvalues the last projection clamped; they pick the next one's method.
         self.negatives = 0
-        pairs = side.kind == "grouping"
+        pairs = supervision.kind == "grouping"
         self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
         # An eighth of twice the mean diagonal of the Hessian in Z (see
         # _RHO_START).
         self.rho = 2.0 * float(np.mean(self.Hs))
-        if pairs and side.mask.any():
-            a, b = np.nonzero(np.triu(side.mask))
-            self.Fa, self.Fb = Et[a], Et[b]
-            self.weight = np.where(a == b, 0.5, 1.0)
+        if pairs and supervision.weight.size:
+            a, b = supervision.pair_rows
+            self.Fa, self.Fb = F[a], F[b]
+            self.weight = supervision.weight
             ab = np.einsum("pi,pi->p", self.Fa, self.Fb)
             aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
             self.rho += 2.0 * float(np.sum(self.weight * (aabb + ab * ab))) / self.Hs.size

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, sample_labeled
-from .dictlearn import LearnConfig, SideInformation, fit, factorize
+from .dictlearn import LearnConfig, fit, factorize
 from .errors import InputError, ParseError
 from .kernels import KernelParams, bandwidth_heuristic
 from .landmarks import (KMeansConfig, LANDMARK_METHODS, LandmarkSet, select_kmeans,
@@ -25,6 +25,7 @@ from .linear_svm import train_linear
 from .modelselect import (LambdaRecord, SelectionReport, _score_fit, select_lambda,
                           validate_grid)
 from .nystrom import NystromCore, build_core
+from .supervision import SideInformation
 
 EXPERIMENT_METHODS = ("nystrom_baseline", "generalized")
 REPORT_FORMATS = ("text_table", "csv")

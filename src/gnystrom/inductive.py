@@ -86,7 +86,7 @@ class InductiveModel:
                 "iterations": int(report.iterations),
                 "converged_by": report.converged_by,
                 "final_grad_norm": float(report.final_grad_norm),
-                "final_objective": float(report.objective_trace[-1]),
+                "final_objective": float(report.final_objective),
             }
         return cls(landmarks=Z, kernel=kernel, L=L, metadata=metadata)
 

@@ -205,11 +205,16 @@ def nka_score(K, Kp):
         raise InputError(f"alignment operands must match in shape, got {K.shape} and {Kp.shape}")
     Kc = double_center(K)
     Kpc = double_center(Kp)
-    norm_a = float(np.linalg.norm(Kc))
-    norm_b = float(np.linalg.norm(Kpc))
-    floor_a = _ZERO_ALIGNMENT_RTOL * max(1.0, float(np.linalg.norm(K)))
-    floor_b = _ZERO_ALIGNMENT_RTOL * max(1.0, float(np.linalg.norm(Kp)))
+    return _centred_cosine(float(np.sum(Kc * Kpc)), float(np.linalg.norm(Kc)),
+                           float(np.linalg.norm(Kpc)), float(np.linalg.norm(K)),
+                           float(np.linalg.norm(Kp)))
+
+
+def _centred_cosine(inner, norm_a, norm_b, raw_a, raw_b):
+    """:func:`nka_score` from the inner product and the Frobenius norms of
+    the two centred operands, and the norms of the raw ones."""
+    floor_a = _ZERO_ALIGNMENT_RTOL * max(1.0, raw_a)
+    floor_b = _ZERO_ALIGNMENT_RTOL * max(1.0, raw_b)
     if norm_a <= floor_a or norm_b <= floor_b:
         raise UndefinedAlignmentError("an operand centers to the zero matrix")
-    score = float(np.sum(Kc * Kpc)) / (norm_a * norm_b)
-    return float(np.clip(score, -1.0, 1.0))
+    return float(np.clip(inner / (norm_a * norm_b), -1.0, 1.0))

@@ -146,6 +146,22 @@ _GOLDEN = {
 }
 
 
+def test_select_lambda_warns_on_moons400(tmp_path, capsys):
+    """On the moons400 config the criterion picks the grid's smallest lambda,
+    and rho_prior reads 1.000000 for every candidate: both warnings print."""
+    data = tmp_path / "moons400.csv"
+    assert main(["synth", *_GOLDEN["moons400"][0], "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["select-lambda", "--input", str(data),
+               "--config", str(_CONFIGS / "moons400.cfg")])
+    assert rc == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "edge of the scored grid" in warnings[0]
+    assert "rho_align alone" in warnings[1]
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_evaluate_shipped_config_matches_golden_rows(name, tmp_path, capsys):
     synth_args, expected = _GOLDEN[name]

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from gnystrom import (
     DictionaryState,
+    InductiveModel,
     InputError,
     KernelParams,
     LabelVector,
@@ -21,6 +22,8 @@ from gnystrom import (
     NystromCore,
     SideInformation,
     SolverReport,
+    UndefinedAlignmentError,
+    alignment_scores,
     bandwidth_heuristic,
     build_core,
     factorize,
@@ -28,6 +31,7 @@ from gnystrom import (
     gradient,
     init_closed_form,
     make_blobs,
+    nka_score,
     objective,
     psd_project,
     sample_labeled,
@@ -35,7 +39,7 @@ from gnystrom import (
     select_lambda,
     select_random,
 )
-from gnystrom import dictlearn
+from gnystrom import dictlearn, supervision
 
 
 def _identity_problem():
@@ -44,8 +48,8 @@ def _identity_problem():
     exactly zero at the prior."""
     core = NystromCore(E=np.eye(2), W=np.eye(2), S0=np.eye(2),
                        pinv_rank=2, pinv_tol=0.0)
-    side = SideInformation(kind="labels", indices=np.array([0, 1]),
-                           target=np.eye(2))
+    side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                      target=np.eye(2))
     return core, side
 
 
@@ -92,28 +96,35 @@ def _random_symmetric(rng, m):
 
 def test_side_information_label_kind_validation():
     with pytest.raises(InputError):
-        SideInformation(kind="labels", indices=np.array([0, 1]),
-                        target=np.array([[1.0, 0.0], [1.0, 1.0]]))  # asymmetric
+        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                   target=np.array([[1.0, 0.0], [1.0, 1.0]]))  # asymmetric
     with pytest.raises(InputError):
-        SideInformation(kind="labels", indices=np.array([0, 1]),
-                        target=np.array([[1.0, 0.5], [0.5, 1.0]]))  # not 0/1
+        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                   target=np.array([[1.0, 0.5], [0.5, 1.0]]))  # not 0/1
     with pytest.raises(InputError):
-        SideInformation(kind="labels", indices=np.array([0, 1]),
-                        target=np.eye(2), mask=np.eye(2))  # labels take no mask
+        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                   target=np.eye(2), mask=np.eye(2))  # labels take no mask
     with pytest.raises(InputError):
-        SideInformation(kind="other", indices=np.array([0]), target=np.eye(1))
+        SideInformation.from_dense(kind="other", indices=np.array([0]), target=np.eye(1))
+    with pytest.raises(InputError):  # not an equivalence relation
+        SideInformation.from_dense(kind="labels", indices=np.arange(3),
+                                   target=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+                                   [0.0, 1.0, 1.0]]))
+    with pytest.raises(InputError):  # no unit diagonal
+        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                   target=np.zeros((2, 2)))
 
 
 def test_side_information_grouping_kind_validation():
     idx = np.array([0, 1])
     with pytest.raises(InputError):
-        SideInformation(kind="grouping", indices=idx, target=np.eye(2))  # no mask
+        SideInformation.from_dense(kind="grouping", indices=idx, target=np.eye(2))  # no mask
     with pytest.raises(InputError):
-        SideInformation(kind="grouping", indices=idx, target=np.eye(2),
-                        mask=np.zeros((2, 2)))  # target outside mask
-    ok = SideInformation(kind="grouping", indices=idx,
-                         target=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                         mask=np.ones((2, 2)))
+        SideInformation.from_dense(kind="grouping", indices=idx, target=np.eye(2),
+                                   mask=np.zeros((2, 2)))  # target outside mask
+    ok = SideInformation.from_dense(kind="grouping", indices=idx,
+                                    target=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                    mask=np.ones((2, 2)))
     assert ok.kind == "grouping"
 
 
@@ -148,6 +159,100 @@ def test_side_information_from_constraints_conflicts():
         SideInformation.from_constraints(must_link=[(2, 2)], cannot_link=[])
     with pytest.raises(InputError):
         SideInformation.from_constraints(must_link=[(-1, 2)], cannot_link=[])
+
+
+def _old_ideal_kernel(values):
+    """The dense label target as the library built it before side
+    information went compact."""
+    return (values[:, None] == values[None, :]).astype(np.float64)
+
+
+def _old_from_constraints(must_link, cannot_link):
+    """(indices, target, mask) as the library's dense pair builder made them."""
+    must = {tuple(sorted((int(a), int(b)))) for a, b in must_link}
+    cannot = {tuple(sorted((int(a), int(b)))) for a, b in cannot_link}
+    involved = sorted({i for pair in must | cannot for i in pair})
+    pos = {idx: row for row, idx in enumerate(involved)}
+    c = len(involved)
+    mask = np.zeros((c, c))
+    target = np.zeros((c, c))
+    for a, b in must:
+        mask[pos[a], pos[b]] = mask[pos[b], pos[a]] = 1.0
+        target[pos[a], pos[b]] = target[pos[b], pos[a]] = 1.0
+    for a, b in cannot:
+        mask[pos[a], pos[b]] = mask[pos[b], pos[a]] = 1.0
+    return np.asarray(involved, dtype=np.intp), target, mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.integers(0, 3), max_size=12))
+def test_label_target_property_matches_dense_builder(labels):
+    values = np.asarray(labels, dtype=np.int64)
+    side = SideInformation.from_labels(LabelVector(indices=np.arange(values.size) * 2,
+                                                   labels=values))
+    assert side.mask is None
+    assert np.array_equal(side.target, _old_ideal_kernel(values))
+    assert side.target.dtype == np.float64
+    again = SideInformation.from_dense("labels", side.indices, side.target)
+    assert np.array_equal(again.target, side.target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.booleans()),
+                      max_size=30))
+def test_pair_properties_match_dense_builder(draws):
+    """Pairs in either order, repeated within a list, must and cannot mixed."""
+    flags = {}
+    for a, b, must in draws:
+        if a != b:
+            flags.setdefault(tuple(sorted((a, b))), must)
+    kept = [(a, b, must) for a, b, must in draws
+            if a != b and flags[tuple(sorted((a, b)))] == must]
+    must_link = [(a, b) for a, b, must in kept if must]
+    cannot_link = [(a, b) for a, b, must in kept if not must]
+    side = SideInformation.from_constraints(must_link, cannot_link)
+    indices, target, mask = _old_from_constraints(must_link, cannot_link)
+    assert np.array_equal(side.indices, indices)
+    assert np.array_equal(side.target, target)
+    assert np.array_equal(side.mask, mask)
+    assert np.all(side.pairs[:, 0] <= side.pairs[:, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), l=st.integers(0, 9))
+def test_dense_pair_constructor_keeps_diagonal_pairs(seed, l):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((l, l)) < 0.4)
+    mask = (upper | upper.T).astype(np.float64)
+    target = mask * np.triu(rng.random((l, l)) < 0.5)
+    target = np.maximum(target, target.T)
+    side = SideInformation.from_dense("grouping", np.arange(l), target, mask)
+    assert np.array_equal(side.mask, mask)
+    assert np.array_equal(side.target, target)
+    assert side.pairs.shape[0] == np.count_nonzero(np.triu(mask))
+
+
+def test_side_information_validates_compact_fields():
+    idx = np.arange(3)
+    with pytest.raises(InputError):
+        SideInformation(kind="labels", indices=idx)  # no codes
+    with pytest.raises(InputError):
+        SideInformation(kind="labels", indices=idx, codes=[0, 1])  # one per row
+    with pytest.raises(InputError):
+        SideInformation(kind="labels", indices=idx, codes=[0, -1, 0])
+    with pytest.raises(InputError):
+        SideInformation(kind="grouping", indices=idx, pairs=[[1, 0]], must=[True])  # a > b
+    with pytest.raises(InputError):
+        SideInformation(kind="grouping", indices=idx, pairs=[[0, 3]], must=[True])  # row 3
+    with pytest.raises(InputError):
+        SideInformation(kind="grouping", indices=idx, pairs=[[0, 1], [0, 1]],
+                        must=[True, True])  # repeated
+    with pytest.raises(InputError):
+        SideInformation(kind="grouping", indices=idx, pairs=[[0, 1]], must=[True, False])
+    side = SideInformation(kind="grouping", indices=idx, pairs=[[1, 2], [0, 0]],
+                           must=[0, 1])
+    assert np.array_equal(side.pairs, [[0, 0], [1, 2]])  # lexicographic
+    assert side.must.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +378,112 @@ def test_gradient_is_symmetric():
     S = _random_symmetric(rng, core.m)
     G = gradient(S, core, side, 0.9)
     assert np.array_equal(G, G.T)
+
+
+# ---------------------------------------------------------------------------
+# compact forms against the dense l x l formulas
+
+
+def _dense_value_and_gradient(S, core, side, lam):
+    """J and grad J from the masked l x l residual, as the library computed
+    them before side information went compact."""
+    El = core.E[side.indices]
+    recon = El @ S @ El.T
+    if side.kind == "grouping":
+        recon = side.mask * recon
+    res = recon - side.target
+    prior = S - core.S0
+    value = float(lam * np.sum(prior * prior) + np.sum(res * res))
+    grad = 2.0 * lam * prior + 2.0 * (El.T @ res @ El)
+    return value, 0.5 * (grad + grad.T)
+
+
+def _dense_alignment(S, core, side):
+    El = core.E[side.indices]
+    recon = El @ S @ El.T
+    if side.kind == "grouping":
+        recon = side.mask * recon
+    return nka_score(recon, side.target)
+
+
+def _drawn_problem(rng, grouping):
+    """A random problem; pairs come from a dense mask that constrains some
+    diagonal entries and mixes must- and cannot-links."""
+    n, m = int(rng.integers(6, 14)), int(rng.integers(1, 7))
+    l = int(rng.integers(1, n + 1))
+    X = rng.normal(size=(n, 2))
+    core = build_core(X, select_random(X, m, seed=int(rng.integers(1 << 31))),
+                      KernelParams(bandwidth=float(rng.uniform(1.0, 5.0))))
+    idx = np.sort(rng.choice(n, size=l, replace=False))
+    if not grouping:
+        labels = rng.integers(0, int(rng.integers(1, 4)), size=l)
+        return core, SideInformation.from_labels(LabelVector(indices=idx, labels=labels))
+    upper = np.triu(rng.random((l, l)) < 0.5)
+    mask = (upper | upper.T).astype(np.float64)
+    target = mask * (rng.random((l, l)) < 0.5)
+    target = np.triu(target) + np.triu(target, 1).T
+    return core, SideInformation.from_dense("grouping", idx, target, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), grouping=st.booleans(),
+       lam=st.sampled_from((0.0, 1e-3, 1.0)), symmetric=st.booleans())
+def test_compact_forms_match_dense_formulas(seed, grouping, lam, symmetric):
+    """J, grad J, B, the closed form and both alignment factors, from the
+    class codes or the pair list, against the l x l formulas, for symmetric
+    S and for the asymmetric S that finite differences evaluate."""
+    rng = np.random.default_rng(seed)
+    core, side = _drawn_problem(rng, grouping)
+    m = core.m
+    S = rng.normal(size=(m, m))
+    if symmetric:
+        S = 0.5 * (S + S.T)
+    value, grad = dictlearn._value_and_gradient(S, core, side, lam)
+    dense_value, dense_grad = _dense_value_and_gradient(S, core, side, lam)
+    assert_allclose(value, dense_value, rtol=1e-10, atol=1e-12)
+    assert_allclose(grad, dense_grad, rtol=0, atol=1e-10 * (1.0 + np.abs(dense_grad).max()))
+    El = core.E[side.indices]
+    B = El.T @ side.target @ El
+    assert_allclose(supervision._Supervision(core, side).B, B, rtol=0,
+                    atol=1e-12 * (1.0 + np.abs(B).max()))
+    if not grouping and lam > 0:
+        P = (El.T @ El) / np.sqrt(lam)
+        Q = core.S0 + B / lam
+        S1 = init_closed_form(core, side, lam, project=False)
+        assert np.linalg.norm(S1 + P @ S1 @ P - Q) <= 1e-8 * np.linalg.norm(Q)
+    try:
+        dense = (nka_score(S, core.S0), _dense_alignment(S, core, side))
+    except UndefinedAlignmentError:
+        with pytest.raises(UndefinedAlignmentError):
+            alignment_scores(S, core, side)
+        return
+    assert_allclose(alignment_scores(S, core, side), dense, rtol=0, atol=1e-10)
+
+
+def _twenty_label_problem():
+    ds = make_blobs(3000, 10, n_classes=2, separation=2.0, seed=7)
+    core = build_core(ds.X, select_kmeans(ds.X, KMeansConfig(k=200, seed=0)),
+                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    return core, SideInformation.from_labels(sample_labeled(ds, 20, 0))
+
+
+def test_compact_objective_is_accurate_near_zero():
+    """The lam = 0 fit with 20 labels and m = 200 ends at J of about 6e-9.
+    The QR form agrees with a long-double evaluation of the l x l residual
+    to 1e-6 relative; the expansion tr(SCSC) - 2 tr(SB) + sum n_c^2 loses
+    every digit to cancellation."""
+    core, side = _twenty_label_problem()
+    S = fit(core, side, LearnConfig(lam=0.0)).state.S
+    El = core.E[side.indices]
+    wide = El.astype(np.longdouble)
+    res = wide @ S.astype(np.longdouble) @ wide.T - side.target
+    reference = float(np.sum(res * res))
+    assert 0.0 < reference < 1e-7
+    assert abs(objective(S, core, side, 0.0) - reference) <= 1e-6 * reference
+    C = El.T @ El
+    B = El.T @ side.target @ El
+    expansion = np.trace(S @ C @ S @ C) - 2.0 * np.sum(S * B) + np.sum(side.target)
+    assert abs(expansion - reference) > 1e-6 * reference
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +746,13 @@ def test_pair_x_step_solves_dense_masked_system():
     for a, b, must in ((0, 1, 1.0), (1, 3, 0.0), (2, 2, 1.0), (3, 3, 0.0), (0, 2, 1.0)):
         mask[a, b] = mask[b, a] = 1.0
         target[a, b] = target[b, a] = must
-    side = SideInformation(kind="grouping", indices=np.array([1, 4, 7, 9]),
-                           target=target, mask=mask)
+    side = SideInformation.from_dense(kind="grouping", indices=np.array([1, 4, 7, 9]),
+                                      target=target, mask=mask)
     El = core.E[side.indices]
     lam = 0.3
     S = psd_project(_random_symmetric(rng, 5))
-    solver = dictlearn._ADMM(S, core.S0, objective(S, core, side, lam),
-                             np.linalg.eigh(El.T @ El), lam, El, side)
+    solver = dictlearn._ADMM(S, core.S0, objective(S, core, side, lam), lam,
+                             supervision._Supervision(core, side))
 
     def to_z(M):
         # A gradient in S, expressed in the solver's coordinates Z, where
@@ -816,6 +1027,81 @@ def test_grouping_fit_memory_stays_below_pair_by_entry_array():
     assert peak < 0.5 * p * m * m * 8
 
 
+@pytest.fixture(scope="module")
+def wide_core():
+    """make_blobs 20000 x 10 with m = 100 random landmarks."""
+    ds = make_blobs(20000, 10, seed=7)
+    core = build_core(ds.X, select_random(ds.X, 100, seed=0),
+                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    return ds, core
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_label_fit_and_alignment_memory_is_linear_in_l(wide_core):
+    """4,000 labels at m = 100: the l x m rows, their QR and m x m matrices,
+    no l x l array (one takes 122 MiB; the dense forms peaked at 611 MiB)."""
+    ds, core = wide_core
+    labels = sample_labeled(ds, 4000, 0)
+
+    def run():
+        side = SideInformation.from_labels(labels)
+        result = fit(core, side, LearnConfig(lam=0.1))
+        return result, alignment_scores(result.state.S, core, side)
+
+    (result, scores), peak = _traced_peak(run)
+    assert result.report.iterations > 0
+    assert all(np.isfinite(scores))
+    assert peak < 32 * 2**20
+
+
+def test_pair_fit_holds_no_l_by_l_array(wide_core):
+    """1,000 random pairs touch about 1,900 rows. The fit (its first 20
+    iterations, at m = 40) and its alignment hold the p x p pair system,
+    never an l x l array (the dense forms peaked at 166 MiB at m = 100)."""
+    ds, _ = wide_core
+    core = build_core(ds.X, select_random(ds.X, 40, seed=0),
+                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    pairs = np.random.default_rng(0).integers(0, ds.n, size=(1000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    same = ds.y[pairs[:, 0]] == ds.y[pairs[:, 1]]
+
+    def run():
+        side = SideInformation.from_constraints(pairs[same].tolist(), pairs[~same].tolist())
+        result = fit(core, side, LearnConfig(lam=0.1, max_iters=20))
+        return side, result, alignment_scores(result.state.S, core, side)
+
+    (side, result, scores), peak = _traced_peak(run)
+    l = side.indices.size
+    assert l > 1800 and result.report.iterations > 0
+    assert all(np.isfinite(scores))
+    assert peak < l * l * 8
+
+
+def test_final_objective_is_j_at_the_returned_matrix():
+    """At lam = 0 with 100 labels and m = 200 the loop's expansion of J
+    about its start clamps to 0 while J at the returned S is 8.6e-8; the
+    report and the model's metadata carry the latter."""
+    ds = make_blobs(3000, 10, seed=7)
+    Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=0))
+    params = KernelParams(bandwidth=bandwidth_heuristic(ds.X))
+    core = build_core(ds.X, Z, params)
+    side = SideInformation.from_labels(sample_labeled(ds, 100, 0))
+    result = fit(core, side, LearnConfig(lam=0.0))
+    final = result.report.final_objective
+    assert final > 0.0
+    assert final == objective(result.state.S, core, side, 0.0)
+    model = InductiveModel.from_state(Z, params, result.state, lam=0.0, report=result.report)
+    assert model.metadata["solver"]["final_objective"] == final
+
+
 def test_fit_wraps_linalg_error(monkeypatch):
     rng = np.random.default_rng(30)
     core, side = _random_labeled_problem(rng)
@@ -961,10 +1247,13 @@ def test_dictionary_state_validation():
 def test_solver_report_rejects_rising_trace():
     with pytest.raises(InputError):
         SolverReport(iterations=1, objective_trace=np.array([1.0, 2.0]),
-                     final_grad_norm=0.0, converged_by="grad_norm")
+                     final_grad_norm=0.0, final_objective=1.0, converged_by="grad_norm")
     with pytest.raises(InputError):
         SolverReport(iterations=0, objective_trace=np.array([1.0]),
-                     final_grad_norm=0.0, converged_by="other")
+                     final_grad_norm=0.0, final_objective=1.0, converged_by="other")
+    with pytest.raises(InputError):
+        SolverReport(iterations=0, objective_trace=np.array([1.0]),
+                     final_grad_norm=0.0, final_objective=-1.0, converged_by="grad_norm")
 
 
 # ---------------------------------------------------------------------------

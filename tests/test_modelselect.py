@@ -9,9 +9,11 @@ from gnystrom import (
     InputError,
     KernelParams,
     LabelVector,
+    LambdaRecord,
     LearnConfig,
     NumericalError,
     NystromCore,
+    SelectionReport,
     SideInformation,
     alignment_scores,
     build_core,
@@ -77,8 +79,8 @@ def test_tie_breaks_toward_smallest():
     # fit stays at the prior and all criteria coincide.
     core = NystromCore(E=np.eye(2), W=np.eye(2), S0=np.eye(2),
                        pinv_rank=2, pinv_tol=0.0)
-    side = SideInformation(kind="labels", indices=np.array([0, 1]),
-                           target=np.eye(2))
+    side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
+                                      target=np.eye(2))
     report = select_lambda(core, side, grid=(0.01, 1.0, 100.0))
     crits = [r.criterion for r in report.records]
     assert_allclose(crits, [crits[0]] * 3, atol=1e-12)
@@ -207,3 +209,39 @@ def test_alignment_scores_match_nka_directly():
     El = core.E[side.indices]
     assert_allclose(rho_prior, nka_score(S, core.S0), rtol=1e-12)
     assert_allclose(rho_align, nka_score(El @ S @ El.T, side.target), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# flags on the selection
+
+
+def _scored(lam, rho_prior, rho_align):
+    return LambdaRecord(lam=lam, rho_prior=rho_prior, rho_align=rho_align,
+                        criterion=rho_prior * rho_align, solver=None, S=np.eye(1))
+
+
+def _failed(lam):
+    nan = float("nan")
+    return LambdaRecord(lam=lam, rho_prior=nan, rho_align=nan, criterion=float("-inf"),
+                        solver=None, S=None, failure="diverged")
+
+
+def test_interior_choice_with_moving_prior_raises_no_flag():
+    records = (_scored(0.1, 0.90, 0.6), _scored(1.0, 0.95, 0.8), _scored(10.0, 0.99, 0.5))
+    report = SelectionReport(records=records, chosen_lambda=1.0)
+    assert not report.chosen_at_edge
+    assert not report.prior_is_flat
+
+
+def test_flags_read_the_scored_candidates_only():
+    # The grid runs on past both ends, but its end candidates scored -inf.
+    records = (_failed(0.01), _scored(0.1, 0.9, 0.9), _scored(1.0, 0.9 + 5e-7, 0.5),
+               _failed(10.0))
+    report = SelectionReport(records=records, chosen_lambda=0.1)
+    assert report.chosen_at_edge
+    assert report.prior_is_flat
+    spread = 2 * modelselect.FLAT_PRIOR_SPREAD
+    records = (_scored(0.1, 0.9, 0.5), _scored(1.0, 0.9 + spread, 0.9),
+               _scored(10.0, 0.9, 0.5))
+    report = SelectionReport(records=records, chosen_lambda=1.0)
+    assert not report.chosen_at_edge and not report.prior_is_flat
