@@ -25,7 +25,7 @@ from .linear_svm import train_linear
 from .modelselect import (LambdaRecord, SelectionReport, _score_fit, select_lambda,
                           validate_grid)
 from .nystrom import NystromCore, build_core
-from .supervision import SideInformation
+from .supervision import SideInformation, _Supervision
 
 EXPERIMENT_METHODS = ("nystrom_baseline", "generalized")
 REPORT_FORMATS = ("text_table", "csv")
@@ -156,7 +156,8 @@ def pipeline(X, side, cfg, landmark_seed):
     builds the core. ``side = None`` keeps the baseline S = core.S0; with
     side information, ``cfg.lambda_grid`` runs :func:`select_lambda`, and
     otherwise one :func:`fit` runs at ``cfg.lam`` (1.0 when unset), whose
-    NumericalError propagates.
+    NumericalError propagates; the fit and its alignment scores share one
+    supervision build.
     """
     m = cfg.m if cfg.m is not None else default_landmark_count(len(X))
     t0 = time.perf_counter()
@@ -178,7 +179,9 @@ def pipeline(X, side, cfg, landmark_seed):
         record = selection.chosen
     else:
         lam = cfg.lam if cfg.lam is not None else 1.0
-        record = _score_fit(core, side, lam, fit(core, side, LearnConfig(lam=lam)))
+        supervision = _Supervision(core, side)
+        result = fit(core, side, LearnConfig(lam=lam), _supervision=supervision)
+        record = _score_fit(core, side, lam, result, supervision)
     t3 = time.perf_counter()
     return PipelineResult(landmarks=Z, kernel=params, core=core, record=record,
                           selection=selection,

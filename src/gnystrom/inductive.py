@@ -1,9 +1,13 @@
 """Deployable model: landmarks plus a learned dictionary embed new samples.
 
 A fitted model keeps the landmark coordinates Z, the kernel parameters and
-the factor L of the learned PSD matrix S = L @ L.T; S itself is not stored.
+a factor L of the learned PSD matrix S = L @ L.T; S itself is not stored.
 New samples embed as k(X, Z) @ L, so inner products of embeddings reproduce
-the learned similarity k(x, Z) @ S @ k(y, Z).T.
+the learned similarity k(x, Z) @ S @ k(y, Z).T. Every factor with the same
+L @ L.T defines the same model, so the model keeps the lower-trapezoidal
+one with a nonnegative diagonal (Cholesky form): its leading r x r block is
+a triangle, and embedding through it costs about half the multiply flops of
+a dense m x r factor.
 
 Serialization uses a self-describing little-endian binary container:
 
@@ -22,7 +26,10 @@ Serialization uses a self-describing little-endian binary container:
 
 A file of any other version is rejected. Every load re-validates the model
 invariants, so a corrupt or truncated file raises :class:`ModelFormatError`
-rather than producing a bad model.
+rather than producing a bad model. A file holding a general, non-triangular
+L loads with L triangularized: its embedding columns rotate, while the Gram
+matrix of embeddings, :func:`similarity` and the predictions of a linear
+classifier trained on the embeddings stay the same.
 """
 
 import json
@@ -32,6 +39,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from ._arrays import as_data_matrix, as_vector
 from .dictlearn import factorize
@@ -58,23 +66,32 @@ class InductiveModel:
         # results whether it came from fitting or from a file: BLAS products
         # round differently per memory layout.
         Z = np.ascontiguousarray(as_data_matrix(self.landmarks, "landmarks"))
-        L = np.ascontiguousarray(self.L, dtype=np.float64)
+        L = np.asarray(self.L, dtype=np.float64)
         m = Z.shape[0]
         if L.ndim != 2 or L.shape[0] != m:
             raise InputError(f"L must have {m} rows, got {L.shape}")
         if L.shape[1] > m:
             raise InputError("factor rank cannot exceed the landmark count")
-        if not np.all(np.isfinite(L)):
-            raise InputError("L must be finite")
         if not isinstance(self.metadata, dict):
             raise InputError("metadata must be a dict")
+        # L.T = Q @ R gives L @ L.T = R.T @ R; flipping the rows of R with a
+        # negative diagonal keeps that product. Householder QR leaves an
+        # upper-trapezoidal input unchanged bit for bit, so a factor already
+        # in this form, as every saved one is, stays exactly as it is.
+        R = np.linalg.qr(L.T, mode="r")
+        R[np.diag(R) < 0] *= -1.0
+        # Checked after the QR, which turns a non-finite L, or a finite one
+        # whose row norms overflow, into a non-finite R.
+        if not np.all(np.isfinite(R)):
+            raise InputError("L and its triangular form must be finite")
         object.__setattr__(self, "landmarks", Z)
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L", np.ascontiguousarray(R.T))
 
     @classmethod
     def from_state(cls, landmarks, kernel, state, lam=None, report=None):
-        """Package a fit: factorizes S (a DictionaryState or a PSD matrix)
-        and records fitting context."""
+        """Package a fit: factorizes S (a DictionaryState or a PSD matrix),
+        which the constructor brings to lower-trapezoidal form, and records
+        fitting context."""
         Z = landmarks.points if isinstance(landmarks, LandmarkSet) else landmarks
         L = factorize(state)
         metadata = {
@@ -103,17 +120,32 @@ def embed(model, Xnew):
     """Low-rank features for new samples: k(Xnew, Z) @ L.
 
     Inner products of the returned rows reproduce the learned similarity.
-    The kernel block's exponents come from one n x (d+2) by (d+2) x m matrix
-    product on landmark-centred copies, with the exponential taken in place
-    (:func:`kernels._rbf_block`), so a call holds one n x m temporary
-    besides its n x rank result; it matches ``kernel_matrix(Xnew, Z) @ L`` to
+    The kernel block K comes from one n x (d+2) by (d+2) x m matrix product
+    on landmark-centred copies, with the exponential taken in place
+    (:func:`kernels._rbf_block`). With r = rank, the product is
+    K[:, :r] @ T + K[:, r:] @ D for the r x r triangle T and the remaining
+    rows D of the lower-trapezoidal L. The triangle goes through BLAS
+    ``dtrmm``, about half the multiply flops of a dense product, working in
+    place on the F-ordered K.T. At full rank D is empty and a call holds
+    one n x m block, which it returns; below it, the BLAS wrapper copies
+    the triangle's rows of K.T into the n x r result, and the dense term
+    adds one n x r temporary. Matches ``kernel_matrix(Xnew, Z) @ L`` to
     about 1e-15 relative to ``L``.
     """
     Xnew = as_data_matrix(Xnew, "Xnew")
     if Xnew.shape[1] != model.landmarks.shape[1]:
         raise InputError(
             f"expected {model.landmarks.shape[1]} features, got {Xnew.shape[1]}")
-    return _rbf_block(Xnew, model.landmarks, model.kernel.bandwidth) @ model.L
+    K = _rbf_block(Xnew, model.landmarks, model.kernel.bandwidth)
+    r, L = model.rank, model.L
+    # dtrmm computes op(A) @ B in Fortran terms: (T.T) @ (K.T)[:r], the
+    # transpose of K[:, :r] @ T.
+    G = dtrmm(1.0, L[:r].T, K.T[:r], overwrite_b=1).T
+    # At full rank D has no rows, and the empty product would still write an
+    # n x m block of zeros to add.
+    if r < model.m:
+        G += K[:, r:] @ L[r:]
+    return G
 
 
 def similarity(model, x, y):

@@ -31,7 +31,9 @@ from gnystrom import (
     select_random,
     train_linear,
 )
+from gnystrom import experiment, supervision
 from gnystrom.experiment import _CONFIG_PARSERS, _CONFIG_RENAMES
+from gnystrom.modelselect import _score_fit
 
 
 def _small_blobs(seed=0):
@@ -99,6 +101,32 @@ def test_report_fields_well_formed():
     for phase in ("landmarks", "core", "fit", "classify"):
         assert report.phase_seconds[phase] >= 0.0
     assert report.chosen_lambdas == [1.0, 1.0, 1.0]
+
+
+def test_fixed_lambda_builds_supervision_once_per_repeat(monkeypatch):
+    """The fit and its alignment scores share one supervision build, and the
+    errors equal those of building it separately for each, bit for bit."""
+    ds = _small_blobs(seed=8)
+    cfg = ExperimentConfig(labeled_per_run=12, repeats=3, seed=9, m=8, lam=0.5)
+    builds = []
+    real_init = supervision._Supervision.__init__
+
+    def counting_init(self, core, side):
+        builds.append(1)
+        real_init(self, core, side)
+
+    monkeypatch.setattr(supervision._Supervision, "__init__", counting_init)
+    shared = run_experiment(ds, cfg, "generalized")
+    assert len(builds) == cfg.repeats
+
+    # The same run with the fit and the scores each building their own.
+    monkeypatch.setattr(experiment, "fit", lambda core, side, learn, _supervision: fit(
+        core, side, learn))
+    monkeypatch.setattr(experiment, "_score_fit", lambda core, side, lam, result, _: (
+        _score_fit(core, side, lam, result)))
+    separate = run_experiment(ds, cfg, "generalized")
+    assert np.array_equal(shared.errors, separate.errors)
+    assert shared.results == separate.results
 
 
 def test_baseline_ignores_labels_in_dictionary():

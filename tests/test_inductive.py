@@ -12,19 +12,26 @@ from numpy.testing import assert_allclose
 from gnystrom import (
     InductiveModel,
     InputError,
+    KMeansConfig,
     KernelParams,
     LabelVector,
     LearnConfig,
     ModelFormatError,
     SideInformation,
+    bandwidth_heuristic,
     build_core,
     embed,
+    factorize,
     fit,
     kernel_matrix,
     load,
+    make_blobs,
+    sample_labeled,
     save,
+    select_kmeans,
     select_random,
     similarity,
+    train_linear,
 )
 
 _HEADER_FMT = "<4sIIIId8sI"
@@ -64,6 +71,8 @@ def test_model_invariants_validated():
     p = KernelParams(bandwidth=1.0)
     with pytest.raises(InputError):
         InductiveModel(landmarks=Z, kernel=p, L=np.array([[np.nan], [1.0]]))
+    with pytest.raises(InputError):  # finite, but its triangular form overflows
+        InductiveModel(landmarks=np.zeros((3, 1)), kernel=p, L=np.full((3, 3), 1.5e308))
     with pytest.raises(InputError):
         InductiveModel(landmarks=Z, kernel=p, L=np.eye(3))  # one row per landmark
     with pytest.raises(InputError):
@@ -79,6 +88,93 @@ def test_from_state_records_metadata():
     assert solver["converged_by"] in ("grad_norm", "obj_rel", "max_iters")
     assert solver["final_objective"] >= 0.0
     assert model.rank <= model.m
+
+
+# ---------------------------------------------------------------------------
+# the factor
+
+
+def _general_model(seed, m, r):
+    """A model built from a dense, non-triangular m x r factor."""
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(m, 3))
+    L = rng.normal(size=(m, r))
+    return InductiveModel(landmarks=Z, kernel=KernelParams(bandwidth=4.0), L=L), L
+
+
+@pytest.mark.parametrize("m, r", [(6, 6), (6, 3), (6, 1), (6, 0)])
+def test_factor_is_lower_trapezoidal_with_nonnegative_diagonal(m, r):
+    model, L = _general_model(seed=20 + r, m=m, r=r)
+    T = model.L
+    assert T.shape == (m, r)
+    assert np.all(np.triu(T[:r], 1) == 0.0)
+    assert np.all(np.diag(T) >= 0.0)
+    gram = L @ L.T
+    assert np.linalg.norm(T @ T.T - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_triangularizing_is_idempotent():
+    model, *_ = _fitted_model(seed=22)
+    again = InductiveModel(landmarks=model.landmarks, kernel=model.kernel, L=model.L)
+    assert np.array_equal(again.L, model.L)
+
+
+@pytest.mark.parametrize("r", [3, 0])
+def test_rank_deficient_model_embeds_like_the_dense_product(r):
+    model, _ = _general_model(seed=23, m=6, r=r)
+    rng = np.random.default_rng(230)
+    for n in (40, 1):  # one row makes K.T[:r] contiguous, so dtrmm works in place
+        Xnew = rng.normal(size=(n, 3))
+        expected = kernel_matrix(Xnew, model.landmarks, model.kernel) @ model.L
+        atol = 1e-12 * (1.0 + np.linalg.norm(model.L))
+        G = embed(model, Xnew)
+        assert G.shape == (n, r)
+        assert_allclose(G, expected, rtol=0, atol=atol)
+
+
+def test_general_factor_file_loads_with_the_same_gram_and_round_trips(tmp_path):
+    rng = np.random.default_rng(24)
+    m, d, r = 6, 3, 4
+    Z = rng.normal(size=(m, d))
+    L = rng.normal(size=(m, r))
+    meta = b"{}"
+    raw = (struct.pack(_HEADER_FMT, b"GNYM", 2, m, d, r, 4.0, b"rbf".ljust(8, b"\0"),
+                       len(meta))
+           + meta + Z.astype("<f8").tobytes() + L.astype("<f8").tobytes())
+    path = tmp_path / "general.bin"
+    path.write_bytes(raw)
+    model = load(path)
+    Xnew = rng.normal(size=(20, d))
+    G = embed(model, Xnew)
+    E = kernel_matrix(Xnew, Z, KernelParams(bandwidth=4.0)) @ L
+    assert_allclose(G @ G.T, E @ E.T, rtol=0, atol=1e-12 * np.linalg.norm(E @ E.T))
+    again = tmp_path / "again.bin"
+    save(model, again)
+    reloaded = load(again)
+    assert np.array_equal(reloaded.L, model.L)
+    assert np.array_equal(embed(reloaded, Xnew), G)
+
+
+def test_triangular_features_predict_like_eigenvector_features():
+    # A fit at lambda = 1e3 is PSD in closed form and full rank; the
+    # triangular factor is an orthogonal rotation of factorize's, so a
+    # linear classifier trained on either predicts the same labels.
+    ds = make_blobs(8000, 20, n_classes=4, separation=3.0, seed=7)
+    held = make_blobs(20_000, 20, n_classes=4, separation=3.0, seed=8)
+    params = KernelParams(bandwidth=bandwidth_heuristic(ds.X))
+    Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=1))
+    core = build_core(ds.X, Z, params)
+    labeled = sample_labeled(ds, 200, seed=2)
+    result = fit(core, SideInformation.from_labels(labeled), LearnConfig(lam=1e3))
+    model = InductiveModel.from_state(Z, params, result.state, lam=1e3)
+    L = factorize(result.state)
+    assert model.rank == model.m  # full rank: embed multiplies in place
+
+    tri = train_linear(embed(model, ds.X[labeled.indices]), labeled.labels)
+    eig = train_linear(core.E[labeled.indices] @ L, labeled.labels)
+    tri_pred = tri.predict(embed(model, held.X))
+    eig_pred = eig.predict(kernel_matrix(held.X, Z.points, params) @ L)
+    assert np.array_equal(tri_pred, eig_pred)
 
 
 # ---------------------------------------------------------------------------
