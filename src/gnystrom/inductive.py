@@ -18,18 +18,19 @@ Serialization uses a self-describing little-endian binary container:
     12      4             d, feature dimension, uint32
     16      4             r, factor rank, uint32
     20      8             kernel bandwidth, float64
-    28      8             kernel family, ASCII padded with NUL
+    28      8             kernel family, always "rbf" padded with NUL
     36      4             metadata byte length, uint32
     40      meta          metadata, UTF-8 JSON object
     ...     m*d*8         Z, row-major float64
     ...     m*r*8         L, row-major float64
 
-A file of any other version is rejected. Every load re-validates the model
-invariants, so a corrupt or truncated file raises :class:`ModelFormatError`
-rather than producing a bad model. A file holding a general, non-triangular
-L loads with L triangularized: its embedding columns rotate, while the Gram
-matrix of embeddings, :func:`similarity` and the predictions of a linear
-classifier trained on the embeddings stay the same.
+A file of any other version or kernel family is rejected. Every load
+re-validates the model invariants, so a corrupt or truncated file raises
+:class:`ModelFormatError` rather than producing a bad model. A file
+holding a general, non-triangular L loads with L triangularized: its
+embedding columns rotate, while the Gram matrix of embeddings,
+:func:`similarity` and the predictions of a linear classifier trained on
+the embeddings stay the same.
 """
 
 import json
@@ -50,6 +51,8 @@ from .landmarks import LandmarkSet
 _MAGIC = b"GNYM"
 _VERSION = 2
 _HEADER_FMT = "<4sIIIId8sI"
+# The Gaussian is the only kernel; the header's family field always names it.
+_FAMILY = b"rbf".ljust(8, b"\0")
 
 
 @dataclass(frozen=True)
@@ -122,30 +125,23 @@ def embed(model, Xnew):
     Inner products of the returned rows reproduce the learned similarity.
     The kernel block K comes from one n x (d+2) by (d+2) x m matrix product
     on landmark-centred copies, with the exponential taken in place
-    (:func:`kernels._rbf_block`). With r = rank, the product is
-    K[:, :r] @ T + K[:, r:] @ D for the r x r triangle T and the remaining
-    rows D of the lower-trapezoidal L. The triangle goes through BLAS
-    ``dtrmm``, about half the multiply flops of a dense product, working in
-    place on the F-ordered K.T. At full rank D is empty and a call holds
-    one n x m block, which it returns; below it, the BLAS wrapper copies
-    the triangle's rows of K.T into the n x r result, and the dense term
-    adds one n x r temporary. Matches ``kernel_matrix(Xnew, Z) @ L`` to
-    about 1e-15 relative to ``L``.
+    (:func:`kernels._rbf_block`). At full rank L is an m x m lower
+    triangle, and K @ L goes through BLAS ``dtrmm``, about half the multiply
+    flops of a dense product, in place on the F-ordered K.T: a call holds
+    one n x m block, which it returns. Below full rank, one dense product
+    writes the n x rank result next to K. Matches
+    ``kernel_matrix(Xnew, Z) @ L`` to about 1e-15 relative to ``L``.
     """
     Xnew = as_data_matrix(Xnew, "Xnew")
     if Xnew.shape[1] != model.landmarks.shape[1]:
         raise InputError(
             f"expected {model.landmarks.shape[1]} features, got {Xnew.shape[1]}")
     K = _rbf_block(Xnew, model.landmarks, model.kernel.bandwidth)
-    r, L = model.rank, model.L
-    # dtrmm computes op(A) @ B in Fortran terms: (T.T) @ (K.T)[:r], the
-    # transpose of K[:, :r] @ T.
-    G = dtrmm(1.0, L[:r].T, K.T[:r], overwrite_b=1).T
-    # At full rank D has no rows, and the empty product would still write an
-    # n x m block of zeros to add.
-    if r < model.m:
-        G += K[:, r:] @ L[r:]
-    return G
+    if model.rank < model.m:
+        return K @ model.L
+    # dtrmm computes op(A) @ B in Fortran terms: (T.T) @ (K.T), the
+    # transpose of K @ T.
+    return dtrmm(1.0, model.L.T, K.T, overwrite_b=1).T
 
 
 def similarity(model, x, y):
@@ -168,13 +164,10 @@ def similarity(model, x, y):
 def save(model, path):
     """Write the model in the binary container format documented above."""
     meta_bytes = json.dumps(model.metadata, sort_keys=True).encode("utf-8")
-    family = model.kernel.family.encode("ascii")
-    if len(family) > 8:
-        raise InputError("kernel family name exceeds the 8-byte header field")
     m, d = model.landmarks.shape
     r = model.L.shape[1]
     header = struct.pack(_HEADER_FMT, _MAGIC, _VERSION, m, d, r,
-                         float(model.kernel.bandwidth), family.ljust(8, b"\0"),
+                         float(model.kernel.bandwidth), _FAMILY,
                          len(meta_bytes))
     with open(path, "wb") as fh:
         fh.write(header)
@@ -189,12 +182,14 @@ def load(path):
     header_size = struct.calcsize(_HEADER_FMT)
     if len(data) < header_size:
         raise ModelFormatError(f"{path}: file too short for a model header")
-    magic, version, m, d, r, bandwidth, family_raw, meta_len = struct.unpack_from(
+    magic, version, m, d, r, bandwidth, family, meta_len = struct.unpack_from(
         _HEADER_FMT, data)
     if magic != _MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
     if version != _VERSION:
         raise ModelFormatError(f"{path}: unsupported format version {version}")
+    if family != _FAMILY:
+        raise ModelFormatError(f"{path}: unsupported kernel family {family!r}")
     offset = header_size
     if len(data) < offset + meta_len:
         raise ModelFormatError(f"{path}: truncated metadata block")
@@ -220,8 +215,7 @@ def load(path):
     Z = take(m, d)
     L = take(m, r)
     try:
-        params = KernelParams(bandwidth=bandwidth,
-                              family=family_raw.rstrip(b"\0").decode("ascii"))
+        params = KernelParams(bandwidth=bandwidth)
         return InductiveModel(landmarks=Z, kernel=params, L=L, metadata=metadata)
-    except (InputError, UnicodeDecodeError) as exc:
+    except InputError as exc:
         raise ModelFormatError(f"{path}: model invariants violated: {exc}") from exc

@@ -15,8 +15,6 @@ from scipy.spatial.distance import cdist
 from ._arrays import as_data_matrix, as_index_array, as_square_matrix, as_vector
 from .errors import DegenerateBandwidthError, InputError, UndefinedAlignmentError
 
-KERNEL_FAMILIES = ("rbf",)
-
 # Centered operands with Frobenius norm below this (relative to the raw
 # operand) are treated as zero, i.e. alignment is undefined for them.
 _ZERO_ALIGNMENT_RTOL = 1e-13
@@ -24,19 +22,13 @@ _ZERO_ALIGNMENT_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel family plus its bandwidth.
-
-    Only the Gaussian family is implemented: ``k(x, y) =
-    exp(-||x - y||^2 / bandwidth)``, so the bandwidth is in squared-distance
-    units.
+    """Bandwidth of the Gaussian kernel ``k(x, y) =
+    exp(-||x - y||^2 / bandwidth)``, in squared-distance units.
     """
 
     bandwidth: float
-    family: str = "rbf"
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise InputError(f"unknown kernel family {self.family!r}")
         bw = float(self.bandwidth)
         if not (np.isfinite(bw) and bw > 0.0):
             raise InputError(f"bandwidth must be positive and finite, got {self.bandwidth}")

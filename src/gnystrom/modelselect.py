@@ -97,27 +97,25 @@ def validate_grid(grid):
     return vals
 
 
-def alignment_scores(S, core, side, *, _supervision=None):
+def alignment_scores(S, core, side):
     """(rho_prior, rho_align): alignment of S with the prior, and of the
     reconstructed supervised block El @ S @ El.T (masked for pairs) with its
     target, both by :func:`nka_score`; the second never forms an l x l
     array.
-
-    ``_supervision`` is private: :func:`select_lambda` passes the
-    :class:`supervision._Supervision` its grid shares.
     """
-    rho_prior = nka_score(S, core.S0)
-    if _supervision is None:
-        _supervision = _Supervision(core, side)
-    return rho_prior, _supervision.alignment(S)
+    return nka_score(S, core.S0), _Supervision(core, side).alignment(S)
 
 
 def _score_fit(core, side, lam, result, supervision=None):
-    """LambdaRecord of a finished fit at weight lam; an undefined alignment
-    scores -inf with the reason recorded."""
+    """LambdaRecord of a finished fit at weight lam, scored as by
+    :func:`alignment_scores` through the shared ``supervision`` if given; an
+    undefined alignment scores -inf with the reason recorded."""
     S = result.state.S
     try:
-        rho_prior, rho_align = alignment_scores(S, core, side, _supervision=supervision)
+        rho_prior = nka_score(S, core.S0)
+        if supervision is None:
+            supervision = _Supervision(core, side)
+        rho_align = supervision.alignment(S)
     except UndefinedAlignmentError as exc:
         return LambdaRecord(lam=lam, rho_prior=float("nan"), rho_align=float("nan"),
                             criterion=float("-inf"), solver=result.report, S=S,

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._arrays import as_data_matrix, truncated_eigh
+from ._arrays import as_data_matrix, eigh, truncated_eigh
 from .errors import InputError
 from .kernels import kernel_matrix
 from .landmarks import LandmarkSet
+
+# Distances per row block of rbf_lipschitz_constant's diameter (512 KiB).
+_DIAMETER_BLOCK = 1 << 16
 
 
 def _landmark_points(Z):
@@ -27,13 +30,13 @@ def _landmark_points(Z):
 @dataclass(frozen=True)
 class NystromCore:
     """Kernel blocks E (samples vs landmarks), W (landmarks vs landmarks),
-    and S0, the pseudo-inverse of W with a relative eigenvalue cutoff."""
+    and S0, the pseudo-inverse of W on its ``pinv_rank`` leading
+    eigenvalues (the ones above :func:`build_core`'s relative cutoff)."""
 
     E: np.ndarray
     W: np.ndarray
     S0: np.ndarray
     pinv_rank: int
-    pinv_tol: float
 
     def __post_init__(self):
         E = np.asarray(self.E, dtype=np.float64)
@@ -99,13 +102,15 @@ def build_core(X, Z, params, pinv_tol=1e-10):
     vals, vecs = truncated_eigh(W, pinv_tol)
     S0 = (vecs / vals) @ vecs.T
     S0 = 0.5 * (S0 + S0.T)
-    return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size, pinv_tol=float(pinv_tol))
+    return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size)
 
 
 def landmark_eigensystem(core):
-    """Eigendecompose core.W, keeping eigenvalues above the core's cutoff."""
-    vals, vecs = truncated_eigh(core.W, core.pinv_tol)
-    return LandmarkEigensystem(eigvecs=vecs[:, ::-1], eigvals=vals[::-1])
+    """Eigendecompose core.W, keeping its ``core.pinv_rank`` largest
+    eigenpairs: the ones S0 inverts."""
+    vals, vecs = eigh(core.W)
+    r = core.pinv_rank
+    return LandmarkEigensystem(eigvecs=vecs[:, ::-1][:, :r], eigvals=vals[::-1][:r])
 
 
 def reconstruct_entry(core, i, j):
@@ -151,9 +156,17 @@ def rbf_lipschitz_constant(X, Z, params):
     The gradient norm of k(x, .) is at most (2/b) * D * max k with D the
     diameter of the evaluated point set and max k = 1, so that value is a
     valid (if loose) Lipschitz constant on the data domain.
+
+    The diameter is taken over blocks of rows, each against itself and the
+    rows after it, so a call holds about 2**16 distances at a time instead
+    of all (n + m)**2. A distance rounds the same either way round, so the
+    result equals the maximum of the full distance matrix bit for bit.
     """
     pts = np.vstack([as_data_matrix(X), _landmark_points(Z)])
-    diameter = float(cdist(pts, pts).max())
+    total = pts.shape[0]
+    rows = max(1, _DIAMETER_BLOCK // total)
+    diameter = max(float(cdist(pts[a:a + rows], pts[a:]).max())
+                   for a in range(0, total, rows))
     return 2.0 * diameter / params.bandwidth
 
 
@@ -174,16 +187,15 @@ def extrapolation_bound(core, X, Z, params, eta_lip, i, j):
         raise InputError("X and Z must match the core's dimensions")
     if not (np.isfinite(eta_lip) and eta_lip >= 0):
         raise InputError(f"eta_lip must be a nonnegative real, got {eta_lip}")
-    for name, idx in (("i", i), ("j", j)):
-        if not 0 <= idx < n:
-            raise InputError(f"index {name}={idx} out of range for {n} samples")
+    # reconstruct_entry range-checks i and j before X is indexed by them.
+    entry = reconstruct_entry(core, i, j)
     dist_i = cdist(X[[i]], Zp).ravel()
     dist_j = cdist(X[[j]], Zp).ravel()
     p = int(dist_i.argmin())
     q = int(dist_j.argmin())
     d_p = float(dist_i[p])
     d_q = float(dist_j[q])
-    lhs = abs(reconstruct_entry(core, i, j) - float(core.W[p, q]))
+    lhs = abs(entry - float(core.W[p, q]))
     c = m * 1.0
     root_m_eta = np.sqrt(m) * eta_lip
     rhs = root_m_eta * (c * d_p + c * d_q + root_m_eta * d_p * d_q)

@@ -47,7 +47,7 @@ def _identity_problem():
     reconstruction already equals the two-class target: the objective is
     exactly zero at the prior."""
     core = NystromCore(E=np.eye(2), W=np.eye(2), S0=np.eye(2),
-                       pinv_rank=2, pinv_tol=0.0)
+                       pinv_rank=2)
     side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
                                       target=np.eye(2))
     return core, side

@@ -232,6 +232,24 @@ def test_embed_memory_is_one_block():
     assert peak < 2.5 * n * m * 8
 
 
+@pytest.mark.parametrize("r", [90, 50])
+def test_embed_memory_below_full_rank(r):
+    # The n x m kernel block plus the n x r result, besides small slack.
+    n, m, d = 4000, 100, 5
+    rng = np.random.default_rng(62)
+    model = InductiveModel(landmarks=rng.normal(size=(m, d)),
+                           kernel=KernelParams(bandwidth=2.0 * d),
+                           L=rng.normal(size=(m, r)))
+    Xnew = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        embed(model, Xnew)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1.0 + r / m + 0.05) * n * m * 8
+
+
 def test_embed_dimension_mismatch():
     model, *_ = _fitted_model()
     with pytest.raises(InputError):
@@ -399,6 +417,18 @@ def test_load_rejects_version_1(tmp_path):
     struct.pack_into("<I", data, 4, 1)
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError, match="unsupported format version 1"):
+        load(path)
+
+
+@pytest.mark.parametrize("family", [b"poly", b"rbf\0\0\0\0x", b"RBF", b""])
+def test_load_rejects_other_kernel_family(tmp_path, family):
+    model, *_ = _fitted_model(seed=17)
+    path = tmp_path / "model.bin"
+    save(model, path)
+    data = bytearray(path.read_bytes())
+    data[28:36] = family.ljust(8, b"\0")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError, match="kernel family"):
         load(path)
 
 

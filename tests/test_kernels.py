@@ -37,11 +37,6 @@ def test_kernel_params_requires_positive_bandwidth():
             KernelParams(bandwidth=bad)
 
 
-def test_kernel_params_rejects_unknown_family():
-    with pytest.raises(InputError):
-        KernelParams(bandwidth=1.0, family="polynomial")
-
-
 def test_label_vector_validates_indices():
     with pytest.raises(InputError):
         LabelVector(indices=[0, 0], labels=[1, 2])  # duplicate

@@ -78,7 +78,7 @@ def test_tie_breaks_toward_smallest():
     # The prior already reproduces the target exactly, so every candidate
     # fit stays at the prior and all criteria coincide.
     core = NystromCore(E=np.eye(2), W=np.eye(2), S0=np.eye(2),
-                       pinv_rank=2, pinv_tol=0.0)
+                       pinv_rank=2)
     side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
                                       target=np.eye(2))
     report = select_lambda(core, side, grid=(0.01, 1.0, 100.0))

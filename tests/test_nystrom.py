@@ -1,9 +1,12 @@
 """Tests for the low-rank core: kernel blocks, pseudo-inverse prior,
 entry reconstruction, eigenvector extrapolation, and the error bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from gnystrom import (
     InputError,
@@ -97,10 +100,10 @@ def test_build_core_input_validation():
 def test_nystrom_core_shape_validation():
     with pytest.raises(InputError):
         NystromCore(E=np.ones((3, 2)), W=np.ones((3, 3)), S0=np.ones((2, 2)),
-                    pinv_rank=2, pinv_tol=0.0)
+                    pinv_rank=2)
     with pytest.raises(InputError):
         NystromCore(E=np.ones((3, 2)), W=np.ones((2, 2)), S0=np.ones((2, 2)),
-                    pinv_rank=5, pinv_tol=0.0)
+                    pinv_rank=5)
 
 
 def test_reconstruction_rank_bounded_by_m():
@@ -184,6 +187,20 @@ def test_eigensystem_reconstructs_w():
     eig = landmark_eigensystem(core)
     W_back = (eig.eigvecs * eig.eigvals) @ eig.eigvecs.T
     assert_allclose(W_back, core.W, atol=1e-10)
+
+
+def test_eigensystem_keeps_the_pairs_the_prior_inverts():
+    # A generous cutoff drops the weak direction of two nearly coincident
+    # landmarks; the eigensystem keeps the same pinv_rank leading pairs.
+    Z = np.array([[0.0], [1e-9], [3.0]])
+    core = build_core(Z, Z, KernelParams(bandwidth=1.0), pinv_tol=1e-6)
+    assert core.pinv_rank == 2
+    eig = landmark_eigensystem(core)
+    vals, vecs = np.linalg.eigh(core.W)
+    assert np.array_equal(eig.eigvals, vals[::-1][:2])
+    assert np.array_equal(eig.eigvecs, vecs[:, ::-1][:, :2])
+    S0 = (eig.eigvecs / eig.eigvals) @ eig.eigvecs.T
+    assert_allclose(S0, core.S0, atol=1e-12 * np.abs(core.S0).max())
 
 
 def test_eigensystem_rejects_bad_values():
@@ -285,6 +302,29 @@ def test_bound_holds_on_random_instances():
         i, j = int(rng.integers(n)), int(rng.integers(n))
         check = extrapolation_bound(core, X, Z, p, eta, i, j)
         assert check.lhs <= check.rhs + 1e-12
+
+
+def test_lipschitz_constant_equals_full_distance_maximum():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(700, 3)) * rng.uniform(0.1, 10.0, size=3)
+    Z = X[rng.choice(700, 50, replace=False)] + 0.01
+    p = KernelParams(bandwidth=2.5)
+    pts = np.vstack([X, Z])
+    assert rbf_lipschitz_constant(X, Z, p) == 2.0 * cdist(pts, pts).max() / 2.5
+
+
+def test_lipschitz_constant_memory_stays_below_distance_matrix():
+    # All (n + m)**2 distances at once would be about 75 MB here.
+    n, m = 3000, 100
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(n, 4))
+    tracemalloc.start()
+    try:
+        rbf_lipschitz_constant(X, X[:m], KernelParams(bandwidth=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + m) ** 2 * 8 / 20
 
 
 def test_bound_input_validation():
