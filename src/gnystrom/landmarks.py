@@ -9,9 +9,10 @@ from .errors import InputError
 
 LANDMARK_METHODS = ("kmeans", "random")
 
-# Iteration cap and relative movement tolerance of select_kmeans's Lloyd run.
+# Iteration cap and relative error-decrease tolerance of select_kmeans's
+# Lloyd run.
 _LLOYD_MAX_ITERS = 100
-_LLOYD_TOL = 1e-6
+_LLOYD_TOL = 1e-4
 # Scores per row block of a Lloyd assignment step (512 KiB, L2-sized).
 _ASSIGN_SCORES = 2**16
 
@@ -22,8 +23,10 @@ class KMeansConfig:
     sampling (:func:`_init_spread`) from ``seed``.
 
     Lloyd's algorithm then runs for at most 100 iterations and stops once
-    the largest center shift falls below 1e-6 * max|X - mean(X)|, a
-    relative rule that does not change when the data are translated.
+    an iteration lowers the quantization error (the total squared distance
+    to the nearest center) by at most 1e-4 of its previous value. The
+    Nystrom error is bounded by that error (Zhang, Tsang & Kwok 2008), and
+    a relative rule does not change when the data are translated.
     """
 
     k: int
@@ -92,9 +95,13 @@ def lloyd_iterations(X, centers, max_iters, tol):
 
     Each assignment step is one matrix product per block of about
     2**16 / k rows, whose scores stay in cache (see :func:`_assign`), and
-    each update one weighted ``bincount`` per feature. Iteration stops once
-    no center moves more than ``tol * max|X - mean(X)|``. Besides X the run
-    holds one n x d copy, a few length-n vectors and one block of scores.
+    each update one weighted ``bincount`` per feature. Iteration stops after
+    the update that follows an assignment lowering the objective by at most
+    ``tol`` times its previous value; ``tol=0`` runs until the objective
+    stops falling. At an exact fixed point the stall shows one assignment
+    after the centers stop moving, and that assignment returns the same
+    centers. Besides X the run holds one n x d copy, a few length-n vectors
+    and one block of scores.
     """
     X = as_data_matrix(X)
     centers = np.array(centers, dtype=np.float64)
@@ -106,7 +113,6 @@ def lloyd_iterations(X, centers, max_iters, tol):
         raise InputError(f"cannot maintain {k} nonempty clusters with {n} samples")
     mean = X.mean(axis=0)
     Xc = X - mean
-    threshold = tol * float(np.abs(Xc).max())
     trace = []
     for _ in range(max_iters):
         assign, nearest = _assign(X, Xc, mean, centers)
@@ -118,10 +124,8 @@ def lloyd_iterations(X, centers, max_iters, tol):
         for j in range(d):
             new_centers[:, j] = np.bincount(assign, weights=X[:, j], minlength=k)
         new_centers /= counts[:, None]
-
-        movement = float(np.sqrt(np.max(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
-        if movement <= threshold:
+        if len(trace) > 1 and trace[-2] - trace[-1] <= tol * trace[-2]:
             break
     return centers, trace
 

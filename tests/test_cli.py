@@ -134,7 +134,7 @@ _GOLDEN = {
                   "--separation", "2.0", "--seed", "7"], [
         (0.1706896551724138, 1.0, 0.9986190290932713, 0.5086011181866427),
         (0.1724137931034483, 1.0, 0.9963833468194804, 0.7307136596399642),
-        (0.19310344827586207, 1.0, 0.9951103340832139, 0.7661821442326663),
+        (0.19310344827586207, 1.0, 0.9950946392691497, 0.7670316297784505),
         (0.2, 1.0, 0.9978268484382603, 0.6603257031959678),
         (0.23793103448275862, 1.0, 0.9978622534048166, 0.6221414606529952),
         (0.2120689655172414, 1.0, 0.9971414328836731, 0.776630436454362),
