@@ -18,8 +18,8 @@ import numpy as np
 
 from .datasets import load_dataset, make_blobs, make_two_moons, sample_labeled
 from .errors import InputError, NumericalError
-from .experiment import (ExperimentConfig, _parse_value, _select_landmarks, emit_report,
-                         experiment_config_from_file, pipeline, run_experiment)
+from .experiment import (ExperimentConfig, _parse_value, _repeat_draws, _select_landmarks,
+                         emit_report, experiment_config_from_file, pipeline, run_experiment)
 from .inductive import InductiveModel, embed, load, save
 from .landmarks import LANDMARK_METHODS
 from .modelselect import DEFAULT_LAMBDA_GRID, FLAT_PRIOR_SPREAD
@@ -164,10 +164,11 @@ def _cmd_evaluate(args):
 def _cmd_select_lambda(args):
     ds = load_dataset(args.input, format=args.format)
     cfg = experiment_config_from_file(args.config)
-    side = SideInformation.from_labels(sample_labeled(ds, cfg.labeled_per_run, cfg.seed))
+    # Repeat 0 of evaluate on the same config.
+    labeled, landmark_seed = next(_repeat_draws(ds, cfg))
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else DEFAULT_LAMBDA_GRID
-    selection = pipeline(ds.X, side, replace(cfg, lam=None, lambda_grid=grid),
-                         cfg.seed).selection
+    selection = pipeline(ds.X, SideInformation.from_labels(labeled),
+                         replace(cfg, lam=None, lambda_grid=grid), landmark_seed).selection
     print(f"{'lambda':>12}  {'rho_prior':>10}  {'rho_align':>10}  "
           f"{'criterion':>10}  {'iters':>5}  stopped_by")
     for rec in selection.records:

@@ -33,14 +33,13 @@ than a quarter of the spectrum, where dsyevr costs about as much as a full
 eigendecomposition or more, the loop takes the full one instead. The loop
 runs in the eigenbasis V of C = El.T @ El = V diag(c) V.T, rescaled by the
 congruence diag(1 / sqrt(sqrt(lam) + c)), which maps the PSD cone onto
-itself and evens out the curvature at small lam. Only the x-step differs
-by kind:
-
-* label kind: the Hessian of J is diagonal in V, with weights
-  2 * (lam + c_i * c_j), so the x-step is elementwise;
-* grouping kind: the mask couples the entries, and the Hessian is diagonal
-  plus a rank-p term for p constrained pairs; the x-step solves a p x p
-  system (Woodbury), factored once per value of rho.
+itself and evens out the curvature at small lam. In V the Hessian
+of J is diagonal, with weights 2 * (lam + c_i * c_j) for labels and 2 * lam
+for pairs, plus for p constrained pairs a rank-p term that couples the
+entries; the x-step is then elementwise, or solves a p x p system
+(Woodbury) factored once per value of rho. The supervision
+(:meth:`supervision._Supervision.in_basis`) supplies the diagonal, the pair
+term and the system, so the loop is the same for both kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
 state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
@@ -71,8 +70,7 @@ tolerance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
+from scipy.linalg.lapack import dsyevr
 
 from ._arrays import as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
@@ -125,8 +123,11 @@ class LearnConfig:
     extrapolation that the safeguard rejects counts as one. ``obj_rel_tol = 0``
     disables the objective test. ``lam = 0`` is legal (pure data fitting);
     the closed-form initializer then does not apply and fitting starts from
-    the projected prior. A grouping-kind fit at ``lam = 0`` may end at
-    ``max_iters``: the masked problem need not attain its infimum.
+    the projected prior. A fit at ``lam = 0`` may end at ``max_iters``, of
+    either kind: the masked problem need not attain its infimum, and a
+    label problem whose infimum is approached only as ||S|| grows without
+    bound ends there too (one small random problem ran 20,000 iterations to
+    ||S|| of about 7e13).
     """
 
     lam: float = 1.0
@@ -238,8 +239,7 @@ def _value_and_gradient(S, core, side, lam, supervision=None):
     S = as_square_matrix(S, "S")
     if S.shape != core.S0.shape:
         raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise InputError(f"lam must be a nonnegative real, got {lam}")
+    LearnConfig(lam=lam)  # the fit's rule for lam
     if supervision is None:
         supervision = _Supervision(core, side)
     res = supervision.residual(S)
@@ -346,8 +346,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
 
     A start whose gradient norm is already within the tolerance of
     :class:`LearnConfig` is returned after 0 iterations. Otherwise one ADMM
-    loop runs for both kinds, with an elementwise x-step for labels and a
-    p x p Woodbury x-step for pairs (see the module docstring), until the
+    loop runs for both kinds (see the module docstring), until the
     gradient-mapping norm falls within that tolerance, the best objective
     stalls (obj_rel_tol), or max_iters; the stopping reason lands in the
     report's ``converged_by``.
@@ -449,12 +448,11 @@ class _ADMM:
     directions.
 
     With D = Z - Y0 for the start Y0, J is the exact quadratic
-    J(Y0) + <G0, D> + sum(Hs * D**2) + 2 * sum(w * at_pairs(D)**2). For
-    labels Hs = (lam + c c^T) * DD**2 is the whole Hessian and there is no
-    pair term. For pairs Hs = lam * DD**2, and the pairs (a, b) give the rows
-    Fa = Et[a] and Fb = Et[b] of Et = El V diag(d), so the masked residual
-    costs O(p m^2) for p pairs instead of O(l^2 m); w is 1/2 on a diagonal
-    pair (it appears once in the mask) and 1 otherwise.
+    J(Y0) + <G0, D> + sum(Hs * D**2) + the pair term at D, where
+    Hs = (lam + curvature) * DD**2. The supervision, taken in the basis
+    V diag(d), supplies the curvature, the pair term and the x-step's p x p
+    system (see :class:`supervision._Supervision`); the loop itself does not
+    depend on the kind of side information.
     """
 
     def __init__(self, S, S0, value, lam, supervision):
@@ -466,35 +464,26 @@ class _ADMM:
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
         self.Y0 = self.coords(S)
+        self.data = supervision.in_basis(self.V, self.scale)
         # grad J in Z, its data term taken from the residual through the
-        # factor times V diag(d) (Et = El V diag(d) for pairs) rather
-        # than by rotating and scaling grad J: where C is numerically null,
-        # DD reaches 1e12 / c_max and would turn the rounding in grad J into
-        # a slope along which J has no curvature, and the iterates would
-        # drift along it without bound.
-        F = (supervision.F @ self.V) * self.scale
+        # factor in the basis V diag(d) rather than by rotating and scaling
+        # grad J: where C is numerically null, DD reaches 1e12 / c_max and
+        # would turn the rounding in grad J into a slope along which J has no
+        # curvature, and the iterates would drift along it without bound.
         G0 = (2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD
-              + 2.0 * supervision.pull(supervision.residual(S), F))
+              + 2.0 * self.data.pull(supervision.residual(S)))
         self.G0 = 0.5 * (G0 + G0.T)
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
-        self.Fa = self.factor_rho = None
-        self.rho_updates = self.factor_builds = 0
-        # Eigenvalues the last projection clamped; they pick the next one's method.
-        self.negatives = 0
-        pairs = supervision.kind == "grouping"
-        self.Hs = (lam + (0.0 if pairs else np.outer(c, c))) * self.DD ** 2
-        # An eighth of twice the mean diagonal of the Hessian in Z (see
-        # _RHO_START).
-        self.rho = 2.0 * float(np.mean(self.Hs))
-        if pairs and supervision.weight.size:
-            a, b = supervision.pair_rows
-            self.Fa, self.Fb = F[a], F[b]
-            self.weight = supervision.weight
-            ab = np.einsum("pi,pi->p", self.Fa, self.Fb)
-            aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
-            self.rho += 2.0 * float(np.sum(self.weight * (aabb + ab * ab))) / self.Hs.size
-        self.rho *= _RHO_START
+        self.factor = self.factor_rho = None
+        # negatives: eigenvalues the last projection clamped; they pick the
+        # next one's method.
+        self.rho_updates = self.factor_builds = self.negatives = 0
+        diagonal, pair_trace = self.data.curvature()
+        self.Hs = (lam + diagonal) * self.DD ** 2
+        # An eighth of twice the mean diagonal of the Hessian in Z, pair term
+        # included (see _RHO_START).
+        self.rho = _RHO_START * (2.0 * float(np.mean(self.Hs)) + pair_trace / self.Hs.size)
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
@@ -508,28 +497,13 @@ class _ADMM:
         S = self.V @ (Z * self.DD) @ self.V.T
         return 0.5 * (S + S.T)
 
-    def mapping_bound(self, residual):
-        """||E|| in S for the Z-space KKT residual E_Z = DD * (V^T E V)."""
-        return float(np.linalg.norm(residual / self.DD))
-
-    def _at_pairs(self, M):
-        """Entries of Et @ M @ Et.T at the constrained pairs."""
-        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
-
-    def _spread(self, r):
-        """Et.T @ R @ Et for the symmetric R that holds r at the pairs."""
-        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
-        return A + A.T
-
     def _evaluate(self, Z):
         """J and its gradient at Z."""
         D = Z - self.Y0
-        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
-        grad = self.G0 + 2.0 * self.Hs * D
-        if self.Fa is not None:
-            r = self._at_pairs(D)
-            value += 2.0 * float(np.sum(self.weight * r * r))
-            grad += 2.0 * self._spread(r)
+        pair_value, pair_grad = self.data.pair_term(D)
+        value = (self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
+                 + pair_value)
+        grad = self.G0 + 2.0 * self.Hs * D + pair_grad
         # J is a sum of squares; near J = 0 the cancellation in the expansion
         # about Y0 can leave it slightly negative.
         return max(value, 0.0), grad
@@ -537,52 +511,20 @@ class _ADMM:
     def _x_step(self, Y, U):
         """The exact minimizer X = Y0 + D of J(X) + (rho/2) ||X - Y + U||^2.
 
-        D solves Dg * D + spread(at_pairs(D)) = N, with Dg = Hs + rho/2 and
-        N = (rho (Y - Y0 - U) - G0) / 2: elementwise without pairs; with them
-        (Woodbury), y = at_pairs(D) solves (I + 2 K diag(w)) y = at_pairs(N / Dg)
-        for K = B diag(1/Dg) B^T, B = at_pairs, B^T = spread / 2, and
-        D = (N - spread(y)) / Dg.
+        D solves Dg * D + (the pair term's gradient at D) / 2 = N, with
+        Dg = Hs + rho/2 and N = (rho (Y - Y0 - U) - G0) / 2, through the
+        supervision's system for Dg, built once per value of rho.
         """
         rho = self.rho
         N = 0.5 * rho * (Y - self.Y0 - U) - 0.5 * self.G0
         Dg = self.Hs + 0.5 * rho
-        if self.Fa is not None:
-            if self.factor_rho != rho:
-                self._factor(Dg)
-            root = np.sqrt(self.weight)
-            z, info = dpotrs(self.factor, root * self._at_pairs(N / Dg), lower=1)
-            if info != 0:
-                raise NumericalError(f"pair system solve failed: dpotrs info={info}")
-            N = N - self._spread(z / root)
-        return self.Y0 + N / Dg
-
-    def _factor(self, Dg):
-        """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)).
-
-        K[q, s] = <g_q, g_s / Dg> with g_q = sym(fa_q fb_q^T), a sum over the
-        entries i <= j of Z (twice off the diagonal). Row i adds one
-        rank-(m - i) update in place, so besides the p x p factor nothing
-        larger than p x m is held.
-        """
-        p, m = self.Fa.shape
-        root = np.sqrt(self.weight)[:, None]
-        # G below holds 2 g; with the system's factor 2, entry (i, j) weighs
-        # 1 / Dg off the diagonal (where it counts twice) and 1 / (2 Dg) on it.
-        scale = 1.0 / np.sqrt(Dg + np.diag(np.diag(Dg)))
-        # Release the old factor before the new p x p array is allocated.
-        self.factor = None
-        M = np.zeros((p, p), order="F")
-        M.flat[::p + 1] = 1.0
-        for i in range(m):
-            G = self.Fa[:, i, None] * self.Fb[:, i:]
-            G += self.Fb[:, i, None] * self.Fa[:, i:]
-            G *= root * scale[i, i:]
-            M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
-        self.factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise NumericalError(f"pair system factorization failed: dpotrf info={info}")
-        self.factor_rho = self.rho
-        self.factor_builds += 1
+        if self.factor_rho != rho:
+            # Release the old factor before the new one is allocated.
+            self.factor = None
+            self.factor = self.data.factor(Dg)
+            self.factor_rho = rho
+            self.factor_builds += self.factor is not None
+        return self.Y0 + self.data.solve(self.factor, N, Dg)
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
@@ -593,8 +535,9 @@ class _ADMM:
         value, grad = self._evaluate(Y)
         # -rho * U, the part the projection cut off scaled by -rho, is PSD and
         # orthogonal to Y, whatever W is, so its distance to grad J(Y) bounds
-        # the mapping norm at Y.
-        bound = self.mapping_bound(grad + self.rho * U)
+        # the mapping norm at Y: ||E|| in S for the Z-space residual
+        # E_Z = DD * (V^T E V).
+        bound = float(np.linalg.norm((grad + self.rho * U) / self.DD))
         X = self._x_step(Y, U)
         # f(W) - W = X + U - W = X - Y.
         if self.extrapolated and float(np.linalg.norm(X - Y)) > self.kept_norm:

@@ -74,12 +74,13 @@ class ExperimentConfig:
             if self.bandwidth != "heuristic":
                 raise InputError(f"bandwidth must be 'heuristic' or a number, "
                                  f"got {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        else:
+            # The core's and the fit's own checks, made before any work.
+            KernelParams(bandwidth=self.bandwidth)
         if self.lam is not None and self.lambda_grid is not None:
             raise InputError("set either lam or lambda_grid, not both")
-        if self.lam is not None and not self.lam >= 0:
-            raise InputError("lam must be >= 0")
+        if self.lam is not None:
+            LearnConfig(lam=self.lam)
         if self.lambda_grid is not None:
             object.__setattr__(self, "lambda_grid",
                                tuple(validate_grid(self.lambda_grid)))
@@ -163,10 +164,8 @@ def pipeline(X, side, cfg, landmark_seed):
     t0 = time.perf_counter()
     Z = _select_landmarks(X, cfg.landmark_method, m, landmark_seed)
     t1 = time.perf_counter()
-    if cfg.bandwidth == "heuristic":
-        params = KernelParams(bandwidth=bandwidth_heuristic(X))
-    else:
-        params = KernelParams(bandwidth=cfg.bandwidth)
+    params = KernelParams(bandwidth=bandwidth_heuristic(X) if cfg.bandwidth == "heuristic"
+                          else cfg.bandwidth)
     core = build_core(X, Z, params)
     t2 = time.perf_counter()
     selection = None
@@ -188,6 +187,16 @@ def pipeline(X, side, cfg, landmark_seed):
                           seconds={"landmarks": t1 - t0, "core": t2 - t1, "fit": t3 - t2})
 
 
+def _repeat_draws(ds, cfg):
+    """The labeled rows and the landmark seed of each of ``cfg.repeats``
+    repeats, in order, from the label and landmark seeds that ``cfg.seed``
+    derives: words 2 i and 2 i + 1 of its SeedSequence's state for repeat i.
+    """
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.repeats)
+    for label_seed, landmark_seed in seeds.reshape(-1, 2):
+        yield sample_labeled(ds, cfg.labeled_per_run, int(label_seed)), int(landmark_seed)
+
+
 def run_experiment(ds, cfg, method):
     """Run ``cfg.repeats`` train/evaluate cycles of one method."""
     if method not in EXPERIMENT_METHODS:
@@ -196,13 +205,9 @@ def run_experiment(ds, cfg, method):
         raise InputError("ds must be a Dataset")
     if cfg.labeled_per_run >= ds.n:
         raise InputError("labeled_per_run must leave at least one test sample")
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.repeats)
     phase_totals = dict.fromkeys(PHASES, 0.0)
     results = []
-    for rep in range(cfg.repeats):
-        label_seed = int(seeds[2 * rep])
-        landmark_seed = int(seeds[2 * rep + 1])
-        labeled = sample_labeled(ds, cfg.labeled_per_run, label_seed)
+    for labeled, landmark_seed in _repeat_draws(ds, cfg):
         side = SideInformation.from_labels(labeled) if method == "generalized" else None
         run = pipeline(ds.X, side, cfg, landmark_seed)
 

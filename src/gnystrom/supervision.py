@@ -6,15 +6,21 @@ compute from it.
 :class:`_Supervision` holds what every fit and alignment on one (core, side)
 pair shares: B = El.T @ target @ El, the eigenpairs of El.T @ El, and the
 factors from which J's data term, its gradient and the target alignment are
-computed in O(l m + m^2) memory.
+computed in O(l m + m^2) memory. It owns the data term in both bases: in S,
+and in the rescaled eigenbasis where the ADMM loop of :mod:`dictlearn` runs,
+for which it also supplies the diagonal curvature, the pair term and the
+p x p system of the pair x-step. Only this module knows how either kind of
+side information enters J; :class:`_Pairs` is the one place that touches
+the pair list's rows.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt
-from scipy.sparse import coo_matrix
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs
 
 from ._arrays import as_index_array, eigh
 from .errors import InputError, NumericalError
@@ -211,45 +217,43 @@ def _sample_pairs(pairs):
     return np.sort(arr.astype(np.intp), axis=1)
 
 
-def _supervised_rows(core, side):
-    if side.indices.size and int(side.indices.max()) >= core.E.shape[0]:
-        raise InputError("side-information indices exceed the number of samples")
-    return core.E[side.indices]
-
-
 class _Supervision:
     """What every fit and alignment on (core, side) shares, whatever lam,
     held in O(l m + m^2) memory (plus O(l k) for k classes): no l x l array.
 
     ``B`` = El.T @ target @ El for the supervised rows El, and
     ``eigenpairs`` (c, V) of C = El.T @ El, computed on first use (fitting
-    needs them; J, its gradient and the alignment do not). The data term ||residual||_F^2 of J and its
-    gradient come from a factor F and a residual:
+    needs them; J, its gradient and the alignment do not). The data term
+    ||residual||_F^2 of J and its gradient come from a residual:
 
     * labels: the target is Y Y^T for the l x k one-hot code matrix Y, so
       B = (El.T Y)(El.T Y)^T. With the thin QR El = Q R and A = Q^T Y, the
-      residual is R S R^T - A A^T (r x r, r = min(l, m)), the data term is
-      its squared norm plus ||target||^2 - ||A A^T||^2 = tr(D N) + <A^T A, D>
-      for N = Y^T Y and D = Y^T (I - Q Q^T) Y, and the gradient's data term
-      is 2 R^T residual R; F = R. One Householder QR of [El, Y] yields R, A
-      and the triangle whose Gram matrix is D, so the constant is a sum of
+      residual is F S F^T - A A^T for F = R (r x r, r = min(l, m)), the data
+      term is its squared norm plus ||target||^2 - ||A A^T||^2 = tr(D N) +
+      <A^T A, D> for N = Y^T Y and D = Y^T (I - Q Q^T) Y, and the gradient's
+      data term is 2 F^T residual F. One Householder QR of [El, Y] yields R,
+      A and the triangle whose Gram matrix is D, so the constant is a sum of
       nonnegative k x k terms, free of the cancellation in
       ||target||^2 - ||A A^T||^2 (or in tr(SCSC) - 2 tr(SB) + sum n_k^2),
       which swamps J near 0.
-    * pairs: the residual is the 2 x p entries of El S El.T - target at
-      (a, b) and at (b, a) (equal for symmetric S), the data term
+    * pairs: the residual is the 2 x p entries of F S F^T - target at (a, b)
+      and at (b, a) (equal for symmetric S) for F = El, the data term
       sum(weight * r^2) and the gradient's data term twice the residual
-      spread over the pairs, in O(l m^2 + p m); F = El.
+      spread over the pairs, all through :class:`_Pairs` in O(p m^2).
+
+    :meth:`in_basis` gives the same supervision for the factor F V diag(d),
+    the coordinates of the ADMM loop in :mod:`dictlearn`. There J's data term
+    is an elementwise :meth:`curvature` plus the :meth:`pair_term`, and the
+    loop's x-step is :meth:`solve`.
     """
 
     def __init__(self, core, side):
-        El = _supervised_rows(core, side)
-        self.kind, self.El = side.kind, El
-        l = El.shape[0]
+        if side.indices.size and int(side.indices.max()) >= core.E.shape[0]:
+            raise InputError("side-information indices exceed the number of samples")
+        El = core.E[side.indices]
+        self.kind, self.El, self.pairs = side.kind, El, None
         if side.kind == "labels":
-            k = int(side.codes.max()) + 1 if l else 0
-            self.Y = np.zeros((l, k))
-            self.Y[np.arange(l), side.codes] = 1.0
+            self.Y = np.eye(int(side.codes.max()) + 1 if side.codes.size else 0)[side.codes]
             ElY = El.T @ self.Y
             self.B = ElY @ ElY.T
             self.F, A, D = _qr_parts(El, self.Y)
@@ -259,15 +263,34 @@ class _Supervision:
             # ||target||_F, for the alignment's zero test.
             self.target_norm = float(np.sqrt(counts @ counts))
         else:
-            self.pair_rows = side.pairs.T
-            self.F = El
+            self.F, self.pair_rows = El, side.pairs.T
             self.weight = np.where(side.pairs[:, 0] == side.pairs[:, 1], 0.5, 1.0)
             self.pair_target = side.must.astype(np.float64)
-            self.B = self.pull(np.stack([self.pair_target, self.pair_target]))
+            self.B = self._pairs().spread(self.pair_target)
 
     @cached_property
     def eigenpairs(self):
         return eigh(self.El.T @ self.El)
+
+    def in_basis(self, V, d):
+        """This supervision for the factor F V diag(d), for the ADMM loop,
+        whose coordinates are Z with S = V diag(d) Z diag(d) V^T: its
+        residual and pull act on Z, and so do :meth:`curvature`,
+        :meth:`pair_term`, :meth:`factor` and :meth:`solve`, which only the
+        loop calls, on this copy. B and the eigenpairs stay those of S."""
+        out, F = copy(self), (self.F @ V) * d
+        if self.kind == "labels":
+            out.F = F
+        else:
+            # The loop needs F only at the pairs.
+            out.pairs = _Pairs(F, self.pair_rows, self.weight)
+        return out
+
+    def _pairs(self):
+        """The pair operator of F: the one :meth:`in_basis` keeps for the
+        loop, or one gathered for this call, so that no O(p m) array
+        outlives a call on S."""
+        return self.pairs or _Pairs(self.F, self.pair_rows, self.weight)
 
     def residual(self, S):
         if self.kind == "labels":
@@ -275,11 +298,9 @@ class _Supervision:
         return self._entries(S) - self.pair_target
 
     def _entries(self, S):
-        """The entries of El S El.T at the pairs (a, b), and at (b, a)."""
-        a, b = self.pair_rows
-        FS = self.F @ S
-        return np.stack([np.einsum("pi,pi->p", FS[a], self.F[b]),
-                         np.einsum("pi,pi->p", FS[b], self.F[a])])
+        """The entries of F S F^T at the pairs (a, b), and at (b, a)."""
+        pairs = self._pairs()
+        return np.stack([pairs.at(S), pairs.at(S.T)])
 
     def loss(self, res):
         """The data term of J, from :meth:`residual`."""
@@ -287,19 +308,45 @@ class _Supervision:
             return float(np.sum(res * res)) + self.constant
         return float(np.sum(self.weight * res * res))
 
-    def pull(self, res, F=None):
-        """El.T @ Res @ El, half the data term of grad J, for the residual
-        ``res``; ``F``, the factor taken through a change of basis
-        (``self.F @ T``), gives T^T El.T @ Res @ El T instead."""
-        F = self.F if F is None else F
+    def pull(self, res):
+        """F^T Res F, half the data term of grad J, for the residual ``res``
+        (symmetrized for pairs)."""
         if self.kind == "labels":
-            return F.T @ res @ F
-        # Res as a sparse l x l matrix; a diagonal pair's two entries add up.
-        a, b = self.pair_rows
-        l = self.El.shape[0]
-        Res = coo_matrix(((self.weight * res).ravel(), (np.r_[a, b], np.r_[b, a])),
-                         shape=(l, l)).tocsr()
-        return F.T @ (Res @ F)
+            return self.F.T @ res @ self.F
+        return self._pairs().spread(0.5 * (res[0] + res[1]))
+
+    def curvature(self):
+        """The curvature of the data term in the loop's basis, in two parts:
+        its Hessian where that is diagonal in the eigenbasis V of C, as
+        weights on the entries (c c^T for labels), and the trace of the rest,
+        the Hessian of :meth:`pair_term` over symmetric matrices,
+        2 * sum(weight * (|fa|^2 |fb|^2 + (fa . fb)^2)) (pairs). The other
+        part is 0.0."""
+        if self.kind == "labels":
+            c = np.maximum(self.eigenpairs[0], 0.0)
+            return np.outer(c, c), 0.0
+        Fa, Fb = self.pairs.Fa, self.pairs.Fb
+        aabb = np.sum(Fa ** 2, axis=1) * np.sum(Fb ** 2, axis=1)
+        return 0.0, 2.0 * float(np.sum(self.weight * (aabb + np.einsum("pi,pi->p", Fa, Fb) ** 2)))
+
+    def pair_term(self, D):
+        """J's pair term 2 * sum(weight * r^2), r the entries of F D F^T at
+        the pairs, and its gradient, at the symmetric D; (0.0, 0.0) for
+        labels."""
+        if self.kind == "labels":
+            return 0.0, 0.0
+        r = self.pairs.at(D)
+        return 2.0 * float(np.sum(self.weight * r * r)), 2.0 * self.pairs.spread(r)
+
+    def factor(self, Dg):
+        """The factored system of :meth:`solve` for the weights Dg, or None
+        where the x-step is elementwise (labels, or no pairs)."""
+        return None if self.kind == "labels" or not self.weight.size else self.pairs.factor(Dg)
+
+    def solve(self, factor, N, Dg):
+        """The D with Dg * D + (the pair term's gradient at D) / 2 = N, through
+        the ``factor`` :meth:`factor` built for Dg."""
+        return (N if factor is None else self.pairs.solve(factor, N, Dg)) / Dg
 
     def alignment(self, S):
         """nka_score(El @ S @ El.T, target) (masked for pairs), the
@@ -348,6 +395,62 @@ class _Supervision:
         off = np.where(a == b, 0.0, x[1])
         return (np.bincount(a, x[0], l) + np.bincount(b, off, l),
                 np.bincount(b, x[0], l) + np.bincount(a, off, l))
+
+
+class _Pairs:
+    """The rows Fa = F[a] and Fb = F[b] of a factor F at p constrained pairs
+    (a, b), with each pair's weight: 1/2 on a diagonal pair, which the l x l
+    mask holds once, and 1 elsewhere.
+
+    :meth:`at` gives the entries of F M F^T at the pairs and :meth:`spread`
+    gives F^T R F for the symmetric R that holds weight * r at (a, b) and at
+    (b, a), each in O(p m^2); neither forms an l x l or a p x m^2 array.
+    """
+
+    def __init__(self, F, rows, weight):
+        self.Fa, self.Fb, self.weight = F[rows[0]], F[rows[1]], weight
+
+    def at(self, M):
+        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
+
+    def spread(self, r):
+        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
+        return A + A.T
+
+    def factor(self, Dg):
+        """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)) and
+        K = at diag(1 / Dg) at^T (see :meth:`solve`).
+
+        K[q, s] = <g_q, g_s / Dg> with g_q = sym(fa_q fb_q^T), a sum over the
+        entries i <= j of Dg (twice off the diagonal). Row i adds one
+        rank-(m - i) update in place, so besides the p x p factor nothing
+        larger than p x m is held.
+        """
+        p, m = self.Fa.shape
+        root = np.sqrt(self.weight)[:, None]
+        # G below holds 2 g; with the system's factor 2, entry (i, j) weighs
+        # 1 / Dg off the diagonal (where it counts twice) and 1 / (2 Dg) on it.
+        scale = 1.0 / np.sqrt(Dg + np.diag(np.diag(Dg)))
+        M = np.eye(p, order="F")
+        for i in range(m):
+            G = self.Fa[:, i, None] * self.Fb[:, i:]
+            G += self.Fb[:, i, None] * self.Fa[:, i:]
+            G *= root * scale[i, i:]
+            M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
+        factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"pair system factorization failed: dpotrf info={info}")
+        return factor
+
+    def solve(self, factor, N, Dg):
+        """N - spread(at(D)) for the D with Dg * D + spread(at(D)) = N, by
+        Woodbury: y = at(D) solves (I + 2 K diag(w)) y = at(N / Dg), as
+        spread = 2 at^T diag(w), through the ``factor`` of I + 2 W K W."""
+        root = np.sqrt(self.weight)
+        z, info = dpotrs(factor, root * self.at(N / Dg), lower=1)
+        if info != 0:
+            raise NumericalError(f"pair system solve failed: dpotrs info={info}")
+        return N - self.spread(z / root)
 
 
 def _qr_parts(F, Y):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gnystrom import experiment, load, load_dataset
+from gnystrom import SideInformation, experiment, load, load_dataset, sample_labeled
 from gnystrom.cli import main
 
 
@@ -160,6 +160,30 @@ def test_select_lambda_warns_on_moons400(tmp_path, capsys):
     assert len(warnings) == 2
     assert "edge of the scored grid" in warnings[0]
     assert "rho_align alone" in warnings[1]
+
+
+def test_select_lambda_scores_evaluate_repeat_0(tmp_path, capsys):
+    """select-lambda draws its labels and landmarks from the seeds the
+    config's seed derives for evaluate's repeat 0, so its table is that
+    repeat's selection and its chosen row is the repeat's result."""
+    data = tmp_path / "moons400.csv"
+    config = _CONFIGS / "moons400.cfg"
+    assert main(["synth", *_GOLDEN["moons400"][0], "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["select-lambda", "--input", str(data), "--config", str(config)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]
+            if not line.startswith(("chosen", "warning"))]
+    ds, cfg = load_dataset(data), experiment.experiment_config_from_file(config)
+    label_seed, landmark_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
+    side = SideInformation.from_labels(
+        sample_labeled(ds, cfg.labeled_per_run, int(label_seed)))
+    selection = experiment.pipeline(ds.X, side, cfg, int(landmark_seed)).selection
+    assert rows == [[f"{r.lam:g}", f"{r.rho_prior:.6f}", f"{r.rho_align:.6f}",
+                     f"{r.criterion:.6f}", str(r.solver.iterations), r.solver.converged_by]
+                    for r in selection.records]
+    first = experiment.run_experiment(ds, cfg, "generalized").results[0]
+    assert (first.chosen_lambda, first.rho_align) == (selection.chosen_lambda,
+                                                      selection.chosen.rho_align)
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))

@@ -1155,12 +1155,14 @@ def test_lapack_info_raises_and_fails_one_candidate(monkeypatch, kind, routine):
         core, side = _random_labeled_problem(rng, m=5, l=8)
     else:
         core, side = _random_grouping_problem(rng, m=5)
-    real, real_eigh = getattr(dictlearn, routine), dictlearn.eigh
+    # The pair system lives in the supervision module.
+    module = dictlearn if kind == "labels" else supervision
+    real, real_eigh = getattr(module, routine), dictlearn.eigh
     assert fit(core, side, LearnConfig(lam=1e-3)).report.iterations > 0
 
     def fail_once():
         fake = _lapack_failing_once(real)
-        monkeypatch.setattr(dictlearn, routine, fake)
+        monkeypatch.setattr(module, routine, fake)
         if routine == "dsyevr":
             monkeypatch.setattr(dictlearn, "eigh", _eigh_failing_after(fake, real_eigh))
 

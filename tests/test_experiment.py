@@ -69,6 +69,15 @@ def test_config_validation():
         ExperimentConfig(labeled_per_run=4, bandwidth="auto")
     with pytest.raises(InputError):
         ExperimentConfig(labeled_per_run=4, bandwidth=-1.0)
+    # Non-finite weights and bandwidths fail here, before any landmark or
+    # core is built, as an infinite grid candidate does.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError):
+            ExperimentConfig(labeled_per_run=4, lam=bad)
+        with pytest.raises(InputError):
+            ExperimentConfig(labeled_per_run=4, bandwidth=bad)
+    with pytest.raises(InputError):
+        ExperimentConfig(labeled_per_run=4, lambda_grid=(0.1, np.inf))
     with pytest.raises(InputError):
         ExperimentConfig(labeled_per_run=4, lam=1.0, lambda_grid=(0.1, 1.0))
     with pytest.raises(InputError):
