@@ -42,7 +42,7 @@ def as_index_array(x, name="indices", distinct=True):
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise InputError(f"{name} must be integers")
+        raise InputError(f"{name} must be of integer type")
     arr = arr.astype(np.intp, copy=False)
     if arr.size:
         if arr.min() < 0:
@@ -50,6 +50,12 @@ def as_index_array(x, name="indices", distinct=True):
         if distinct and np.unique(arr).size != arr.size:
             raise InputError(f"{name} must be distinct")
     return arr
+
+
+def as_seed(seed):
+    """A user seed for numpy's generators, as an int; InputError unless it
+    is a nonnegative integer below 2**63, as for an index."""
+    return int(as_index_array([seed], "seed", distinct=False)[0])
 
 
 def eigh(M):

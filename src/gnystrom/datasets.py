@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_data_matrix
+from ._arrays import as_data_matrix, as_seed
 from .errors import InputError, ParseError
 from .kernels import LabelVector
 
@@ -183,7 +183,7 @@ def sample_labeled(ds, count, seed):
         if quota > have:
             raise InputError(
                 f"class {cls!r} has {have} members but a quota of {quota}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     picked = [rng.choice(np.flatnonzero(ds.y == cls), size=int(quota), replace=False)
               for cls, quota in zip(classes, quotas)]
     indices = np.sort(np.concatenate(picked))
@@ -200,7 +200,7 @@ def make_blobs(n, d, n_classes=2, separation=3.0, seed=0, name="blobs"):
     """
     if n < n_classes or n_classes < 1 or d < 1:
         raise InputError("need n >= n_classes >= 1 and d >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     centers = np.zeros((n_classes, d))
     for c in range(1, n_classes):
         axis = (c - 1) % d
@@ -221,7 +221,7 @@ def make_two_moons(n, noise=0.1, seed=0, name="moons"):
         raise InputError("need n >= 2")
     if noise < 0:
         raise InputError("noise must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     n_outer = n // 2
     n_inner = n - n_outer
     t_outer = np.linspace(0.0, np.pi, n_outer)

@@ -38,8 +38,10 @@ of J is diagonal, with weights 2 * (lam + c_i * c_j) for labels and 2 * lam
 for pairs, plus for p constrained pairs a rank-p term that couples the
 entries; the x-step is then elementwise, or solves a p x p system
 (Woodbury) factored once per value of rho. The supervision
-(:meth:`supervision._Supervision.in_basis`) supplies the diagonal, the pair
-term and the system, so the loop is the same for both kinds.
+(:meth:`supervision._Supervision.in_basis`) supplies the diagonal and one
+pair operator (:class:`supervision._Pairs`) that holds the pair term and
+the system, with no pairs for labels, so the loop is the same for both
+kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
 state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
@@ -449,29 +451,29 @@ class _ADMM:
 
     With D = Z - Y0 for the start Y0, J is the exact quadratic
     J(Y0) + <G0, D> + sum(Hs * D**2) + the pair term at D, where
-    Hs = (lam + curvature) * DD**2. The supervision, taken in the basis
-    V diag(d), supplies the curvature, the pair term and the x-step's p x p
-    system (see :class:`supervision._Supervision`); the loop itself does not
-    depend on the kind of side information.
+    Hs = (lam + diagonal) * DD**2. The supervision, taken in the basis
+    V diag(d), supplies the pull in G0, the diagonal and the pair operator
+    that holds the pair term and the x-step's p x p system (see
+    :meth:`supervision._Supervision.in_basis`); the loop keeps only that
+    operator and does not depend on the kind of side information.
     """
 
     def __init__(self, S, S0, value, lam, supervision):
         c, self.V = supervision.eigenpairs
         c = np.maximum(c, 0.0)
         h = np.sqrt(lam) + c
-        self.scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
-        self.DD = np.outer(self.scale, self.scale)
+        scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
+        self.DD = np.outer(scale, scale)
         # Lipschitz constant of grad J in S, for the gradient mapping.
         self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
         self.Y0 = self.coords(S)
-        self.data = supervision.in_basis(self.V, self.scale)
+        pull, diagonal, self.pairs = supervision.in_basis(self.V, scale, S)
         # grad J in Z, its data term taken from the residual through the
         # factor in the basis V diag(d) rather than by rotating and scaling
         # grad J: where C is numerically null, DD reaches 1e12 / c_max and
         # would turn the rounding in grad J into a slope along which J has no
         # curvature, and the iterates would drift along it without bound.
-        G0 = (2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD
-              + 2.0 * self.data.pull(supervision.residual(S)))
+        G0 = 2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD + 2.0 * pull
         self.G0 = 0.5 * (G0 + G0.T)
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
@@ -479,11 +481,11 @@ class _ADMM:
         # negatives: eigenvalues the last projection clamped; they pick the
         # next one's method.
         self.rho_updates = self.factor_builds = self.negatives = 0
-        diagonal, pair_trace = self.data.curvature()
         self.Hs = (lam + diagonal) * self.DD ** 2
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included (see _RHO_START).
-        self.rho = _RHO_START * (2.0 * float(np.mean(self.Hs)) + pair_trace / self.Hs.size)
+        self.rho = _RHO_START * (2.0 * float(np.mean(self.Hs))
+                                 + self.pairs.hessian_trace() / self.Hs.size)
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
@@ -500,7 +502,7 @@ class _ADMM:
     def _evaluate(self, Z):
         """J and its gradient at Z."""
         D = Z - self.Y0
-        pair_value, pair_grad = self.data.pair_term(D)
+        pair_value, pair_grad = self.pairs.term(D)
         value = (self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
                  + pair_value)
         grad = self.G0 + 2.0 * self.Hs * D + pair_grad
@@ -513,7 +515,7 @@ class _ADMM:
 
         D solves Dg * D + (the pair term's gradient at D) / 2 = N, with
         Dg = Hs + rho/2 and N = (rho (Y - Y0 - U) - G0) / 2, through the
-        supervision's system for Dg, built once per value of rho.
+        pair operator's system for Dg, built once per value of rho.
         """
         rho = self.rho
         N = 0.5 * rho * (Y - self.Y0 - U) - 0.5 * self.G0
@@ -521,10 +523,10 @@ class _ADMM:
         if self.factor_rho != rho:
             # Release the old factor before the new one is allocated.
             self.factor = None
-            self.factor = self.data.factor(Dg)
+            self.factor = self.pairs.factor(Dg)
             self.factor_rho = rho
             self.factor_builds += self.factor is not None
-        return self.Y0 + self.data.solve(self.factor, N, Dg)
+        return self.Y0 + self.pairs.solve(self.factor, N, Dg)
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns

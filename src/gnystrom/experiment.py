@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import as_seed
 from .datasets import Dataset, sample_labeled
 from .dictlearn import LearnConfig, fit, factorize
 from .errors import InputError, ParseError
@@ -192,7 +193,7 @@ def _repeat_draws(ds, cfg):
     repeats, in order, from the label and landmark seeds that ``cfg.seed``
     derives: words 2 i and 2 i + 1 of its SeedSequence's state for repeat i.
     """
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.repeats)
+    seeds = np.random.SeedSequence(as_seed(cfg.seed)).generate_state(2 * cfg.repeats)
     for label_seed, landmark_seed in seeds.reshape(-1, 2):
         yield sample_labeled(ds, cfg.labeled_per_run, int(label_seed)), int(landmark_seed)
 
@@ -256,7 +257,8 @@ def emit_report(report, format="text_table"):
 
 
 def read_config(path):
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment. A malformed
+    line or a key set twice raises ParseError with the line number."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -268,6 +270,8 @@ def read_config(path):
             value = value.strip()
             if not sep or not key or not value:
                 raise ParseError("expected 'key = value'", path=str(path), line=lineno)
+            if key in out:
+                raise ParseError(f"key {key!r} is set twice", path=str(path), line=lineno)
             out[key] = value
     return out
 

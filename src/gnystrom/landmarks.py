@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_data_matrix
+from ._arrays import as_data_matrix, as_seed
 from .errors import InputError
 
 LANDMARK_METHODS = ("kmeans", "random")
@@ -67,7 +67,7 @@ def select_random(X, m, seed):
     n = X.shape[0]
     if not 1 <= m <= n:
         raise InputError(f"need 1 <= m <= n, got m={m} with n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     idx = rng.choice(n, size=m, replace=False)
     return LandmarkSet(points=X[idx].copy(), method="random", seed=int(seed),
                        source_indices=idx)
@@ -78,7 +78,7 @@ def select_kmeans(X, cfg):
     X = as_data_matrix(X)
     if cfg.k > X.shape[0]:
         raise InputError(f"k={cfg.k} exceeds the number of samples {X.shape[0]}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(as_seed(cfg.seed))
     centers = _init_spread(X, cfg.k, rng)
     centers, _ = lloyd_iterations(X, centers, _LLOYD_MAX_ITERS, _LLOYD_TOL)
     return LandmarkSet(points=centers, method="kmeans", seed=int(cfg.seed))

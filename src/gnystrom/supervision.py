@@ -6,15 +6,14 @@ compute from it.
 :class:`_Supervision` holds what every fit and alignment on one (core, side)
 pair shares: B = El.T @ target @ El, the eigenpairs of El.T @ El, and the
 factors from which J's data term, its gradient and the target alignment are
-computed in O(l m + m^2) memory. It owns the data term in both bases: in S,
-and in the rescaled eigenbasis where the ADMM loop of :mod:`dictlearn` runs,
-for which it also supplies the diagonal curvature, the pair term and the
-p x p system of the pair x-step. Only this module knows how either kind of
-side information enters J; :class:`_Pairs` is the one place that touches
-the pair list's rows.
+computed in O(l m + m^2) memory. For the ADMM loop of :mod:`dictlearn`,
+which runs in a rescaled eigenbasis, it gives J's data term there as a
+diagonal Hessian plus one :class:`_Pairs`, which holds the pair term and the
+p x p system of the pair x-step (no pairs for labels). Only this module
+knows how either kind of side information enters J; :class:`_Pairs` is the
+one place that touches the pair list's rows.
 """
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,19 +240,19 @@ class _Supervision:
       sum(weight * r^2) and the gradient's data term twice the residual
       spread over the pairs, all through :class:`_Pairs` in O(p m^2).
 
-    :meth:`in_basis` gives the same supervision for the factor F V diag(d),
-    the coordinates of the ADMM loop in :mod:`dictlearn`. There J's data term
-    is an elementwise :meth:`curvature` plus the :meth:`pair_term`, and the
-    loop's x-step is :meth:`solve`.
+    :meth:`in_basis` gives the data term in the coordinates of the ADMM loop
+    in :mod:`dictlearn`, for the factor F V diag(d): its pull at the start,
+    its Hessian where that is diagonal, and the :class:`_Pairs` of the rest.
     """
 
     def __init__(self, core, side):
         if side.indices.size and int(side.indices.max()) >= core.E.shape[0]:
             raise InputError("side-information indices exceed the number of samples")
         El = core.E[side.indices]
-        self.kind, self.El, self.pairs = side.kind, El, None
+        self.kind, self.El = side.kind, El
         if side.kind == "labels":
-            self.Y = np.eye(int(side.codes.max()) + 1 if side.codes.size else 0)[side.codes]
+            # One column per class present, however far apart the codes are.
+            self.Y = (side.codes[:, None] == np.unique(side.codes)).astype(np.float64)
             ElY = El.T @ self.Y
             self.B = ElY @ ElY.T
             self.F, A, D = _qr_parts(El, self.Y)
@@ -272,35 +271,30 @@ class _Supervision:
     def eigenpairs(self):
         return eigh(self.El.T @ self.El)
 
-    def in_basis(self, V, d):
-        """This supervision for the factor F V diag(d), for the ADMM loop,
-        whose coordinates are Z with S = V diag(d) Z diag(d) V^T: its
-        residual and pull act on Z, and so do :meth:`curvature`,
-        :meth:`pair_term`, :meth:`factor` and :meth:`solve`, which only the
-        loop calls, on this copy. B and the eigenpairs stay those of S."""
-        out, F = copy(self), (self.F @ V) * d
+    def in_basis(self, V, d, S):
+        """The data term in the coordinates Z of the ADMM loop, with
+        S = V diag(d) Z diag(d) V^T, as (pull, diagonal, pairs): the
+        :meth:`pull` at S through the factor F V diag(d); the weights of its
+        Hessian where that is diagonal in the eigenbasis V of C (c c^T for
+        labels, 0.0 for pairs); and the :class:`_Pairs` of that factor, which
+        holds the rest (no pairs for labels)."""
+        res, F = self.residual(S), (self.F @ V) * d
         if self.kind == "labels":
-            out.F = F
-        else:
-            # The loop needs F only at the pairs.
-            out.pairs = _Pairs(F, self.pair_rows, self.weight)
-        return out
+            c = np.maximum(self.eigenpairs[0], 0.0)
+            return F.T @ res @ F, np.outer(c, c), _Pairs(F, np.empty((2, 0), int), np.empty(0))
+        # The loop needs F only at the pairs.
+        pairs = _Pairs(F, self.pair_rows, self.weight)
+        return pairs.spread(0.5 * (res[0] + res[1])), 0.0, pairs
 
     def _pairs(self):
-        """The pair operator of F: the one :meth:`in_basis` keeps for the
-        loop, or one gathered for this call, so that no O(p m) array
-        outlives a call on S."""
-        return self.pairs or _Pairs(self.F, self.pair_rows, self.weight)
+        """The pair operator of F, gathered for this call, so that no
+        O(p m) array outlives a call on S."""
+        return _Pairs(self.F, self.pair_rows, self.weight)
 
     def residual(self, S):
         if self.kind == "labels":
             return self.F @ S @ self.F.T - self.K
-        return self._entries(S) - self.pair_target
-
-    def _entries(self, S):
-        """The entries of F S F^T at the pairs (a, b), and at (b, a)."""
-        pairs = self._pairs()
-        return np.stack([pairs.at(S), pairs.at(S.T)])
+        return self._pairs().entries(S) - self.pair_target
 
     def loss(self, res):
         """The data term of J, from :meth:`residual`."""
@@ -315,39 +309,6 @@ class _Supervision:
             return self.F.T @ res @ self.F
         return self._pairs().spread(0.5 * (res[0] + res[1]))
 
-    def curvature(self):
-        """The curvature of the data term in the loop's basis, in two parts:
-        its Hessian where that is diagonal in the eigenbasis V of C, as
-        weights on the entries (c c^T for labels), and the trace of the rest,
-        the Hessian of :meth:`pair_term` over symmetric matrices,
-        2 * sum(weight * (|fa|^2 |fb|^2 + (fa . fb)^2)) (pairs). The other
-        part is 0.0."""
-        if self.kind == "labels":
-            c = np.maximum(self.eigenpairs[0], 0.0)
-            return np.outer(c, c), 0.0
-        Fa, Fb = self.pairs.Fa, self.pairs.Fb
-        aabb = np.sum(Fa ** 2, axis=1) * np.sum(Fb ** 2, axis=1)
-        return 0.0, 2.0 * float(np.sum(self.weight * (aabb + np.einsum("pi,pi->p", Fa, Fb) ** 2)))
-
-    def pair_term(self, D):
-        """J's pair term 2 * sum(weight * r^2), r the entries of F D F^T at
-        the pairs, and its gradient, at the symmetric D; (0.0, 0.0) for
-        labels."""
-        if self.kind == "labels":
-            return 0.0, 0.0
-        r = self.pairs.at(D)
-        return 2.0 * float(np.sum(self.weight * r * r)), 2.0 * self.pairs.spread(r)
-
-    def factor(self, Dg):
-        """The factored system of :meth:`solve` for the weights Dg, or None
-        where the x-step is elementwise (labels, or no pairs)."""
-        return None if self.kind == "labels" or not self.weight.size else self.pairs.factor(Dg)
-
-    def solve(self, factor, N, Dg):
-        """The D with Dg * D + (the pair term's gradient at D) / 2 = N, through
-        the ``factor`` :meth:`factor` built for Dg."""
-        return (N if factor is None else self.pairs.solve(factor, N, Dg)) / Dg
-
     def alignment(self, S):
         """nka_score(El @ S @ El.T, target) (masked for pairs), the
         centred cosine, without an l x l array."""
@@ -357,7 +318,7 @@ class _Supervision:
             raw = float(np.linalg.norm(self.F @ S @ self.F.T))
             return _centred_cosine(float(np.sum(Mc * Kc)), float(np.linalg.norm(Mc)),
                                    centred_target, raw, self.target_norm)
-        x = self._entries(S)
+        x = self._pairs().entries(S)
         t = np.broadcast_to(self.pair_target, x.shape)
         return _centred_cosine(
             self._centred_inner(x, t), np.sqrt(max(self._centred_inner(x, x), 0.0)),
@@ -379,7 +340,7 @@ class _Supervision:
 
     def _centred_inner(self, x, y):
         """<H X H, H Y H> for the l x l matrices X and Y that hold x and y
-        (2 x p, as from :meth:`_entries`) at the pairs, H = I - 11^T / l, in
+        (2 x p, as from :meth:`_Pairs.entries`) at the pairs, H = I - 11^T / l, in
         O(p + l): with row sums r, column sums c and total s,
         <X, Y> - (r_X . r_Y + c_X . c_Y) / l + s_X s_Y / l^2."""
         l = max(self.El.shape[0], 1)
@@ -405,6 +366,11 @@ class _Pairs:
     :meth:`at` gives the entries of F M F^T at the pairs and :meth:`spread`
     gives F^T R F for the symmetric R that holds weight * r at (a, b) and at
     (b, a), each in O(p m^2); neither forms an l x l or a p x m^2 array.
+
+    In the ADMM loop's basis it is the part of J's data term that couples
+    the entries: :meth:`term`, its :meth:`hessian_trace`, and the x-step's
+    p x p system (:meth:`factor`, :meth:`solve`). With no pairs (labels)
+    the term is 0 and the x-step elementwise.
     """
 
     def __init__(self, F, rows, weight):
@@ -413,13 +379,33 @@ class _Pairs:
     def at(self, M):
         return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
 
+    def entries(self, S):
+        """The entries of F S F^T at the pairs (a, b), and at (b, a)."""
+        return np.stack([self.at(S), self.at(S.T)])
+
     def spread(self, r):
         A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
         return A + A.T
 
+    def term(self, D):
+        """J's pair term 2 * sum(weight * r^2), r = at(D), and its gradient,
+        at the symmetric D; (0.0, 0.0) with no pairs."""
+        if not self.weight.size:
+            return 0.0, 0.0
+        r = self.at(D)
+        return 2.0 * float(np.sum(self.weight * r * r)), 2.0 * self.spread(r)
+
+    def hessian_trace(self):
+        """The trace of the Hessian of :meth:`term` over symmetric matrices,
+        2 * sum(weight * (|fa|^2 |fb|^2 + (fa . fb)^2)); 0.0 with no pairs."""
+        aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
+        fab = np.einsum("pi,pi->p", self.Fa, self.Fb)
+        return 2.0 * float(np.sum(self.weight * (aabb + fab ** 2)))
+
     def factor(self, Dg):
         """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)) and
-        K = at diag(1 / Dg) at^T (see :meth:`solve`).
+        K = at diag(1 / Dg) at^T (see :meth:`solve`); None with no pairs,
+        where the x-step is elementwise.
 
         K[q, s] = <g_q, g_s / Dg> with g_q = sym(fa_q fb_q^T), a sum over the
         entries i <= j of Dg (twice off the diagonal). Row i adds one
@@ -427,6 +413,8 @@ class _Pairs:
         larger than p x m is held.
         """
         p, m = self.Fa.shape
+        if not p:
+            return None
         root = np.sqrt(self.weight)[:, None]
         # G below holds 2 g; with the system's factor 2, entry (i, j) weighs
         # 1 / Dg off the diagonal (where it counts twice) and 1 / (2 Dg) on it.
@@ -443,14 +431,18 @@ class _Pairs:
         return factor
 
     def solve(self, factor, N, Dg):
-        """N - spread(at(D)) for the D with Dg * D + spread(at(D)) = N, by
-        Woodbury: y = at(D) solves (I + 2 K diag(w)) y = at(N / Dg), as
-        spread = 2 at^T diag(w), through the ``factor`` of I + 2 W K W."""
+        """The D with Dg * D + (the gradient of :meth:`term` at D) / 2 = N,
+        that is Dg * D + spread(at(D)) = N, through the ``factor``
+        :meth:`factor` built for Dg. By Woodbury, y = at(D) solves
+        (I + 2 K diag(w)) y = at(N / Dg), as spread = 2 at^T diag(w), and
+        D = (N - spread(y)) / Dg."""
+        if factor is None:
+            return N / Dg
         root = np.sqrt(self.weight)
         z, info = dpotrs(factor, root * self.at(N / Dg), lower=1)
         if info != 0:
             raise NumericalError(f"pair system solve failed: dpotrs info={info}")
-        return N - self.spread(z / root)
+        return (N - self.spread(z / root)) / Dg
 
 
 def _qr_parts(F, Y):

@@ -248,6 +248,22 @@ def test_fit_bad_number_exits_2(blob_csv, tmp_path, capsys, flag, value):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize("command", ["synth", "landmarks", "fit", "evaluate"])
+def test_negative_seed_exits_2(command, blob_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("labeled_per_run = 10\nm = 8\nseed = -4\n")
+    argv = {"synth": ["synth", "--kind", "moons", "--seed", "-2", "--out", out],
+            "landmarks": ["landmarks", "--input", str(blob_csv), "--m", "6",
+                          "--seed", "-3", "--out", out],
+            "fit": ["fit", "--input", str(blob_csv), "--labels-per-class", "5",
+                    "--m", "8", "--seed", "-1", "--model-out", out],
+            "evaluate": ["evaluate", "--input", str(blob_csv), "--config", str(cfg)]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be nonnegative")
+
+
 def test_embed_corrupt_model_exits_2(blob_csv, tmp_path, capsys):
     model_path = tmp_path / "model.bin"
     assert main(["fit", "--input", str(blob_csv), "--labels-per-class", "5",

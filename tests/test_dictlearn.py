@@ -1062,6 +1062,29 @@ def test_label_fit_and_alignment_memory_is_linear_in_l(wide_core):
     assert peak < 32 * 2**20
 
 
+def test_label_codes_with_gaps_fit_as_their_relabelling():
+    """Codes 0 and 3000 on 40 rows at m = 20 give the bits of codes 0 and 1:
+    the one-hot matrix has a column per class present, not per code up to
+    the largest (that took 140 MiB)."""
+    ds = make_blobs(200, 3, n_classes=2, seed=4)
+    core = build_core(ds.X, select_random(ds.X, 20, seed=1),
+                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    labels = sample_labeled(ds, 40, 0)
+    plain = SideInformation(kind="labels", indices=labels.indices, codes=labels.labels)
+    gapped = SideInformation(kind="labels", indices=labels.indices, codes=3000 * labels.labels)
+
+    def run(side):
+        result = fit(core, side, LearnConfig(lam=0.1))
+        return result, alignment_scores(result.state.S, core, side)
+
+    (result, scores), peak = _traced_peak(lambda: run(gapped))
+    reference, reference_scores = run(plain)
+    assert np.array_equal(result.state.S, reference.state.S)
+    assert np.array_equal(result.report.objective_trace, reference.report.objective_trace)
+    assert scores == reference_scores
+    assert peak < 2**20
+
+
 def test_pair_fit_holds_no_l_by_l_array(wide_core):
     """1,000 random pairs touch about 1,900 rows. The fit (its first 20
     iterations, at m = 40) and its alignment hold the p x p pair system,

@@ -12,6 +12,7 @@ from gnystrom import (
     ExperimentConfig,
     InputError,
     KernelParams,
+    KMeansConfig,
     LabelVector,
     LearnConfig,
     ParseError,
@@ -25,9 +26,11 @@ from gnystrom import (
     factorize,
     fit,
     make_blobs,
+    make_two_moons,
     read_config,
     run_experiment,
     sample_labeled,
+    select_kmeans,
     select_random,
     train_linear,
 )
@@ -270,6 +273,33 @@ def test_read_config_malformed_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_config(f)
     assert "line 1" in str(exc.value)
+
+
+def test_read_config_repeated_key(tmp_path):
+    f = tmp_path / "exp.cfg"
+    f.write_text("labeled_per_run = 20\nlambda = 1.0\nlambda = 10\n")
+    with pytest.raises(ParseError) as exc:
+        read_config(f)
+    assert "line 3" in str(exc.value) and "'lambda'" in str(exc.value)
+    with pytest.raises(ParseError):
+        experiment_config_from_file(f)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_every_user_seed_is_checked(seed):
+    """A seed that is not a nonnegative integer raises InputError wherever
+    the library makes a generator from it, not numpy's ValueError."""
+    ds = _small_blobs()
+    calls = [lambda: run_experiment(ds, ExperimentConfig(labeled_per_run=10, seed=seed),
+                                    "nystrom_baseline"),
+             lambda: select_kmeans(ds.X, KMeansConfig(k=3, seed=seed)),
+             lambda: sample_labeled(ds, 10, seed),
+             lambda: select_random(ds.X, 3, seed),
+             lambda: make_blobs(20, 2, seed=seed),
+             lambda: make_two_moons(20, seed=seed)]
+    for call in calls:
+        with pytest.raises(InputError, match="^seed must be"):
+            call()
 
 
 def test_experiment_config_from_file(tmp_path):

@@ -11,12 +11,16 @@ test allows (labels at lambda 0, 1e-3, 1 and 100; grouping at the three
 positive ones), fits each at ``max_iters = 20000`` and applies the test's
 three checks. It prints one JSON line: the fits, the KKT failures (and which
 draws failed), the total iterations, the fits past 2,000 iterations, the
-factor builds and the rho updates. The test itself stays a sample of a few
-hundred draws; this sweep shows how often it can fail. BLAS runs on one
-thread, as in the benchmark, so a sweep repeats bit for bit.
+factor builds, the rho updates and a ``digest``, the sha256 of every
+returned S and objective trace in sweep order. The test itself stays a
+sample of a few hundred draws; this sweep shows how often it can fail. BLAS
+runs on one thread, as in the benchmark, so a sweep repeats bit for bit, and
+running this file in two checkouts shows whether a change leaves every fit
+bit-identical: the digests match.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -73,10 +77,13 @@ def main(argv=None):
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "rho_updates"), 0)
     failed = []
+    digest = hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
             result = fit(core, side, LearnConfig(lam=lam, max_iters=MAX_ITERS))
             report = result.report
+            digest.update(result.state.S.tobytes())
+            digest.update(report.objective_trace.tobytes())
             totals["fits"] += 1
             totals["iterations"] += report.iterations
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
@@ -87,7 +94,7 @@ def main(argv=None):
                 failed.append({"seed": seed, "kind": kind, "lam": lam,
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
-                      "failed": failed}))
+                      "digest": digest.hexdigest(), "failed": failed}))
     return 0
 
 
