@@ -475,6 +475,7 @@ class _ADMM:
         # curvature, and the iterates would drift along it without bound.
         G0 = 2.0 * lam * (self.V.T @ (S - S0) @ self.V) * self.DD + 2.0 * pull
         self.G0 = 0.5 * (G0 + G0.T)
+        self.half_G0 = 0.5 * self.G0
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
         self.factor = self.factor_rho = None
@@ -482,6 +483,7 @@ class _ADMM:
         # next one's method.
         self.rho_updates = self.factor_builds = self.negatives = 0
         self.Hs = (lam + diagonal) * self.DD ** 2
+        self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included (see _RHO_START).
         self.rho = _RHO_START * (2.0 * float(np.mean(self.Hs))
@@ -489,7 +491,9 @@ class _ADMM:
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
-        self._keep(self.Y0, U, self._x_step(self.Y0, U))
+        X = self._x_step(self.Y0, U)
+        g = X - self.Y0
+        self._keep(self.Y0, U, X, g, _norm(g))
 
     def coords(self, M):
         """Z coordinates of an S-space matrix."""
@@ -502,10 +506,12 @@ class _ADMM:
     def _evaluate(self, Z):
         """J and its gradient at Z."""
         D = Z - self.Y0
-        pair_value, pair_grad = self.pairs.term(D)
-        value = (self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
-                 + pair_value)
-        grad = self.G0 + 2.0 * self.Hs * D + pair_grad
+        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
+        grad = self.G0 + self.twice_Hs * D
+        if self.pairs.weight.size:
+            pair_value, pair_grad = self.pairs.term(D)
+            value += pair_value
+            grad += pair_grad
         # J is a sum of squares; near J = 0 the cancellation in the expansion
         # about Y0 can leave it slightly negative.
         return max(value, 0.0), grad
@@ -515,18 +521,19 @@ class _ADMM:
 
         D solves Dg * D + (the pair term's gradient at D) / 2 = N, with
         Dg = Hs + rho/2 and N = (rho (Y - Y0 - U) - G0) / 2, through the
-        pair operator's system for Dg, built once per value of rho.
+        pair operator's system for Dg; Dg and that system are built once per
+        value of rho.
         """
         rho = self.rho
-        N = 0.5 * rho * (Y - self.Y0 - U) - 0.5 * self.G0
-        Dg = self.Hs + 0.5 * rho
+        N = 0.5 * rho * (Y - self.Y0 - U) - self.half_G0
         if self.factor_rho != rho:
+            self.Dg = self.Hs + 0.5 * rho
             # Release the old factor before the new one is allocated.
             self.factor = None
-            self.factor = self.pairs.factor(Dg)
+            self.factor = self.pairs.factor(self.Dg)
             self.factor_rho = rho
             self.factor_builds += self.factor is not None
-        return self.Y0 + self.pairs.solve(self.factor, N, Dg)
+        return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
@@ -539,10 +546,12 @@ class _ADMM:
         # orthogonal to Y, whatever W is, so its distance to grad J(Y) bounds
         # the mapping norm at Y: ||E|| in S for the Z-space residual
         # E_Z = DD * (V^T E V).
-        bound = float(np.linalg.norm((grad + self.rho * U) / self.DD))
+        bound = _norm((grad + self.rho * U) / self.DD)
         X = self._x_step(Y, U)
         # f(W) - W = X + U - W = X - Y.
-        if self.extrapolated and float(np.linalg.norm(X - Y)) > self.kept_norm:
+        g = X - Y
+        g_norm = _norm(g)
+        if self.extrapolated and g_norm > self.kept_norm:
             # Safeguard: fall back to the plain step from the last kept state.
             self.W, self.extrapolated = self.kept, False
             self.memory.clear()
@@ -550,8 +559,8 @@ class _ADMM:
         # Residual balancing (Boyd et al. 2011, section 3.4.1) against the
         # last kept state; without extrapolation these are the primal
         # residual X_k - Y_k = U_k - U_{k-1} and the dual rho (Y_k - Y_{k-1}).
-        primal = float(np.linalg.norm(U - self.U_last))
-        dual = self.rho * float(np.linalg.norm(Y - self.Y_last))
+        primal = _norm(U - self.U_last)
+        dual = self.rho * _norm(Y - self.Y_last)
         factor = (2.0 if primal > _RHO_IMBALANCE * dual
                   else 0.5 if dual > _RHO_IMBALANCE * primal else 1.0)
         if factor != 1.0:
@@ -560,16 +569,18 @@ class _ADMM:
             self.rho_updates += 1
             U /= factor
             X = self._x_step(Y, U)
+            g = X - Y
+            g_norm = _norm(g)
             self.memory.clear()
-        self._keep(Y, U, X)
+        self._keep(Y, U, X, g, g_norm)
         return Y, value, bound
 
-    def _keep(self, Y, U, X):
-        """Make W = Y + U the kept state, with f(W) = X + U, and move to the
-        next state: Anderson's extrapolation, or f(W) while it has no memory."""
-        g = X - Y
+    def _keep(self, Y, U, X, g, g_norm):
+        """Make W = Y + U the kept state, with f(W) = X + U and residual
+        g = X - Y of norm g_norm, and move to the next state: Anderson's
+        extrapolation, or f(W) while it has no memory."""
         self.Y_last, self.U_last = Y, U
-        self.kept, self.kept_norm = X + U, float(np.linalg.norm(g))
+        self.kept, self.kept_norm = X + U, g_norm
         self.W = self.memory.extrapolate(self.kept, g)
         self.extrapolated = self.memory.size > 0
 
@@ -611,9 +622,19 @@ class _Anderson:
         scale = float(np.trace(self.gram[:n, :n])) if n else 0.0
         if not scale > 0.0:
             return f
-        gamma = np.linalg.solve(self.gram[:n, :n] + _AA_REG * scale * np.eye(n),
-                                self.dG[:n] @ g_flat)
+        # Tikhonov term on a copy of the Gram matrix's diagonal.
+        A = self.gram[:n, :n].copy()
+        A.flat[::n + 1] += _AA_REG * scale
+        gamma = np.linalg.solve(A, self.dG[:n] @ g_flat)
         return f - (gamma @ self.dF[:n]).reshape(f.shape)
+
+
+def _norm(x):
+    """Frobenius norm, with the bits of ``np.linalg.norm(x)``: one dot
+    product of the raveled array, then its square root, without the
+    dispatch on ``ord`` and ``axis``."""
+    x = x.ravel(order="K")
+    return float(np.sqrt(x.dot(x)))
 
 
 def factorize(state):

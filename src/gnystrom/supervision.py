@@ -389,9 +389,8 @@ class _Pairs:
 
     def term(self, D):
         """J's pair term 2 * sum(weight * r^2), r = at(D), and its gradient,
-        at the symmetric D; (0.0, 0.0) with no pairs."""
-        if not self.weight.size:
-            return 0.0, 0.0
+        at the symmetric D. The ADMM loop calls it only when there are
+        pairs."""
         r = self.at(D)
         return 2.0 * float(np.sum(self.weight * r * r)), 2.0 * self.spread(r)
 
