@@ -386,7 +386,10 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             negative part of S - grad J(S) / L. As L ||S - P(S - grad J(S) / L)||,
             a difference of two nearly equal matrices the size of S, its
             rounding alone read 1.1-1.3 times the tolerance on a pair fit
-            with L = 1.5e10."""
+            with L = 1.5e10. The p x p pair factor is released first, so the
+            check's pair evaluation does not sit on top of it; the next
+            x-step rebuilds it if the loop goes on."""
+            solver.release_factor()
             S = solver.matrix(_project(best))
             value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
             N, _ = _negative_part(S - grad / solver.lipschitz)
@@ -534,6 +537,10 @@ class _ADMM:
             self.factor_rho = rho
             self.factor_builds += self.factor is not None
         return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
+
+    def release_factor(self):
+        """Drop the x-step's system; the next x-step rebuilds it."""
+        self.factor = self.factor_rho = None
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
