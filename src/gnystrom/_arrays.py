@@ -35,27 +35,35 @@ def as_vector(x, name="x"):
     return arr
 
 
-def as_index_array(x, name="indices", distinct=True):
-    """Coerce to a 1-D array of nonnegative integer indices, distinct unless
-    ``distinct`` is False."""
+def _nonnegative_integers(x, name):
+    """Coerce to a 1-D integer array, tested for sign in its own dtype."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"{name} must be of integer type")
+    if arr.size and arr.min() < 0:
+        raise InputError(f"{name} must be nonnegative")
+    return arr
+
+
+def as_index_array(x, name="indices", distinct=True):
+    """Coerce to a 1-D array of nonnegative integer indices, distinct unless
+    ``distinct`` is False."""
+    arr = _nonnegative_integers(x, name)
+    # Tested before the cast to intp, which would wrap such values.
+    if arr.size and arr.max() > np.iinfo(np.intp).max:
+        raise InputError(f"{name} must be below 2**63")
     arr = arr.astype(np.intp, copy=False)
-    if arr.size:
-        if arr.min() < 0:
-            raise InputError(f"{name} must be nonnegative")
-        if distinct and np.unique(arr).size != arr.size:
-            raise InputError(f"{name} must be distinct")
+    if distinct and np.unique(arr).size != arr.size:
+        raise InputError(f"{name} must be distinct")
     return arr
 
 
 def as_seed(seed):
     """A user seed for numpy's generators, as an int; InputError unless it
-    is a nonnegative integer below 2**63, as for an index."""
-    return int(as_index_array([seed], "seed", distinct=False)[0])
+    is a nonnegative integer below 2**64."""
+    return int(_nonnegative_integers([seed], "seed")[0])
 
 
 def eigh(M):

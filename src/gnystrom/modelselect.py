@@ -106,15 +106,14 @@ def alignment_scores(S, core, side):
     return nka_score(S, core.S0), _Supervision(core, side).alignment(S)
 
 
-def _score_fit(core, side, lam, result, supervision=None):
+def _score_fit(core, side, lam, result, supervision):
     """LambdaRecord of a finished fit at weight lam, scored as by
-    :func:`alignment_scores` through the shared ``supervision`` if given; an
-    undefined alignment scores -inf with the reason recorded."""
+    :func:`alignment_scores` through ``supervision``, the
+    :class:`_Supervision` of (core, side) that the fit used; an undefined
+    alignment scores -inf with the reason recorded."""
     S = result.state.S
     try:
         rho_prior = nka_score(S, core.S0)
-        if supervision is None:
-            supervision = _Supervision(core, side)
         rho_align = supervision.alignment(S)
     except UndefinedAlignmentError as exc:
         return LambdaRecord(lam=lam, rho_prior=float("nan"), rho_align=float("nan"),

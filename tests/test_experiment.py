@@ -35,6 +35,7 @@ from gnystrom import (
     train_linear,
 )
 from gnystrom import experiment, supervision
+from gnystrom._arrays import as_index_array, as_seed
 from gnystrom.experiment import _CONFIG_PARSERS, _CONFIG_RENAMES
 from gnystrom.modelselect import _score_fit
 
@@ -135,7 +136,7 @@ def test_fixed_lambda_builds_supervision_once_per_repeat(monkeypatch):
     monkeypatch.setattr(experiment, "fit", lambda core, side, learn, _supervision: fit(
         core, side, learn))
     monkeypatch.setattr(experiment, "_score_fit", lambda core, side, lam, result, _: (
-        _score_fit(core, side, lam, result)))
+        _score_fit(core, side, lam, result, supervision._Supervision(core, side))))
     separate = run_experiment(ds, cfg, "generalized")
     assert np.array_equal(shared.errors, separate.errors)
     assert shared.results == separate.results
@@ -300,6 +301,16 @@ def test_every_user_seed_is_checked(seed):
     for call in calls:
         with pytest.raises(InputError, match="^seed must be"):
             call()
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_seeds_from_2_63_are_accepted(seed):
+    """Seeds that do not fit an intp are still nonnegative: they are checked
+    before any cast, and reach numpy's generator unchanged."""
+    assert as_seed(seed) == seed
+    assert make_blobs(20, 2, seed=seed).X.shape == (20, 2)
+    with pytest.raises(InputError, match="^indices must be below 2"):
+        as_index_array(np.array([seed], dtype=np.uint64))
 
 
 def test_experiment_config_from_file(tmp_path):
