@@ -45,7 +45,7 @@ from scipy.linalg.blas import dtrmm
 from ._arrays import as_data_matrix, as_vector
 from .dictlearn import factorize
 from .errors import InputError, ModelFormatError
-from .kernels import KernelParams, _rbf_block, kernel_matrix
+from .kernels import KernelParams, kernel_matrix
 from .landmarks import LandmarkSet
 
 _MAGIC = b"GNYM"
@@ -123,20 +123,19 @@ def embed(model, Xnew):
     """Low-rank features for new samples: k(Xnew, Z) @ L.
 
     Inner products of the returned rows reproduce the learned similarity.
-    The kernel block K comes from one n x (d+2) by (d+2) x m matrix product
-    on landmark-centred copies, with the exponential taken in place
-    (:func:`kernels._rbf_block`). At full rank L is an m x m lower
+    The kernel block K is :func:`kernels.kernel_matrix`'s: one n x (d+2) by
+    (d+2) x m matrix product on landmark-centred copies, with the
+    exponential taken in place. At full rank L is an m x m lower
     triangle, and K @ L goes through BLAS ``dtrmm``, about half the multiply
     flops of a dense product, in place on the F-ordered K.T: a call holds
     one n x m block, which it returns. Below full rank, one dense product
-    writes the n x rank result next to K. Matches
-    ``kernel_matrix(Xnew, Z) @ L`` to about 1e-15 relative to ``L``.
+    writes the n x rank result next to K.
     """
     Xnew = as_data_matrix(Xnew, "Xnew")
     if Xnew.shape[1] != model.landmarks.shape[1]:
         raise InputError(
             f"expected {model.landmarks.shape[1]} features, got {Xnew.shape[1]}")
-    K = _rbf_block(Xnew, model.landmarks, model.kernel.bandwidth)
+    K = kernel_matrix(Xnew, model.landmarks, model.kernel)
     if model.rank < model.m:
         return K @ model.L
     # dtrmm computes op(A) @ B in Fortran terms: (T.T) @ (K.T), the

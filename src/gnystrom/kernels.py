@@ -5,12 +5,19 @@ exp(-||x - y||^2 / b)``; the bandwidth ``b`` is normally picked with
 :func:`bandwidth_heuristic`. :func:`nka_score` is the normalized alignment
 between two kernel matrices after double-centering, used both as a fit
 diagnostic and as the model-selection criterion.
+
+:func:`kernel_matrix` is the package's one routine for kernel blocks: E and
+W, eigenvector extrapolation, ``similarity`` and ``embed`` all call it. Its
+exponents come from one matrix product. Rows with an entry at or near zero
+distance are recomputed pairwise, so those rows are exactly pairwise: every
+row of a block of a point set against itself, such as W, and every row of a
+point that coincides with a landmark. All other entries agree with their
+pairwise value to about 1e-15.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._arrays import as_data_matrix, as_index_array, as_square_matrix, as_vector
 from .errors import DegenerateBandwidthError, InputError, UndefinedAlignmentError
@@ -18,6 +25,9 @@ from .errors import DegenerateBandwidthError, InputError, UndefinedAlignmentErro
 # Centered operands with Frobenius norm below this (relative to the raw
 # operand) are treated as zero, i.e. alignment is undefined for them.
 _ZERO_ALIGNMENT_RTOL = 1e-13
+
+# Entries per row block of _squared_distances' work array (512 KiB).
+_PAIRWISE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,17 +81,28 @@ def rbf_kernel(x, y, params):
 
 
 def kernel_matrix(A, B, params):
-    """Pairwise kernel matrix between the rows of A and the rows of B.
+    """Gaussian kernel matrix between the rows of A and the rows of B.
 
-    Squared distances are computed pairwise, never by the expansion
-    ``|a|^2 + |b|^2 - 2 a.b``, so every entry is the kernel of its own pair
-    rounded once. The training blocks (E and W in ``build_core``, eigenvector
-    extrapolation, ``similarity``) rely on that: the same array on both sides
-    gives an exactly symmetric result with a unit diagonal, and a sample that
-    coincides with a landmark gets W's row bit for bit, which the Nystrom
+    The exponent ``-|a-b|^2 / bandwidth`` comes from one n x (d+2) by
+    (d+2) x m matrix product, ``[a-c, |a-c|^2, 1]`` against
+    ``[2 (b-c) / w, -1 / w, -|b-c|^2 / w]`` for bandwidth w, with both sides
+    centred at the mean ``c`` of B's rows, so that cancellation error scales
+    with the data's spread, not with its offset.
+
+    A row with an entry that the expansion cannot tell from zero distance
+    (an exponent at or above minus its rounding bound, which covers every
+    positive result), or one that overflowed, is recomputed pairwise by
+    :func:`_squared_distances`: each of its entries is the kernel of its own
+    pair, rounded once, the value scipy's ``cdist`` gives. So a row of A
+    that equals a row of B is exactly pairwise, with exactly 1 in that
+    column, and ``kernel_matrix(X, X)`` (W in ``build_core``) is pairwise in
+    every row: exactly symmetric with a unit diagonal, and a sample that
+    coincides with a landmark gets W's row bit for bit, as the Nystrom
     interpolation property and its error bound (zero error at a landmark)
-    need. The expansion's cancellation error, about 1e-16 per entry, breaks
-    both. Serving uses the faster :func:`_rbf_block` instead.
+    need. Every other entry agrees with its pairwise value to about 1e-15.
+
+    The exponential is taken in place: one n x m buffer, written by the
+    product and rewritten by ``exp``, with one row max read in between.
     """
     A = as_data_matrix(A, "A")
     B = as_data_matrix(B, "B")
@@ -89,52 +110,58 @@ def kernel_matrix(A, B, params):
         raise InputError(
             f"operands must share a feature dimension, got {A.shape[1]} and {B.shape[1]}"
         )
-    sq = cdist(A, B, "sqeuclidean")
-    sq /= -params.bandwidth
-    return np.exp(sq, out=sq)
-
-
-def _rbf_block(X, Z, bandwidth):
-    """Kernel block ``exp(-|x - z|^2 / bandwidth)`` for rows X and landmarks Z.
-
-    The exponent ``-|x-z|^2 / bandwidth`` comes from one n x (d+2) by
-    (d+2) x m matrix product, ``[x-c, |x-c|^2, 1]`` against
-    ``[2 (z-c) / b, -1 / b, -|z-c|^2 / b]``, with both sides centred at the
-    landmark mean ``c`` so that cancellation error scales with the data's
-    spread, not with its offset. A row with an entry the expansion cannot
-    tell from zero distance (at or above minus its rounding bound, which
-    covers every positive result), or one that overflowed, is recomputed
-    pairwise, so a row equal to a landmark gets exactly 1 in that landmark's
-    column. The exponential is taken in place: one n x m buffer, written by
-    the product and rewritten by ``exp``, with one row max read in between.
-    Agrees with :func:`kernel_matrix` to about 1e-15.
-    """
-    n, d = X.shape
+    bandwidth = params.bandwidth
+    n, d = A.shape
     # A row whose terms overflow (coordinates near the largest float, or a
     # bandwidth near the smallest) holds inf or nan and fails the test for
     # rows to recompute below; a pairwise exponent that overflows is -inf,
     # whose exponential 0 is right. So overflow here needs no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = Z.mean(axis=0)
-        Zc = Z - c
-        sq_z = np.einsum("ij,ij->i", Zc, Zc)
-        Xa = np.empty((n, d + 2))
-        Xc = np.subtract(X, c, out=Xa[:, :d])
-        sq_x = np.einsum("ij,ij->i", Xc, Xc, out=Xa[:, d])
-        Xa[:, d + 1] = 1.0
-        Za = np.empty((Z.shape[0], d + 2))
-        np.multiply(Zc, 2.0 / bandwidth, out=Za[:, :d])
-        Za[:, d] = -1.0 / bandwidth
-        np.divide(sq_z, -bandwidth, out=Za[:, d + 1])
-        block = Xa @ Za.T
+        c = B.mean(axis=0)
+        Bc = B - c
+        sq_b = np.einsum("ij,ij->i", Bc, Bc)
+        Aa = np.empty((n, d + 2))
+        Ac = np.subtract(A, c, out=Aa[:, :d])
+        sq_a = np.einsum("ij,ij->i", Ac, Ac, out=Aa[:, d])
+        Aa[:, d + 1] = 1.0
+        Ba = np.empty((B.shape[0], d + 2))
+        np.multiply(Bc, 2.0 / bandwidth, out=Ba[:, :d])
+        Ba[:, d] = -1.0 / bandwidth
+        np.divide(sq_b, -bandwidth, out=Ba[:, d + 1])
+        block = Aa @ Ba.T
         # The computed dot product of length d + 2 is off by at most about
         # (d + 2) * eps times the sum of its terms' magnitudes,
-        # (2 |x-c||z-c| + |x-c|^2 + |z-c|^2) / b <= 2 (|x-c|^2 + |z-c|^2) / b;
+        # (2 |a-c||b-c| + |a-c|^2 + |b-c|^2) / w <= 2 (|a-c|^2 + |b-c|^2) / w;
         # rounding the operands' entries adds a few eps more.
-        bound = 2.0 * (d + 4) * np.finfo(np.float64).eps / bandwidth * (sq_x + sq_z.max())
+        bound = 2.0 * (d + 4) * np.finfo(np.float64).eps / bandwidth * (sq_a + sq_b.max())
         near = np.flatnonzero(~(block.max(axis=1) < -bound))
-        block[near] = cdist(X[near], Z, "sqeuclidean") / -bandwidth
+        pairwise = _squared_distances(A[near], B)
+        block[near] = np.divide(pairwise, -bandwidth, out=pairwise)
     return np.exp(block, out=block)
+
+
+def _squared_distances(A, B):
+    """Squared Euclidean distances between the rows of A and of B, summed
+    feature by feature in order, one rounded square added per feature: the
+    bits of scipy's ``cdist(A, B, "sqeuclidean")``, and after ``np.sqrt``
+    those of ``cdist(A, B)``. Rows go in blocks of about 2**16 entries, so
+    besides the result a call holds one such block.
+    """
+    n, d = A.shape
+    out = np.empty((n, B.shape[0]))
+    cols = np.ascontiguousarray(B.T)
+    rows = max(1, _PAIRWISE_BLOCK // B.shape[0])
+    work = np.empty((min(rows, n), B.shape[0]))
+    for a in range(0, n, rows):
+        acc = out[a:a + rows]
+        diff = work[:acc.shape[0]]
+        np.subtract(A[a:a + rows, :1], cols[0], out=acc)
+        acc *= acc
+        for j in range(1, d):
+            np.subtract(A[a:a + rows, j:j + 1], cols[j], out=diff)
+            diff *= diff
+            acc += diff
+    return out
 
 
 def bandwidth_heuristic(X):

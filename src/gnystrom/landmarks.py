@@ -203,7 +203,7 @@ def _init_spread(X, k, rng):
     n, d = X.shape
     Xc = X - X.mean(axis=0)
     sq = np.einsum("ij,ij->i", Xc, Xc)
-    # Bound on the expansion's rounding error, as in kernels._rbf_block.
+    # Bound on the expansion's rounding error, as in kernels.kernel_matrix.
     rounding = (d + 2) * np.finfo(np.float64).eps
     top = sq.max()
 

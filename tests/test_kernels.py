@@ -1,15 +1,19 @@
 """Tests for kernel evaluation, the bandwidth heuristic, ideal-kernel
 construction, double-centering, and the normalized alignment score."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from gnystrom import (
     DegenerateBandwidthError,
@@ -24,7 +28,8 @@ from gnystrom import (
     nka_score,
     rbf_kernel,
 )
-from gnystrom.kernels import _rbf_block
+import gnystrom
+from gnystrom.kernels import _squared_distances
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +139,19 @@ def test_kernel_matrix_dimension_mismatch():
         kernel_matrix([[0.0, 1.0]], [[0.0]], KernelParams(bandwidth=1.0))
 
 
+def _pairwise_kernel(X, Z, bandwidth):
+    """The kernel with every squared distance taken pairwise by scipy."""
+    return np.exp(cdist(X, Z, "sqeuclidean") / -bandwidth)
+
+
+_SCALES = st.sampled_from((1e-3, 1.0, 100.0))
+_OFFSETS = st.sampled_from((0.0, 1e3, 1e6))
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), m=st.integers(1, 12),
-       d=st.integers(1, 20), scale=st.sampled_from((1e-3, 1.0, 100.0)),
-       offset=st.sampled_from((0.0, 1e3, 1e6)), width=st.floats(0.05, 20.0))
-def test_rbf_block_matches_kernel_matrix(seed, n, m, d, scale, offset, width):
+       d=st.integers(1, 20), scale=_SCALES, offset=_OFFSETS, width=st.floats(0.05, 20.0))
+def test_kernel_matrix_matches_pairwise_kernel(seed, n, m, d, scale, offset, width):
     rng = np.random.default_rng(seed)
     Z = offset + scale * rng.normal(size=(m, d))
     X = offset + scale * rng.normal(size=(n, d))
@@ -146,25 +159,69 @@ def test_rbf_block_matches_kernel_matrix(seed, n, m, d, scale, offset, width):
     hits = rng.integers(0, m, size=min(n, m))
     X[:hits.size] = Z[hits]
     params = KernelParams(bandwidth=width * d * scale**2)
-    block = _rbf_block(X, Z, params.bandwidth)
-    assert_allclose(block, kernel_matrix(X, Z, params), rtol=0, atol=1e-13)
+    block = kernel_matrix(X, Z, params)
+    assert_allclose(block, _pairwise_kernel(X, Z, params.bandwidth), rtol=0, atol=1e-13)
     assert np.all(block[np.arange(hits.size), hits] == 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), m=st.integers(1, 12),
+       d=st.integers(1, 20), scale=_SCALES, offset=_OFFSETS)
+def test_squared_distances_match_cdist_bit_for_bit(seed, n, m, d, scale, offset):
+    rng = np.random.default_rng(seed)
+    A = offset + scale * rng.normal(size=(n, d))
+    B = offset + scale * rng.normal(size=(m, d))
+    sq = _squared_distances(A, B)
+    assert np.array_equal(sq, cdist(A, B, "sqeuclidean"))
+    assert np.array_equal(np.sqrt(sq), cdist(A, B))
+
+
+def test_squared_distances_row_blocks_match_cdist():
+    # 5000 columns leave 13 rows per block: 40 rows take four blocks, the
+    # last one short.
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(40, 3))
+    B = rng.normal(size=(5000, 3))
+    assert np.array_equal(_squared_distances(A, B), cdist(A, B, "sqeuclidean"))
+
 
 @pytest.mark.parametrize("scale, bandwidth", [(1e200, 1.0), (1.0, 1e-310)])
-def test_rbf_block_overflow_goes_pairwise_without_warnings(scale, bandwidth):
+def test_kernel_matrix_overflow_goes_pairwise_without_warnings(scale, bandwidth):
     # Terms of the expansion overflow to inf or nan; those rows are
     # recomputed pairwise, and nothing warns.
     Z = scale * np.array([[1.0, 0.0], [-1.0, 1.0], [0.5, 0.5]])
     X = np.vstack([Z[:1], scale * np.array([[0.0, 0.0], [0.25, -1.0]])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = _rbf_block(X, Z, bandwidth)
+        block = kernel_matrix(X, Z, KernelParams(bandwidth=bandwidth))
     with np.errstate(over="ignore"):
-        expected = kernel_matrix(X, Z, KernelParams(bandwidth=bandwidth))
+        expected = _pairwise_kernel(X, Z, bandwidth)
     assert np.array_equal(block, expected)
     assert block[0, 0] == 1.0
+
+
+def test_pipeline_does_not_import_scipy_spatial():
+    """build_core, fit, embed and rbf_lipschitz_constant run without
+    scipy.spatial, whose import alone costs about 9 MiB of resident memory."""
+    script = """
+import sys
+import numpy as np
+import gnystrom as gn
+ds = gn.make_two_moons(60, noise=0.1, seed=0)
+params = gn.KernelParams(bandwidth=gn.bandwidth_heuristic(ds.X))
+Z = gn.select_kmeans(ds.X, gn.KMeansConfig(k=8, seed=0))
+core = gn.build_core(ds.X, Z, params)
+side = gn.SideInformation.from_labels(gn.sample_labeled(ds, 10, 1))
+result = gn.fit(core, side, gn.LearnConfig(lam=0.1))
+model = gn.InductiveModel.from_state(Z, params, result.state, lam=0.1)
+gn.embed(model, ds.X)
+gn.rbf_lipschitz_constant(ds.X, Z, params)
+print("scipy.spatial" in sys.modules)
+"""
+    src = str(Path(gnystrom.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
