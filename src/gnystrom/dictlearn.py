@@ -9,7 +9,9 @@ over positive semidefinite S, where S0 is the pseudo-inverse prior from the
 landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
 limits which pairs are constrained). J is a convex quadratic; a closed-form
-solution of the unconstrained problem provides the warm start.
+solution of the unconstrained problem provides the warm start: as it is
+when a Cholesky factorization certifies it positive definite, since it is
+then the constrained optimum too, and PSD-projected otherwise.
 
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
@@ -72,7 +74,7 @@ tolerance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dpotrf, dsyevr
 
 from ._arrays import as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
@@ -316,9 +318,14 @@ def init_closed_form(core, side, lam, project=True):
     equations: in the eigenbasis, S_ij = Q_ij / (1 + v_i * v_j). With no
     supervised rows this degenerates to S = S0.
 
-    Defined for label-kind side information with lam > 0; grouping-kind
-    callers fall back to the projected prior (see :func:`fit`). Pass
-    ``project=False`` to get the raw solution of the linear system.
+    A solution that a Cholesky factorization certifies positive definite is
+    its own projection and is returned unprojected, as :func:`fit` starts
+    from it; any other is PSD-projected. Defined for label-kind side
+    information with lam > 0; grouping-kind callers fall back to the
+    projected prior (see :func:`fit`). Pass ``project=False`` to get the raw
+    solution of the linear system. A lam so small that the solution
+    overflows raises InputError, as a non-finite matrix does in
+    :func:`psd_project`.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InputError(f"closed-form initialization requires lam > 0, got {lam}")
@@ -326,16 +333,34 @@ def init_closed_form(core, side, lam, project=True):
         raise InputError("closed-form initialization applies to label-kind side information")
     supervision = _Supervision(core, side)
     S = _closed_form(*supervision.eigenpairs, supervision.B, core.S0, lam)
-    return psd_project(S) if project else S
+    return _psd_start(S) if project else S
 
 
 def _closed_form(c, V, B, S0, lam):
     """Unprojected closed form for B = El.T @ target @ El, given the
     eigenpairs (c, V) of C = El.T @ El: P = C / sqrt(lam) has eigenvalues
-    c / sqrt(lam) and the same eigenvectors, so v_i * v_j = c_i * c_j / lam."""
-    q_tilde = V.T @ (S0 + B / lam) @ V
-    S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
-    return 0.5 * (S + S.T)
+    c / sqrt(lam) and the same eigenvectors, so v_i * v_j = c_i * c_j / lam.
+    A tiny lam overflows it to non-finite entries, without a warning; the
+    callers test for them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_tilde = V.T @ (S0 + B / lam) @ V
+        S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
+        return 0.5 * (S + S.T)
+
+
+def _psd_start(S):
+    """The symmetric S itself if it is finite and LAPACK's Cholesky (dpotrf)
+    factors it, and :func:`psd_project` of S otherwise.
+
+    Cholesky succeeds in floating point exactly when S is numerically
+    positive definite (Higham 2002, ch. 10), so S is then its own
+    projection, certified at a small fraction of an eigendecomposition's
+    cost. dpotrf reports success on NaN and infinite input, so it is
+    trusted only on finite S; psd_project rejects the others.
+    """
+    if np.all(np.isfinite(S)) and dpotrf(S, lower=1, clean=0)[1] == 0:
+        return S
+    return psd_project(S)
 
 
 def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
@@ -343,8 +368,12 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
 
     The start is the closed form (:func:`init_closed_form`) for label-kind
     side information with lam > 0 and at least one supervised row, and the
-    projected prior psd_project(S0) otherwise. C = El.T @ El is
-    eigendecomposed once, for the closed form and the loop alike.
+    projected prior psd_project(S0) otherwise, or when lam is so small that
+    the closed form overflows. C = El.T @ El is eigendecomposed once, for
+    the closed form and the loop alike. A closed form that a Cholesky
+    factorization certifies positive definite is the unconstrained optimum
+    and starts unprojected, so a fit that stops there costs no further
+    eigendecomposition; any other is PSD-projected.
 
     A start whose gradient norm is already within the tolerance of
     :class:`LearnConfig` is returned after 0 iterations. Otherwise one ADMM
@@ -361,7 +390,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     """
     sup = _Supervision(core, side) if _supervision is None else _supervision
     if side.kind == "labels" and cfg.lam > 0 and side.indices.size > 0:
-        S = _project(_closed_form(*sup.eigenpairs, sup.B, core.S0, cfg.lam))
+        S = _closed_form(*sup.eigenpairs, sup.B, core.S0, cfg.lam)
+        S = _psd_start(S) if np.all(np.isfinite(S)) else psd_project(core.S0)
     else:
         S = psd_project(core.S0)
 

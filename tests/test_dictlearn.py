@@ -605,6 +605,84 @@ def test_init_rejects_bad_inputs():
         init_closed_form(core, grouping, lam=1.0)
 
 
+def _closed_form_of(core, side, lam):
+    sup = supervision._Supervision(core, side)
+    return dictlearn._closed_form(*sup.eigenpairs, sup.B, core.S0, lam)
+
+
+def test_positive_definite_closed_form_is_the_start(monkeypatch):
+    """A positive definite closed form is the unconstrained optimum and so
+    the answer: the fit returns it bit for bit after 0 iterations, with one
+    eigendecomposition (of C = El.T @ El) and no projection."""
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+    expected = _closed_form_of(core, side, 1.0)
+    assert np.linalg.eigvalsh(expected).min() > 0.0
+    real_eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(M):
+        calls.append(M.shape)
+        return real_eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    result = fit(core, side, LearnConfig(lam=1.0))
+    assert result.report.iterations == 0
+    assert np.array_equal(result.state.S, expected)
+    assert len(calls) == 1
+
+
+def test_indefinite_closed_form_starts_projected(monkeypatch):
+    """A closed form with a negative eigenvalue fails its Cholesky test and
+    starts from its PSD projection: the start and objective_trace[0] are
+    those of _project(closed form)."""
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+    closed = _closed_form_of(core, side, 1e-3)
+    assert np.linalg.eigvalsh(closed).min() < 0.0
+    real_dpotrf, infos = dictlearn.dpotrf, []
+
+    def recording_dpotrf(a, **kwargs):
+        out = real_dpotrf(a, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(dictlearn, "dpotrf", recording_dpotrf)
+    result = fit(core, side, LearnConfig(lam=1e-3), record_iterates=True)
+    start = dictlearn._project(closed)
+    assert len(infos) == 1 and infos[0] > 0
+    assert result.report.iterations > 0
+    assert np.array_equal(result.report.iterates[0], start)
+    assert result.report.objective_trace[0] == objective(start, core, side, 1e-3)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 100.0])
+def test_init_closed_form_is_the_fit_start(lam):
+    """init_closed_form returns the matrix fit starts from: the raw closed
+    form where Cholesky certifies it positive definite (lam = 1 and 100
+    here), its projection otherwise (lam = 1e-3)."""
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+    start = fit(core, side, LearnConfig(lam=lam), record_iterates=True).report.iterates[0]
+    S = init_closed_form(core, side, lam)
+    assert np.array_equal(S, start)
+    raw = init_closed_form(core, side, lam, project=False)
+    assert np.array_equal(S, raw) == (lam > 1e-3)
+
+
+def test_tiny_lambda_starts_from_projected_prior():
+    """At lam = 1e-320 the closed form overflows. Without a warning, fit
+    starts from psd_project(S0), as at lam = 0, and init_closed_form
+    rejects the non-finite solution."""
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+    assert not np.all(np.isfinite(_closed_form_of(core, side, 1e-320)))
+    result = fit(core, side, LearnConfig(lam=1e-320), record_iterates=True)
+    assert np.array_equal(result.report.iterates[0], psd_project(core.S0))
+    assert result.report.converged_by == "grad_norm"
+    with pytest.raises(InputError, match="non-finite"):
+        init_closed_form(core, side, 1e-320)
+
+
 # ---------------------------------------------------------------------------
 # fit
 

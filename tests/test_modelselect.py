@@ -26,7 +26,7 @@ from gnystrom import (
     select_random,
     validate_grid,
 )
-from gnystrom import modelselect
+from gnystrom import dictlearn, modelselect
 
 
 def _blob_problem(seed=0, n=60, m=8, l=10):
@@ -151,17 +151,23 @@ def test_undefined_alignment_scores_minus_infinity():
 
 def _fit_failing_at(monkeypatch, bad_lams):
     """Replace the fit select_lambda calls with one whose eigendecompositions
-    raise LinAlgError for the candidates in bad_lams."""
+    raise LinAlgError for the candidates in bad_lams. Its Cholesky test of
+    the closed-form start fails too, so a positive definite start is
+    projected, with an eigendecomposition, rather than returned as it is."""
     real_fit = modelselect.fit
 
     def broken_eigh(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def failing_dpotrf(a, **kwargs):
+        return a, 1
 
     def patched(core, side, cfg, *args, **kwargs):
         if cfg.lam not in bad_lams:
             return real_fit(core, side, cfg, *args, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", broken_eigh)
+            patch.setattr(dictlearn, "dpotrf", failing_dpotrf)
             return real_fit(core, side, cfg, *args, **kwargs)
 
     monkeypatch.setattr(modelselect, "fit", patched)

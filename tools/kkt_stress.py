@@ -11,12 +11,15 @@ test allows (labels at lambda 0, 1e-3, 1 and 100; grouping at the three
 positive ones), fits each at ``max_iters = 20000`` and applies the test's
 three checks. It prints one JSON line: the fits, the KKT failures (and which
 draws failed), the total iterations, the fits past 2,000 iterations, the
-factor builds, the rho updates and a ``digest``, the sha256 of every
-returned S and objective trace in sweep order. The test itself stays a
-sample of a few hundred draws; this sweep shows how often it can fail. BLAS
-runs on one thread, as in the benchmark, so a sweep repeats bit for bit, and
-running this file in two checkouts shows whether a change leaves every fit
-bit-identical: the digests match.
+factor builds, the rho updates, the fits returned at their start after 0
+iterations (``at_start``), a ``digest``, the sha256 of every returned S and
+objective trace in sweep order, and ``digest_iterating``, the same over the
+fits that iterated only. The test itself stays a sample of a few hundred
+draws; this sweep shows how often it can fail. BLAS runs on one thread, as
+in the benchmark, so a sweep repeats bit for bit, and running this file in
+two checkouts shows whether a change leaves every fit bit-identical (the
+digests match) or moves only fits that stop at their start (only
+``digest_iterating`` matches).
 """
 
 import argparse
@@ -75,16 +78,18 @@ def main(argv=None):
     parser.add_argument("--last-seed", type=int, default=1499)
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
-                            "factor_builds", "rho_updates"), 0)
+                            "factor_builds", "rho_updates", "at_start"), 0)
     failed = []
-    digest = hashlib.sha256()
+    digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
             result = fit(core, side, LearnConfig(lam=lam, max_iters=MAX_ITERS))
             report = result.report
-            digest.update(result.state.S.tobytes())
-            digest.update(report.objective_trace.tobytes())
+            for h in (digest, digest_iterating) if report.iterations else (digest,):
+                h.update(result.state.S.tobytes())
+                h.update(report.objective_trace.tobytes())
             totals["fits"] += 1
+            totals["at_start"] += report.iterations == 0
             totals["iterations"] += report.iterations
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
@@ -94,7 +99,8 @@ def main(argv=None):
                 failed.append({"seed": seed, "kind": kind, "lam": lam,
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
-                      "digest": digest.hexdigest(), "failed": failed}))
+                      "digest": digest.hexdigest(),
+                      "digest_iterating": digest_iterating.hexdigest(), "failed": failed}))
     return 0
 
 
