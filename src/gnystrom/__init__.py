@@ -14,7 +14,7 @@ from .experiment import (ExperimentConfig, RepeatResult, RunReport,
                          experiment_config_from_file, read_config, run_experiment)
 from .inductive import InductiveModel, embed, load, save, similarity
 from .kernels import (KernelParams, LabelVector, bandwidth_heuristic, double_center,
-                      ideal_kernel, kernel_matrix, nka_score, rbf_kernel)
+                      ideal_kernel, kernel_matrix, nka_score)
 from .landmarks import KMeansConfig, LandmarkSet, select_kmeans, select_random
 from .linear_svm import LinearModel, train_linear
 from .modelselect import (DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport,
@@ -41,7 +41,7 @@ __all__ = [
     "fit", "gradient", "ideal_kernel", "init_closed_form", "kernel_matrix",
     "landmark_eigensystem", "load", "load_dataset",
     "make_blobs", "make_two_moons", "nka_score", "objective", "extrapolation_bound",
-    "psd_project", "rbf_kernel", "rbf_lipschitz_constant", "read_config",
+    "psd_project", "rbf_lipschitz_constant", "read_config",
     "reconstruct_entry", "run_experiment", "sample_labeled", "save",
     "select_kmeans", "select_lambda", "select_random", "similarity",
     "train_linear", "validate_grid",

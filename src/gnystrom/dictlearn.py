@@ -16,7 +16,11 @@ then the constrained optimum too, and PSD-projected otherwise.
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
 its gradient come from the thin QR factor of the supervised rows (labels)
-or from the pair list (pairs), in O(l m + m^2) memory.
+or from the pair list (pairs), in O(l m + m^2) memory. The supervision
+(:class:`supervision._Supervision`) supplies the closed form where one
+exists (labels), J's data term and its pull at S, and the data term in the
+loop's coordinates, so no code here asks which kind of side information it
+holds.
 
 One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
 splits J from the PSD constraint: the x-step minimizes J plus a proximal
@@ -246,10 +250,10 @@ def _value_and_gradient(S, core, side, lam, supervision=None):
     LearnConfig(lam=lam)  # the fit's rule for lam
     if supervision is None:
         supervision = _Supervision(core, side)
-    res = supervision.residual(S)
+    loss, pull = supervision.term(S)
     prior = S - core.S0
-    value = float(lam * np.sum(prior * prior) + supervision.loss(res))
-    grad = 2.0 * lam * prior + 2.0 * supervision.pull(res)
+    value = float(lam * np.sum(prior * prior) + loss)
+    grad = 2.0 * lam * prior + 2.0 * pull
     return value, 0.5 * (grad + grad.T)
 
 
@@ -320,32 +324,20 @@ def init_closed_form(core, side, lam, project=True):
 
     A solution that a Cholesky factorization certifies positive definite is
     its own projection and is returned unprojected, as :func:`fit` starts
-    from it; any other is PSD-projected. Defined for label-kind side
-    information with lam > 0; grouping-kind callers fall back to the
-    projected prior (see :func:`fit`). Pass ``project=False`` to get the raw
-    solution of the linear system. A lam so small that the solution
-    overflows raises InputError, as a non-finite matrix does in
-    :func:`psd_project`.
+    from it; any other is PSD-projected. Pass ``project=False`` to get the
+    raw solution of the linear system. The solution comes from
+    :meth:`supervision._Supervision.closed_form`, which has one for
+    label-kind side information with lam > 0 only; for the grouping kind
+    this raises InputError, and :func:`fit` starts from the projected prior.
+    A lam so small that the solution overflows raises InputError, as a
+    non-finite matrix does in :func:`psd_project`.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InputError(f"closed-form initialization requires lam > 0, got {lam}")
-    if side.kind != "labels":
+    S = _Supervision(core, side).closed_form(core.S0, lam)
+    if S is None:
         raise InputError("closed-form initialization applies to label-kind side information")
-    supervision = _Supervision(core, side)
-    S = _closed_form(*supervision.eigenpairs, supervision.B, core.S0, lam)
     return _psd_start(S) if project else S
-
-
-def _closed_form(c, V, B, S0, lam):
-    """Unprojected closed form for B = El.T @ target @ El, given the
-    eigenpairs (c, V) of C = El.T @ El: P = C / sqrt(lam) has eigenvalues
-    c / sqrt(lam) and the same eigenvectors, so v_i * v_j = c_i * c_j / lam.
-    A tiny lam overflows it to non-finite entries, without a warning; the
-    callers test for them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q_tilde = V.T @ (S0 + B / lam) @ V
-        S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
-        return 0.5 * (S + S.T)
 
 
 def _psd_start(S):
@@ -366,14 +358,15 @@ def _psd_start(S):
 def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     """Minimize the penalized objective over the PSD cone.
 
-    The start is the closed form (:func:`init_closed_form`) for label-kind
-    side information with lam > 0 and at least one supervised row, and the
-    projected prior psd_project(S0) otherwise, or when lam is so small that
-    the closed form overflows. C = El.T @ El is eigendecomposed once, for
-    the closed form and the loop alike. A closed form that a Cholesky
-    factorization certifies positive definite is the unconstrained optimum
-    and starts unprojected, so a fit that stops there costs no further
-    eigendecomposition; any other is PSD-projected.
+    The start is the closed form (:func:`init_closed_form`) whenever the
+    supervision has one (label-kind side information) and lam > 0 and there
+    is at least one supervised row, and the projected prior psd_project(S0)
+    otherwise, or when lam is so small that the closed form overflows.
+    C = El.T @ El is eigendecomposed once, for the closed form and the loop
+    alike. A closed form that a Cholesky factorization certifies positive
+    definite is the unconstrained optimum and starts unprojected, so a fit
+    that stops there costs no further eigendecomposition; any other is
+    PSD-projected.
 
     A start whose gradient norm is already within the tolerance of
     :class:`LearnConfig` is returned after 0 iterations. Otherwise one ADMM
@@ -389,11 +382,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     :class:`_Supervision` of (core, side) that its whole grid shares.
     """
     sup = _Supervision(core, side) if _supervision is None else _supervision
-    if side.kind == "labels" and cfg.lam > 0 and side.indices.size > 0:
-        S = _closed_form(*sup.eigenpairs, sup.B, core.S0, cfg.lam)
-        S = _psd_start(S) if np.all(np.isfinite(S)) else psd_project(core.S0)
-    else:
-        S = psd_project(core.S0)
+    S = sup.closed_form(core.S0, cfg.lam) if cfg.lam > 0 and side.indices.size > 0 else None
+    S = _psd_start(S) if S is not None and np.all(np.isfinite(S)) else psd_project(core.S0)
 
     grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)

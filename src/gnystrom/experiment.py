@@ -181,7 +181,7 @@ def pipeline(X, side, cfg, landmark_seed):
         lam = cfg.lam if cfg.lam is not None else 1.0
         supervision = _Supervision(core, side)
         result = fit(core, side, LearnConfig(lam=lam), _supervision=supervision)
-        record = _score_fit(core, side, lam, result, supervision)
+        record = _score_fit(core, lam, result, supervision)
     t3 = time.perf_counter()
     return PipelineResult(landmarks=Z, kernel=params, core=core, record=record,
                           selection=selection,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_data_matrix, as_index_array, as_square_matrix, as_vector
+from ._arrays import as_data_matrix, as_index_array, as_square_matrix
 from .errors import DegenerateBandwidthError, InputError, UndefinedAlignmentError
 
 # Centered operands with Frobenius norm below this (relative to the raw
@@ -68,16 +68,6 @@ class LabelVector:
 
     def __len__(self):
         return int(self.indices.shape[0])
-
-
-def rbf_kernel(x, y, params):
-    """Evaluate the Gaussian kernel for one pair of points."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.shape != yv.shape:
-        raise InputError(f"points must share a dimension, got {xv.shape} and {yv.shape}")
-    diff = xv - yv
-    return float(np.exp(-(diff @ diff) / params.bandwidth))
 
 
 def kernel_matrix(A, B, params):

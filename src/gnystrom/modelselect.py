@@ -106,7 +106,7 @@ def alignment_scores(S, core, side):
     return nka_score(S, core.S0), _Supervision(core, side).alignment(S)
 
 
-def _score_fit(core, side, lam, result, supervision):
+def _score_fit(core, lam, result, supervision):
     """LambdaRecord of a finished fit at weight lam, scored as by
     :func:`alignment_scores` through ``supervision``, the
     :class:`_Supervision` of (core, side) that the fit used; an undefined
@@ -145,7 +145,7 @@ def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID):
                                         rho_align=float("nan"), criterion=float("-inf"),
                                         solver=None, S=None, failure=str(exc)))
             continue
-        records.append(_score_fit(core, side, lam, result, supervision))
+        records.append(_score_fit(core, lam, result, supervision))
     fitted = [record for record in records if record.S is not None]
     if not fitted:
         reasons = "; ".join(f"lambda={r.lam:g}: {r.failure}" for r in records)

@@ -6,12 +6,13 @@ compute from it.
 :class:`_Supervision` holds what every fit and alignment on one (core, side)
 pair shares: B = El.T @ target @ El, the eigenpairs of El.T @ El, and the
 factors from which J's data term, its gradient and the target alignment are
-computed in O(l m + m^2) memory. For the ADMM loop of :mod:`dictlearn`,
-which runs in a rescaled eigenbasis, it gives J's data term there as a
-diagonal Hessian plus one :class:`_Pairs`, which holds the pair term and the
-p x p system of the pair x-step (no pairs for labels). Only this module
-knows how either kind of side information enters J; :class:`_Pairs` is the
-one place that touches the pair list's rows.
+computed in O(l m + m^2) memory. It gives :mod:`dictlearn` the closed-form
+start (labels only; pairs have none), J's data term and its pull at S, and,
+for the ADMM loop, which runs in a rescaled eigenbasis, J's data term there
+as a diagonal Hessian plus one :class:`_Pairs`, which holds the pair term
+and the p x p system of the pair x-step (no pairs for labels). Only this
+module knows how either kind of side information enters J; :class:`_Pairs`
+is the one place that touches the pair list's rows.
 """
 
 from dataclasses import dataclass
@@ -168,32 +169,32 @@ class SideInformation:
     def from_constraints(cls, must_link, cannot_link):
         """Build grouping-kind side information from pairs of sample indices.
 
-        Both arguments are iterables of (i, j) pairs; i and j must differ and
-        no pair may appear in both lists. A pair listed twice, in either
-        order, counts once.
+        Both arguments are iterables of (i, j) pairs of nonnegative integers
+        below 2**63; i and j must differ and no pair may appear in both
+        lists. A pair listed twice, in either order, counts once.
         """
         must, cannot = _sample_pairs(must_link), _sample_pairs(cannot_link)
         both = np.concatenate([must, cannot])
         if np.any(both[:, 0] == both[:, 1]):
             a, b = both[both[:, 0] == both[:, 1]][0]
             raise InputError(f"constraint pairs must involve distinct samples, got ({a}, {b})")
-        if both.size and both.min() < 0:
-            raise InputError("constraint indices must be nonnegative")
-        # A pair (a, b), a < b, as the key a * n + b: ordering the keys orders
-        # the pairs lexicographically.
-        n = int(both.max()) + 1 if both.size else 1
-        must, cannot = (np.unique(p[:, 0] * n + p[:, 1]) for p in (must, cannot))
+        # The rows are the ranks of the samples among the l involved. The map
+        # is increasing, so a pair of rows (a, b) keeps a < b, and as the key
+        # a * l + b, below l**2 <= (2 p)**2 for p pairs, it orders the pairs
+        # lexicographically and decodes to its rows.
+        involved, rows = np.unique(both, return_inverse=True)
+        l = max(involved.size, 1)
+        rows = rows.reshape(-1, 2)
+        keys = rows[:, 0] * l + rows[:, 1]
+        must, cannot = np.unique(keys[:must.shape[0]]), np.unique(keys[must.shape[0]:])
         conflict = np.intersect1d(must, cannot)
         if conflict.size:
-            pairs = [(int(k) // n, int(k) % n) for k in conflict]
+            pairs = [(int(involved[k // l]), int(involved[k % l])) for k in conflict]
             raise InputError(f"pairs marked both must-link and cannot-link: {pairs}")
         keys = np.concatenate([must, cannot])
         order = np.argsort(keys)
-        # The map from samples to rows is increasing, so the rows keep a < b
-        # and the order.
-        involved, rows = np.unique(np.divmod(keys[order], n), return_inverse=True)
-        return cls(kind="grouping", indices=involved, pairs=rows.reshape(2, -1).T,
-                   must=order < must.size)
+        return cls(kind="grouping", indices=involved,
+                   pairs=np.column_stack(np.divmod(keys[order], l)), must=order < must.size)
 
 
 def _check_dense(M, l, name):
@@ -206,14 +207,15 @@ def _check_dense(M, l, name):
 
 
 def _sample_pairs(pairs):
-    """An iterable of (i, j) sample pairs as a k x 2 integer array, each row
-    sorted."""
+    """An iterable of (i, j) sample pairs as a k x 2 array of indices, each
+    row sorted."""
     arr = np.asarray(list(pairs))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.intp)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError(f"constraints must be (i, j) pairs, got shape {arr.shape}")
-    return np.sort(arr.astype(np.intp), axis=1)
+    arr = as_index_array(arr.ravel(), "constraint indices", distinct=False)
+    return np.sort(arr.reshape(-1, 2), axis=1)
 
 
 class _Supervision:
@@ -240,9 +242,12 @@ class _Supervision:
       sum(weight * r^2) and the gradient's data term twice the residual
       spread over the pairs, all through :class:`_Pairs` in O(p m^2).
 
-    :meth:`in_basis` gives the data term in the coordinates of the ADMM loop
-    in :mod:`dictlearn`, for the factor F V diag(d): its pull at the start,
-    its Hessian where that is diagonal, and the :class:`_Pairs` of the rest.
+    :meth:`term` gives the data term and its pull F^T residual F at S,
+    :meth:`closed_form` the unconstrained minimizer of J for labels (None for
+    pairs), and :meth:`in_basis` the data term in the coordinates of the ADMM
+    loop in :mod:`dictlearn`, for the factor F V diag(d): its pull at the
+    start, its Hessian where that is diagonal, and the :class:`_Pairs` of the
+    rest.
     """
 
     def __init__(self, core, side):
@@ -296,18 +301,34 @@ class _Supervision:
             return self.F @ S @ self.F.T - self.K
         return self._pairs().entries(S) - self.pair_target
 
-    def loss(self, res):
-        """The data term of J, from :meth:`residual`."""
+    def term(self, S):
+        """J's data term at S and its pull F^T Res F, half the data term of
+        grad J (the residual symmetrized for pairs), from one residual; the
+        pair rows are gathered once."""
         if self.kind == "labels":
-            return float(np.sum(res * res)) + self.constant
-        return float(np.sum(self.weight * res * res))
+            res = self.residual(S)
+            return float(np.sum(res * res)) + self.constant, self.F.T @ res @ self.F
+        pairs = self._pairs()
+        res = pairs.entries(S) - self.pair_target
+        return float(np.sum(self.weight * res * res)), pairs.spread(0.5 * (res[0] + res[1]))
 
-    def pull(self, res):
-        """F^T Res F, half the data term of grad J, for the residual ``res``
-        (symmetrized for pairs)."""
-        if self.kind == "labels":
-            return self.F.T @ res @ self.F
-        return self._pairs().spread(0.5 * (res[0] + res[1]))
+    def closed_form(self, S0, lam):
+        """The unconstrained minimizer of J for lam > 0, unprojected, or None
+        for pairs, which have no closed form here.
+
+        For labels, setting grad J to zero gives S + P S P = Q with
+        P = C / sqrt(lam) and Q = S0 + B / lam. P has the eigenvectors V of
+        C and eigenvalues c / sqrt(lam), so in that basis the system is
+        elementwise, S_ij = Q_ij / (1 + c_i c_j / lam). A tiny lam overflows
+        it to non-finite entries, without a warning; the callers test for
+        them. With no supervised rows it reduces to S0."""
+        if self.kind != "labels":
+            return None
+        c, V = self.eigenpairs
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_tilde = V.T @ (S0 + self.B / lam) @ V
+            S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
+            return 0.5 * (S + S.T)
 
     def alignment(self, S):
         """nka_score(El @ S @ El.T, target) (masked for pairs), the

@@ -2,6 +2,7 @@
 closed-form warm start, the ADMM fit loop, its two x-steps and its
 Anderson safeguard, and factoring."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,61 @@ def test_side_information_from_constraints_conflicts():
         SideInformation.from_constraints(must_link=[(2, 2)], cannot_link=[])
     with pytest.raises(InputError):
         SideInformation.from_constraints(must_link=[(-1, 2)], cannot_link=[])
+
+
+@pytest.mark.parametrize("a", [3_100_000_000, 4_999_999_999, 2**63 - 2])
+def test_from_constraints_keeps_large_sample_indices(a):
+    """Indices whose product a * (a + 2) passes 2**63 map to their own rows:
+    no key is built from the sample indices themselves."""
+    side = SideInformation.from_constraints([(a + 1, a)], [(0, a)])
+    assert np.array_equal(side.indices, [0, a, a + 1])
+    assert np.array_equal(side.pairs, [[0, 1], [1, 2]])
+    assert np.array_equal(side.must, [False, True])
+
+
+def test_from_constraints_rejects_fractional_indices():
+    """As SideInformation(indices=...) does; a cast would read (0, 2)."""
+    with pytest.raises(InputError, match="integer"):
+        SideInformation.from_constraints([(0.5, 2.7)], [])
+    with pytest.raises(InputError, match="integer"):
+        SideInformation.from_constraints([(0, 1)], [(1.0, 3.0)])
+
+
+def test_from_constraints_reports_indices_past_intp_as_too_large():
+    """An unsigned index of 2**63 is too large, not negative."""
+    pairs = np.array([[1, 2**63]], dtype=np.uint64)
+    with pytest.raises(InputError, match=re.escape("below 2**63")):
+        SideInformation.from_constraints(pairs, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True),
+       draws=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()),
+                      max_size=12))
+def test_from_constraints_matches_set_reference(pool, draws):
+    """indices, pairs and must (or the error) as Python sets give them, for
+    sample indices anywhere below 2**63, repeats, both orders and conflicts
+    included."""
+    pool = pool * 6
+    must_link = [(pool[i], pool[j]) for i, j, must in draws if must]
+    cannot_link = [(pool[i], pool[j]) for i, j, must in draws if not must]
+    must = {tuple(sorted(pair)) for pair in must_link}
+    cannot = {tuple(sorted(pair)) for pair in cannot_link}
+    if any(a == b for a, b in must | cannot):
+        with pytest.raises(InputError, match="distinct samples"):
+            SideInformation.from_constraints(must_link, cannot_link)
+        return
+    if must & cannot:
+        with pytest.raises(InputError, match=re.escape(str(sorted(must & cannot)))):
+            SideInformation.from_constraints(must_link, cannot_link)
+        return
+    side = SideInformation.from_constraints(must_link, cannot_link)
+    involved = sorted({i for pair in must | cannot for i in pair})
+    row = {sample: r for r, sample in enumerate(involved)}
+    pairs = sorted((row[a], row[b], (a, b) in must) for a, b in must | cannot)
+    assert side.indices.tolist() == involved
+    assert side.pairs.tolist() == [[a, b] for a, b, _ in pairs]
+    assert side.must.tolist() == [flag for _, _, flag in pairs]
 
 
 def _old_ideal_kernel(values):
@@ -606,8 +662,7 @@ def test_init_rejects_bad_inputs():
 
 
 def _closed_form_of(core, side, lam):
-    sup = supervision._Supervision(core, side)
-    return dictlearn._closed_form(*sup.eigenpairs, sup.B, core.S0, lam)
+    return supervision._Supervision(core, side).closed_form(core.S0, lam)
 
 
 def test_positive_definite_closed_form_is_the_start(monkeypatch):

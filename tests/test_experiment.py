@@ -133,10 +133,15 @@ def test_fixed_lambda_builds_supervision_once_per_repeat(monkeypatch):
     assert len(builds) == cfg.repeats
 
     # The same run with the fit and the scores each building their own.
-    monkeypatch.setattr(experiment, "fit", lambda core, side, learn, _supervision: fit(
-        core, side, learn))
-    monkeypatch.setattr(experiment, "_score_fit", lambda core, side, lam, result, _: (
-        _score_fit(core, side, lam, result, supervision._Supervision(core, side))))
+    sides = []
+
+    def own_fit(core, side, learn, _supervision):
+        sides.append(side)
+        return fit(core, side, learn)
+
+    monkeypatch.setattr(experiment, "fit", own_fit)
+    monkeypatch.setattr(experiment, "_score_fit", lambda core, lam, result, _: (
+        _score_fit(core, lam, result, supervision._Supervision(core, sides[-1]))))
     separate = run_experiment(ds, cfg, "generalized")
     assert np.array_equal(shared.errors, separate.errors)
     assert shared.results == separate.results

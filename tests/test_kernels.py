@@ -26,7 +26,6 @@ from gnystrom import (
     ideal_kernel,
     kernel_matrix,
     nka_score,
-    rbf_kernel,
 )
 import gnystrom
 from gnystrom.kernels import _squared_distances
@@ -51,40 +50,6 @@ def test_label_vector_validates_indices():
         LabelVector(indices=[0, 1], labels=[1])  # length mismatch
     lv = LabelVector(indices=[3, 1], labels=["a", "b"])
     assert len(lv) == 2
-
-
-# ---------------------------------------------------------------------------
-# rbf_kernel
-
-
-def test_rbf_kernel_zero_distance_is_one():
-    p = KernelParams(bandwidth=1.0)
-    for d in (1, 2, 5):
-        x = np.arange(d, dtype=float)
-        assert rbf_kernel(x, x, p) == 1.0
-
-
-def test_rbf_kernel_hand_values():
-    assert_allclose(rbf_kernel([0.0], [2.0], KernelParams(bandwidth=4.0)),
-                    np.exp(-1.0), rtol=1e-12)
-    assert_allclose(rbf_kernel([0.0, 0.0], [3.0, 4.0], KernelParams(bandwidth=25.0)),
-                    np.exp(-1.0), rtol=1e-12)
-
-
-def test_rbf_kernel_symmetric_and_bounded():
-    rng = np.random.default_rng(0)
-    p = KernelParams(bandwidth=2.5)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        y = rng.normal(size=3)
-        kxy = rbf_kernel(x, y, p)
-        assert kxy == rbf_kernel(y, x, p)
-        assert 0.0 < kxy <= 1.0
-
-
-def test_rbf_kernel_dimension_mismatch():
-    with pytest.raises(InputError):
-        rbf_kernel([0.0], [0.0, 1.0], KernelParams(bandwidth=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +87,8 @@ def test_kernel_matrix_matches_entrywise_evaluation():
     B = rng.normal(size=(4, 3))
     p = KernelParams(bandwidth=1.7)
     K = kernel_matrix(A, B, p)
-    expected = np.array([[rbf_kernel(a, b, p) for b in B] for a in A])
+    expected = np.array([[np.exp(-np.sum((a - b) ** 2) / p.bandwidth) for b in B]
+                         for a in A])
     assert_allclose(K, expected, rtol=1e-12)
 
 
