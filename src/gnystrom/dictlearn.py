@@ -27,14 +27,15 @@ splits J from the PSD constraint: the x-step minimizes J plus a proximal
 term exactly, the y-step is the projection, and the penalty rho is set by
 residual balancing: halved or doubled when one residual exceeds the other
 100-fold. It starts at a quarter of the mean Hessian diagonal in the
-loop's coordinates, near where balancing settles (see _RHO_START), since
-each change of rho clears the acceleration's memory and, for pairs,
-refactors the p x p system. The projection computes only the eigenpairs it
-removes, those with eigenvalue <= 0 (LAPACK dsyevr), and subtracts them;
-computing only the part of the spectrum a projection changes is the idea
-behind ProxSDP (Souto, Garcia & Veiga 2022). The loop's matrices usually
-have a handful of negative eigenvalues, so at m = 60 this costs about half
-of a full eigendecomposition; while the previous projection removed more
+loop's coordinates, and with pairs 2**-2.5 lower, near where balancing
+settles (see _RHO_START), since each change of rho clears the
+acceleration's memory and, for pairs, refactors the p x p system. The
+projection computes only the eigenpairs it removes, those with eigenvalue
+<= 0 (LAPACK dsyevr), and subtracts them; computing only the part of the
+spectrum a projection changes is the idea behind ProxSDP (Souto, Garcia &
+Veiga 2022). The loop's matrices usually have a handful of negative
+eigenvalues, so at m = 60 this costs about half of a full
+eigendecomposition; while the previous projection removed more
 than a quarter of the spectrum, where dsyevr costs about as much as a full
 eigendecomposition or more, the loop takes the full one instead. The loop
 runs in the eigenbasis V of C = El.T @ El = V diag(c) V.T, rescaled by the
@@ -45,9 +46,9 @@ for pairs, plus for p constrained pairs a rank-p term that couples the
 entries; the x-step is then elementwise, or solves a p x p system
 (Woodbury) factored once per value of rho. The supervision
 (:meth:`supervision._Supervision.in_basis`) supplies the diagonal and one
-pair operator (:class:`supervision._Pairs`) that holds the pair term and
-the system, with no pairs for labels, so the loop is the same for both
-kinds.
+pair operator (:class:`supervision._Pairs`) that holds the pair term, the
+system and the factor of rho's start, with no pairs for labels, so the
+loop is the same for both kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
 state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
@@ -100,11 +101,17 @@ _RANK_RTOL = 1e-12
 # taken costs at most about a third more than the other.
 _FULL_PROJECTION_SHARE = 0.25
 # ADMM's penalty rho starts at this fraction of twice the mean diagonal of
-# the Hessian in Z (pair term included). Started at twice that mean and
-# balanced on a 10-fold imbalance, rho ended at 1/4 or 1/8 of its start in
-# 28 of 29 measured fits (the benchmark's 16 iterating label fits at m = 25
-# and 10 pair fits at m = 60, and 3 label fits at m = 200) and at 1/16 in
-# one pair fit.
+# the Hessian in Z (pair term included), times the pair operator's
+# rho_factor: 1 for labels and 2**-2.5 with pairs. Started at twice that
+# mean and balanced on a 10-fold imbalance, rho ended at 1/4 or 1/8 of its
+# start in 28 of 29 measured fits (the benchmark's 16 iterating label fits
+# at m = 25 and 10 pair fits at m = 60, and 3 label fits at m = 200) and at
+# 1/16 in one pair fit. From this start balancing moved rho in none of 70
+# label fits of select-moons, but halved it on each of 21 fit-pairs fits,
+# whose mean diagonal is almost all the prior's (the pair term adds about
+# 4.5e-4 of it); hence the pair factor (supervision._PAIR_RHO_FACTOR).
+# Label fits started at a quarter of this start took 82.1 instead of 76.4
+# iterations per select-moons unit (run seed 1), so they keep it.
 _RHO_START = 0.125
 # Residual balancing halves or doubles rho only when one residual exceeds
 # the other by this factor.
@@ -155,14 +162,17 @@ class LearnConfig:
 class DictionaryState:
     """Learned inverse dictionary kernel.
 
-    S must be symmetric to 1e-10 absolute and PSD up to a -1e-8 relative
-    eigenvalue tolerance; violations raise at construction.
+    S must be finite, symmetric to 1e-10 absolute and PSD up to a -1e-8
+    relative eigenvalue tolerance; violations raise at construction.
     """
 
     S: np.ndarray
 
     def __post_init__(self):
         S = as_square_matrix(self.S, "S")
+        # Comparisons with NaN are False, so the tests below would pass it.
+        if not np.all(np.isfinite(S)):
+            raise InputError("S contains non-finite entries")
         if S.size:
             if float(np.abs(S - S.T).max()) > 1e-10:
                 raise InputError("S must be symmetric to 1e-10")
@@ -508,9 +518,9 @@ class _ADMM:
         self.Hs = (lam + diagonal) * self.DD ** 2
         self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
-        # included (see _RHO_START).
-        self.rho = _RHO_START * (2.0 * float(np.mean(self.Hs))
-                                 + self.pairs.hessian_trace() / self.Hs.size)
+        # included, scaled down with pairs (see _RHO_START).
+        self.rho = _RHO_START * self.pairs.rho_factor() * (
+            2.0 * float(np.mean(self.Hs)) + self.pairs.hessian_trace() / self.Hs.size)
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)

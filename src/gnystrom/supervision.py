@@ -27,6 +27,17 @@ from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine
 
 SIDE_KINDS = ("labels", "grouping")
+# With pairs, the ADMM loop in dictlearn starts its penalty rho at this
+# fraction of the start it takes for labels (see dictlearn._RHO_START).
+# From the label start, residual balancing halved rho once or twice on each
+# of the benchmark's fit-pairs fits (m = 60, 100 pairs) and two or three
+# times on pair fits at m = 200 (tools/pair_sweep.py: 300 and 1,000 pairs),
+# and each change cost a p x p factorization and Anderson's memory. Started
+# at 2**-2.5 of it, balancing moved rho in none of 21 fit-pairs fits (at
+# 2**-3 it doubled rho in 4), which took 30.8 instead of 48.8 iterations per
+# fit, and the six m = 200 fits took 461 instead of 546 iterations and 8
+# instead of 20 factorizations (one BLAS thread).
+_PAIR_RHO_FACTOR = 2.0 ** -2.5
 
 
 @dataclass(frozen=True)
@@ -389,9 +400,11 @@ class _Pairs:
     (b, a), each in O(p m^2); neither forms an l x l or a p x m^2 array.
 
     In the ADMM loop's basis it is the part of J's data term that couples
-    the entries: :meth:`term`, its :meth:`hessian_trace`, and the x-step's
-    p x p system (:meth:`factor`, :meth:`solve`). With no pairs (labels)
-    the term is 0 and the x-step elementwise.
+    the entries: :meth:`term`, its :meth:`hessian_trace`, the x-step's
+    p x p system (:meth:`factor`, :meth:`solve`) and the factor
+    :meth:`rho_factor` by which the loop scales its start for the penalty
+    rho. With no pairs (labels) the term is 0, the x-step elementwise and
+    that factor 1.
     """
 
     def __init__(self, F, rows, weight):
@@ -421,6 +434,12 @@ class _Pairs:
         aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
         fab = np.einsum("pi,pi->p", self.Fa, self.Fb)
         return 2.0 * float(np.sum(self.weight * (aabb + fab ** 2)))
+
+    def rho_factor(self):
+        """The fraction of the label-kind start at which the ADMM loop starts
+        rho: ``_PAIR_RHO_FACTOR`` with pairs, where residual balancing
+        settles below that start, and 1.0 with none."""
+        return _PAIR_RHO_FACTOR if self.weight.size else 1.0
 
     def factor(self, Dg):
         """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)) and

@@ -1017,9 +1017,10 @@ def test_pair_fit_starts_rho_near_where_it_settles():
     """Started at twice the mean Hessian diagonal and rebalanced on a 10-fold
     residual imbalance, rho was halved five times on this problem: 86
     iterations and 6 builds of the p x p factor. Started at an eighth of
-    that and rebalanced on a 100-fold imbalance, it moves once: 57
-    iterations and 2 builds, at the same optimum. A label fit builds no
-    factor."""
+    that and rebalanced on a 100-fold imbalance, it moved once: 57
+    iterations and 2 builds, at the same optimum. Started a further 2**-2.5
+    lower, as pair fits now are, it does not move: 29 iterations and 1
+    build. A label fit builds no factor."""
     core, side = _fit_pairs_problem()
     report = fit(core, side, LearnConfig(lam=0.1)).report
     assert report.converged_by == "grad_norm"
@@ -1030,6 +1031,21 @@ def test_pair_fit_starts_rho_near_where_it_settles():
     assert abs(report.objective_trace[-1] - reference) <= 2e-7 * reference
     labels = fit(*_random_labeled_problem(np.random.default_rng(3)), LearnConfig(lam=1e-3))
     assert labels.report.iterations > 0 and labels.report.factor_builds == 0
+
+
+def test_pair_fit_builds_its_system_once():
+    """Started at the label-kind start, rho was halved once on this problem,
+    so the fit built the p x p system twice and cleared its Anderson memory:
+    57 iterations. Pair fits start rho lower, where residual balancing
+    leaves it alone, and build the system once."""
+    core, side = _fit_pairs_problem()
+    report = fit(core, side, LearnConfig(lam=0.1)).report
+    assert report.converged_by == "grad_norm"
+    assert report.factor_builds == 1
+    assert report.rho_updates == 0
+    assert report.iterations <= 40
+    reference = 19.9793485462
+    assert abs(report.objective_trace[-1] - reference) <= 2e-7 * reference
 
 
 def _mapping_tolerance(core, side):
@@ -1400,6 +1416,27 @@ def test_dictionary_state_validation():
         DictionaryState(S=np.diag([1.0, -1.0]))
     state = DictionaryState(S=np.eye(2))
     assert state.S.shape == (2, 2)
+
+
+def _eye_with(i, j, value):
+    S = np.eye(3)
+    S[i, j] = value
+    return S
+
+
+@pytest.mark.parametrize("S", [
+    _eye_with(0, 0, np.nan),
+    _eye_with(0, 1, np.nan),
+    _eye_with(0, 0, np.inf),
+    np.full((3, 3), np.nan),
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "all-nan"])
+def test_dictionary_state_rejects_non_finite(S):
+    """NaN compares False, so a NaN passed the symmetry and PSD tests; an
+    infinite diagonal passed after a warning from S - S.T; an all-NaN S
+    raised LinAlgError from the eigenvalue check. Each is an InputError,
+    raised before any arithmetic on S (warnings are errors here)."""
+    with pytest.raises(InputError, match="non-finite"):
+        DictionaryState(S=S)
 
 
 def test_solver_report_rejects_rising_trace():

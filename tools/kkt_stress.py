@@ -13,13 +13,15 @@ three checks. It prints one JSON line: the fits, the KKT failures (and which
 draws failed), the total iterations, the fits past 2,000 iterations, the
 factor builds, the rho updates, the fits returned at their start after 0
 iterations (``at_start``), a ``digest``, the sha256 of every returned S and
-objective trace in sweep order, and ``digest_iterating``, the same over the
-fits that iterated only. The test itself stays a sample of a few hundred
-draws; this sweep shows how often it can fail. BLAS runs on one thread, as
-in the benchmark, so a sweep repeats bit for bit, and running this file in
-two checkouts shows whether a change leaves every fit bit-identical (the
-digests match) or moves only fits that stop at their start (only
-``digest_iterating`` matches).
+objective trace in sweep order, ``digest_iterating``, the same over the
+fits that iterated only, and ``digest_labels``, the same over the label-kind
+fits only. The test itself stays a sample of a few hundred draws; this
+sweep shows how often it can fail. BLAS runs on one thread, as in the
+benchmark, so a sweep repeats bit for bit, and running this file in two
+checkouts shows whether a change leaves every fit bit-identical (the
+digests match), moves only fits that stop at their start (only
+``digest_iterating`` matches) or moves only pair fits (only
+``digest_labels`` matches).
 """
 
 import argparse
@@ -80,12 +82,17 @@ def main(argv=None):
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "rho_updates", "at_start"), 0)
     failed = []
-    digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
+    digest, digest_iterating, digest_labels = (hashlib.sha256() for _ in range(3))
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
             result = fit(core, side, LearnConfig(lam=lam, max_iters=MAX_ITERS))
             report = result.report
-            for h in (digest, digest_iterating) if report.iterations else (digest,):
+            hashes = [digest]
+            if report.iterations:
+                hashes.append(digest_iterating)
+            if kind == "labels":
+                hashes.append(digest_labels)
+            for h in hashes:
                 h.update(result.state.S.tobytes())
                 h.update(report.objective_trace.tobytes())
             totals["fits"] += 1
@@ -100,7 +107,8 @@ def main(argv=None):
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
                       "digest": digest.hexdigest(),
-                      "digest_iterating": digest_iterating.hexdigest(), "failed": failed}))
+                      "digest_iterating": digest_iterating.hexdigest(),
+                      "digest_labels": digest_labels.hexdigest(), "failed": failed}))
     return 0
 
 
