@@ -4,6 +4,12 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
+# Eigenvalues at or below this fraction of the largest are taken for
+# rounding: dictlearn.factorize drops them, the ADMM loop lifts its
+# congruence weights to that level, and the closed form at lam = 0 takes
+# the eigenvalues of C above it as C's numerical range.
+RANK_RTOL = 1e-12
+
 
 def as_data_matrix(x, name="X"):
     """Coerce to a finite float64 matrix of shape (n, d) with n, d >= 1."""
@@ -72,6 +78,14 @@ def eigh(M):
         return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _project(M):
+    """The Frobenius-nearest PSD matrix to the symmetrized M: its
+    eigenvalues below 0 clamped to 0."""
+    vals, vecs = eigh(0.5 * (M + M.T))
+    out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+    return 0.5 * (out + out.T)
 
 
 def truncated_eigh(M, rtol):

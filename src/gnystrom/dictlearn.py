@@ -8,10 +8,13 @@ minimizing
 over positive semidefinite S, where S0 is the pseudo-inverse prior from the
 landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
-limits which pairs are constrained). J is a convex quadratic; a closed-form
-solution of the unconstrained problem provides the warm start: as it is
-when a Cholesky factorization certifies it positive definite, since it is
-then the constrained optimum too, and PSD-projected otherwise.
+limits which pairs are constrained). J is a convex quadratic. For labels
+at lam > 0 a closed-form solution of the unconstrained problem provides the
+warm start: as it is when a Cholesky factorization certifies it positive
+definite, since it is then the constrained optimum too, and PSD-projected
+otherwise. For labels at lam = 0 the constrained optimum itself has a
+closed form, one PSD projection after a congruence, and the fit returns it
+without iterating.
 
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
@@ -35,12 +38,10 @@ projection computes only the eigenpairs it removes, those with eigenvalue
 spectrum a projection changes is the idea behind ProxSDP (Souto, Garcia &
 Veiga 2022). The loop's matrices usually have a handful of negative
 eigenvalues, so at m = 60 this costs about half of a full
-eigendecomposition; while the previous projection removed more
-than a quarter of the spectrum, where dsyevr costs about as much as a full
-eigendecomposition or more, the loop takes the full one instead. The loop
-runs in the eigenbasis V of C = El.T @ El = V diag(c) V.T, rescaled by the
-congruence diag(1 / sqrt(sqrt(lam) + c)), which maps the PSD cone onto
-itself and evens out the curvature at small lam. In V the Hessian
+eigendecomposition. The loop runs in the eigenbasis V of
+C = El.T @ El = V diag(c) V.T, rescaled by the congruence
+diag(1 / sqrt(sqrt(lam) + c)), which maps the PSD cone onto itself and
+evens out the curvature at small lam. In V the Hessian
 of J is diagonal, with weights 2 * (lam + c_i * c_j) for labels and 2 * lam
 for pairs, plus for p constrained pairs a rank-p term that couples the
 entries; the x-step is then elementwise, or solves a p x p system
@@ -69,11 +70,12 @@ part the projection cut off, orthogonal to S for any W; that residual of the
 optimality conditions needs no further eigendecomposition. The bound holds
 at the current iterate, while the loop returns the best one, so a stop on
 it is confirmed by the gradient-mapping norm of the matrix returned, and
-the loop goes on if that exceeds the tolerance. A second test
-stops once the best objective stalls. The returned S goes through one
-full projection: the subtraction leaves rounding along the removed
-directions, which the congruence back to S can magnify past the PSD
-tolerance.
+the loop goes on if that exceeds the tolerance. The same evaluation, of J
+and the gradient-mapping norm, certifies the closed form at lam = 0. A
+second test stops once the best objective stalls. The returned S goes
+through one full projection: the subtraction leaves rounding along the
+removed directions, which the congruence back to S can magnify past the
+PSD tolerance.
 """
 
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevr
 
-from ._arrays import as_square_matrix, eigh, truncated_eigh
+from ._arrays import RANK_RTOL, _project, as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 
@@ -91,15 +93,6 @@ CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 _ACCEPT_SLACK = 1e-12
 # Iterations over which the best objective must improve by obj_rel_tol.
 _OBJ_WINDOW = 20
-# factorize keeps eigenvalues above this fraction of the largest.
-_RANK_RTOL = 1e-12
-# The loop projects with a full eigendecomposition while the previous
-# projection clamped more than this share of the m eigenvalues, and with
-# the partial one (dsyevr) otherwise. Measured ratios of their costs, one
-# BLAS thread, cross 1 at about 0.4 of m for m = 25, 0.23 for m = 60, 0.15
-# for m = 200 and 0.19 for m = 500; between those points and 0.25 the one
-# taken costs at most about a third more than the other.
-_FULL_PROJECTION_SHARE = 0.25
 # ADMM's penalty rho starts at this fraction of twice the mean diagonal of
 # the Hessian in Z (pair term included), times the pair operator's
 # rho_factor: 1 for labels and 2**-2.5 with pairs. Started at twice that
@@ -136,13 +129,11 @@ class LearnConfig:
     fixed-point map, which costs one partial eigendecomposition of an m x m
     matrix (its negative eigenpairs only) and one x-step; an Anderson
     extrapolation that the safeguard rejects counts as one. ``obj_rel_tol = 0``
-    disables the objective test. ``lam = 0`` is legal (pure data fitting);
-    the closed-form initializer then does not apply and fitting starts from
-    the projected prior. A fit at ``lam = 0`` may end at ``max_iters``, of
-    either kind: the masked problem need not attain its infimum, and a
-    label problem whose infimum is approached only as ||S|| grows without
-    bound ends there too (one small random problem ran 20,000 iterations to
-    ||S|| of about 7e13).
+    disables the objective test. ``lam = 0`` is legal (pure data fitting).
+    A label fit then returns the optimum over the PSD cone in closed form,
+    without iterating (see :func:`fit`). A grouping-kind fit starts from
+    the projected prior and may end at ``max_iters``: the masked problem
+    need not attain its infimum.
     """
 
     lam: float = 1.0
@@ -197,7 +188,9 @@ class SolverReport:
     J = 0 it may differ from J at the returned S, which is
     ``final_objective``. ``final_grad_norm`` is the gradient-mapping norm
     L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
-    at its initializer reports ||grad J||_F instead, which bounds it.
+    at a start whose ||grad J||_F is within the tolerance reports that
+    instead, which bounds it. A label fit at lam = 0 whose gradient is not
+    within it reports the mapping norm of its closed form.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
     stopping at the iteration cap is reported, not raised; "grad_norm"
     means ``final_grad_norm`` is within the tolerance. ``rho_updates``
@@ -276,15 +269,8 @@ def psd_project(M):
     return _project(M)
 
 
-def _project(M):
-    vals, vecs = eigh(0.5 * (M + M.T))
-    out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    return 0.5 * (out + out.T)
-
-
-def _cut_negative(M, full=False):
-    """PSD projection of the symmetrized M, and the number k of eigenvalues
-    at or below 0 it clamped.
+def _cut_negative(M):
+    """PSD projection of the symmetrized M.
 
     It subtracts the :func:`_negative_part` of M. Exact in exact
     arithmetic; in floating point it leaves rounding of size eps * ||M_-||
@@ -292,35 +278,40 @@ def _cut_negative(M, full=False):
     returns through one full :func:`_project`.
     """
     M = 0.5 * (M + M.T)
-    N, k = _negative_part(M, full)
-    M -= N
-    return 0.5 * (M + M.T), k
+    M -= _negative_part(M)
+    return 0.5 * (M + M.T)
 
 
-def _negative_part(M, full=False):
-    """The part of the symmetric M on its eigenvalues at or below 0, and
-    their number k.
+def _negative_part(M):
+    """The part of the symmetric M on its eigenvalues at or below 0.
 
-    It computes only those k eigenpairs (dsyevr), or with ``full`` all of
-    them (eigh), which costs less once k is more than
-    ``_FULL_PROJECTION_SHARE`` (a quarter) of m. dsyevr's bisection and
+    It computes only those eigenpairs (dsyevr). dsyevr's bisection and
     inverse iteration can fail (nonzero info) when the nonpositive
-    eigenvalues form an exact cluster; the full decomposition then takes
-    over, and only its failure raises.
+    eigenvalues form an exact cluster; the full decomposition (eigh) then
+    takes over, and only its failure raises.
     """
-    if full:
-        vals, vecs = eigh(M)
-        k = int(np.count_nonzero(vals <= 0.0))
-    else:
-        vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0,
-                                        lower=1)
-        if info != 0:
-            try:
-                return _negative_part(M, full=True)
-            except NumericalError as exc:
-                raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
-                                     f"and the full fallback: {exc}") from exc
-    return (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T, int(k)
+    vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+    if info != 0:
+        try:
+            vals, vecs = eigh(M)
+        except NumericalError as exc:
+            raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
+                                 f"and the full fallback: {exc}") from exc
+        k = np.count_nonzero(vals <= 0.0)
+    return (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+
+
+def _exit_evaluation(S, core, side, lam, supervision):
+    """J at S and its gradient-mapping norm L ||S - P(S - grad J(S) / L)||_F,
+    with L = 2 * lam + 2 * c_max^2 the Lipschitz constant of grad J, taken
+    as ||grad J(S) + L N|| with N the negative part of S - grad J(S) / L. As
+    L ||S - P(S - grad J(S) / L)||, a difference of two nearly equal
+    matrices the size of S, its rounding alone read 1.1-1.3 times the
+    tolerance on a pair fit with L = 1.5e10."""
+    value, grad = _value_and_gradient(S, core, side, lam, supervision)
+    lipschitz = 2.0 * lam + 2.0 * max(float(supervision.eigenpairs[0].max(initial=0.0)), 0.0) ** 2
+    N = _negative_part(S - grad / lipschitz)
+    return value, float(np.linalg.norm(grad + lipschitz * N))
 
 
 def init_closed_form(core, side, lam, project=True):
@@ -337,8 +328,10 @@ def init_closed_form(core, side, lam, project=True):
     from it; any other is PSD-projected. Pass ``project=False`` to get the
     raw solution of the linear system. The solution comes from
     :meth:`supervision._Supervision.closed_form`, which has one for
-    label-kind side information with lam > 0 only; for the grouping kind
-    this raises InputError, and :func:`fit` starts from the projected prior.
+    label-kind side information only; for the grouping kind this raises
+    InputError, and :func:`fit` starts from the projected prior. At lam = 0
+    the closed form is a different one, the optimum over the PSD cone, so
+    this function takes lam > 0 only.
     A lam so small that the solution overflows raises InputError, as a
     non-finite matrix does in :func:`psd_project`.
     """
@@ -368,22 +361,25 @@ def _psd_start(S):
 def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     """Minimize the penalized objective over the PSD cone.
 
-    The start is the closed form (:func:`init_closed_form`) whenever the
-    supervision has one (label-kind side information) and lam > 0 and there
-    is at least one supervised row, and the projected prior psd_project(S0)
-    otherwise, or when lam is so small that the closed form overflows.
-    C = El.T @ El is eigendecomposed once, for the closed form and the loop
-    alike. A closed form that a Cholesky factorization certifies positive
-    definite is the unconstrained optimum and starts unprojected, so a fit
-    that stops there costs no further eigendecomposition; any other is
-    PSD-projected.
+    The start is the closed form whenever the supervision has one
+    (label-kind side information) and there is at least one supervised row,
+    and the projected prior psd_project(S0) otherwise, or when lam is so
+    small that the closed form overflows. For lam > 0 the closed form is
+    that of :func:`init_closed_form`, and at lam = 0 the optimum itself
+    (:meth:`supervision._Supervision.closed_form`). C = El.T @ El is
+    eigendecomposed once, for the closed form and the loop alike. A closed
+    form that a Cholesky factorization certifies positive definite starts
+    unprojected, so a fit that stops there costs no further
+    eigendecomposition; any other is PSD-projected.
 
     A start whose gradient norm is already within the tolerance of
-    :class:`LearnConfig` is returned after 0 iterations. Otherwise one ADMM
-    loop runs for both kinds (see the module docstring), until the
-    gradient-mapping norm falls within that tolerance, the best objective
-    stalls (obj_rel_tol), or max_iters; the stopping reason lands in the
-    report's ``converged_by``.
+    :class:`LearnConfig` is returned after 0 iterations, and so is the
+    closed form at lam = 0 whose gradient-mapping norm is within it (its
+    gradient need not vanish). Otherwise one ADMM loop runs from the start
+    for both kinds (see the module docstring), until the gradient-mapping
+    norm falls within that tolerance, the best objective stalls
+    (obj_rel_tol), or max_iters; the stopping reason lands in the report's
+    ``converged_by``.
 
     The report's ``final_objective`` is J at the returned S, from the same
     evaluation as its ``final_grad_norm``.
@@ -392,39 +388,28 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     :class:`_Supervision` of (core, side) that its whole grid shares.
     """
     sup = _Supervision(core, side) if _supervision is None else _supervision
-    S = sup.closed_form(core.S0, cfg.lam) if cfg.lam > 0 and side.indices.size > 0 else None
-    S = _psd_start(S) if S is not None and np.all(np.isfinite(S)) else psd_project(core.S0)
+    S = sup.closed_form(core.S0, cfg.lam) if side.indices.size > 0 else None
+    closed = S is not None and np.all(np.isfinite(S))
+    S = _psd_start(S) if closed else psd_project(core.S0)
 
     grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
+    # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
+    gnorm = float(np.linalg.norm(grad))
+    # At lam = 0 the closed form is the constrained optimum, whose gradient
+    # need not vanish: the exit evaluation certifies it.
+    if gnorm > grad_tol and closed and cfg.lam == 0:
+        value, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
     final = value
     trace = [value]
     iterates = [S] if record_iterates else None
     iterations = 0
-    # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
-    gnorm = float(np.linalg.norm(grad))
     converged_by = "grad_norm"
     solver = None
     if gnorm > grad_tol:
         solver = _ADMM(S, core.S0, value, cfg.lam, sup)
         best = solver.Y0
         converged_by = "max_iters"
-
-        def exit_check():
-            """The matrix the fit returns, from the best iterate, J there and
-            its gradient-mapping norm, taken as ||grad J(S) + L N|| with N the
-            negative part of S - grad J(S) / L. As L ||S - P(S - grad J(S) / L)||,
-            a difference of two nearly equal matrices the size of S, its
-            rounding alone read 1.1-1.3 times the tolerance on a pair fit
-            with L = 1.5e10. The p x p pair factor is released first, so the
-            check's pair evaluation does not sit on top of it; the next
-            x-step rebuilds it if the loop goes on."""
-            solver.release_factor()
-            S = solver.matrix(_project(best))
-            value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
-            N, _ = _negative_part(S - grad / solver.lipschitz)
-            return S, value, float(np.linalg.norm(grad + solver.lipschitz * N))
-
         while iterations < cfg.max_iters:
             point, value, bound = solver.step()
             iterations += 1
@@ -439,7 +424,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             # best one the fit returns: confirm the stop on the returned
             # matrix and keep iterating if it fails.
             if bound <= grad_tol:
-                S, final, gnorm = exit_check()
+                S = solver.finish(best)
+                final, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
                 if gnorm <= grad_tol:
                     converged_by = "grad_norm"
                     break
@@ -453,7 +439,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
                 converged_by = "obj_rel"
                 break
         if converged_by != "grad_norm":
-            S, final, gnorm = exit_check()
+            S = solver.finish(best)
+            final, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
             if converged_by == "max_iters" and gnorm <= grad_tol:
                 converged_by = "grad_norm"
     report = SolverReport(
@@ -493,12 +480,9 @@ class _ADMM:
 
     def __init__(self, S, S0, value, lam, supervision):
         c, self.V = supervision.eigenpairs
-        c = np.maximum(c, 0.0)
-        h = np.sqrt(lam) + c
-        scale = 1.0 / np.sqrt(np.maximum(h, max(1e-12 * h.max(), np.finfo(float).tiny)))
+        h = np.sqrt(lam) + np.maximum(c, 0.0)
+        scale = 1.0 / np.sqrt(np.maximum(h, max(RANK_RTOL * h.max(), np.finfo(float).tiny)))
         self.DD = np.outer(scale, scale)
-        # Lipschitz constant of grad J in S, for the gradient mapping.
-        self.lipschitz = 2.0 * lam + 2.0 * float(c.max(initial=0.0)) ** 2
         self.Y0 = self.coords(S)
         pull, diagonal, self.pairs = supervision.in_basis(self.V, scale, S)
         # grad J in Z, its data term taken from the residual through the
@@ -512,9 +496,7 @@ class _ADMM:
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
         self.factor = self.factor_rho = None
-        # negatives: eigenvalues the last projection clamped; they pick the
-        # next one's method.
-        self.rho_updates = self.factor_builds = self.negatives = 0
+        self.rho_updates = self.factor_builds = 0
         self.Hs = (lam + diagonal) * self.DD ** 2
         self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
@@ -568,15 +550,18 @@ class _ADMM:
             self.factor_builds += self.factor is not None
         return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
 
-    def release_factor(self):
-        """Drop the x-step's system; the next x-step rebuilds it."""
+    def finish(self, Z):
+        """The matrix the fit returns for the iterate Z: its full projection,
+        in S. The p x p pair factor is released first, so that the exit
+        evaluation's pair evaluation does not sit on top of it; the next
+        x-step rebuilds it if the loop goes on."""
         self.factor = self.factor_rho = None
+        return self.matrix(_project(Z))
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
         the projection Y = P(W), J(Y) and the bound on the mapping norm at Y."""
-        Y, self.negatives = _cut_negative(
-            self.W, full=self.negatives > _FULL_PROJECTION_SHARE * self.Y0.shape[0])
+        Y = _cut_negative(self.W)
         U = self.W - Y
         value, grad = self._evaluate(Y)
         # -rho * U, the part the projection cut off scaled by -rho, is PSD and
@@ -681,5 +666,5 @@ def factorize(state):
     by decreasing eigenvalue. A zero matrix yields an (m, 0) factor.
     """
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
-    vals, vecs = truncated_eigh(0.5 * (S + S.T), _RANK_RTOL)
+    vals, vecs = truncated_eigh(0.5 * (S + S.T), RANK_RTOL)
     return vecs[:, ::-1] * np.sqrt(vals[::-1])

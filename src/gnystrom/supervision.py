@@ -6,11 +6,12 @@ compute from it.
 :class:`_Supervision` holds what every fit and alignment on one (core, side)
 pair shares: B = El.T @ target @ El, the eigenpairs of El.T @ El, and the
 factors from which J's data term, its gradient and the target alignment are
-computed in O(l m + m^2) memory. It gives :mod:`dictlearn` the closed-form
-start (labels only; pairs have none), J's data term and its pull at S, and,
-for the ADMM loop, which runs in a rescaled eigenbasis, J's data term there
-as a diagonal Hessian plus one :class:`_Pairs`, which holds the pair term
-and the p x p system of the pair x-step (no pairs for labels). Only this
+computed in O(l m + m^2) memory. It gives :mod:`dictlearn` the closed form
+(labels only; pairs have none), which is the start at lam > 0 and the
+optimum at lam = 0, J's data term and its pull at S, and, for the ADMM
+loop, which runs in a rescaled eigenbasis, J's data term there as a
+diagonal Hessian plus one :class:`_Pairs`, which holds the pair term and
+the p x p system of the pair x-step (no pairs for labels). Only this
 module knows how either kind of side information enters J; :class:`_Pairs`
 is the one place that touches the pair list's rows.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs
 
-from ._arrays import as_index_array, eigh
+from ._arrays import RANK_RTOL, _project, as_index_array, eigh
 from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine
 
@@ -254,11 +255,11 @@ class _Supervision:
       spread over the pairs, all through :class:`_Pairs` in O(p m^2).
 
     :meth:`term` gives the data term and its pull F^T residual F at S,
-    :meth:`closed_form` the unconstrained minimizer of J for labels (None for
-    pairs), and :meth:`in_basis` the data term in the coordinates of the ADMM
-    loop in :mod:`dictlearn`, for the factor F V diag(d): its pull at the
-    start, its Hessian where that is diagonal, and the :class:`_Pairs` of the
-    rest.
+    :meth:`closed_form` the unconstrained minimizer of J for labels at
+    lam > 0 and the constrained one at lam = 0 (None for pairs), and
+    :meth:`in_basis` the data term in the coordinates of the ADMM loop in
+    :mod:`dictlearn`, for the factor F V diag(d): its pull at the start, its
+    Hessian where that is diagonal, and the :class:`_Pairs` of the rest.
     """
 
     def __init__(self, core, side):
@@ -324,21 +325,35 @@ class _Supervision:
         return float(np.sum(self.weight * res * res)), pairs.spread(0.5 * (res[0] + res[1]))
 
     def closed_form(self, S0, lam):
-        """The unconstrained minimizer of J for lam > 0, unprojected, or None
+        """For labels, the unconstrained minimizer of J for lam > 0,
+        unprojected, and the minimizer over the PSD cone for lam = 0; None
         for pairs, which have no closed form here.
 
-        For labels, setting grad J to zero gives S + P S P = Q with
-        P = C / sqrt(lam) and Q = S0 + B / lam. P has the eigenvectors V of
-        C and eigenvalues c / sqrt(lam), so in that basis the system is
-        elementwise, S_ij = Q_ij / (1 + c_i c_j / lam). A tiny lam overflows
-        it to non-finite entries, without a warning; the callers test for
-        them. With no supervised rows it reduces to S0."""
+        In the eigenbasis V of C, X = V^T S V, J is a constant plus
+        sum_ij (lam + c_i c_j) X_ij^2 - 2 <X, lam V^T S0 V + V^T B V>. For
+        lam > 0, setting its gradient to zero gives X_ij = Q_ij / (1 + c_i c_j
+        / lam) for Q = V^T (S0 + B / lam) V. A tiny lam overflows it to
+        non-finite entries, without a warning; the callers test for them.
+        With no supervised rows it reduces to S0.
+
+        At lam = 0 the weights c_i c_j have rank one. On the numerical range
+        R of C, its eigenvalues above ``RANK_RTOL`` times the largest,
+        T = diag(sqrt(c)) X diag(sqrt(c)) turns J into a constant plus the
+        squared Frobenius distance of T to diag(r) V^T B V diag(r) for
+        r = c^-1/2, so X = diag(r) P(diag(r) V^T B V diag(r)) diag(r) with P
+        the PSD projection: the weighted-norm reduction of Higham 2002 (IMA
+        J. Numer. Anal. 22). J does not read X outside R, which is left 0
+        (r = 0 there)."""
         if self.kind != "labels":
             return None
         c, V = self.eigenpairs
         with np.errstate(over="ignore", invalid="ignore"):
-            q_tilde = V.T @ (S0 + self.B / lam) @ V
-            S = V @ (q_tilde / (1.0 + np.outer(c, c) / lam)) @ V.T
+            if lam > 0:
+                X = (V.T @ (S0 + self.B / lam) @ V) / (1.0 + np.outer(c, c) / lam)
+            else:
+                r = np.where(c > RANK_RTOL * c.max(), c, np.inf) ** -0.5
+                X = r[:, None] * _project(r[:, None] * (V.T @ self.B @ V) * r) * r
+            S = V @ X @ V.T
             return 0.5 * (S + S.T)
 
     def alignment(self, S):

@@ -523,13 +523,23 @@ def _twenty_label_problem():
     return core, SideInformation.from_labels(sample_labeled(ds, 20, 0))
 
 
+def _as_full_mask_pairs(side):
+    """The label target of ``side`` as grouping-kind side information that
+    constrains every pair of its rows."""
+    l = side.indices.size
+    return SideInformation.from_dense("grouping", side.indices, side.target,
+                                      mask=np.ones((l, l)))
+
+
 def test_compact_objective_is_accurate_near_zero():
-    """The lam = 0 fit with 20 labels and m = 200 ends at J of about 6e-9.
-    The QR form agrees with a long-double evaluation of the l x l residual
-    to 1e-6 relative; the expansion tr(SCSC) - 2 tr(SB) + sum n_c^2 loses
-    every digit to cancellation."""
+    """The lam = 0 fit of the 20-label target at m = 200, as full-mask
+    pairs, ends at J of about 3.4e-9 (the label fit returns the closed form,
+    at J of about 1e-24, where float64 alone sets the error). The QR form
+    agrees with a long-double evaluation of the l x l residual to 1e-6
+    relative; the expansion tr(SCSC) - 2 tr(SB) + sum n_c^2 loses every
+    digit to cancellation."""
     core, side = _twenty_label_problem()
-    S = fit(core, side, LearnConfig(lam=0.0)).state.S
+    S = fit(core, _as_full_mask_pairs(side), LearnConfig(lam=0.0)).state.S
     El = core.E[side.indices]
     wide = El.astype(np.longdouble)
     res = wide @ S.astype(np.longdouble) @ wide.T - side.target
@@ -594,25 +604,24 @@ def test_psd_project_rejects_nonfinite():
 @settings(max_examples=200, deadline=None)
 @given(vals=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1,
                      max_size=12),
-       sign=st.sampled_from((-1.0, 0.0, 1.0)), seed=st.integers(0, 2**31 - 1),
-       full=st.booleans())
-@example(vals=[-2.0], sign=0.0, seed=0, full=False)                  # m = 1, k = m
-@example(vals=[3.0], sign=0.0, seed=0, full=False)                   # m = 1, k = 0
-@example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1, full=False)  # repeated zeros
-@example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2, full=False)    # k = m
-@example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3, full=False)     # k = 0
-@example(vals=[0.0625] * 4, sign=-1.0, seed=2, full=False)           # cluster: dsyevr info=1
-@example(vals=[-2.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1, full=True)
-def test_negative_cut_matches_psd_project(vals, sign, seed, full):
+       sign=st.sampled_from((-1.0, 0.0, 1.0)), seed=st.integers(0, 2**31 - 1))
+@example(vals=[-2.0], sign=0.0, seed=0)                  # m = 1, k = m
+@example(vals=[3.0], sign=0.0, seed=0)                   # m = 1, k = 0
+@example(vals=[0.0, 0.0, 0.0, 5.0, -1.0], sign=0.0, seed=1)  # repeated zeros
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=-1.0, seed=2)    # k = m
+@example(vals=[1.0, 2.0, 3.0, 4.0], sign=1.0, seed=3)     # k = 0
+@example(vals=[0.0625] * 4, sign=-1.0, seed=2)           # cluster: dsyevr info=1
+def test_negative_cut_matches_psd_project(vals, sign, seed):
     """The loop's projection subtracts the eigenpairs at or below zero,
-    from the partial or the full eigendecomposition; it must agree with the
-    full clamp of psd_project. sign = +-1 makes every eigenvalue nonnegative
-    or nonpositive, 0 keeps the mixed spectrum."""
+    from the partial eigendecomposition, or from the full one where that
+    fails (the cluster example); it must agree with the full clamp of
+    psd_project. sign = +-1 makes every eigenvalue nonnegative or
+    nonpositive, 0 keeps the mixed spectrum."""
     vals = np.asarray(vals) if sign == 0.0 else sign * np.abs(vals)
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
     M = (Q * vals) @ Q.T
     expected = psd_project(M)
-    got, _ = dictlearn._cut_negative(M, full=full)
+    got = dictlearn._cut_negative(M)
     assert np.array_equal(got, got.T)
     assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(M))
 
@@ -989,15 +998,14 @@ def test_grouping_fit_converges_within_default_budget(seed, m):
 
 def test_objective_trace_never_negative():
     """J is a sum of squares. Near J = 0 the loop's expansion of J about its
-    start can cancel below 0, and the loop clamps it. Here it read -2.6e-5
-    (J at the returned S: 9.4e-11) while the start gradient in the loop's
-    coordinates carried a false slope along the null space of C; it now
-    reads 7.9e-9, within 4e-4 of J at the returned S."""
-    ds = make_blobs(3000, 10, n_classes=2, separation=2.0, seed=7)
-    core = build_core(ds.X, select_kmeans(ds.X, KMeansConfig(k=200, seed=0)),
-                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
-    side = SideInformation.from_labels(sample_labeled(ds, 20, 0))
-    result = fit(core, side, LearnConfig(lam=0.0))
+    start can cancel below 0, and the loop clamps it. On the label fit of
+    this problem it read -2.6e-5 (J at the returned S: 9.4e-11) while the
+    start gradient in the loop's coordinates carried a false slope along
+    the null space of C. The label fit at lam = 0 is now the closed form,
+    so the loop runs on the same target as full-mask pairs: 2 iterations,
+    to a trace minimum of 3.4e-9."""
+    core, side = _twenty_label_problem()
+    result = fit(core, _as_full_mask_pairs(side), LearnConfig(lam=0.0))
     assert result.report.iterations > 0
     assert result.report.objective_trace.min() >= 0.0
 
@@ -1092,11 +1100,11 @@ def test_lambda_zero_fit_has_no_false_slope_along_the_null_space():
     and scaling grad J into them turned its rounding into a slope of 4e-5
     there, on which J has no curvature: the loop's objective fell to -2.6e-5
     (J at the returned S: 9.4e-11) and it reported "grad_norm" at 11 times
-    the tolerance. Taken through Et, the slope is 1e-17."""
-    ds = make_blobs(3000, 10, n_classes=2, separation=2.0, seed=7)
-    core = build_core(ds.X, select_kmeans(ds.X, KMeansConfig(k=200, seed=0)),
-                      KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
-    side = SideInformation.from_labels(sample_labeled(ds, 20, 0))
+    the tolerance. Taken through Et, the slope is 1e-17. The label fit at
+    lam = 0 is now the closed form, so the loop runs on the same target as
+    full-mask pairs, whose pull is taken through the same factor."""
+    core, labels = _twenty_label_problem()
+    side = _as_full_mask_pairs(labels)
     result = fit(core, side, LearnConfig(lam=0.0))
     assert result.report.converged_by == "grad_norm"
     assert result.report.final_grad_norm <= _mapping_tolerance(core, side)
@@ -1150,6 +1158,51 @@ def test_label_fit_at_zero_lambda_returns_psd_optimum(seed):
     S = fit(core, side, LearnConfig(lam=lam, max_iters=20000)).state.S
     DictionaryState(S=S)
     _assert_kkt(S, core, side, lam)
+
+
+def _seed_977_problem():
+    """The draw of test_fit_satisfies_kkt_conditions (labels) at seed 977."""
+    rng = np.random.default_rng(977)
+    m = int(rng.integers(2, 7))
+    return _random_labeled_problem(rng, m=m, l=int(rng.integers(2, 9)))
+
+
+def _hundred_label_problem():
+    ds = make_blobs(3000, 10, seed=7)
+    Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=0))
+    core = build_core(ds.X, Z, KernelParams(bandwidth=bandwidth_heuristic(ds.X)))
+    return core, SideInformation.from_labels(sample_labeled(ds, 100, 0))
+
+
+# (problem, bound on ||S||, J the ADMM loop reached on it at lam = 0); None
+# where none applies.
+_LAMBDA_ZERO_LABEL_DRAWS = [(_seed_977_problem, 1e4, None),
+                            (_twenty_label_problem, 1e4, 8.1e-9),
+                            (_hundred_label_problem, None, 8.6e-8)]
+
+
+@pytest.mark.parametrize("problem, norm_bound, loop_objective", _LAMBDA_ZERO_LABEL_DRAWS,
+                         ids=["seed977", "m200-l20", "m200-l100"])
+def test_lambda_zero_label_fit_is_the_closed_form(problem, norm_bound, loop_objective):
+    """A label fit at lam = 0 returns the optimum over the PSD cone in
+    closed form, after 0 iterations. On the seed-977 draw the ADMM loop ran
+    20,000 iterations to ||S|| = 7.1e13 (J = 3.88, lower only through
+    rounding along the null space of C); the closed form has ||S|| = 635
+    and J = 5.64. On the m = 200 draws the loop took 3 iterations or more,
+    and with 100 labels it clamped a third to a half of the spectrum in
+    each projection. There the optimum is unique on the range of C, whose
+    smallest eigenvalue is 1.5e-8 of the largest (the next is 1.9e-17), and
+    its norm is 2.1e4 (the loop's S: 1.1e5), so no norm bound applies."""
+    core, side = problem()
+    result = fit(core, side, LearnConfig(lam=0.0))
+    assert result.report.iterations == 0
+    assert result.report.converged_by == "grad_norm"
+    assert result.report.final_grad_norm <= _mapping_tolerance(core, side)
+    _assert_kkt(result.state.S, core, side, 0.0)
+    if norm_bound is not None:
+        assert np.linalg.norm(result.state.S) < norm_bound
+    if loop_objective is not None:
+        assert result.report.final_objective <= loop_objective
 
 
 def test_grouping_fit_memory_stays_below_pair_by_entry_array():
@@ -1258,9 +1311,10 @@ def test_pair_fit_holds_no_l_by_l_array(wide_core):
 
 
 def test_final_objective_is_j_at_the_returned_matrix():
-    """At lam = 0 with 100 labels and m = 200 the loop's expansion of J
-    about its start clamps to 0 while J at the returned S is 8.6e-8; the
-    report and the model's metadata carry the latter."""
+    """The report and the model's metadata carry J at the returned S. At
+    lam = 0 with 100 labels and m = 200, the loop's expansion of J about
+    its start once clamped to 0 while J at its returned S was 8.6e-8; the
+    fit now returns the closed form, at J of about 4e-16."""
     ds = make_blobs(3000, 10, seed=7)
     Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=0))
     params = KernelParams(bandwidth=bandwidth_heuristic(ds.X))
@@ -1365,35 +1419,6 @@ def test_failed_partial_projection_falls_back_to_full_one(monkeypatch):
     assert len(fake.calls) > 1
     assert result.report.converged_by != "max_iters"
     _assert_kkt(result.state.S, core, side, lam)
-
-
-def test_projection_goes_full_when_most_of_the_spectrum_is_cut(monkeypatch):
-    """At lam = 0 with 100 labels and m = 200, a third to a half of the
-    spectrum of each projected matrix is negative (k = 63-98), where the
-    partial eigendecomposition costs more than the full one: after the first
-    projection the loop takes the full one, and still reaches the optimum.
-
-    With 20 labels the loop once clamped 89-107 eigenvalues too, but only
-    because rounding in its start gradient, magnified along the null space
-    of C, gave J a false slope there; it now clamps 18."""
-    ds = make_blobs(3000, 10, seed=7)
-    Z = select_kmeans(ds.X, KMeansConfig(k=200, seed=0))
-    core = build_core(ds.X, Z, KernelParams(bandwidth=bandwidth_heuristic(ds.X)))
-    side = SideInformation.from_labels(sample_labeled(ds, 100, 0))
-    cut, calls = dictlearn._cut_negative, []
-
-    def record(M, full=False):
-        Y, k = cut(M, full=full)
-        calls.append((full, k))
-        return Y, k
-
-    monkeypatch.setattr(dictlearn, "_cut_negative", record)
-    result = fit(core, side, LearnConfig(lam=0.0))
-    assert calls[0][0] is False
-    assert all(k > dictlearn._FULL_PROJECTION_SHARE * 200 for _, k in calls)
-    assert all(full for full, _ in calls[1:]) and len(calls) > 1
-    assert result.report.converged_by == "grad_norm"
-    _assert_kkt(result.state.S, core, side, 0.0)
 
 
 # ---------------------------------------------------------------------------
