@@ -113,7 +113,7 @@ def _read_svmlight(path):
             except ValueError:
                 raise ParseError(f"non-numeric label {parts[0]!r}",
                                  path=str(path), line=lineno) from None
-            pairs = []
+            pairs = {}
             for token in parts[1:]:
                 idx_str, sep, val_str = token.partition(":")
                 if not sep:
@@ -128,7 +128,9 @@ def _read_svmlight(path):
                 if idx < 1:
                     raise ParseError(f"feature indices are 1-based, got {idx}",
                                      path=str(path), line=lineno)
-                pairs.append((idx, val))
+                if idx in pairs:
+                    raise ParseError(f"feature index {idx} repeated", path=str(path), line=lineno)
+                pairs[idx] = val
                 max_index = max(max_index, idx)
             labels.append(label)
             entries.append(pairs)
@@ -138,7 +140,7 @@ def _read_svmlight(path):
         raise InputError(f"{path}: no features present")
     X = np.zeros((len(entries), max_index))
     for row, pairs in enumerate(entries):
-        for idx, val in pairs:
+        for idx, val in pairs.items():
             X[row, idx - 1] = val
     return X, labels
 

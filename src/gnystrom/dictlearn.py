@@ -8,13 +8,15 @@ minimizing
 over positive semidefinite S, where S0 is the pseudo-inverse prior from the
 landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
-limits which pairs are constrained). J is a convex quadratic. For labels
-at lam > 0 a closed-form solution of the unconstrained problem provides the
-warm start: as it is when a Cholesky factorization certifies it positive
-definite, since it is then the constrained optimum too, and PSD-projected
-otherwise. For labels at lam = 0 the constrained optimum itself has a
-closed form, one PSD projection after a congruence, and the fit returns it
-without iterating.
+limits which pairs are constrained). J is a convex quadratic. The fit
+starts from a closed form where the side information has one (labels) and
+from the prior S0 otherwise. A start that is not PSD by construction passes
+one rule: it is kept as it is when a Cholesky factorization certifies it
+positive definite, and PSD-projected otherwise. For labels at lam > 0 the
+closed form is the unconstrained minimizer, so a positive definite one is
+the constrained optimum too. For labels at lam = 0 the constrained optimum
+itself has a closed form, a Gram matrix and so PSD by construction, and the
+fit returns it without iterating.
 
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
@@ -132,8 +134,8 @@ class LearnConfig:
     disables the objective test. ``lam = 0`` is legal (pure data fitting).
     A label fit then returns the optimum over the PSD cone in closed form,
     without iterating (see :func:`fit`). A grouping-kind fit starts from
-    the projected prior and may end at ``max_iters``: the masked problem
-    need not attain its infimum.
+    the prior and may end at ``max_iters``: the masked problem need not
+    attain its infimum.
     """
 
     lam: float = 1.0
@@ -329,7 +331,7 @@ def init_closed_form(core, side, lam, project=True):
     raw solution of the linear system. The solution comes from
     :meth:`supervision._Supervision.closed_form`, which has one for
     label-kind side information only; for the grouping kind this raises
-    InputError, and :func:`fit` starts from the projected prior. At lam = 0
+    InputError, and :func:`fit` starts from the prior. At lam = 0
     the closed form is a different one, the optimum over the PSD cone, so
     this function takes lam > 0 only.
     A lam so small that the solution overflows raises InputError, as a
@@ -344,8 +346,10 @@ def init_closed_form(core, side, lam, project=True):
 
 
 def _psd_start(S):
-    """The symmetric S itself if it is finite and LAPACK's Cholesky (dpotrf)
-    factors it, and :func:`psd_project` of S otherwise.
+    """The start :func:`fit` takes from the symmetric S, a closed form or
+    the prior that is not PSD by construction: S itself if it is finite and
+    LAPACK's Cholesky (dpotrf) factors it, and :func:`psd_project` of S
+    otherwise.
 
     Cholesky succeeds in floating point exactly when S is numerically
     positive definite (Higham 2002, ch. 10), so S is then its own
@@ -363,14 +367,17 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
 
     The start is the closed form whenever the supervision has one
     (label-kind side information) and there is at least one supervised row,
-    and the projected prior psd_project(S0) otherwise, or when lam is so
-    small that the closed form overflows. For lam > 0 the closed form is
-    that of :func:`init_closed_form`, and at lam = 0 the optimum itself
-    (:meth:`supervision._Supervision.closed_form`). C = El.T @ El is
-    eigendecomposed once, for the closed form and the loop alike. A closed
-    form that a Cholesky factorization certifies positive definite starts
-    unprojected, so a fit that stops there costs no further
-    eigendecomposition; any other is PSD-projected.
+    and the prior S0 otherwise, or when lam is so small that the closed form
+    overflows. For lam > 0 the closed form is that of
+    :func:`init_closed_form`, and at lam = 0 the optimum itself
+    (:meth:`supervision._Supervision.closed_form`), a Gram matrix, which
+    starts as it is. C = El.T @ El is eigendecomposed once, for the closed
+    form and the loop alike. Any other start, the closed form at lam > 0 or
+    the prior, is kept as it is when a Cholesky factorization certifies it
+    positive definite and PSD-projected otherwise (:func:`_psd_start`): the
+    prior pinv(W) of a full-rank W is positive definite, and a core built
+    with an indefinite S0 still starts PSD. A fit that stops at an
+    unprojected start costs no eigendecomposition beyond C's.
 
     A start whose gradient norm is already within the tolerance of
     :class:`LearnConfig` is returned after 0 iterations, and so is the
@@ -390,7 +397,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     sup = _Supervision(core, side) if _supervision is None else _supervision
     S = sup.closed_form(core.S0, cfg.lam) if side.indices.size > 0 else None
     closed = S is not None and np.all(np.isfinite(S))
-    S = _psd_start(S) if closed else psd_project(core.S0)
+    # The closed form at lam = 0 is PSD by construction.
+    S = S if closed and cfg.lam == 0 else _psd_start(S if closed else core.S0)
 
     grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)

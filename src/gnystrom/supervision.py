@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs
 
-from ._arrays import RANK_RTOL, _project, as_index_array, eigh
+from ._arrays import RANK_RTOL, as_index_array, eigh
 from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine
 
@@ -234,7 +234,9 @@ class _Supervision:
     """What every fit and alignment on (core, side) shares, whatever lam,
     held in O(l m + m^2) memory (plus O(l k) for k classes): no l x l array.
 
-    ``B`` = El.T @ target @ El for the supervised rows El, and
+    ``B`` = El.T @ target @ El for the supervised rows El (for labels the
+    Gram matrix of ``ElY`` = El.T @ Y for the one-hot codes Y below, kept
+    for the closed form), and
     ``eigenpairs`` (c, V) of C = El.T @ El, computed on first use (fitting
     needs them; J, its gradient and the alignment do not). The data term
     ||residual||_F^2 of J and its gradient come from a residual:
@@ -270,8 +272,8 @@ class _Supervision:
         if side.kind == "labels":
             # One column per class present, however far apart the codes are.
             self.Y = (side.codes[:, None] == np.unique(side.codes)).astype(np.float64)
-            ElY = El.T @ self.Y
-            self.B = ElY @ ElY.T
+            self.ElY = El.T @ self.Y
+            self.B = self.ElY @ self.ElY.T
             self.F, A, D = _qr_parts(El, self.Y)
             self.K = A @ A.T
             counts = self.Y.sum(axis=0)
@@ -336,24 +338,21 @@ class _Supervision:
         non-finite entries, without a warning; the callers test for them.
         With no supervised rows it reduces to S0.
 
-        At lam = 0 the weights c_i c_j have rank one. On the numerical range
-        R of C, its eigenvalues above ``RANK_RTOL`` times the largest,
-        T = diag(sqrt(c)) X diag(sqrt(c)) turns J into a constant plus the
-        squared Frobenius distance of T to diag(r) V^T B V diag(r) for
-        r = c^-1/2, so X = diag(r) P(diag(r) V^T B V diag(r)) diag(r) with P
-        the PSD projection: the weighted-norm reduction of Higham 2002 (IMA
-        J. Numer. Anal. 22). J does not read X outside R, which is left 0
-        (r = 0 there)."""
+        At lam = 0 it is (El^+ Y)(El^+ Y)^T, the minimum-norm least-squares
+        solution of El S El.T = Y Y^T (Penrose 1955, Proc. Cambridge Phil.
+        Soc. 51). That solution is PSD, so it is the constrained optimum too.
+        It is returned as the Gram matrix H H^T of El^+ Y = H =
+        V diag(1 / c) V^T El.T Y, PSD by construction. C's eigenvalues at or
+        below ``RANK_RTOL`` times the largest count as 0 (1 / c = 0 there):
+        J does not read S outside the numerical range of C."""
         if self.kind != "labels":
             return None
         c, V = self.eigenpairs
+        if lam == 0:
+            H = V @ ((V.T @ self.ElY) / np.where(c > RANK_RTOL * c.max(), c, np.inf)[:, None])
+            return H @ H.T
         with np.errstate(over="ignore", invalid="ignore"):
-            if lam > 0:
-                X = (V.T @ (S0 + self.B / lam) @ V) / (1.0 + np.outer(c, c) / lam)
-            else:
-                r = np.where(c > RANK_RTOL * c.max(), c, np.inf) ** -0.5
-                X = r[:, None] * _project(r[:, None] * (V.T @ self.B @ V) * r) * r
-            S = V @ X @ V.T
+            S = V @ ((V.T @ (S0 + self.B / lam) @ V) / (1.0 + np.outer(c, c) / lam)) @ V.T
             return 0.5 * (S + S.T)
 
     def alignment(self, S):

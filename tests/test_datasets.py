@@ -124,6 +124,16 @@ def test_svmlight_zero_index_rejected(tmp_path):
         load_dataset(f, format="svmlight")
 
 
+def test_svmlight_repeated_index_rejected(tmp_path):
+    """A feature index repeated within a row is an error, not a silent
+    overwrite by its last value."""
+    f = tmp_path / "d.svm"
+    f.write_text("1 1:0.5\n1 3:1.0 3:2.0\n")
+    with pytest.raises(ParseError, match="repeated") as exc:
+        load_dataset(f, format="svmlight")
+    assert "line 2" in str(exc.value)
+
+
 def test_svmlight_bad_label(tmp_path):
     f = tmp_path / "d.svm"
     f.write_text("abc 1:0.5\n")

@@ -733,18 +733,30 @@ def test_init_closed_form_is_the_fit_start(lam):
     assert np.array_equal(S, raw) == (lam > 1e-3)
 
 
-def test_tiny_lambda_starts_from_projected_prior():
+def test_tiny_lambda_starts_from_prior():
     """At lam = 1e-320 the closed form overflows. Without a warning, fit
-    starts from psd_project(S0), as at lam = 0, and init_closed_form
-    rejects the non-finite solution."""
+    starts from the prior and init_closed_form rejects the non-finite
+    solution. S0 = pinv(W) of a full-rank W is positive definite, so a
+    Cholesky factorization certifies it and it starts as it is; a core
+    built directly with an indefinite S0 starts from psd_project(S0)."""
     rng = np.random.default_rng(30)
     core, side = _random_labeled_problem(rng)
+    assert core.pinv_rank == core.m
     assert not np.all(np.isfinite(_closed_form_of(core, side, 1e-320)))
     result = fit(core, side, LearnConfig(lam=1e-320), record_iterates=True)
-    assert np.array_equal(result.report.iterates[0], psd_project(core.S0))
+    assert np.array_equal(result.report.iterates[0], core.S0)
     assert result.report.converged_by == "grad_norm"
     with pytest.raises(InputError, match="non-finite"):
         init_closed_form(core, side, 1e-320)
+
+    shift = np.median(np.linalg.eigvalsh(core.S0)) * np.eye(core.m)
+    indefinite = NystromCore(E=core.E, W=core.W, S0=core.S0 - shift,
+                             pinv_rank=core.pinv_rank)
+    assert np.linalg.eigvalsh(indefinite.S0).min() < 0.0
+    result = fit(indefinite, side, LearnConfig(lam=1e-320, max_iters=1), record_iterates=True)
+    start = result.report.iterates[0]
+    assert np.array_equal(start, psd_project(indefinite.S0))
+    DictionaryState(S=start)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,7 +1195,8 @@ _LAMBDA_ZERO_LABEL_DRAWS = [(_seed_977_problem, 1e4, None),
 
 @pytest.mark.parametrize("problem, norm_bound, loop_objective", _LAMBDA_ZERO_LABEL_DRAWS,
                          ids=["seed977", "m200-l20", "m200-l100"])
-def test_lambda_zero_label_fit_is_the_closed_form(problem, norm_bound, loop_objective):
+def test_lambda_zero_label_fit_is_the_closed_form(monkeypatch, problem, norm_bound,
+                                                  loop_objective):
     """A label fit at lam = 0 returns the optimum over the PSD cone in
     closed form, after 0 iterations. On the seed-977 draw the ADMM loop ran
     20,000 iterations to ||S|| = 7.1e13 (J = 3.88, lower only through
@@ -1192,9 +1205,26 @@ def test_lambda_zero_label_fit_is_the_closed_form(problem, norm_bound, loop_obje
     and with 100 labels it clamped a third to a half of the spectrum in
     each projection. There the optimum is unique on the range of C, whose
     smallest eigenvalue is 1.5e-8 of the largest (the next is 1.9e-17), and
-    its norm is 2.1e4 (the loop's S: 1.1e5), so no norm bound applies."""
+    its norm is 2.1e4 (the loop's S: 1.1e5), so no norm bound applies.
+
+    The closed form is a Gram matrix, PSD by construction, so the fit
+    eigendecomposes C alone: one eigh and no Cholesky test, which would
+    fail on a matrix of rank at most the class count and cost a
+    projection."""
     core, side = problem()
+    real_eigh, real_dpotrf, calls = np.linalg.eigh, dictlearn.dpotrf, []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", real_eigh))
+    monkeypatch.setattr(dictlearn, "dpotrf", counting("dpotrf", real_dpotrf))
     result = fit(core, side, LearnConfig(lam=0.0))
+    monkeypatch.undo()
+    assert calls == ["eigh"]
     assert result.report.iterations == 0
     assert result.report.converged_by == "grad_norm"
     assert result.report.final_grad_norm <= _mapping_tolerance(core, side)

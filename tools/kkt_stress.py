@@ -15,16 +15,15 @@ factor builds, the rho updates, the fits returned at their start after 0
 iterations (``at_start``), the iterations per kind and lambda
 (``iterations_by_draw``, keyed ``"<kind> <lambda>"``), a ``digest``, the
 sha256 of every returned S and objective trace in sweep order,
-``digest_iterating``, the same over the fits that iterated only,
-``digest_labels``, the same over the label-kind fits only, and
-``digest_positive``, the same over the fits at lambda > 0 only. The test
-itself stays a sample of a few hundred draws; this sweep shows how often it
-can fail. BLAS runs on one thread, as in the benchmark, so a sweep repeats
-bit for bit, and running this file in two checkouts shows whether a change
-leaves every fit bit-identical (the digests match), moves only fits that
-stop at their start (only ``digest_iterating`` matches), only pair fits
-(only ``digest_labels`` matches) or only fits at lambda = 0 (only
-``digest_positive`` matches).
+``digest_iterating``, the same over the fits that iterated only, and
+``digest_by_draw``, the same per kind and lambda, keyed like
+``iterations_by_draw``. The test itself stays a sample of a few hundred
+draws; this sweep shows how often it can fail. BLAS runs on one thread, as
+in the benchmark, so a sweep repeats bit for bit, and running this file in
+two checkouts shows whether a change leaves every fit bit-identical (the
+digests match), moves only fits that stop at their start (only
+``digest_iterating`` matches), and which kind and lambda cells it moves
+(the ``digest_by_draw`` cells that differ).
 """
 
 import argparse
@@ -84,27 +83,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "rho_updates", "at_start"), 0)
-    by_draw, failed = {}, []
-    digest, digest_iterating, digest_labels, digest_positive = (
-        hashlib.sha256() for _ in range(4))
+    by_draw, digest_by_draw, failed = {}, {}, []
+    digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
             result = fit(core, side, LearnConfig(lam=lam, max_iters=MAX_ITERS))
             report = result.report
-            hashes = [digest]
+            key = f"{kind} {lam:g}"
+            hashes = [digest, digest_by_draw.setdefault(key, hashlib.sha256())]
             if report.iterations:
                 hashes.append(digest_iterating)
-            if kind == "labels":
-                hashes.append(digest_labels)
-            if lam > 0:
-                hashes.append(digest_positive)
             for h in hashes:
                 h.update(result.state.S.tobytes())
                 h.update(report.objective_trace.tobytes())
             totals["fits"] += 1
             totals["at_start"] += report.iterations == 0
             totals["iterations"] += report.iterations
-            key = f"{kind} {lam:g}"
             by_draw[key] = by_draw.get(key, 0) + report.iterations
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
@@ -116,8 +110,8 @@ def main(argv=None):
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
                       "iterations_by_draw": by_draw, "digest": digest.hexdigest(),
                       "digest_iterating": digest_iterating.hexdigest(),
-                      "digest_labels": digest_labels.hexdigest(),
-                      "digest_positive": digest_positive.hexdigest(), "failed": failed}))
+                      "digest_by_draw": {k: h.hexdigest() for k, h in digest_by_draw.items()},
+                      "failed": failed}))
     return 0
 
 
