@@ -72,6 +72,16 @@ def as_seed(seed):
     return int(_nonnegative_integers([seed], "seed")[0])
 
 
+def as_count(x, name):
+    """A count, such as a number of centers or of iterations, as an int;
+    InputError unless it is an integer of at least 1. A float, even a whole
+    one, and a bool are not integers."""
+    value = int(_nonnegative_integers([x], name)[0])
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def eigh(M):
     """numpy.linalg.eigh, with a LAPACK failure raised as NumericalError."""
     try:

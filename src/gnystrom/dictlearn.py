@@ -29,17 +29,16 @@ holds.
 
 One ADMM loop (Boyd et al. 2011) serves both kinds of side information. It
 splits J from the PSD constraint: the x-step minimizes J plus a proximal
-term exactly, the y-step is the projection, and the penalty rho is set by
-residual balancing: halved or doubled when one residual exceeds the other
-100-fold. It starts at a quarter of the mean Hessian diagonal in the
-loop's coordinates, and with pairs 2**-2.5 lower, near where balancing
-settles (see _RHO_START), since each change of rho clears the
-acceleration's memory and, for pairs, refactors the p x p system. The
-projection computes only the eigenpairs it removes, those with eigenvalue
-<= 0 (LAPACK dsyevr), and subtracts them; computing only the part of the
-spectrum a projection changes is the idea behind ProxSDP (Souto, Garcia &
-Veiga 2022). The loop's matrices usually have a handful of negative
-eigenvalues, so at m = 60 this costs about half of a full
+term exactly and the y-step is the projection. J is a convex quadratic, so
+ADMM converges at any fixed penalty rho > 0, and the loop keeps one: a
+quarter of the mean Hessian diagonal in the loop's coordinates, and with
+pairs 2**-2.5 lower (see _RHO_START). A fit therefore iterates one
+fixed-point map from start to end, and with pairs factors its p x p system
+once. The projection computes only the eigenpairs it removes, those with
+eigenvalue <= 0 (LAPACK dsyevr), and subtracts them; computing only the
+part of the spectrum a projection changes is the idea behind ProxSDP
+(Souto, Garcia & Veiga 2022). The loop's matrices usually have a handful
+of negative eigenvalues, so at m = 60 this costs about half of a full
 eigendecomposition. The loop runs in the eigenbasis V of
 C = El.T @ El = V diag(c) V.T, rescaled by the congruence
 diag(1 / sqrt(sqrt(lam) + c)), which maps the PSD cone onto itself and
@@ -47,11 +46,11 @@ evens out the curvature at small lam. In V the Hessian
 of J is diagonal, with weights 2 * (lam + c_i * c_j) for labels and 2 * lam
 for pairs, plus for p constrained pairs a rank-p term that couples the
 entries; the x-step is then elementwise, or solves a p x p system
-(Woodbury) factored once per value of rho. The supervision
+(Woodbury) factored once per fit. The supervision
 (:meth:`supervision._Supervision.in_basis`) supplies the diagonal and one
 pair operator (:class:`supervision._Pairs`) that holds the pair term, the
-system and the factor of rho's start, with no pairs for labels, so the
-loop is the same for both kinds.
+system and the factor of rho, with no pairs for labels, so the loop is the
+same for both kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
 state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
@@ -61,8 +60,8 @@ Ni 2011) extrapolates W from the last 10 differences of f and of the
 residual f(W) - W, as SCS 3 does (Zhang, O'Donoghue & Boyd 2020). An
 extrapolated state is kept only if its residual is no larger than that of
 the last kept state; otherwise the next state is the plain f of the kept
-one and the memory is cleared, as it is whenever rho changes. A rejected
-extrapolation costs an iteration.
+one and the memory is cleared. A rejected extrapolation costs an
+iteration.
 
 The loop stops on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
 with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
@@ -85,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevr
 
-from ._arrays import RANK_RTOL, _project, as_square_matrix, eigh, truncated_eigh
+from ._arrays import RANK_RTOL, _project, as_count, as_square_matrix, eigh, truncated_eigh
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 
@@ -95,22 +94,17 @@ CONVERGENCE_REASONS = ("grad_norm", "obj_rel", "max_iters")
 _ACCEPT_SLACK = 1e-12
 # Iterations over which the best objective must improve by obj_rel_tol.
 _OBJ_WINDOW = 20
-# ADMM's penalty rho starts at this fraction of twice the mean diagonal of
-# the Hessian in Z (pair term included), times the pair operator's
-# rho_factor: 1 for labels and 2**-2.5 with pairs. Started at twice that
-# mean and balanced on a 10-fold imbalance, rho ended at 1/4 or 1/8 of its
-# start in 28 of 29 measured fits (the benchmark's 16 iterating label fits
-# at m = 25 and 10 pair fits at m = 60, and 3 label fits at m = 200) and at
-# 1/16 in one pair fit. From this start balancing moved rho in none of 70
-# label fits of select-moons, but halved it on each of 21 fit-pairs fits,
-# whose mean diagonal is almost all the prior's (the pair term adds about
-# 4.5e-4 of it); hence the pair factor (supervision._PAIR_RHO_FACTOR).
-# Label fits started at a quarter of this start took 82.1 instead of 76.4
-# iterations per select-moons unit (run seed 1), so they keep it.
+# ADMM's penalty rho is this fraction of twice the mean diagonal of the
+# Hessian in Z (pair term included), times the pair operator's rho_factor:
+# 1 for labels and 2**-2.5 with pairs (supervision._PAIR_RHO_FACTOR). Any
+# rho > 0 converges on this convex quadratic; the choice sets the speed.
+# The mean diagonal is the curvature scale the x-step weighs against rho.
+# At this rho ADMM's primal and dual residuals stayed within 100-fold of
+# each other, the balance Boyd et al. (2011, section 3.4.1) aim rho at, at
+# every kept step of the 1,400 select-moons and 140 fit-pairs fits of
+# benchmark run seeds 0-19. Label fits at a quarter of it took 82.1
+# instead of 76.4 iterations per select-moons unit (run seed 1).
 _RHO_START = 0.125
-# Residual balancing halves or doubles rho only when one residual exceeds
-# the other by this factor.
-_RHO_IMBALANCE = 100.0
 # Differences of the ADMM fixed-point map kept by Anderson acceleration.
 _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
@@ -145,8 +139,7 @@ class LearnConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise InputError(f"lam must be a nonnegative real, got {self.lam}")
-        if self.max_iters < 1:
-            raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
         if not self.obj_rel_tol >= 0:
             raise InputError("obj_rel_tol must be >= 0")
 
@@ -195,9 +188,10 @@ class SolverReport:
     within it reports the mapping norm of its closed form.
     ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
     stopping at the iteration cap is reported, not raised; "grad_norm"
-    means ``final_grad_norm`` is within the tolerance. ``rho_updates``
-    counts the loop's changes of its penalty rho and ``factor_builds`` its
-    Cholesky factorizations of the p x p pair system (0 for labels).
+    means ``final_grad_norm`` is within the tolerance. ``factor_builds``
+    counts the loop's Cholesky factorizations of the p x p pair system: 1
+    for a pair fit that iterates, one more each time the loop goes on after
+    a stop it could not confirm, and 0 for labels.
     """
 
     iterations: int
@@ -206,7 +200,6 @@ class SolverReport:
     final_objective: float
     converged_by: str
     iterates: tuple | None = None
-    rho_updates: int = 0
     factor_builds: int = 0
 
     def __post_init__(self):
@@ -458,7 +451,6 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         final_objective=final,
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
-        rho_updates=solver.rho_updates if solver else 0,
         factor_builds=solver.factor_builds if solver else 0,
     )
     return FitResult(state=DictionaryState(S=S), report=report)
@@ -503,20 +495,22 @@ class _ADMM:
         self.half_G0 = 0.5 * self.G0
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
-        self.factor = self.factor_rho = None
-        self.rho_updates = self.factor_builds = 0
+        self.factor = None
+        self.factor_builds = 0
         self.Hs = (lam + diagonal) * self.DD ** 2
         self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included, scaled down with pairs (see _RHO_START).
         self.rho = _RHO_START * self.pairs.rho_factor() * (
             2.0 * float(np.mean(self.Hs)) + self.pairs.hessian_trace() / self.Hs.size)
+        # The x-step's diagonal, fixed with rho for the whole fit.
+        self.Dg = self.Hs + 0.5 * self.rho
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
         X = self._x_step(self.Y0, U)
         g = X - self.Y0
-        self._keep(self.Y0, U, X, g, _norm(g))
+        self._keep(U, X, g, _norm(g))
 
     def coords(self, M):
         """Z coordinates of an S-space matrix."""
@@ -544,17 +538,11 @@ class _ADMM:
 
         D solves Dg * D + (the pair term's gradient at D) / 2 = N, with
         Dg = Hs + rho/2 and N = (rho (Y - Y0 - U) - G0) / 2, through the
-        pair operator's system for Dg; Dg and that system are built once per
-        value of rho.
+        pair operator's system for Dg, factored when no factor is held.
         """
-        rho = self.rho
-        N = 0.5 * rho * (Y - self.Y0 - U) - self.half_G0
-        if self.factor_rho != rho:
-            self.Dg = self.Hs + 0.5 * rho
-            # Release the old factor before the new one is allocated.
-            self.factor = None
+        N = 0.5 * self.rho * (Y - self.Y0 - U) - self.half_G0
+        if self.factor is None:
             self.factor = self.pairs.factor(self.Dg)
-            self.factor_rho = rho
             self.factor_builds += self.factor is not None
         return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
 
@@ -563,7 +551,7 @@ class _ADMM:
         in S. The p x p pair factor is released first, so that the exit
         evaluation's pair evaluation does not sit on top of it; the next
         x-step rebuilds it if the loop goes on."""
-        self.factor = self.factor_rho = None
+        self.factor = None
         return self.matrix(_project(Z))
 
     def step(self):
@@ -585,31 +573,14 @@ class _ADMM:
             # Safeguard: fall back to the plain step from the last kept state.
             self.W, self.extrapolated = self.kept, False
             self.memory.clear()
-            return Y, value, bound
-        # Residual balancing (Boyd et al. 2011, section 3.4.1) against the
-        # last kept state; without extrapolation these are the primal
-        # residual X_k - Y_k = U_k - U_{k-1} and the dual rho (Y_k - Y_{k-1}).
-        primal = _norm(U - self.U_last)
-        dual = self.rho * _norm(Y - self.Y_last)
-        factor = (2.0 if primal > _RHO_IMBALANCE * dual
-                  else 0.5 if dual > _RHO_IMBALANCE * primal else 1.0)
-        if factor != 1.0:
-            # A new rho is a new map: rescale the state and redo its x-step.
-            self.rho *= factor
-            self.rho_updates += 1
-            U /= factor
-            X = self._x_step(Y, U)
-            g = X - Y
-            g_norm = _norm(g)
-            self.memory.clear()
-        self._keep(Y, U, X, g, g_norm)
+        else:
+            self._keep(U, X, g, g_norm)
         return Y, value, bound
 
-    def _keep(self, Y, U, X, g, g_norm):
+    def _keep(self, U, X, g, g_norm):
         """Make W = Y + U the kept state, with f(W) = X + U and residual
         g = X - Y of norm g_norm, and move to the next state: Anderson's
         extrapolation, or f(W) while it has no memory."""
-        self.Y_last, self.U_last = Y, U
         self.kept, self.kept_norm = X + U, g_norm
         self.W = self.memory.extrapolate(self.kept, g)
         self.extrapolated = self.memory.size > 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_seed
+from ._arrays import as_count, as_seed
 from .datasets import Dataset, sample_labeled
 from .dictlearn import LearnConfig, fit, factorize
 from .errors import InputError, ParseError
@@ -63,12 +63,10 @@ class ExperimentConfig:
     lambda_grid: tuple | None = None
 
     def __post_init__(self):
-        if self.labeled_per_run < 1:
-            raise InputError("labeled_per_run must be >= 1")
-        if self.repeats < 1:
-            raise InputError("repeats must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise InputError("m must be >= 1 when given")
+        for name in ("labeled_per_run", "repeats"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        if self.m is not None:
+            object.__setattr__(self, "m", as_count(self.m, "m"))
         if self.landmark_method not in LANDMARK_METHODS:
             raise InputError(f"unknown landmark method {self.landmark_method!r}")
         if isinstance(self.bandwidth, str):

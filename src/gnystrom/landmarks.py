@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_data_matrix, as_seed
+from ._arrays import as_count, as_data_matrix, as_seed
 from .errors import InputError
 
 LANDMARK_METHODS = ("kmeans", "random")
@@ -33,8 +33,7 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", as_count(self.k, "k"))
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,8 @@ def select_random(X, m, seed):
     """Pick m distinct rows of X uniformly at random, reproducibly."""
     X = as_data_matrix(X)
     n = X.shape[0]
-    if not 1 <= m <= n:
+    m = as_count(m, "m")
+    if m > n:
         raise InputError(f"need 1 <= m <= n, got m={m} with n={n}")
     rng = np.random.default_rng(as_seed(seed))
     idx = rng.choice(n, size=m, replace=False)

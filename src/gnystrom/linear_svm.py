@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._arrays import as_count
 from .errors import InputError, NumericalError
 
 # A class stops once its duality gap is at most this fraction of its primal
@@ -110,8 +111,7 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
         raise InputError("one label per feature row required")
     if not (np.isfinite(c_reg) and c_reg > 0):
         raise InputError(f"c_reg must be positive and finite, got {c_reg}")
-    if n_iters < 1:
-        raise InputError(f"n_iters must be >= 1, got {n_iters}")
+    n_iters = as_count(n_iters, "n_iters")
     classes = np.unique(labels)
     if classes.size < 2:
         raise InputError("training needs at least two classes")
@@ -126,7 +126,7 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
     # and alpha <= 1.
     alpha, rest = np.full(Y.shape, 0.5), np.full(Y.shape, 0.5)
     z, s = np.ones(Y.shape), np.ones(Y.shape)
-    for iterations in range(int(n_iters) + 1):
+    for iterations in range(n_iters + 1):
         W = c_reg * (A.T @ (Y * alpha))
         half_sq = 0.5 * reg * np.einsum("ij,ij->j", W, W)
         primal = half_sq + np.mean(np.maximum(0.0, 1.0 - Y * (A @ W)), axis=0)

@@ -28,16 +28,14 @@ from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine
 
 SIDE_KINDS = ("labels", "grouping")
-# With pairs, the ADMM loop in dictlearn starts its penalty rho at this
-# fraction of the start it takes for labels (see dictlearn._RHO_START).
-# From the label start, residual balancing halved rho once or twice on each
-# of the benchmark's fit-pairs fits (m = 60, 100 pairs) and two or three
-# times on pair fits at m = 200 (tools/pair_sweep.py: 300 and 1,000 pairs),
-# and each change cost a p x p factorization and Anderson's memory. Started
-# at 2**-2.5 of it, balancing moved rho in none of 21 fit-pairs fits (at
-# 2**-3 it doubled rho in 4), which took 30.8 instead of 48.8 iterations per
-# fit, and the six m = 200 fits took 461 instead of 546 iterations and 8
-# instead of 20 factorizations (one BLAS thread).
+# With pairs, the ADMM loop in dictlearn sets its penalty rho to this
+# fraction of the rho it takes for labels (see dictlearn._RHO_START). The
+# mean Hessian diagonal that sets rho is then almost all the prior's (the
+# pair term adds about 4.5e-4 of it on the benchmark's fit-pairs fits), so
+# the label rule puts rho high for the pair term. At this factor the 21
+# fit-pairs fits of run seeds 0-2 (m = 60, 100 pairs) take 30.8 iterations
+# per fit, against 71.0 at 1, and the six m = 200 fits of
+# tools/pair_sweep.py take 530 iterations, against 1,050 (one BLAS thread).
 _PAIR_RHO_FACTOR = 2.0 ** -2.5
 
 
@@ -416,9 +414,8 @@ class _Pairs:
     In the ADMM loop's basis it is the part of J's data term that couples
     the entries: :meth:`term`, its :meth:`hessian_trace`, the x-step's
     p x p system (:meth:`factor`, :meth:`solve`) and the factor
-    :meth:`rho_factor` by which the loop scales its start for the penalty
-    rho. With no pairs (labels) the term is 0, the x-step elementwise and
-    that factor 1.
+    :meth:`rho_factor` by which the loop scales its penalty rho. With no
+    pairs (labels) the term is 0, the x-step elementwise and that factor 1.
     """
 
     def __init__(self, F, rows, weight):
@@ -450,9 +447,9 @@ class _Pairs:
         return 2.0 * float(np.sum(self.weight * (aabb + fab ** 2)))
 
     def rho_factor(self):
-        """The fraction of the label-kind start at which the ADMM loop starts
-        rho: ``_PAIR_RHO_FACTOR`` with pairs, where residual balancing
-        settles below that start, and 1.0 with none."""
+        """The fraction of the label-kind rho at which the ADMM loop fixes
+        its penalty: ``_PAIR_RHO_FACTOR`` with pairs, whose mean Hessian
+        diagonal is almost all the prior's, and 1.0 with none."""
         return _PAIR_RHO_FACTOR if self.weight.size else 1.0
 
     def factor(self, Dg):

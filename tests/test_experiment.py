@@ -88,6 +88,15 @@ def test_config_validation():
         ExperimentConfig(labeled_per_run=4, lambda_grid=(1.0, 0.1))
 
 
+@pytest.mark.parametrize("field", ["labeled_per_run", "repeats", "m"])
+def test_config_rejects_non_integer_counts(field):
+    """Each was accepted: m = 2.5 and labeled_per_run = 2.5 failed later
+    with a raw TypeError, repeats = 1.5 failed at the seed draw."""
+    kwargs = {"labeled_per_run": 4, field: 2.5}
+    with pytest.raises(InputError, match=f"{field} must be of integer type"):
+        ExperimentConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 

@@ -133,6 +133,20 @@ def test_kmeans_config_validation():
         KMeansConfig(k=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_kmeans_config_rejects_non_integer_k(k):
+    """A fractional k was accepted and failed in select_kmeans with a raw
+    TypeError."""
+    with pytest.raises(InputError, match="k must be of integer type"):
+        KMeansConfig(k=k)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True])
+def test_select_random_rejects_non_integer_m(m):
+    with pytest.raises(InputError, match="m must be of integer type"):
+        select_random(np.zeros((5, 1)), m, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # lloyd_iterations
 

@@ -95,6 +95,14 @@ def test_input_validation():
         train_linear(np.array([[np.inf]]), np.array([0]))
 
 
+@pytest.mark.parametrize("n_iters", [2.5, 2.0, True])
+def test_training_rejects_non_integer_step_caps(n_iters):
+    """n_iters = 2.5 ran 2 interior-point steps."""
+    G = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(InputError, match="n_iters must be of integer type"):
+        train_linear(G, np.array([0, 0, 1, 1]), n_iters=n_iters)
+
+
 def test_overflowing_features_raise_instead_of_certifying():
     """Rows whose Gram matrix overflows give a duality gap that is not a
     number; training raises instead of running on it."""

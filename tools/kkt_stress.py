@@ -11,9 +11,10 @@ test allows (labels at lambda 0, 1e-3, 1 and 100; grouping at the three
 positive ones), fits each at ``max_iters = 20000`` and applies the test's
 three checks. It prints one JSON line: the fits, the KKT failures (and which
 draws failed), the total iterations, the fits past 2,000 iterations, the
-factor builds, the rho updates, the fits returned at their start after 0
-iterations (``at_start``), the iterations per kind and lambda
-(``iterations_by_draw``, keyed ``"<kind> <lambda>"``), a ``digest``, the
+factor builds, the fits returned at their start after 0 iterations
+(``at_start``), the iterations per kind and lambda (``iterations_by_draw``,
+keyed ``"<kind> <lambda>"``), the largest iteration count of one fit per
+kind and lambda (``max_iterations_by_draw``, keyed the same), a ``digest``, the
 sha256 of every returned S and objective trace in sweep order,
 ``digest_iterating``, the same over the fits that iterated only, and
 ``digest_by_draw``, the same per kind and lambda, keyed like
@@ -82,8 +83,8 @@ def main(argv=None):
     parser.add_argument("--last-seed", type=int, default=1499)
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
-                            "factor_builds", "rho_updates", "at_start"), 0)
-    by_draw, digest_by_draw, failed = {}, {}, []
+                            "factor_builds", "at_start"), 0)
+    by_draw, max_by_draw, digest_by_draw, failed = {}, {}, {}, []
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
@@ -100,15 +101,16 @@ def main(argv=None):
             totals["at_start"] += report.iterations == 0
             totals["iterations"] += report.iterations
             by_draw[key] = by_draw.get(key, 0) + report.iterations
+            max_by_draw[key] = max(max_by_draw.get(key, 0), report.iterations)
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
-            totals["rho_updates"] += report.rho_updates
             if not kkt_holds(result.state.S, core, side, lam):
                 totals["kkt_failures"] += 1
                 failed.append({"seed": seed, "kind": kind, "lam": lam,
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
-                      "iterations_by_draw": by_draw, "digest": digest.hexdigest(),
+                      "iterations_by_draw": by_draw, "max_iterations_by_draw": max_by_draw,
+                      "digest": digest.hexdigest(),
                       "digest_iterating": digest_iterating.hexdigest(),
                       "digest_by_draw": {k: h.hexdigest() for k, h in digest_by_draw.items()},
                       "failed": failed}))
