@@ -47,8 +47,9 @@ def load_dataset(path, format="csv"):
     CSV rows are ``label,feat1,...,featd`` with an optional header row
     (detected by non-numeric feature fields on the first line). svmlight
     rows are ``label index:value ...`` with 1-based indices, densified to
-    the largest index present. Malformed lines raise :class:`ParseError`
-    carrying the line number.
+    the largest index present; an index too large to densify raises
+    InputError. A label that reads as a number must be finite. Malformed
+    lines raise :class:`ParseError` carrying the line number.
     """
     if format not in DATASET_FORMATS:
         raise InputError(f"unknown dataset format {format!r}")
@@ -78,6 +79,8 @@ def _read_csv(path):
                 first_data_line = False
                 if not _all_floats(fields[1:]):
                     continue  # header row
+            if _all_floats(fields[:1]) and not np.isfinite(float(fields[0])):
+                raise ParseError(f"non-finite label {fields[0]!r}", path=str(path), line=lineno)
             feats = []
             for pos, token in enumerate(fields[1:], start=2):
                 try:
@@ -113,6 +116,8 @@ def _read_svmlight(path):
             except ValueError:
                 raise ParseError(f"non-numeric label {parts[0]!r}",
                                  path=str(path), line=lineno) from None
+            if not np.isfinite(label):
+                raise ParseError(f"non-finite label {parts[0]!r}", path=str(path), line=lineno)
             pairs = {}
             for token in parts[1:]:
                 idx_str, sep, val_str = token.partition(":")
@@ -138,7 +143,10 @@ def _read_svmlight(path):
         raise InputError(f"{path}: no data rows")
     if max_index == 0:
         raise InputError(f"{path}: no features present")
-    X = np.zeros((len(entries), max_index))
+    try:
+        X = np.zeros((len(entries), max_index))
+    except (ValueError, MemoryError):
+        raise InputError(f"{path}: feature index {max_index} is too large to densify") from None
     for row, pairs in enumerate(entries):
         for idx, val in pairs.items():
             X[row, idx - 1] = val

@@ -32,8 +32,9 @@ splits J from the PSD constraint: the x-step minimizes J plus a proximal
 term exactly and the y-step is the projection. J is a convex quadratic, so
 ADMM converges at any fixed penalty rho > 0, and the loop keeps one: a
 quarter of the mean Hessian diagonal in the loop's coordinates, and with
-pairs 2**-2.5 lower (see _RHO_START). A fit therefore iterates one
-fixed-point map from start to end, and with pairs factors its p x p system
+pairs lower by a factor that grows with the pair term's share of the
+Hessian trace (see _RHO_START). A fit therefore iterates one fixed-point
+map from start to end, and with pairs factors its p x p system
 once. The projection computes only the eigenpairs it removes, those with
 eigenvalue <= 0 (LAPACK dsyevr), and subtracts them; computing only the
 part of the spectrum a projection changes is the idea behind ProxSDP
@@ -48,8 +49,8 @@ for pairs, plus for p constrained pairs a rank-p term that couples the
 entries; the x-step is then elementwise, or solves a p x p system
 (Woodbury) factored once per fit. The supervision
 (:meth:`supervision._Supervision.in_basis`) supplies the diagonal and one
-pair operator (:class:`supervision._Pairs`) that holds the pair term, the
-system and the factor of rho, with no pairs for labels, so the loop is the
+pair operator (:class:`supervision._Pairs`) that holds the pair term, its
+Hessian trace and the system, with no pairs for labels, so the loop is the
 same for both kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
@@ -95,16 +96,26 @@ _ACCEPT_SLACK = 1e-12
 # Iterations over which the best objective must improve by obj_rel_tol.
 _OBJ_WINDOW = 20
 # ADMM's penalty rho is this fraction of twice the mean diagonal of the
-# Hessian in Z (pair term included), times the pair operator's rho_factor:
-# 1 for labels and 2**-2.5 with pairs (supervision._PAIR_RHO_FACTOR). Any
-# rho > 0 converges on this convex quadratic; the choice sets the speed.
+# Hessian in Z (pair term included), times a factor that is 1 for labels.
+# Any rho > 0 converges on this convex quadratic; the choice sets the speed.
 # The mean diagonal is the curvature scale the x-step weighs against rho.
-# At this rho ADMM's primal and dual residuals stayed within 100-fold of
-# each other, the balance Boyd et al. (2011, section 3.4.1) aim rho at, at
-# every kept step of the 1,400 select-moons and 140 fit-pairs fits of
-# benchmark run seeds 0-19. Label fits at a quarter of it took 82.1
-# instead of 76.4 iterations per select-moons unit (run seed 1).
+# Label fits at a quarter of it took 82.1 instead of 76.4 iterations per
+# select-moons unit (run seed 1).
 _RHO_START = 0.125
+# With pairs the factor is _PAIR_RHO_SLOPE * sqrt(s), clipped to
+# [_PAIR_RHO_FLOOR, 1], for the pair term's share s = tr_p / (2 sum(Hs) +
+# tr_p) of the Hessian's trace in Z. The best rho depends on the Hessian's
+# spectrum, not on its mean diagonal alone (Ghadimi et al. 2015, IEEE
+# Trans. Autom. Control 60), and s is a cheap proxy for it: scanning
+# factors 2**(-k/2), the best k was 10 at s ~ 5e-5 (tools/pair_sweep.py),
+# 6-8 at s ~ 4.5e-4 (the benchmark's fit-pairs fits) and 0-2 at s from
+# 1e-2 to 1 (most grouping draws of tools/kkt_stress.py). On those sets,
+# without the floor, slope 3 took between 1% fewer and 8% more iterations
+# than slope 4, and slope 6 2-19% more. The floor keeps rho off 0 where the
+# constrained rows carry almost no kernel mass: without it a pair fit there
+# ran to 2,000 iterations at lam = 1 (see the tests).
+_PAIR_RHO_SLOPE = 4.0
+_PAIR_RHO_FLOOR = 2.0 ** -5
 # Differences of the ADMM fixed-point map kept by Anderson acceleration.
 _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
@@ -500,9 +511,13 @@ class _ADMM:
         self.Hs = (lam + diagonal) * self.DD ** 2
         self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
-        # included, scaled down with pairs (see _RHO_START).
-        self.rho = _RHO_START * self.pairs.rho_factor() * (
-            2.0 * float(np.mean(self.Hs)) + self.pairs.hessian_trace() / self.Hs.size)
+        # included, scaled down with pairs by their share of it (see
+        # _RHO_START).
+        pair_mean = self.pairs.hessian_trace() / self.Hs.size
+        mean = 2.0 * float(np.mean(self.Hs)) + pair_mean
+        factor = (min(max(_PAIR_RHO_SLOPE * np.sqrt(pair_mean / mean), _PAIR_RHO_FLOOR), 1.0)
+                  if pair_mean > 0 else 1.0)
+        self.rho = _RHO_START * factor * mean
         # The x-step's diagonal, fixed with rho for the whole fit.
         self.Dg = self.Hs + 0.5 * self.rho
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept

@@ -18,6 +18,9 @@ from .landmarks import LandmarkSet
 
 # Distances per row block of rbf_lipschitz_constant's diameter (512 KiB).
 _DIAMETER_BLOCK = 1 << 16
+# Eigenvalues of W at or below this fraction of the largest one count as 0
+# in the prior S0 = pinv(W).
+_PINV_RTOL = 1e-10
 
 
 def _landmark_points(Z):
@@ -83,7 +86,7 @@ class LandmarkEigensystem:
         object.__setattr__(self, "eigvals", vals)
 
 
-def build_core(X, Z, params, pinv_tol=1e-10):
+def build_core(X, Z, params):
     """Assemble E, W and S0 = pinv(W).
 
     Both blocks come from :func:`kernels.kernel_matrix`. W is pairwise in
@@ -92,7 +95,7 @@ def build_core(X, Z, params, pinv_tol=1e-10):
     row bit for bit. Every other entry of E agrees with its pairwise value to
     about 1e-15.
 
-    Eigenvalues of W at or below ``pinv_tol`` times the largest one are
+    Eigenvalues of W at or below 1e-10 times the largest one are
     treated as zero; the retained count is recorded as ``pinv_rank``. The
     result satisfies W @ S0 @ W == W on the retained subspace.
     """
@@ -100,11 +103,9 @@ def build_core(X, Z, params, pinv_tol=1e-10):
     Zp = _landmark_points(Z)
     if X.shape[1] != Zp.shape[1]:
         raise InputError("samples and landmarks must share a feature dimension")
-    if not 0.0 <= pinv_tol < 1.0:
-        raise InputError(f"pinv_tol must lie in [0, 1), got {pinv_tol}")
     E = kernel_matrix(X, Zp, params)
     W = kernel_matrix(Zp, Zp, params)
-    vals, vecs = truncated_eigh(W, pinv_tol)
+    vals, vecs = truncated_eigh(W, _PINV_RTOL)
     S0 = (vecs / vals) @ vecs.T
     S0 = 0.5 * (S0 + S0.T)
     return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size)

@@ -28,15 +28,6 @@ from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine
 
 SIDE_KINDS = ("labels", "grouping")
-# With pairs, the ADMM loop in dictlearn sets its penalty rho to this
-# fraction of the rho it takes for labels (see dictlearn._RHO_START). The
-# mean Hessian diagonal that sets rho is then almost all the prior's (the
-# pair term adds about 4.5e-4 of it on the benchmark's fit-pairs fits), so
-# the label rule puts rho high for the pair term. At this factor the 21
-# fit-pairs fits of run seeds 0-2 (m = 60, 100 pairs) take 30.8 iterations
-# per fit, against 71.0 at 1, and the six m = 200 fits of
-# tools/pair_sweep.py take 530 iterations, against 1,050 (one BLAS thread).
-_PAIR_RHO_FACTOR = 2.0 ** -2.5
 
 
 @dataclass(frozen=True)
@@ -412,10 +403,9 @@ class _Pairs:
     (b, a), each in O(p m^2); neither forms an l x l or a p x m^2 array.
 
     In the ADMM loop's basis it is the part of J's data term that couples
-    the entries: :meth:`term`, its :meth:`hessian_trace`, the x-step's
-    p x p system (:meth:`factor`, :meth:`solve`) and the factor
-    :meth:`rho_factor` by which the loop scales its penalty rho. With no
-    pairs (labels) the term is 0, the x-step elementwise and that factor 1.
+    the entries: :meth:`term`, its :meth:`hessian_trace` and the x-step's
+    p x p system (:meth:`factor`, :meth:`solve`). With no pairs (labels)
+    the term and its trace are 0 and the x-step is elementwise.
     """
 
     def __init__(self, F, rows, weight):
@@ -445,12 +435,6 @@ class _Pairs:
         aabb = np.sum(self.Fa ** 2, axis=1) * np.sum(self.Fb ** 2, axis=1)
         fab = np.einsum("pi,pi->p", self.Fa, self.Fb)
         return 2.0 * float(np.sum(self.weight * (aabb + fab ** 2)))
-
-    def rho_factor(self):
-        """The fraction of the label-kind rho at which the ADMM loop fixes
-        its penalty: ``_PAIR_RHO_FACTOR`` with pairs, whose mean Hessian
-        diagonal is almost all the prior's, and 1.0 with none."""
-        return _PAIR_RHO_FACTOR if self.weight.size else 1.0
 
     def factor(self, Dg):
         """Cholesky factor of I + 2 W K W with W = diag(sqrt(w)) and

@@ -220,6 +220,16 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_svmlight_index_too_large_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.svm"
+    data.write_text("1 4611686018427387904:2.0\n")
+    rc = main(["landmarks", "--input", str(data), "--format", "svmlight", "--m", "1",
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large to densify" in err
+
+
 def test_bad_config_exits_2(blob_csv, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("labeled_per_run = 10\nunknown_key = 1\n")

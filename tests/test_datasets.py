@@ -141,6 +141,28 @@ def test_svmlight_bad_label(tmp_path):
         load_dataset(f, format="svmlight")
 
 
+@pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("format", ["csv", "svmlight"])
+def test_non_finite_label_is_parse_error(tmp_path, format, label):
+    """A label of inf used to become class -2**63 after a RuntimeWarning,
+    and nan a float class of its own."""
+    f = tmp_path / "d.txt"
+    row = f"{label},0.5" if format == "csv" else f"{label} 1:0.5"
+    f.write_text(("1,0.5" if format == "csv" else "1 1:0.5") + "\n" + row + "\n")
+    with pytest.raises(ParseError, match="non-finite label") as exc:
+        load_dataset(f, format=format)
+    assert "line 2" in str(exc.value)
+
+
+def test_svmlight_index_too_large_to_densify(tmp_path):
+    """An index whose row alone exceeds the largest array NumPy can describe
+    is refused before anything is allocated."""
+    f = tmp_path / "d.svm"
+    f.write_text("1 4611686018427387904:2.0\n")
+    with pytest.raises(InputError, match="too large to densify"):
+        load_dataset(f, format="svmlight")
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

@@ -1038,9 +1038,10 @@ def test_accelerated_grouping_fit_needs_few_iterations():
     assert result.report.iterations <= 200
 
 
-def _kkt_sweep_grouping_draw():
-    """The grouping problem that tools/kkt_stress.py draws at seed 0 (m = 6)."""
-    rng = np.random.default_rng(0)
+def _kkt_sweep_grouping_draw(seed=0):
+    """The grouping problem that tools/kkt_stress.py draws at ``seed`` (m = 6
+    at seed 0)."""
+    rng = np.random.default_rng(seed)
     return _random_grouping_problem(rng, m=int(rng.integers(2, 7)))
 
 
@@ -1050,8 +1051,9 @@ def test_pair_fit_starts_rho_near_where_it_settles():
     iterations and 6 builds of the p x p factor. Started at an eighth of
     that and rebalanced on a 100-fold imbalance, it moved once: 57
     iterations and 2 builds, at the same optimum. Started a further 2**-2.5
-    lower, as pair fits now are, the loop keeps it: 29 iterations and 1
-    build. A label fit builds no factor."""
+    lower, the loop kept it: 29 iterations and 1 build. Scaled by the pair
+    term's share of the Hessian trace instead, as pair fits now are: 27
+    iterations and 1 build. A label fit builds no factor."""
     core, side = _fit_pairs_problem()
     report = fit(core, side, LearnConfig(lam=0.1)).report
     assert report.converged_by == "grad_norm"
@@ -1073,7 +1075,7 @@ def _assert_pair_fit_builds_once(core, side, lam, reference):
 
 def test_pair_fit_builds_its_system_once():
     """The loop keeps its starting rho, so a pair fit builds the p x p
-    system once: 29 iterations on this problem. The reference is the
+    system once: 27 iterations on this problem. The reference is the
     long-run optimum."""
     _assert_pair_fit_builds_once(*_fit_pairs_problem(), 0.1, 19.9793485462)
 
@@ -1084,6 +1086,41 @@ def test_kkt_sweep_pair_fit_builds_its_system_once():
     the fit built the system 5 times. The reference is the long-run
     optimum."""
     _assert_pair_fit_builds_once(*_kkt_sweep_grouping_draw(), 1.0, 0.822803902053)
+
+
+@pytest.mark.parametrize("seed", [539, 1244, 51])
+def test_slowest_kkt_sweep_pair_fits(seed):
+    """The three slowest grouping draws of tools/kkt_stress.py over seeds
+    0-1499 (m = 3, four pairs) at lam = 1e-3. With rho at 2**-2.5 of the
+    label rule they took 245, 235 and 157 iterations; scaled by the pair
+    term's share of the Hessian trace, 38, 20 and 24."""
+    report = fit(*_kkt_sweep_grouping_draw(seed), LearnConfig(lam=1e-3)).report
+    assert report.converged_by == "grad_norm"
+    assert report.iterations <= 100
+    assert report.factor_builds == 1
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+@pytest.mark.parametrize("grouping", [False, True])
+def test_fit_with_faint_supervised_rows(grouping, lam):
+    """Supervised rows of E scaled by 1e-6 leave the pair term's share of the
+    Hessian trace near 0, and so rho near 0 without the floor on the pair
+    factor: the pair fit at lam = 1 then ran to 2,000 iterations at a
+    mapping norm of 5e-3. With the floor each fit stops in 2 iterations.
+    The core's S0 is shifted indefinite as in
+    test_tiny_lambda_starts_from_prior, so the fits start projected."""
+    rng = np.random.default_rng(30)
+    core, side = _random_labeled_problem(rng)
+    if grouping:
+        side = SideInformation.from_constraints(
+            must_link=[(0, 1), (2, 3)], cannot_link=[(0, 4), (1, 5)])
+    E = core.E.copy()
+    E[side.indices] *= 1e-6
+    shift = np.median(np.linalg.eigvalsh(core.S0)) * np.eye(core.m)
+    faint = NystromCore(E=E, W=core.W, S0=core.S0 - shift, pinv_rank=core.pinv_rank)
+    report = fit(faint, side, LearnConfig(lam=lam)).report
+    assert report.converged_by == "grad_norm"
+    assert report.iterations <= 5
 
 
 def _mapping_tolerance(core, side):

@@ -24,10 +24,10 @@ from gnystrom import (
 )
 
 
-def _random_core(rng, n, m, d=3, bandwidth=4.0, pinv_tol=1e-10):
+def _random_core(rng, n, m, d=3, bandwidth=4.0):
     X = rng.normal(size=(n, d))
     Z = select_random(X, m, seed=int(rng.integers(1 << 31)))
-    core = build_core(X, Z, KernelParams(bandwidth=bandwidth), pinv_tol=pinv_tol)
+    core = build_core(X, Z, KernelParams(bandwidth=bandwidth))
     return X, Z, core
 
 
@@ -80,10 +80,10 @@ def test_build_core_s0_symmetric_psd():
 
 
 def test_build_core_drops_tiny_eigenvalues():
-    # Two nearly coincident landmarks make W almost singular; a generous
-    # cutoff must drop the weak direction and record the reduced rank.
+    # Two landmarks 1e-9 apart make W singular in float64; the cutoff must
+    # drop the weak direction and record the reduced rank.
     Z = np.array([[0.0], [1e-9]])
-    core = build_core(Z, Z, KernelParams(bandwidth=1.0), pinv_tol=1e-6)
+    core = build_core(Z, Z, KernelParams(bandwidth=1.0))
     assert core.pinv_rank == 1
 
 
@@ -91,10 +91,6 @@ def test_build_core_input_validation():
     p = KernelParams(bandwidth=1.0)
     with pytest.raises(InputError):
         build_core([[0.0, 1.0]], [[0.0]], p)  # feature mismatch
-    with pytest.raises(InputError):
-        build_core([[0.0]], [[0.0]], p, pinv_tol=1.5)
-    with pytest.raises(InputError):
-        build_core([[0.0]], [[0.0]], p, pinv_tol=-0.1)
 
 
 def test_nystrom_core_shape_validation():
@@ -190,10 +186,10 @@ def test_eigensystem_reconstructs_w():
 
 
 def test_eigensystem_keeps_the_pairs_the_prior_inverts():
-    # A generous cutoff drops the weak direction of two nearly coincident
-    # landmarks; the eigensystem keeps the same pinv_rank leading pairs.
+    # The cutoff drops the weak direction of two landmarks 1e-9 apart; the
+    # eigensystem keeps the same pinv_rank leading pairs.
     Z = np.array([[0.0], [1e-9], [3.0]])
-    core = build_core(Z, Z, KernelParams(bandwidth=1.0), pinv_tol=1e-6)
+    core = build_core(Z, Z, KernelParams(bandwidth=1.0))
     assert core.pinv_rank == 2
     eig = landmark_eigensystem(core)
     vals, vecs = np.linalg.eigh(core.W)

@@ -14,7 +14,9 @@ draws failed), the total iterations, the fits past 2,000 iterations, the
 factor builds, the fits returned at their start after 0 iterations
 (``at_start``), the iterations per kind and lambda (``iterations_by_draw``,
 keyed ``"<kind> <lambda>"``), the largest iteration count of one fit per
-kind and lambda (``max_iterations_by_draw``, keyed the same), a ``digest``, the
+kind and lambda (``max_iterations_by_draw``, keyed the same), the seed of
+that largest fit (``slowest_seed_by_draw``, the first such seed on a tie,
+keyed the same), so a tail regression names its draw, a ``digest``, the
 sha256 of every returned S and objective trace in sweep order,
 ``digest_iterating``, the same over the fits that iterated only, and
 ``digest_by_draw``, the same per kind and lambda, keyed like
@@ -84,7 +86,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "at_start"), 0)
-    by_draw, max_by_draw, digest_by_draw, failed = {}, {}, {}, []
+    by_draw, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, []
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
@@ -101,7 +103,8 @@ def main(argv=None):
             totals["at_start"] += report.iterations == 0
             totals["iterations"] += report.iterations
             by_draw[key] = by_draw.get(key, 0) + report.iterations
-            max_by_draw[key] = max(max_by_draw.get(key, 0), report.iterations)
+            if report.iterations > max_by_draw.get(key, -1):
+                max_by_draw[key], slowest_seed[key] = report.iterations, seed
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
             if not kkt_holds(result.state.S, core, side, lam):
@@ -110,6 +113,7 @@ def main(argv=None):
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
                       "iterations_by_draw": by_draw, "max_iterations_by_draw": max_by_draw,
+                      "slowest_seed_by_draw": slowest_seed,
                       "digest": digest.hexdigest(),
                       "digest_iterating": digest_iterating.hexdigest(),
                       "digest_by_draw": {k: h.hexdigest() for k, h in digest_by_draw.items()},
