@@ -5,9 +5,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 # Eigenvalues at or below this fraction of the largest are taken for
-# rounding: dictlearn.factorize drops them, the ADMM loop lifts its
-# congruence weights to that level, and the closed form at lam = 0 takes
-# the eigenvalues of C above it as C's numerical range.
+# rounding: dictlearn.factorize and the factor a fit returns drop them, the
+# ADMM loop lifts its congruence weights to that level, and the closed form
+# at lam = 0 takes the eigenvalues of C above it as C's numerical range.
 RANK_RTOL = 1e-12
 
 
@@ -93,7 +93,11 @@ def eigh(M):
 def _project(M):
     """The Frobenius-nearest PSD matrix to the symmetrized M: its
     eigenvalues below 0 clamped to 0."""
-    vals, vecs = eigh(0.5 * (M + M.T))
+    return _clamp(*eigh(0.5 * (M + M.T)))
+
+
+def _clamp(vals, vecs):
+    """The PSD projection of the symmetric matrix with eigenpairs (vals, vecs)."""
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return 0.5 * (out + out.T)
 
@@ -105,7 +109,12 @@ def truncated_eigh(M, rtol):
     The rank truncation shared by the Nyström pseudo-inverse and the PSD
     factor (Kumar, Mohri & Talwalkar 2012, JMLR).
     """
-    vals, vecs = eigh(M)
+    return _truncate(*eigh(M), rtol)
+
+
+def _truncate(vals, vecs, rtol):
+    """The eigenpairs (vals, vecs), in ascending order, that
+    :func:`truncated_eigh` keeps."""
     top = float(vals[-1]) if vals.size else 0.0
     keep = vals > max(rtol * top, 0.0)
     return vals[keep], vecs[:, keep]

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .datasets import load_dataset, make_blobs, make_two_moons, sample_labeled
+from .dictlearn import DictionaryState
 from .errors import InputError, NumericalError
 from .experiment import (ExperimentConfig, _parse_value, _repeat_draws, _select_landmarks,
                          emit_report, experiment_config_from_file, pipeline, run_experiment)
@@ -132,8 +133,9 @@ def _cmd_fit(args):
     if run.selection is not None:
         print(f"selected lambda={record.lam:g} (criterion={record.criterion:.6f} "
               f"over {len(run.selection.records)} candidates)")
-    model = InductiveModel.from_state(run.landmarks, run.kernel, record.S, lam=record.lam,
-                                      report=report)
+    model = InductiveModel.from_state(run.landmarks, run.kernel,
+                                      DictionaryState(S=record.S, L=record.L),
+                                      lam=record.lam, report=report)
     save(model, args.model_out)
     print(f"fitted on {count} labeled samples, m={run.core.m}: "
           f"{report.iterations} iterations, stopped by {report.converged_by}, "

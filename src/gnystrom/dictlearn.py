@@ -78,6 +78,13 @@ second test stops once the best objective stalls. The returned S goes
 through one full projection: the subtraction leaves rounding along the
 removed directions, which the congruence back to S can magnify past the
 PSD tolerance.
+
+Every fit returns its S with a factor L, S = L @ L.T, PSD by construction,
+taken from a decomposition the fit has already made: the Cholesky factor
+that certified its start, the factor H of the closed form at lam = 0, or
+the eigenpairs of the projection that made its start or its exit. So no fit
+path eigendecomposes its S again, neither to check it nor to build a model
+from it (:meth:`inductive.InductiveModel.from_state`).
 """
 
 from dataclasses import dataclass
@@ -85,7 +92,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevr
 
-from ._arrays import RANK_RTOL, _project, as_count, as_square_matrix, eigh, truncated_eigh
+from ._arrays import (RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh,
+                      truncated_eigh)
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 
@@ -121,6 +129,8 @@ _AA_MEMORY = 10
 # Tikhonov weight of its least-squares problem, relative to the trace of the
 # Gram matrix of the residual differences.
 _AA_REG = 1e-10
+# DictionaryState's tolerance on S's asymmetry, relative to max |S|.
+_SYMMETRY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,13 +167,19 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class DictionaryState:
-    """Learned inverse dictionary kernel.
+    """Learned inverse dictionary kernel S, with its factor L when known.
 
-    S must be finite, symmetric to 1e-10 absolute and PSD up to a -1e-8
-    relative eigenvalue tolerance; violations raise at construction.
+    S must be finite and symmetric to 1e-10 relative to its largest entry;
+    violations raise at construction. A state given only S is checked PSD
+    up to a -1e-8 relative eigenvalue tolerance (one ``eigvalsh``). A state
+    given L as well, an m x r matrix with S = L @ L.T up to rounding, is PSD
+    by construction and is not decomposed; :func:`fit` returns such a state,
+    and :meth:`inductive.InductiveModel.from_state` embeds through its L.
+    L must be finite; whether L @ L.T is S is the caller's to ensure.
     """
 
     S: np.ndarray
+    L: np.ndarray | None = None
 
     def __post_init__(self):
         S = as_square_matrix(self.S, "S")
@@ -171,8 +187,16 @@ class DictionaryState:
         if not np.all(np.isfinite(S)):
             raise InputError("S contains non-finite entries")
         if S.size:
-            if float(np.abs(S - S.T).max()) > 1e-10:
-                raise InputError("S must be symmetric to 1e-10")
+            scale = float(np.abs(S).max())
+            if float(np.abs(S - S.T).max()) > _SYMMETRY_RTOL * scale:
+                raise InputError(f"S must be symmetric to {_SYMMETRY_RTOL:g} relative")
+        if self.L is not None:
+            L = np.asarray(self.L, dtype=np.float64)
+            m = S.shape[0]
+            if L.ndim != 2 or L.shape[0] != m or L.shape[1] > m or not np.all(np.isfinite(L)):
+                raise InputError(f"L must be a finite {m} x r matrix with r <= {m}")
+            object.__setattr__(self, "L", L)
+        elif S.size:
             vals = np.linalg.eigvalsh(0.5 * (S + S.T))
             lo, hi = float(vals[0]), float(vals[-1])
             if lo < -1e-8 * max(hi, 0.0):
@@ -346,24 +370,39 @@ def init_closed_form(core, side, lam, project=True):
     S = _Supervision(core, side).closed_form(core.S0, lam)
     if S is None:
         raise InputError("closed-form initialization applies to label-kind side information")
-    return _psd_start(S) if project else S
+    return _psd_start(S)[0] if project else S
 
 
 def _psd_start(S):
-    """The start :func:`fit` takes from the symmetric S, a closed form or
-    the prior that is not PSD by construction: S itself if it is finite and
-    LAPACK's Cholesky (dpotrf) factors it, and :func:`psd_project` of S
-    otherwise.
+    """(start, L): the start :func:`fit` takes from the symmetric S, a
+    closed form or the prior that is not PSD by construction, and a factor
+    of it. If S is finite and LAPACK's Cholesky (dpotrf) factors it, the
+    start is S and L its Cholesky factor. Otherwise the start is
+    :func:`psd_project` of S and L the :func:`_factor` of the same
+    eigenpairs.
 
     Cholesky succeeds in floating point exactly when S is numerically
     positive definite (Higham 2002, ch. 10), so S is then its own
     projection, certified at a small fraction of an eigendecomposition's
-    cost. dpotrf reports success on NaN and infinite input, so it is
-    trusted only on finite S; psd_project rejects the others.
+    cost. dpotrf reports success on NaN and infinite input, so a
+    non-finite S raises InputError first, as in psd_project.
     """
-    if np.all(np.isfinite(S)) and dpotrf(S, lower=1, clean=0)[1] == 0:
-        return S
-    return psd_project(S)
+    if not np.all(np.isfinite(S)):
+        raise InputError("matrix contains non-finite entries")
+    chol, info = dpotrf(S, lower=1)
+    if info == 0:
+        return S, chol
+    vals, vecs = eigh(0.5 * (S + S.T))
+    return _clamp(vals, vecs), _factor(vals, vecs)
+
+
+def _factor(vals, vecs):
+    """L = vecs diag(sqrt(vals)) over the eigenvalues above RANK_RTOL times
+    the largest, as :func:`factorize` keeps them: L @ L.T is the PSD
+    projection of the matrix with eigenpairs (vals, vecs), up to rounding
+    and the eigenvalues it drops."""
+    vals, vecs = _truncate(vals, vecs, RANK_RTOL)
+    return vecs * np.sqrt(vals)
 
 
 def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
@@ -395,14 +434,31 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     The report's ``final_objective`` is J at the returned S, from the same
     evaluation as its ``final_grad_norm``.
 
+    The returned :class:`DictionaryState` holds S with a factor L, S = L @ L.T,
+    from the decomposition that made S, so it is not decomposed again:
+
+    - a start that Cholesky certified: S as it is, L its Cholesky factor;
+    - the closed form at lam = 0: L = H, S = H @ H.T;
+    - a projected start: S the projection, L from its eigenpairs, over the
+      eigenvalues above RANK_RTOL times the largest (:func:`_factor`);
+    - the full projection at the exit of a fit that iterates: L from its
+      eigenpairs, as for a projected start, and S = L @ L.T.
+
     ``_supervision`` is private: :func:`select_lambda` passes the
     :class:`_Supervision` of (core, side) that its whole grid shares.
     """
     sup = _Supervision(core, side) if _supervision is None else _supervision
-    S = sup.closed_form(core.S0, cfg.lam) if side.indices.size > 0 else None
-    closed = S is not None and np.all(np.isfinite(S))
-    # The closed form at lam = 0 is PSD by construction.
-    S = S if closed and cfg.lam == 0 else _psd_start(S if closed else core.S0)
+    start = sup.closed_form(core.S0, cfg.lam) if side.indices.size > 0 else None
+    optimum = start is not None and cfg.lam == 0
+    if optimum:
+        # The closed form at lam = 0 is the factor H of the optimum H H^T,
+        # one column per class. With more classes than landmarks, the state
+        # keeps the m columns of its triangular form R.T (H.T = Q R).
+        S = start @ start.T
+        L = np.linalg.qr(start.T, mode="r").T if start.shape[1] > start.shape[0] else start
+    else:
+        closed = start is not None and np.all(np.isfinite(start))
+        S, L = _psd_start(start if closed else core.S0)
 
     grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
@@ -410,7 +466,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     gnorm = float(np.linalg.norm(grad))
     # At lam = 0 the closed form is the constrained optimum, whose gradient
     # need not vanish: the exit evaluation certifies it.
-    if gnorm > grad_tol and closed and cfg.lam == 0:
+    if gnorm > grad_tol and optimum:
         value, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
     final = value
     trace = [value]
@@ -436,8 +492,8 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             # best one the fit returns: confirm the stop on the returned
             # matrix and keep iterating if it fails.
             if bound <= grad_tol:
-                S = solver.finish(best)
-                final, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
+                state = solver.finish(best)
+                final, gnorm = _exit_evaluation(state.S, core, side, cfg.lam, sup)
                 if gnorm <= grad_tol:
                     converged_by = "grad_norm"
                     break
@@ -451,10 +507,12 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
                 converged_by = "obj_rel"
                 break
         if converged_by != "grad_norm":
-            S = solver.finish(best)
-            final, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
+            state = solver.finish(best)
+            final, gnorm = _exit_evaluation(state.S, core, side, cfg.lam, sup)
             if converged_by == "max_iters" and gnorm <= grad_tol:
                 converged_by = "grad_norm"
+    else:
+        state = DictionaryState(S=S, L=L)
     report = SolverReport(
         iterations=iterations,
         objective_trace=np.asarray(trace),
@@ -464,7 +522,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         iterates=tuple(iterates) if record_iterates else None,
         factor_builds=solver.factor_builds if solver else 0,
     )
-    return FitResult(state=DictionaryState(S=S), report=report)
+    return FitResult(state=state, report=report)
 
 
 class _ADMM:
@@ -492,10 +550,11 @@ class _ADMM:
     def __init__(self, S, S0, value, lam, supervision):
         c, self.V = supervision.eigenpairs
         h = np.sqrt(lam) + np.maximum(c, 0.0)
-        scale = 1.0 / np.sqrt(np.maximum(h, max(RANK_RTOL * h.max(), np.finfo(float).tiny)))
-        self.DD = np.outer(scale, scale)
+        self.scale = 1.0 / np.sqrt(np.maximum(h, max(RANK_RTOL * h.max(),
+                                                      np.finfo(float).tiny)))
+        self.DD = np.outer(self.scale, self.scale)
         self.Y0 = self.coords(S)
-        pull, diagonal, self.pairs = supervision.in_basis(self.V, scale, S)
+        pull, diagonal, self.pairs = supervision.in_basis(self.V, self.scale, S)
         # grad J in Z, its data term taken from the residual through the
         # factor in the basis V diag(d) rather than by rotating and scaling
         # grad J: where C is numerically null, DD reaches 1e12 / c_max and
@@ -562,12 +621,18 @@ class _ADMM:
         return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
 
     def finish(self, Z):
-        """The matrix the fit returns for the iterate Z: its full projection,
-        in S. The p x p pair factor is released first, so that the exit
-        evaluation's pair evaluation does not sit on top of it; the next
-        x-step rebuilds it if the loop goes on."""
+        """The state the fit returns for the iterate Z: its full projection,
+        in S, as the Gram matrix of L = V diag(d) Q diag(sqrt(mu)) over the
+        eigenpairs (mu, Q) of Z that :func:`_factor` keeps. The p x p pair
+        factor is released first, so that the exit evaluation's pair
+        evaluation does not sit on top of it; the next x-step rebuilds it if
+        the loop goes on."""
         self.factor = None
-        return self.matrix(_project(Z))
+        L = (self.V * self.scale) @ _factor(*eigh(0.5 * (Z + Z.T)))
+        # NumPy takes the product of a matrix with its own transpose by BLAS
+        # syrk, which fills one triangle and mirrors it: S is symmetric bit
+        # for bit.
+        return DictionaryState(S=L @ L.T, L=L)
 
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
@@ -657,7 +722,11 @@ def factorize(state):
     """Factor S = L @ L.T over eigenvalues above 1e-12 times the largest.
 
     Accepts a DictionaryState or a bare PSD matrix; columns of L are ordered
-    by decreasing eigenvalue. A zero matrix yields an (m, 0) factor.
+    by decreasing eigenvalue, whatever the input, so this costs one full
+    eigendecomposition of S. A zero matrix yields an (m, 0) factor. A
+    caller that holds a fit's state, or the ``L`` of its
+    :class:`modelselect.LambdaRecord`, has a factor already and does not
+    need this.
     """
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
     vals, vecs = truncated_eigh(0.5 * (S + S.T), RANK_RTOL)

@@ -211,7 +211,8 @@ def run_experiment(ds, cfg, method):
         run = pipeline(ds.X, side, cfg, landmark_seed)
 
         t0 = time.perf_counter()
-        G = run.core.E @ factorize(run.record.S)
+        L = run.record.L if run.record.L is not None else factorize(run.record.S)
+        G = run.core.E @ L
         model = train_linear(G[labeled.indices], labeled.labels)
         test_mask = np.ones(ds.n, dtype=bool)
         test_mask[labeled.indices] = False

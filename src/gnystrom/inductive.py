@@ -7,7 +7,10 @@ the learned similarity k(x, Z) @ S @ k(y, Z).T. Every factor with the same
 L @ L.T defines the same model, so the model keeps the lower-trapezoidal
 one with a nonnegative diagonal (Cholesky form): its leading r x r block is
 a triangle, and embedding through it costs about half the multiply flops of
-a dense m x r factor.
+a dense m x r factor. A model built from a fit takes the factor the fit
+returned (:meth:`InductiveModel.from_state`), so S is never decomposed
+again; a Cholesky factor is in this form already, and any other is
+triangularized by one QR.
 
 Serialization uses a self-describing little-endian binary container:
 
@@ -43,7 +46,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 
 from ._arrays import as_data_matrix, as_vector
-from .dictlearn import factorize
+from .dictlearn import DictionaryState, factorize
 from .errors import InputError, ModelFormatError
 from .kernels import KernelParams, kernel_matrix
 from .landmarks import LandmarkSet
@@ -78,25 +81,29 @@ class InductiveModel:
         if not isinstance(self.metadata, dict):
             raise InputError("metadata must be a dict")
         # L.T = Q @ R gives L @ L.T = R.T @ R; flipping the rows of R with a
-        # negative diagonal keeps that product. Householder QR leaves an
-        # upper-trapezoidal input unchanged bit for bit, so a factor already
-        # in this form, as every saved one is, stays exactly as it is.
-        R = np.linalg.qr(L.T, mode="r")
-        R[np.diag(R) < 0] *= -1.0
-        # Checked after the QR, which turns a non-finite L, or a finite one
-        # whose row norms overflow, into a non-finite R.
-        if not np.all(np.isfinite(R)):
-            raise InputError("L and its triangular form must be finite")
+        # negative diagonal keeps that product. A factor already in this form,
+        # as every saved one and every Cholesky factor is, skips the QR,
+        # which would leave it unchanged bit for bit. NaN is truthy, so a
+        # NaN above the diagonal takes the QR.
+        if np.any(np.triu(L, 1)) or np.any(np.diagonal(L) < 0):
+            R = np.linalg.qr(L.T, mode="r")
+            R[np.diag(R) < 0] *= -1.0
+            L = R.T
+        if not _row_norms_finite(L):
+            raise InputError("L and its triangular form must be finite, with finite row norms")
         object.__setattr__(self, "landmarks", Z)
-        object.__setattr__(self, "L", np.ascontiguousarray(R.T))
+        object.__setattr__(self, "L", np.ascontiguousarray(L))
 
     @classmethod
     def from_state(cls, landmarks, kernel, state, lam=None, report=None):
-        """Package a fit: factorizes S (a DictionaryState or a PSD matrix),
-        which the constructor brings to lower-trapezoidal form, and records
-        fitting context."""
+        """Package a fit and record its context. ``state`` is a
+        DictionaryState or a bare PSD matrix S. The factor is the state's L
+        when it holds one, as every state :func:`dictlearn.fit` returns
+        does, so S is not decomposed again; otherwise :func:`factorize` of
+        S. The constructor brings the factor to lower-trapezoidal form."""
         Z = landmarks.points if isinstance(landmarks, LandmarkSet) else landmarks
-        L = factorize(state)
+        has_factor = isinstance(state, DictionaryState) and state.L is not None
+        L = state.L if has_factor else factorize(state)
         metadata = {
             "lambda": None if lam is None else float(lam),
             "created": datetime.now(timezone.utc).isoformat(),
@@ -117,6 +124,16 @@ class InductiveModel:
     @property
     def rank(self):
         return int(self.L.shape[1])
+
+
+def _row_norms_finite(L):
+    """Whether every entry and row norm of L is finite. The rows are scaled
+    by 2**-512 first, so that no square of a finite entry overflows: a row's
+    sum of squares is then finite exactly when its norm is. NaN and
+    infinite entries give non-finite sums."""
+    scaled = L * 2.0 ** -512
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.einsum("ij,ij->i", scaled, scaled))))
 
 
 def embed(model, Xnew):

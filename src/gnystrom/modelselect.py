@@ -37,12 +37,14 @@ FLAT_PRIOR_SPREAD = 1e-6
 
 @dataclass(frozen=True)
 class LambdaRecord:
-    """Outcome for one candidate weight; S is kept so the chosen fit can be
-    reused without re-running the solver.
+    """Outcome for one candidate weight; S and its factor L (S = L @ L.T,
+    as the fit's :class:`DictionaryState` holds them) are kept so the chosen
+    fit can be reused without re-running the solver or decomposing S.
 
     ``failure`` says why a candidate scored -inf: the message of its fit's
-    NumericalError (``solver`` and ``S`` are then None) or of its undefined
-    alignment. It is None for a scored candidate.
+    NumericalError (``solver``, ``S`` and ``L`` are then None) or of its
+    undefined alignment. It is None for a scored candidate. ``L`` is None
+    too for a record built from a bare S, such as the baseline's S0.
     """
 
     lam: float
@@ -52,6 +54,7 @@ class LambdaRecord:
     solver: SolverReport | None
     S: np.ndarray | None
     failure: str | None = None
+    L: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,16 @@ def _score_fit(core, lam, result, supervision):
     :func:`alignment_scores` through ``supervision``, the
     :class:`_Supervision` of (core, side) that the fit used; an undefined
     alignment scores -inf with the reason recorded."""
-    S = result.state.S
+    S, L = result.state.S, result.state.L
     try:
         rho_prior = nka_score(S, core.S0)
         rho_align = supervision.alignment(S)
     except UndefinedAlignmentError as exc:
         return LambdaRecord(lam=lam, rho_prior=float("nan"), rho_align=float("nan"),
                             criterion=float("-inf"), solver=result.report, S=S,
-                            failure=str(exc))
+                            failure=str(exc), L=L)
     return LambdaRecord(lam=lam, rho_prior=rho_prior, rho_align=rho_align,
-                        criterion=rho_prior * rho_align, solver=result.report, S=S)
+                        criterion=rho_prior * rho_align, solver=result.report, S=S, L=L)
 
 
 def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID):

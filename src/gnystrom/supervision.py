@@ -247,7 +247,8 @@ class _Supervision:
 
     :meth:`term` gives the data term and its pull F^T residual F at S,
     :meth:`closed_form` the unconstrained minimizer of J for labels at
-    lam > 0 and the constrained one at lam = 0 (None for pairs), and
+    lam > 0 and a factor of the constrained one at lam = 0 (None for
+    pairs), and
     :meth:`in_basis` the data term in the coordinates of the ADMM loop in
     :mod:`dictlearn`, for the factor F V diag(d): its pull at the start, its
     Hessian where that is diagonal, and the :class:`_Pairs` of the rest.
@@ -317,8 +318,8 @@ class _Supervision:
 
     def closed_form(self, S0, lam):
         """For labels, the unconstrained minimizer of J for lam > 0,
-        unprojected, and the minimizer over the PSD cone for lam = 0; None
-        for pairs, which have no closed form here.
+        unprojected, and for lam = 0 a factor H of the minimizer H H^T over
+        the PSD cone; None for pairs, which have no closed form here.
 
         In the eigenbasis V of C, X = V^T S V, J is a constant plus
         sum_ij (lam + c_i c_j) X_ij^2 - 2 <X, lam V^T S0 V + V^T B V>. For
@@ -330,16 +331,15 @@ class _Supervision:
         At lam = 0 it is (El^+ Y)(El^+ Y)^T, the minimum-norm least-squares
         solution of El S El.T = Y Y^T (Penrose 1955, Proc. Cambridge Phil.
         Soc. 51). That solution is PSD, so it is the constrained optimum too.
-        It is returned as the Gram matrix H H^T of El^+ Y = H =
-        V diag(1 / c) V^T El.T Y, PSD by construction. C's eigenvalues at or
+        It is the Gram matrix H H^T of El^+ Y = H = V diag(1 / c) V^T El.T Y,
+        PSD by construction, and H is returned. C's eigenvalues at or
         below ``RANK_RTOL`` times the largest count as 0 (1 / c = 0 there):
         J does not read S outside the numerical range of C."""
         if self.kind != "labels":
             return None
         c, V = self.eigenpairs
         if lam == 0:
-            H = V @ ((V.T @ self.ElY) / np.where(c > RANK_RTOL * c.max(), c, np.inf)[:, None])
-            return H @ H.T
+            return V @ ((V.T @ self.ElY) / np.where(c > RANK_RTOL * c.max(), c, np.inf)[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
             S = V @ ((V.T @ (S0 + self.B / lam) @ V) / (1.0 + np.outer(c, c) / lam)) @ V.T
             return 0.5 * (S + S.T)

@@ -1558,6 +1558,123 @@ def test_dictionary_state_rejects_non_finite(S):
         DictionaryState(S=S)
 
 
+def test_dictionary_state_accepts_rounding_asymmetry_at_large_scale():
+    """A PSD (Q * d) @ Q.T with eigenvalues near 1e8 is asymmetric by about
+    1e-8 absolute, 1e-16 relative to its entries: rounding, not asymmetry.
+    An absolute 1e-10 tolerance rejected it."""
+    rng = np.random.default_rng(40)
+    Q, _ = np.linalg.qr(rng.normal(size=(50, 50)))
+    S = (Q * rng.uniform(0.5e8, 1.5e8, size=50)) @ Q.T
+    assert np.abs(S - S.T).max() > 1e-10
+    assert DictionaryState(S=S).S is not None
+
+
+def test_dictionary_state_rejects_asymmetry_at_small_scale():
+    """At 1e-12 an S with no symmetry at all differs from S.T by less than
+    1e-10 absolute, which an absolute tolerance let through."""
+    S = 1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match="symmetric"):
+        DictionaryState(S=S)
+
+
+def test_dictionary_state_with_factor_skips_the_eigenvalue_check(monkeypatch):
+    """A state given its factor L is PSD by construction: no eigvalsh. Its
+    L must be finite with one row per row of S."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M))
+    L = np.array([[1.0, 0.0], [2.0, 1.0]])
+    state = DictionaryState(S=L @ L.T, L=L)
+    assert calls == [] and state.L is L
+    with pytest.raises(InputError, match="L must be"):
+        DictionaryState(S=np.eye(3), L=L)
+    with pytest.raises(InputError, match="L must be a finite"):
+        DictionaryState(S=L @ L.T, L=np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+def _indefinite_prior(core, shift):
+    """core with its prior's smallest eigenvalue moved to shift times the
+    largest (negative shift: an S0 that Cholesky rejects)."""
+    vals, vecs = np.linalg.eigh(core.S0)
+    vals[0] = shift * vals[-1]
+    S0 = (vecs * vals) @ vecs.T
+    return NystromCore(E=core.E, W=core.W, S0=0.5 * (S0 + S0.T), pinv_rank=core.pinv_rank)
+
+
+def _no_labels():
+    return SideInformation.from_labels(LabelVector(indices=[], labels=[]))
+
+
+# Every way a fit makes its factor: (core, side, lam, iterations > 0).
+_FACTOR_CASES = {
+    "certified-closed-form": lambda: (*_random_labeled_problem(np.random.default_rng(30)),
+                                      1.0, False),
+    "lambda-zero-labels": lambda: (*_random_labeled_problem(np.random.default_rng(30)),
+                                   0.0, False),
+    "iterating-labels": lambda: (*_random_labeled_problem(np.random.default_rng(30)),
+                                 1e-3, True),
+    "iterating-pairs": lambda: (*_random_grouping_problem(np.random.default_rng(31)),
+                                0.1, True),
+    "projected-prior": lambda: (
+        _indefinite_prior(_random_labeled_problem(np.random.default_rng(30))[0], -1e-13),
+        _no_labels(), 1.0, False),
+    "iterating-from-projected-prior": lambda: (
+        _indefinite_prior(_random_grouping_problem(np.random.default_rng(31))[0], -0.5),
+        _random_grouping_problem(np.random.default_rng(31))[1], 0.1, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_FACTOR_CASES))
+def test_fit_and_model_never_decompose_the_returned_matrix(monkeypatch, case):
+    """fit returns S with its factor, from the decomposition that made S,
+    and from_state embeds through it: no eigvalsh anywhere, no eigh of the
+    returned S, and none at all in from_state."""
+    core, side, lam, iterates = _FACTOR_CASES[case]()
+    calls = []
+
+    def recording(name, real):
+        def call(M, *args, **kwargs):
+            calls.append((name, np.array(M)))
+            return real(M, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+    result = fit(core, side, LearnConfig(lam=lam))
+    in_fit = len(calls)
+    model = InductiveModel.from_state(np.zeros((core.m, 2)), KernelParams(bandwidth=1.0),
+                                      result.state)
+    monkeypatch.undo()
+    S, L = result.state.S, result.state.L
+    assert (result.report.iterations > 0) == iterates
+    assert len(calls) == in_fit
+    assert [name for name, _ in calls] == ["eigh"] * in_fit
+    # factorize and the eigvalsh check decompose 0.5 * (S + S.T), which is S.
+    assert not any(np.array_equal(M, S) for _, M in calls)
+    assert np.linalg.norm(model.L @ model.L.T - L @ L.T) <= 1e-12 * np.linalg.norm(S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), grouping=st.booleans(),
+       lam=st.sampled_from((0.0, 1e-3, 1.0, 100.0)))
+def test_fit_state_is_its_factor_gram(seed, grouping, lam):
+    """Every returned state, drawn as test_fit_satisfies_kkt_conditions
+    draws its problems: S is symmetric bit for bit, S = L @ L.T to 1e-12
+    relative, and S passes the eigenvalue check a bare S gets."""
+    assume(not (grouping and lam == 0.0))
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    if grouping:
+        core, side = _random_grouping_problem(rng, m=m)
+    else:
+        core, side = _random_labeled_problem(rng, m=m, l=int(rng.integers(2, 9)))
+    state = fit(core, side, LearnConfig(lam=lam)).state
+    S, L = state.S, state.L
+    assert np.array_equal(S, S.T)
+    assert L.shape[0] == m and L.shape[1] <= m
+    assert np.linalg.norm(S - L @ L.T) <= 1e-12 * np.linalg.norm(S)
+    DictionaryState(S=S)
+
+
 def test_solver_report_rejects_rising_trace():
     with pytest.raises(InputError):
         SolverReport(iterations=1, objective_trace=np.array([1.0, 2.0]),

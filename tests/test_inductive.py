@@ -81,6 +81,82 @@ def test_model_invariants_validated():
         InductiveModel(landmarks=Z, kernel=p, L=np.eye(2), metadata=[])
 
 
+def _counting_qr(monkeypatch):
+    calls, real = [], np.linalg.qr
+
+    def qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+@pytest.mark.parametrize("r", [4, 2, 0])
+def test_factor_in_cholesky_form_skips_the_qr(monkeypatch, r):
+    """A lower-trapezoidal L with a nonnegative diagonal, as every Cholesky
+    factor and every saved model holds, is kept as it is without a QR (which
+    would leave it unchanged bit for bit); a general L takes the QR."""
+    rng = np.random.default_rng(50)
+    L = np.tril(rng.normal(size=(4, r)))
+    L[np.arange(r), np.arange(r)] = np.abs(np.diagonal(L))
+    if r > 1:
+        L[1, 1] = 0.0
+    calls = _counting_qr(monkeypatch)
+    model = InductiveModel(landmarks=np.zeros((4, 1)), kernel=KernelParams(bandwidth=1.0), L=L)
+    assert calls == []
+    assert np.array_equal(model.L, L)
+    monkeypatch.undo()
+    assert np.array_equal(np.linalg.qr(L.T, mode="r").T, L)
+    if r:
+        flipped = L.copy()
+        flipped[:, 0] *= -1.0
+        calls = _counting_qr(monkeypatch)
+        InductiveModel(landmarks=np.zeros((4, 1)), kernel=KernelParams(bandwidth=1.0),
+                       L=flipped)
+        assert len(calls) == 1
+
+
+# Lower-triangular factors with a nonnegative diagonal (no QR) and general
+# ones (QR), each non-finite or finite with a row norm past the largest
+# double.
+_HUGE = 1.5e308
+_BAD_FACTORS = {
+    "skip-nan": [[1.0, 0.0], [np.nan, 1.0]],
+    "skip-inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "skip-row-norm-overflows": [[_HUGE, 0.0], [_HUGE, _HUGE]],
+    "qr-nan": [[1.0, np.nan], [0.0, 1.0]],
+    "qr-inf": [[-np.inf, 1.0], [0.0, 1.0]],
+    "qr-row-norm-overflows": [[_HUGE, _HUGE], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_FACTORS))
+def test_model_rejects_non_finite_factor_with_or_without_qr(monkeypatch, name):
+    calls = _counting_qr(monkeypatch)
+    with pytest.raises(InputError, match="finite"):
+        InductiveModel(landmarks=np.zeros((2, 1)), kernel=KernelParams(bandwidth=1.0),
+                       L=np.array(_BAD_FACTORS[name]))
+    assert bool(calls) == name.startswith("qr")
+
+
+@pytest.mark.parametrize("lam", [0.5, 1e-3, 1e3])
+def test_model_from_fit_factor_embeds_like_factorize(lam):
+    """from_state embeds through the factor the fit handed over, with the
+    Gram matrix of embeddings that factorize's factor gives, to 1e-12."""
+    rng = np.random.default_rng(51)
+    X = rng.normal(size=(60, 3))
+    Z = select_random(X, 12, seed=5)
+    p = KernelParams(bandwidth=2.0)
+    core = build_core(X, Z, p)
+    labeled = LabelVector(indices=np.arange(20), labels=rng.integers(0, 3, size=20))
+    state = fit(core, SideInformation.from_labels(labeled), LearnConfig(lam=lam)).state
+    handed = embed(InductiveModel.from_state(Z, p, state), X)
+    through_factorize = embed(InductiveModel.from_state(Z, p, state.S), X)
+    gram = through_factorize @ through_factorize.T
+    assert np.linalg.norm(handed @ handed.T - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
 def test_from_state_records_metadata():
     model, *_ = _fitted_model(lam=0.25)
     assert model.metadata["lambda"] == 0.25

@@ -30,11 +30,15 @@ for S = 0, 1, 2, alternating sides like the pairs), with every run, the
 median and the quartiles per side of their quality, solver, classifier and
 per-layer metrics: one traced run per side cannot tell a 30% move of a
 layer from noise.
+
+SIGTERM ends a comparison as Ctrl-C does: it raises SystemExit, which kills
+the running bench child and removes the temporary directory of exports.
 """
 
 import argparse
 import json
 import resource
+import signal
 import subprocess
 import sys
 import tarfile
@@ -140,8 +144,13 @@ def order(seed):
     return ("parent", "change") if seed % 2 else ("change", "parent")
 
 
+def exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     args = parse_args(argv)
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))

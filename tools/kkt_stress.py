@@ -20,7 +20,11 @@ keyed the same), so a tail regression names its draw, a ``digest``, the
 sha256 of every returned S and objective trace in sweep order,
 ``digest_iterating``, the same over the fits that iterated only, and
 ``digest_by_draw``, the same per kind and lambda, keyed like
-``iterations_by_draw``. The test itself stays a sample of a few hundred
+``iterations_by_draw``. Each returned state also carries its factor L; per
+kind and lambda, ``factor_error_by_draw`` holds the largest
+||S - L @ L.T||_F / ||S||_F, and ``eigenvalue_margin_by_draw`` the smallest
+lambda_min(S) / lambda_max(S), which DictionaryState's check of a bare S
+(one eigvalsh) requires to be at least -1e-8. The test itself stays a sample of a few hundred
 draws; this sweep shows how often it can fail. BLAS runs on one thread, as
 in the benchmark, so a sweep repeats bit for bit, and running this file in
 two checkouts shows whether a change leaves every fit bit-identical (the
@@ -87,6 +91,7 @@ def main(argv=None):
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "at_start"), 0)
     by_draw, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, []
+    factor_error, margin = {}, {}
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
@@ -107,6 +112,13 @@ def main(argv=None):
                 max_by_draw[key], slowest_seed[key] = report.iterations, seed
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
+            S, L = result.state.S, result.state.L
+            norm = np.linalg.norm(S)
+            error = np.linalg.norm(S - L @ L.T) / norm if norm else 0.0
+            factor_error[key] = max(factor_error.get(key, 0.0), float(error))
+            vals = np.linalg.eigvalsh(S)
+            ratio = vals[0] / vals[-1] if vals[-1] > 0 else 0.0
+            margin[key] = min(margin.get(key, np.inf), float(ratio))
             if not kkt_holds(result.state.S, core, side, lam):
                 totals["kkt_failures"] += 1
                 failed.append({"seed": seed, "kind": kind, "lam": lam,
@@ -114,6 +126,8 @@ def main(argv=None):
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
                       "iterations_by_draw": by_draw, "max_iterations_by_draw": max_by_draw,
                       "slowest_seed_by_draw": slowest_seed,
+                      "factor_error_by_draw": factor_error,
+                      "eigenvalue_margin_by_draw": margin,
                       "digest": digest.hexdigest(),
                       "digest_iterating": digest_iterating.hexdigest(),
                       "digest_by_draw": {k: h.hexdigest() for k, h in digest_by_draw.items()},
