@@ -9,16 +9,13 @@ from .dictlearn import (DictionaryState, FitResult, LearnConfig, SolverReport,
 from .errors import (DegenerateBandwidthError, GNystromError, InputError,
                      ModelFormatError, NumericalError, ParseError,
                      UndefinedAlignmentError)
-from .experiment import (ExperimentConfig, RepeatResult, RunReport,
-                         default_landmark_count, emit_report,
-                         experiment_config_from_file, read_config, run_experiment)
+from .experiment import (ExperimentConfig, RepeatResult, RunReport, emit_report,
+                         experiment_config_from_file, run_experiment)
 from .inductive import InductiveModel, embed, load, save, similarity
-from .kernels import (KernelParams, LabelVector, bandwidth_heuristic, double_center,
-                      ideal_kernel, kernel_matrix, nka_score)
+from .kernels import KernelParams, LabelVector, bandwidth_heuristic, kernel_matrix, nka_score
 from .landmarks import KMeansConfig, LandmarkSet, select_kmeans, select_random
 from .linear_svm import LinearModel, train_linear
-from .modelselect import (DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport,
-                          alignment_scores, select_lambda, validate_grid)
+from .modelselect import DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport, select_lambda
 from .nystrom import (BoundCheck, LandmarkEigensystem, NystromCore, build_core,
                       extrapolate_eigenvectors, landmark_eigensystem, extrapolation_bound,
                       rbf_lipschitz_constant, reconstruct_entry)
@@ -35,14 +32,13 @@ __all__ = [
     "NystromCore", "ParseError", "RepeatResult", "RunReport", "SelectionReport",
     "SideInformation", "SolverReport",
     "UndefinedAlignmentError", "DEFAULT_LAMBDA_GRID",
-    "alignment_scores", "bandwidth_heuristic", "build_core",
-    "default_landmark_count", "double_center", "embed", "emit_report",
+    "bandwidth_heuristic", "build_core", "embed", "emit_report",
     "experiment_config_from_file", "extrapolate_eigenvectors", "factorize",
-    "fit", "gradient", "ideal_kernel", "init_closed_form", "kernel_matrix",
+    "fit", "gradient", "init_closed_form", "kernel_matrix",
     "landmark_eigensystem", "load", "load_dataset",
     "make_blobs", "make_two_moons", "nka_score", "objective", "extrapolation_bound",
-    "psd_project", "rbf_lipschitz_constant", "read_config",
+    "psd_project", "rbf_lipschitz_constant",
     "reconstruct_entry", "run_experiment", "sample_labeled", "save",
     "select_kmeans", "select_lambda", "select_random", "similarity",
-    "train_linear", "validate_grid",
+    "train_linear",
 ]

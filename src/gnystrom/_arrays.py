@@ -102,19 +102,13 @@ def _clamp(vals, vecs):
     return 0.5 * (out + out.T)
 
 
-def truncated_eigh(M, rtol):
-    """Eigenpairs of the symmetric M with eigenvalue above both ``rtol``
-    times the largest one and 0, in ascending order.
+def _truncate(vals, vecs, rtol):
+    """The eigenpairs of ``eigh``'s (vals, vecs), in ascending order, with
+    eigenvalue above both ``rtol`` times the largest one and 0.
 
     The rank truncation shared by the Nyström pseudo-inverse and the PSD
     factor (Kumar, Mohri & Talwalkar 2012, JMLR).
     """
-    return _truncate(*eigh(M), rtol)
-
-
-def _truncate(vals, vecs, rtol):
-    """The eigenpairs (vals, vecs), in ascending order, that
-    :func:`truncated_eigh` keeps."""
     top = float(vals[-1]) if vals.size else 0.0
     keep = vals > max(rtol * top, 0.0)
     return vals[keep], vecs[:, keep]

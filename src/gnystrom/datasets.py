@@ -192,7 +192,7 @@ def sample_labeled(ds, count, seed):
     for cls, quota, have in zip(classes, quotas, class_counts):
         if quota > have:
             raise InputError(
-                f"class {cls!r} has {have} members but a quota of {quota}")
+                f"class {cls.item()!r} has {have} members but a quota of {quota}")
     rng = np.random.default_rng(as_seed(seed))
     picked = [rng.choice(np.flatnonzero(ds.y == cls), size=int(quota), replace=False)
               for cls, quota in zip(classes, quotas)]

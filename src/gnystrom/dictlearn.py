@@ -92,8 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevr
 
-from ._arrays import (RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh,
-                      truncated_eigh)
+from ._arrays import RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 
@@ -729,5 +728,5 @@ def factorize(state):
     need this.
     """
     S = state.S if isinstance(state, DictionaryState) else as_square_matrix(state, "S")
-    vals, vecs = truncated_eigh(0.5 * (S + S.T), RANK_RTOL)
+    vals, vecs = _truncate(*eigh(0.5 * (S + S.T)), RANK_RTOL)
     return vecs[:, ::-1] * np.sqrt(vals[::-1])

@@ -127,7 +127,8 @@ class PipelineResult:
 
     ``record`` describes the dictionary in use: the chosen candidate of a
     grid, the fit at a fixed weight, or for the baseline a record with
-    ``lam = None``, NaN scores, no solver report and ``S = core.S0``.
+    ``lam = None``, NaN scores, no solver report, ``S = core.S0`` and
+    ``L = factorize(core.S0)``.
     ``selection`` is the grid's report (None without a grid), and
     ``seconds`` maps the phases "landmarks", "core" and "fit" to their
     wall-clock time.
@@ -153,11 +154,12 @@ def pipeline(X, side, cfg, landmark_seed):
 
     Resolves m (:func:`default_landmark_count` when ``cfg.m`` is None),
     selects the landmarks with ``landmark_seed``, resolves the bandwidth and
-    builds the core. ``side = None`` keeps the baseline S = core.S0; with
-    side information, ``cfg.lambda_grid`` runs :func:`select_lambda`, and
-    otherwise one :func:`fit` runs at ``cfg.lam`` (1.0 when unset), whose
-    NumericalError propagates; the fit and its alignment scores share one
-    supervision build.
+    builds the core. ``side = None`` keeps the baseline S = core.S0 and
+    factors it here, so every record carries its L; with side information,
+    ``cfg.lambda_grid`` runs :func:`select_lambda`, and otherwise one
+    :func:`fit` runs at ``cfg.lam`` (1.0 when unset), whose NumericalError
+    propagates; the fit and its alignment scores share one supervision
+    build.
     """
     m = cfg.m if cfg.m is not None else default_landmark_count(len(X))
     t0 = time.perf_counter()
@@ -171,7 +173,7 @@ def pipeline(X, side, cfg, landmark_seed):
     if side is None:
         nan = float("nan")
         record = LambdaRecord(lam=None, rho_prior=nan, rho_align=nan, criterion=nan,
-                              solver=None, S=core.S0)
+                              solver=None, S=core.S0, L=factorize(core.S0))
     elif cfg.lambda_grid is not None:
         selection = select_lambda(core, side, cfg.lambda_grid)
         record = selection.chosen
@@ -211,8 +213,7 @@ def run_experiment(ds, cfg, method):
         run = pipeline(ds.X, side, cfg, landmark_seed)
 
         t0 = time.perf_counter()
-        L = run.record.L if run.record.L is not None else factorize(run.record.S)
-        G = run.core.E @ L
+        G = run.core.E @ run.record.L
         model = train_linear(G[labeled.indices], labeled.labels)
         test_mask = np.ones(ds.n, dtype=bool)
         test_mask[labeled.indices] = False

@@ -1,4 +1,4 @@
-"""Gaussian kernels, Gram-matrix assembly, target kernels, and alignment.
+"""Gaussian kernels, Gram-matrix assembly, and alignment.
 
 Everything downstream works with an explicit kernel ``k(x, y) =
 exp(-||x - y||^2 / b)``; the bandwidth ``b`` is normally picked with
@@ -175,18 +175,7 @@ def bandwidth_heuristic(X):
     return mean_sq
 
 
-def ideal_kernel(labels):
-    """0/1 target kernel: entry (i, j) is 1 exactly when the labels agree."""
-    if isinstance(labels, LabelVector):
-        values = labels.labels
-    else:
-        values = np.asarray(labels)
-    if values.ndim != 1 or values.shape[0] < 1:
-        raise InputError("ideal_kernel needs a nonempty 1-D label sequence")
-    return (values[:, None] == values[None, :]).astype(np.float64)
-
-
-def double_center(K):
+def _double_center(K):
     """Conjugate K by the centering projector H = I - (1/q) * ones.
 
     Subtracts row means, column means, and adds back the grand mean, which
@@ -206,17 +195,32 @@ def nka_score(K, Kp):
     inner product, clipped to [-1, 1]. A constant matrix centers to zero and
     has no defined direction; that raises :class:`UndefinedAlignmentError`
     instead of silently returning a number, so model selection has to handle
-    it explicitly.
+    it explicitly. A non-finite entry raises :class:`InputError`.
+
+    Each operand is first scaled by the power of two that brings its largest
+    absolute entry into [0.5, 1). That is exact (barring the underflow of
+    entries some 300 orders below the largest), so the cosine keeps its bits,
+    and it does not depend on the operands' scale: no norm overflows at 1e300
+    or underflows at 1e-300.
     """
-    K = as_square_matrix(K, "K")
-    Kp = as_square_matrix(Kp, "Kp")
+    K = _unit_scaled(K, "K")
+    Kp = _unit_scaled(Kp, "Kp")
     if K.shape != Kp.shape:
         raise InputError(f"alignment operands must match in shape, got {K.shape} and {Kp.shape}")
-    Kc = double_center(K)
-    Kpc = double_center(Kp)
+    Kc = _double_center(K)
+    Kpc = _double_center(Kp)
     return _centred_cosine(float(np.sum(Kc * Kpc)), float(np.linalg.norm(Kc)),
                            float(np.linalg.norm(Kpc)), float(np.linalg.norm(K)),
                            float(np.linalg.norm(Kp)))
+
+
+def _unit_scaled(K, name):
+    """K as a finite square matrix, times the power of two that brings its
+    largest absolute entry into [0.5, 1) (a zero matrix stays as it is)."""
+    K = as_square_matrix(K, name)
+    if not np.all(np.isfinite(K)):
+        raise InputError(f"{name} contains non-finite values")
+    return np.ldexp(K, -np.frexp(np.max(np.abs(K), initial=0.0))[1])
 
 
 def _centred_cosine(inner, norm_a, norm_b, raw_a, raw_b):

@@ -42,9 +42,9 @@ class LambdaRecord:
     fit can be reused without re-running the solver or decomposing S.
 
     ``failure`` says why a candidate scored -inf: the message of its fit's
-    NumericalError (``solver``, ``S`` and ``L`` are then None) or of its
-    undefined alignment. It is None for a scored candidate. ``L`` is None
-    too for a record built from a bare S, such as the baseline's S0.
+    NumericalError (``solver``, ``S`` and ``L`` are then None: the only
+    record without L) or of its undefined alignment. It is None for a scored
+    candidate.
     """
 
     lam: float
@@ -100,19 +100,12 @@ def validate_grid(grid):
     return vals
 
 
-def alignment_scores(S, core, side):
-    """(rho_prior, rho_align): alignment of S with the prior, and of the
-    reconstructed supervised block El @ S @ El.T (masked for pairs) with its
-    target, both by :func:`nka_score`; the second never forms an l x l
-    array.
-    """
-    return nka_score(S, core.S0), _Supervision(core, side).alignment(S)
-
-
 def _score_fit(core, lam, result, supervision):
-    """LambdaRecord of a finished fit at weight lam, scored as by
-    :func:`alignment_scores` through ``supervision``, the
-    :class:`_Supervision` of (core, side) that the fit used; an undefined
+    """LambdaRecord of a finished fit at weight lam: rho_prior is the
+    :func:`nka_score` of S against the prior S0, and rho_align that of the
+    reconstructed supervised block El @ S @ El.T (masked for pairs) against
+    its target, taken through ``supervision``, the :class:`_Supervision` of
+    (core, side) that the fit used, without an l x l array. An undefined
     alignment scores -inf with the reason recorded."""
     S, L = result.state.S, result.state.L
     try:

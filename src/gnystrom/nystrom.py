@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_data_matrix, eigh, truncated_eigh
+from ._arrays import _truncate, as_data_matrix, eigh
 from .errors import InputError
 from .kernels import _squared_distances, kernel_matrix
 from .landmarks import LandmarkSet
@@ -105,7 +105,7 @@ def build_core(X, Z, params):
         raise InputError("samples and landmarks must share a feature dimension")
     E = kernel_matrix(X, Zp, params)
     W = kernel_matrix(Zp, Zp, params)
-    vals, vecs = truncated_eigh(W, _PINV_RTOL)
+    vals, vecs = _truncate(*eigh(W), _PINV_RTOL)
     S0 = (vecs / vals) @ vecs.T
     S0 = 0.5 * (S0 + S0.T)
     return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size)

@@ -254,6 +254,15 @@ def test_sample_labeled_infeasible_quota():
         sample_labeled(ds, 20, seed=0)  # class 0 cannot provide 10
 
 
+@pytest.mark.parametrize("labels, shown", [(np.array([0, 0, 1, 1, 1]), "class 0"),
+                                           (np.array(["a", "a", "b", "b", "b"]), "class 'a'")])
+def test_sample_labeled_quota_error_names_the_class_plainly(labels, shown):
+    ds = Dataset(X=np.zeros((5, 1)), y=labels)
+    with pytest.raises(InputError) as info:
+        sample_labeled(ds, 6, seed=0)
+    assert str(info.value) == f"{shown} has 2 members but a quota of 3"
+
+
 def test_sample_labeled_count_below_class_count():
     ds = _toy_dataset([5, 5, 5])
     with pytest.raises(InputError):

@@ -24,7 +24,6 @@ from gnystrom import (
     SideInformation,
     SolverReport,
     UndefinedAlignmentError,
-    alignment_scores,
     bandwidth_heuristic,
     build_core,
     factorize,
@@ -41,6 +40,13 @@ from gnystrom import (
     select_random,
 )
 from gnystrom import dictlearn, supervision
+
+
+def alignment_scores(S, core, side):
+    """(rho_prior, rho_align) of S, as select_lambda scores a fit: the
+    alignment of S with the prior, and of the reconstructed supervised block
+    with its target, both by nka_score."""
+    return nka_score(S, core.S0), supervision._Supervision(core, side).alignment(S)
 
 
 def _identity_problem():

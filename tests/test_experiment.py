@@ -20,14 +20,12 @@ from gnystrom import (
     RunReport,
     SideInformation,
     build_core,
-    default_landmark_count,
     emit_report,
     experiment_config_from_file,
     factorize,
     fit,
     make_blobs,
     make_two_moons,
-    read_config,
     run_experiment,
     sample_labeled,
     select_kmeans,
@@ -36,7 +34,8 @@ from gnystrom import (
 )
 from gnystrom import experiment, supervision
 from gnystrom._arrays import as_index_array, as_seed
-from gnystrom.experiment import _CONFIG_PARSERS, _CONFIG_RENAMES
+from gnystrom.experiment import (_CONFIG_PARSERS, _CONFIG_RENAMES, default_landmark_count,
+                                 read_config)
 from gnystrom.modelselect import _score_fit
 
 
@@ -162,6 +161,22 @@ def test_baseline_ignores_labels_in_dictionary():
     report = run_experiment(ds, cfg, "nystrom_baseline")
     assert report.chosen_lambdas == [None, None]
     assert all(np.isnan(r.rho_prior) for r in report.results)
+
+
+def test_baseline_record_carries_its_factor(monkeypatch):
+    """The pipeline factors S0 for the baseline, and run_experiment embeds
+    through each record's L without factoring again."""
+    ds = _small_blobs(seed=2)
+    cfg = ExperimentConfig(labeled_per_run=10, repeats=2, seed=3, m=8)
+    run = experiment.pipeline(ds.X, None, cfg, 5)
+    assert run.record.S is run.core.S0
+    assert np.array_equal(run.record.L, factorize(run.core.S0))
+    expected = run_experiment(ds, cfg, "nystrom_baseline").errors
+    factored = []
+    monkeypatch.setattr(experiment, "factorize",
+                        lambda S: factored.append(S) or factorize(S))
+    assert np.array_equal(run_experiment(ds, cfg, "nystrom_baseline").errors, expected)
+    assert len(factored) == cfg.repeats
 
 
 def test_huge_lambda_matches_baseline_per_repeat():

@@ -1,5 +1,5 @@
-"""Tests for kernel evaluation, the bandwidth heuristic, ideal-kernel
-construction, double-centering, and the normalized alignment score."""
+"""Tests for kernel evaluation, the bandwidth heuristic, the label target,
+double-centering, and the normalized alignment score."""
 
 import os
 import subprocess
@@ -20,15 +20,14 @@ from gnystrom import (
     InputError,
     KernelParams,
     LabelVector,
+    SideInformation,
     UndefinedAlignmentError,
     bandwidth_heuristic,
-    double_center,
-    ideal_kernel,
     kernel_matrix,
     nka_score,
 )
 import gnystrom
-from gnystrom.kernels import _squared_distances
+from gnystrom.kernels import _double_center, _squared_distances
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +127,18 @@ def test_kernel_matrix_matches_pairwise_kernel(seed, n, m, d, scale, offset, wid
     block = kernel_matrix(X, Z, params)
     assert_allclose(block, _pairwise_kernel(X, Z, params.bandwidth), rtol=0, atol=1e-13)
     assert np.all(block[np.arange(hits.size), hits] == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), d=st.integers(1, 20),
+       scale=_SCALES, offset=_OFFSETS, width=st.floats(0.05, 20.0))
+def test_kernel_self_block_is_symmetric_with_unit_diagonal(seed, n, d, scale, offset, width):
+    rng = np.random.default_rng(seed)
+    X = offset + scale * rng.normal(size=(n, d))
+    X[n // 2:] = X[:n - n // 2]  # repeated rows too
+    K = kernel_matrix(X, X, KernelParams(bandwidth=width * d * scale**2))
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,55 +262,54 @@ def test_bandwidth_memory_is_linear_in_n():
 
 
 # ---------------------------------------------------------------------------
-# ideal_kernel
+# the label target (SideInformation.from_labels(...).target)
 
 
-def test_ideal_kernel_two_classes():
+def _label_target(lv):
+    return SideInformation.from_labels(lv).target
+
+
+def test_label_target_two_classes():
     lv = LabelVector(indices=[0, 1, 2], labels=["a", "a", "b"])
-    assert_allclose(ideal_kernel(lv), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert_allclose(_label_target(lv), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
-def test_ideal_kernel_single_label():
+def test_label_target_single_label():
     lv = LabelVector(indices=[0], labels=["a"])
-    assert_allclose(ideal_kernel(lv), [[1.0]])
+    assert_allclose(_label_target(lv), [[1.0]])
 
 
-def test_ideal_kernel_all_distinct_is_identity():
+def test_label_target_all_distinct_is_identity():
     lv = LabelVector(indices=[0, 1, 2], labels=["a", "b", "c"])
-    assert_allclose(ideal_kernel(lv), np.eye(3))
+    assert_allclose(_label_target(lv), np.eye(3))
 
 
-def test_ideal_kernel_empty_rejected():
-    with pytest.raises(InputError):
-        ideal_kernel(LabelVector(indices=[], labels=[]))
-
-
-def test_ideal_kernel_properties():
+def test_label_target_properties():
     rng = np.random.default_rng(7)
     labels = rng.integers(0, 3, size=12)
-    K = ideal_kernel(LabelVector(indices=np.arange(12), labels=labels))
+    K = _label_target(LabelVector(indices=np.arange(12), labels=labels))
     assert np.array_equal(K, K.T)
     assert np.all((K == 0) | (K == 1))
     assert np.all(np.diag(K) == 1)
 
 
 # ---------------------------------------------------------------------------
-# double_center
+# _double_center
 
 
 def test_double_center_constant_matrix_to_zero():
-    assert_allclose(double_center(np.ones((4, 4))), np.zeros((4, 4)), atol=1e-15)
+    assert_allclose(_double_center(np.ones((4, 4))), np.zeros((4, 4)), atol=1e-15)
 
 
 def test_double_center_identity_2x2():
-    assert_allclose(double_center(np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    assert_allclose(_double_center(np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_double_center_zeroes_row_and_column_sums():
     rng = np.random.default_rng(8)
     for _ in range(10):
         K = rng.normal(size=(6, 6))
-        C = double_center(K)
+        C = _double_center(K)
         assert_allclose(C.sum(axis=0), np.zeros(6), atol=1e-10)
         assert_allclose(C.sum(axis=1), np.zeros(6), atol=1e-10)
 
@@ -310,19 +320,19 @@ def test_double_center_matches_projection_conjugation():
     for q in (2, 3, 5):
         K = rng.normal(size=(q, q))
         H = np.eye(q) - np.ones((q, q)) / q
-        assert_allclose(double_center(K), H @ K @ H, atol=1e-12)
+        assert_allclose(_double_center(K), H @ K @ H, atol=1e-12)
 
 
 def test_double_center_idempotent():
     rng = np.random.default_rng(10)
     K = rng.normal(size=(5, 5))
-    once = double_center(K)
-    assert_allclose(double_center(once), once, atol=1e-10)
+    once = _double_center(K)
+    assert_allclose(_double_center(once), once, atol=1e-10)
 
 
 def test_double_center_rejects_nonsquare():
     with pytest.raises(InputError):
-        double_center(np.ones((2, 3)))
+        _double_center(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +392,46 @@ def test_nka_shape_mismatch_rejected():
         nka_score(np.eye(2), np.eye(3))
     with pytest.raises(InputError):
         nka_score(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nka_rejects_non_finite_operands(bad):
+    K = np.diag([1.0, 2.0, 3.0])
+    broken = K.copy()
+    broken[0, 1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        nka_score(broken, K)
+    with pytest.raises(InputError, match="non-finite"):
+        nka_score(K, broken)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310])
+def test_nka_extreme_scale_operands(scale):
+    """The norms of 1e300 * I overflow and those of 1e-300 * I fall below
+    the zero floor, yet I against any multiple of itself aligns at 1."""
+    eye = np.eye(3)
+    for K, Kp in ((scale * eye, eye), (eye, scale * eye), (scale * eye, scale * eye)):
+        assert abs(nka_score(K, Kp) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.integers(2, 8), k=st.integers(-900, 900))
+def test_nka_invariant_under_power_of_two_scaling(seed, q, k):
+    rng = np.random.default_rng(seed)
+    K, Kp = rng.normal(size=(2, q, q))
+    base = nka_score(K, Kp)
+    assert nka_score(2.0**k * K, Kp) == base
+    assert nka_score(K, 2.0**k * Kp) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.integers(2, 8), spread=_SCALES)
+def test_nka_ignores_row_and_column_offsets(seed, q, spread):
+    """Adding u 1^T + 1 v^T to K leaves its centred form, and so the score,
+    as it was, up to rounding."""
+    rng = np.random.default_rng(seed)
+    K, Kp = rng.normal(size=(2, q, q))
+    u, v = spread * rng.normal(size=(2, q))
+    shifted = K + u[:, None] + v[None, :]
+    assert_allclose(nka_score(shifted, Kp), nka_score(K, Kp), rtol=0, atol=1e-10)
+    assert_allclose(nka_score(Kp, shifted), nka_score(Kp, K), rtol=0, atol=1e-10)

@@ -15,18 +15,24 @@ from gnystrom import (
     NystromCore,
     SelectionReport,
     SideInformation,
-    alignment_scores,
     build_core,
-    double_center,
     fit,
     make_blobs,
     nka_score,
     sample_labeled,
     select_lambda,
     select_random,
-    validate_grid,
 )
-from gnystrom import dictlearn, modelselect
+from gnystrom import dictlearn, modelselect, supervision
+from gnystrom.kernels import _double_center
+from gnystrom.modelselect import validate_grid
+
+
+def alignment_scores(S, core, side):
+    """(rho_prior, rho_align) of S, as select_lambda scores a fit: the
+    alignment of S with the prior, and of the reconstructed supervised block
+    with its target, both by nka_score."""
+    return nka_score(S, core.S0), supervision._Supervision(core, side).alignment(S)
 
 
 def _blob_problem(seed=0, n=60, m=8, l=10):
@@ -110,8 +116,8 @@ def test_chosen_matches_exhaustive_recomputation():
     report = select_lambda(core, side, grid=grid)
 
     def centered_cosine(A, B):
-        Ac = double_center(A)
-        Bc = double_center(B)
+        Ac = _double_center(A)
+        Bc = _double_center(B)
         return float(np.sum(Ac * Bc) / (np.linalg.norm(Ac) * np.linalg.norm(Bc)))
 
     El = core.E[side.indices]

@@ -22,9 +22,14 @@ Odd seeds run the parent first and even seeds the change first, so neither
 side always finds the machine in the same state. The output file holds, per
 workload and end-to-end metric, every run, each side's median and quartiles,
 the ratio of the medians and the number of pairs the change wins (it reads
-lower; ties count for neither), plus the failed and attempted operations of
-every run and the minor page faults and system CPU seconds each run cost
-(``getrusage(RUSAGE_CHILDREN)`` deltas around it). It also holds three
+lower; ties count for neither), and two flags against the metric's ``bound``
+in BENCHMARK.json: ``over_bound``, the change's median is worse than the
+parent's by more than the bound, relative to the parent's median; and
+``unresolved``, the parent's IQR over its median exceeds the bound, so its
+runs spread too widely to tell; one line per workload prints these flags
+and the failed operations. The file also holds the failed and attempted
+operations of every run and the minor page faults and system CPU seconds
+each run cost (``getrusage(RUSAGE_CHILDREN)`` deltas around it), and three
 traced runs per side of every workload (``--seed S --seconds 14 --trace 1``
 for S = 0, 1, 2, alternating sides like the pairs), with every run, the
 median and the quartiles per side of their quality, solver, classifier and
@@ -114,10 +119,11 @@ def summary(runs):
             "iqr": float(q3 - q1)}
 
 
-def compare(seeds, results, usage):
+def compare(seeds, results, usage, bounds):
     """Per-metric summary of one workload's pairs; results[side] and
     usage[side] are lists of bench results and of resource usages in seed
-    order."""
+    order, and bounds maps each end-to-end metric to its BENCHMARK.json
+    entry."""
     out = {"seeds": seeds,
            "failed": {side: [r["failed"] for r in results[side]] for side in results},
            "attempted": {side: [r["attempted"] for r in results[side]] for side in results},
@@ -136,7 +142,33 @@ def compare(seeds, results, usage):
             "ties": sum(b == a for a, b in zip(parent, change)),
             "pairs": len(seeds),
         }
+        if name in bounds:
+            out["metrics"][name].update(bound_flags(p, c, bounds[name]))
     return out
+
+
+def bound_flags(parent, change, spec):
+    """``over_bound`` and ``unresolved`` of one end-to-end metric, from the
+    two sides' summaries and the metric's BENCHMARK.json entry."""
+    base = parent["median"]
+    worse = change["median"] - base if spec["better"] == "lower" else base - change["median"]
+    return {"bound": spec["bound"], "over_bound": worse > spec["bound"] * abs(base),
+            "unresolved": parent["iqr"] > spec["bound"] * abs(base)}
+
+
+def workload_line(workload, comparison):
+    """One line: each end-to-end metric's ratio of medians and its flags,
+    then the failed operations of each side."""
+    parts = []
+    for name, m in comparison["metrics"].items():
+        if "bound" in m:
+            flags = [flag for flag in ("over_bound", "unresolved") if m[flag]]
+            ratio = m["change_over_parent"]
+            parts.append((f"{name} {ratio:.3f}x" if ratio is not None else f"{name} n/a")
+                         + (f" ({', '.join(flags)})" if flags else ""))
+    failed = ", ".join(f"{side} {sum(comparison['failed'][side])}"
+                       for side in ("parent", "change"))
+    return f"{workload}: {'; '.join(parts)}; failed operations: {failed}"
 
 
 def order(seed):
@@ -153,6 +185,7 @@ def main(argv=None):
     signal.signal(signal.SIGTERM, exit_on_sigterm)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
+    bounds = {m["name"]: m for m in spec["end_to_end"]}
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -172,7 +205,8 @@ def main(argv=None):
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{k}={v['value']:.6g}"
                                      for k, v in result["metrics"].items()), flush=True)
-            report[workload] = compare(seeds, results, usage)
+            report[workload] = compare(seeds, results, usage, bounds)
+            print(workload_line(workload, report[workload]), flush=True)
         traced = {}
         for workload in workloads:
             runs = {"parent": [], "change": []}
@@ -189,10 +223,14 @@ def main(argv=None):
         "host": host,
         "method": (f"{PAIRS} pairs per workload at seeds {seeds[0]}-{seeds[-1]}, each "
                    "pair running the parent and the change from separate exports of their "
-                   "git trees, named in 'trees' by the hashes of their src/ and bench/; odd seeds run the parent first, even seeds the change "
-                   f"first. Per run: python3 bench/run.py --workload W --seed S --seconds "
-                   f"{RUN_SECONDS} --trace 0. Medians and quartiles are numpy.percentile over "
-                   "the runs; change_wins counts pairs where the change reads lower. "
+                   "git trees, named in 'trees' by the hashes of their src/ and bench/; "
+                   "odd seeds run the parent first, even seeds the change first. Per run: "
+                   f"python3 bench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
+                   "--trace 0. Medians and quartiles are numpy.percentile over the runs; "
+                   "change_wins counts pairs where the change reads lower. "
+                   "over_bound: the change's median is worse than the parent's by more "
+                   "than the metric's bound, relative to the parent's median; "
+                   "unresolved: the parent's IQR exceeds the bound times its median. "
                    "rusage holds each run's minor page faults and system CPU seconds, "
                    "getrusage(RUSAGE_CHILDREN) deltas around it."),
     }
