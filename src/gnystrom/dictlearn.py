@@ -54,15 +54,19 @@ Hessian trace and the system, with no pairs for labels, so the loop is the
 same for both kinds.
 
 The loop runs ADMM as its Douglas-Rachford fixed-point map on one m x m
-state, the projection input W = X + U: Y = P(W), U = W - Y, X = x-step(Y, U)
-and f(W) = X + U, so one iteration is one map evaluation (one partial
-eigendecomposition and one x-step). Type-II Anderson acceleration (Walker &
-Ni 2011) extrapolates W from the last 10 differences of f and of the
-residual f(W) - W, as SCS 3 does (Zhang, O'Donoghue & Boyd 2020). An
-extrapolated state is kept only if its residual is no larger than that of
-the last kept state; otherwise the next state is the plain f of the kept
-one and the memory is cleared. A rejected extrapolation costs an
-iteration.
+state, the projection input W = X + U: the projection returns Y = P(W) and
+the negative part U = W - Y it cuts off, X = x-step(Y, U) and f(W) = X + U,
+so one iteration is one map evaluation (one partial eigendecomposition and
+one x-step). Type-II Anderson acceleration (Walker & Ni 2011) extrapolates
+W from the last 10 differences of f and of the residual f(W) - W, as SCS 3
+does (Zhang, O'Donoghue & Boyd 2020). An extrapolated state is kept only if
+its residual is no larger than that of the last kept state; otherwise the
+next state is the plain f of the kept one and the memory is cleared. A
+rejected extrapolation costs an iteration. The state is symmetric by
+construction, bit for bit: the start is symmetrized once, U is -B B^T from
+BLAS syrk, and every step from there adds, subtracts and scales symmetric
+matrices entrywise. So no iteration symmetrizes, and the projection hands
+W to LAPACK as it is.
 
 The loop stops on the gradient-mapping norm L * ||S - P(S - grad J(S) / L)||_F,
 with P the PSD projection and L = 2 * lam + 2 * c_max^2 the Lipschitz
@@ -87,10 +91,11 @@ path eigendecomposes its S again, neither to check it nor to build a model
 from it (:meth:`inductive.InductiveModel.from_state`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dsyevr
+from scipy.linalg.lapack import dposv, dpotrf, dsyevr
 
 from ._arrays import RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh
 from .errors import InputError, NumericalError
@@ -275,12 +280,14 @@ def gradient(S, core, side, lam):
 
 def _value_and_gradient(S, core, side, lam, supervision=None):
     """(:func:`objective`, :func:`gradient`) at S, from one residual, in the
-    compact forms of :class:`_Supervision` (built here unless given)."""
-    S = as_square_matrix(S, "S")
-    if S.shape != core.S0.shape:
-        raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
-    LearnConfig(lam=lam)  # the fit's rule for lam
+    compact forms of :class:`_Supervision`. Without a ``supervision`` it
+    checks S and lam and builds one, as the public functions need;
+    :func:`fit` passes its own, with an S and a lam it has checked."""
     if supervision is None:
+        S = as_square_matrix(S, "S")
+        if S.shape != core.S0.shape:
+            raise InputError(f"S must be {core.S0.shape}, got {S.shape}")
+        LearnConfig(lam=lam)  # the fit's rule for lam
         supervision = _Supervision(core, side)
     loss, pull = supervision.term(S)
     prior = S - core.S0
@@ -298,21 +305,22 @@ def psd_project(M):
     return _project(M)
 
 
-def _cut_negative(M):
-    """PSD projection of the symmetrized M.
-
-    It subtracts the :func:`_negative_part` of M. Exact in exact
-    arithmetic; in floating point it leaves rounding of size eps * ||M_-||
-    along the removed directions, so :func:`fit` passes the matrix it
-    returns through one full :func:`_project`.
+def _cut_negative(W):
+    """(Y, U): the PSD projection Y = W - U of the symmetric W and its
+    :func:`_negative_part` U. Both are symmetric bit for bit when W is.
+    Exact in exact arithmetic; in floating point Y keeps rounding of size
+    eps * ||U|| along the removed directions, so :func:`fit` passes the
+    matrix it returns through one full :func:`_project`.
     """
-    M = 0.5 * (M + M.T)
-    M -= _negative_part(M)
-    return 0.5 * (M + M.T)
+    U = _negative_part(W)
+    return W - U, U
 
 
 def _negative_part(M):
-    """The part of the symmetric M on its eigenvalues at or below 0.
+    """The part -B B^T of the symmetric M on its eigenvalues at or below 0,
+    B = V diag(sqrt(-vals)) over those eigenpairs. NumPy takes B @ B.T by
+    BLAS syrk, which fills one triangle and mirrors it, so the part is
+    symmetric bit for bit. LAPACK reads M's lower triangle only.
 
     It computes only those eigenpairs (dsyevr). dsyevr's bisection and
     inverse iteration can fail (nonzero info) when the nonpositive
@@ -327,7 +335,9 @@ def _negative_part(M):
             raise NumericalError(f"eigendecomposition failed: dsyevr info={info}, "
                                  f"and the full fallback: {exc}") from exc
         k = np.count_nonzero(vals <= 0.0)
-    return (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+    B = vecs[:, :k] * np.sqrt(-vals[:k])
+    N = B @ B.T
+    return np.negative(N, out=N)
 
 
 def _exit_evaluation(S, core, side, lam, supervision):
@@ -459,7 +469,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         closed = start is not None and np.all(np.isfinite(start))
         S, L = _psd_start(start if closed else core.S0)
 
-    grad_tol = 1e-6 * (1.0 + 2.0 * float(np.linalg.norm(sup.B)))
+    grad_tol = 1e-6 * (1.0 + 2.0 * sup.B_norm)
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
     # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
     gnorm = float(np.linalg.norm(grad))
@@ -480,7 +490,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         while iterations < cfg.max_iters:
             point, value, bound = solver.step()
             iterations += 1
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericalError(f"solver diverged at iteration {iterations}")
             if value <= trace[-1]:
                 best = point
@@ -538,12 +548,17 @@ class _ADMM:
     directions.
 
     With D = Z - Y0 for the start Y0, J is the exact quadratic
-    J(Y0) + <G0, D> + sum(Hs * D**2) + the pair term at D, where
+    J(Y0) + <G0 + Hs * D, D> + the pair term at D, where
     Hs = (lam + diagonal) * DD**2. The supervision, taken in the basis
     V diag(d), supplies the pull in G0, the diagonal and the pair operator
     that holds the pair term and the x-step's p x p system (see
     :meth:`supervision._Supervision.in_basis`); the loop keeps only that
     operator and does not depend on the kind of side information.
+
+    Y0 and G0 are symmetrized once, here, and every state after them is
+    symmetric bit for bit (see the module docstring): the projection
+    :func:`_cut_negative` returns Y and U = W - Y, and D = Y - Y0 serves
+    J, its gradient and the x-step of one iteration.
     """
 
     def __init__(self, S, S0, value, lam, supervision):
@@ -552,7 +567,8 @@ class _ADMM:
         self.scale = 1.0 / np.sqrt(np.maximum(h, max(RANK_RTOL * h.max(),
                                                       np.finfo(float).tiny)))
         self.DD = np.outer(self.scale, self.scale)
-        self.Y0 = self.coords(S)
+        Y0 = self.coords(S)
+        self.Y0 = 0.5 * (Y0 + Y0.T)
         pull, diagonal, self.pairs = supervision.in_basis(self.V, self.scale, S)
         # grad J in Z, its data term taken from the residual through the
         # factor in the basis V diag(d) rather than by rotating and scaling
@@ -567,7 +583,6 @@ class _ADMM:
         self.factor = None
         self.factor_builds = 0
         self.Hs = (lam + diagonal) * self.DD ** 2
-        self.twice_Hs = 2.0 * self.Hs
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included, scaled down with pairs by their share of it (see
         # _RHO_START).
@@ -578,10 +593,13 @@ class _ADMM:
         self.rho = _RHO_START * factor * mean
         # The x-step's diagonal, fixed with rho for the whole fit.
         self.Dg = self.Hs + 0.5 * self.rho
+        # The weights that take a Z-space residual to S's norm (see step).
+        self.inv_DD = 1.0 / self.DD
+        self.rho_DD = self.rho / self.DD
         # The start is PSD, so P(Y0) = Y0 and U = 0: Y0 is the first kept
         # state, and the first state evaluated is the map's value there.
         U = np.zeros_like(self.Y0)
-        X = self._x_step(self.Y0, U)
+        X = self._x_step(U, U)
         g = X - self.Y0
         self._keep(U, X, g, _norm(g))
 
@@ -593,11 +611,13 @@ class _ADMM:
         S = self.V @ (Z * self.DD) @ self.V.T
         return 0.5 * (S + S.T)
 
-    def _evaluate(self, Z):
-        """J and its gradient at Z."""
-        D = Z - self.Y0
-        value = self.J0 + float(np.sum(self.G0 * D)) + float(np.sum(self.Hs * D * D))
-        grad = self.G0 + self.twice_Hs * D
+    def _evaluate(self, D):
+        """J and its gradient at Y0 + D: J0 + <G0 + Hs * D, D> from one dot
+        product and (G0 + Hs * D) + Hs * D, plus the pair term."""
+        HD = self.Hs * D
+        grad = self.G0 + HD
+        value = self.J0 + float(grad.ravel().dot(D.ravel()))
+        grad += HD
         if self.pairs.weight.size:
             pair_value, pair_grad = self.pairs.term(D)
             value += pair_value
@@ -606,14 +626,17 @@ class _ADMM:
         # about Y0 can leave it slightly negative.
         return max(value, 0.0), grad
 
-    def _x_step(self, Y, U):
-        """The exact minimizer X = Y0 + D of J(X) + (rho/2) ||X - Y + U||^2.
+    def _x_step(self, D, U):
+        """The exact minimizer X = Y0 + E of J(X) + (rho/2) ||X - Y + U||^2,
+        for Y = Y0 + D.
 
-        D solves Dg * D + (the pair term's gradient at D) / 2 = N, with
-        Dg = Hs + rho/2 and N = (rho (Y - Y0 - U) - G0) / 2, through the
+        E solves Dg * E + (the pair term's gradient at E) / 2 = N, with
+        Dg = Hs + rho/2 and N = (rho (D - U) - G0) / 2, through the
         pair operator's system for Dg, factored when no factor is held.
         """
-        N = 0.5 * self.rho * (Y - self.Y0 - U) - self.half_G0
+        N = D - U
+        N *= 0.5 * self.rho
+        N -= self.half_G0
         if self.factor is None:
             self.factor = self.pairs.factor(self.Dg)
             self.factor_builds += self.factor is not None
@@ -627,7 +650,7 @@ class _ADMM:
         evaluation does not sit on top of it; the next x-step rebuilds it if
         the loop goes on."""
         self.factor = None
-        L = (self.V * self.scale) @ _factor(*eigh(0.5 * (Z + Z.T)))
+        L = (self.V * self.scale) @ _factor(*eigh(Z))
         # NumPy takes the product of a matrix with its own transpose by BLAS
         # syrk, which fills one triangle and mirrors it: S is symmetric bit
         # for bit.
@@ -636,15 +659,17 @@ class _ADMM:
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
         the projection Y = P(W), J(Y) and the bound on the mapping norm at Y."""
-        Y = _cut_negative(self.W)
-        U = self.W - Y
-        value, grad = self._evaluate(Y)
+        Y, U = _cut_negative(self.W)
+        D = Y - self.Y0
+        value, grad = self._evaluate(D)
         # -rho * U, the part the projection cut off scaled by -rho, is PSD and
         # orthogonal to Y, whatever W is, so its distance to grad J(Y) bounds
         # the mapping norm at Y: ||E|| in S for the Z-space residual
         # E_Z = DD * (V^T E V).
-        bound = _norm((grad + self.rho * U) / self.DD)
-        X = self._x_step(Y, U)
+        grad *= self.inv_DD
+        grad += U * self.rho_DD
+        bound = _norm(grad)
+        X = self._x_step(D, U)
         # f(W) - W = X + U - W = X - Y.
         g = X - Y
         g_norm = _norm(g)
@@ -702,10 +727,16 @@ class _Anderson:
         scale = float(np.trace(self.gram[:n, :n])) if n else 0.0
         if not scale > 0.0:
             return f
-        # Tikhonov term on a copy of the Gram matrix's diagonal.
-        A = self.gram[:n, :n].copy()
+        # Tikhonov term on a copy of the Gram matrix's diagonal, which makes
+        # it positive definite: LAPACK's Cholesky solve (dposv) takes it.
+        A = self.gram[:n, :n].copy(order="F")
         A.flat[::n + 1] += _AA_REG * scale
-        gamma = np.linalg.solve(A, self.dG[:n] @ g_flat)
+        _, gamma, info = dposv(A, self.dG[:n] @ g_flat, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            # Not positive definite in floating point: take the plain step,
+            # and restart the memory from this state.
+            self.size = self.slot = 0
+            return f
         return f - (gamma @ self.dF[:n]).reshape(f.shape)
 
 

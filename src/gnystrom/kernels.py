@@ -203,15 +203,24 @@ def nka_score(K, Kp):
     and it does not depend on the operands' scale: no norm overflows at 1e300
     or underflows at 1e-300.
     """
-    K = _unit_scaled(K, "K")
-    Kp = _unit_scaled(Kp, "Kp")
-    if K.shape != Kp.shape:
-        raise InputError(f"alignment operands must match in shape, got {K.shape} and {Kp.shape}")
+    return _prepared_cosine(_prepared(K, "K"), _prepared(Kp, "Kp"))
+
+
+def _prepared(K, name):
+    """One operand of :func:`nka_score`, prepared: (Kc, ||Kc||_F, ||K||_F)
+    for K unit-scaled (:func:`_unit_scaled`) and Kc its double-centred
+    form. An operand that several scores share is prepared once."""
+    K = _unit_scaled(K, name)
     Kc = _double_center(K)
-    Kpc = _double_center(Kp)
-    return _centred_cosine(float(np.sum(Kc * Kpc)), float(np.linalg.norm(Kc)),
-                           float(np.linalg.norm(Kpc)), float(np.linalg.norm(K)),
-                           float(np.linalg.norm(Kp)))
+    return Kc, float(np.linalg.norm(Kc)), float(np.linalg.norm(K))
+
+
+def _prepared_cosine(a, b):
+    """:func:`nka_score` of two :func:`_prepared` operands."""
+    if a[0].shape != b[0].shape:
+        raise InputError(f"alignment operands must match in shape, "
+                         f"got {a[0].shape} and {b[0].shape}")
+    return _centred_cosine(float(np.sum(a[0] * b[0])), a[1], b[1], a[2], b[2])
 
 
 def _unit_scaled(K, name):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dictlearn import LearnConfig, SolverReport, fit
 from .errors import InputError, NumericalError, UndefinedAlignmentError
-from .kernels import nka_score
+from .kernels import _prepared, _prepared_cosine
 from .supervision import _Supervision
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
@@ -100,16 +100,20 @@ def validate_grid(grid):
     return vals
 
 
-def _score_fit(core, lam, result, supervision):
+def _score_fit(core, lam, result, supervision, prior=None):
     """LambdaRecord of a finished fit at weight lam: rho_prior is the
     :func:`nka_score` of S against the prior S0, and rho_align that of the
     reconstructed supervised block El @ S @ El.T (masked for pairs) against
     its target, taken through ``supervision``, the :class:`_Supervision` of
-    (core, side) that the fit used, without an l x l array. An undefined
-    alignment scores -inf with the reason recorded."""
+    (core, side) that the fit used, without an l x l array. ``prior`` is
+    S0 as :func:`kernels._prepared` prepares it, which a grid shares;
+    without it S0 is prepared here. An undefined alignment scores -inf with
+    the reason recorded."""
     S, L = result.state.S, result.state.L
+    if prior is None:
+        prior = _prepared(core.S0, "Kp")
     try:
-        rho_prior = nka_score(S, core.S0)
+        rho_prior = _prepared_cosine(_prepared(S, "K"), prior)
         rho_align = supervision.alignment(S)
     except UndefinedAlignmentError as exc:
         return LambdaRecord(lam=lam, rho_prior=float("nan"), rho_align=float("nan"),
@@ -123,15 +127,16 @@ def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID):
     """Fit one dictionary per candidate and keep the best-scoring one.
 
     Every candidate fits with the default :class:`LearnConfig` at its own
-    weight; C = El.T @ El is eigendecomposed, and the supervised rows
-    factored, once for the whole grid. A failure of that decomposition fails
-    every candidate alike and raises.
+    weight; C = El.T @ El is eigendecomposed, the supervised rows factored,
+    and the prior S0 prepared for its alignment, once for the whole grid. A
+    failure of that decomposition fails every candidate alike and raises.
     """
     vals = validate_grid(grid)
     if side.indices.size == 0:
         raise InputError("selection needs at least one supervised sample")
     supervision = _Supervision(core, side)
     supervision.eigenpairs  # a failure here fails the whole grid
+    prior = _prepared(core.S0, "Kp")
     records = []
     for lam in vals:
         try:
@@ -141,7 +146,7 @@ def select_lambda(core, side, grid=DEFAULT_LAMBDA_GRID):
                                         rho_align=float("nan"), criterion=float("-inf"),
                                         solver=None, S=None, failure=str(exc)))
             continue
-        records.append(_score_fit(core, lam, result, supervision))
+        records.append(_score_fit(core, lam, result, supervision, prior))
     fitted = [record for record in records if record.S is not None]
     if not fitted:
         reasons = "; ".join(f"lambda={r.lam:g}: {r.failure}" for r in records)

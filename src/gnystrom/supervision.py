@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs
 
 from ._arrays import RANK_RTOL, as_index_array, eigh
 from .errors import InputError, NumericalError
-from .kernels import LabelVector, _centred_cosine
+from .kernels import LabelVector, _centred_cosine, _unit_scaled
 
 SIDE_KINDS = ("labels", "grouping")
 
@@ -280,6 +280,11 @@ class _Supervision:
     def eigenpairs(self):
         return eigh(self.El.T @ self.El)
 
+    @cached_property
+    def B_norm(self):
+        """||B||_F, the scale of :func:`dictlearn.fit`'s gradient tolerance."""
+        return float(np.linalg.norm(self.B))
+
     def in_basis(self, V, d, S):
         """The data term in the coordinates Z of the ADMM loop, with
         S = V diag(d) Z diag(d) V^T, as (pull, diagonal, pairs): the
@@ -346,7 +351,10 @@ class _Supervision:
 
     def alignment(self, S):
         """nka_score(El @ S @ El.T, target) (masked for pairs), the
-        centred cosine, without an l x l array."""
+        centred cosine, without an l x l array. S is first scaled by the
+        power of two that :func:`nka_score` applies to its operands, so the
+        score does not depend on S's scale."""
+        S = _unit_scaled(S, "S")
         if self.kind == "labels":
             Rc, Kc, centred_target = self._centred
             Mc = Rc @ S @ Rc.T
@@ -409,17 +417,19 @@ class _Pairs:
     """
 
     def __init__(self, F, rows, weight):
-        self.Fa, self.Fb, self.weight = F[rows[0]], F[rows[1]], weight
+        # Fortran order, for :meth:`factor`.
+        self.Fa, self.Fb = np.asfortranarray(F[rows[0]]), np.asfortranarray(F[rows[1]])
+        self.weight = weight
 
     def at(self, M):
-        return np.einsum("pi,pi->p", self.Fa @ M, self.Fb)
+        return np.einsum("ip,ip->p", M.T @ self.Fa.T, self.Fb.T)
 
     def entries(self, S):
         """The entries of F S F^T at the pairs (a, b), and at (b, a)."""
         return np.stack([self.at(S), self.at(S.T)])
 
     def spread(self, r):
-        A = self.Fa.T @ ((self.weight * r)[:, None] * self.Fb)
+        A = (self.Fb.T * (self.weight * r)) @ self.Fa
         return A + A.T
 
     def term(self, D):
@@ -442,23 +452,39 @@ class _Pairs:
         where the x-step is elementwise.
 
         K[q, s] = <g_q, g_s / Dg> with g_q = sym(fa_q fb_q^T), a sum over the
-        entries i <= j of Dg (twice off the diagonal). Row i adds one
-        rank-(m - i) update in place, so besides the p x p factor nothing
-        larger than p x m is held.
+        entries i <= j of Dg (twice off the diagonal). The entries go by
+        diagonal k = j - i, where column i of the p x (m - k) piece is
+        fa_i fb_{i+k} + fb_i fa_{i+k} over the pairs: a product of column
+        ranges of Fa and Fb, contiguous as they are held. Each two
+        consecutive diagonals fill a block of fewer than 2 m columns in
+        place and add one rank update. So besides the p x p factor a call
+        holds that block and one p x m buffer, and no array of the entries.
         """
         p, m = self.Fa.shape
         if not p:
             return None
-        root = np.sqrt(self.weight)[:, None]
         # G below holds 2 g; with the system's factor 2, entry (i, j) weighs
         # 1 / Dg off the diagonal (where it counts twice) and 1 / (2 Dg) on it.
         scale = 1.0 / np.sqrt(Dg + np.diag(np.diag(Dg)))
-        M = np.eye(p, order="F")
-        for i in range(m):
-            G = self.Fa[:, i, None] * self.Fb[:, i:]
-            G += self.Fb[:, i, None] * self.Fa[:, i:]
-            G *= root * scale[i, i:]
-            M = dsyrk(1.0, G.T, beta=1.0, c=M, trans=1, lower=1, overwrite_c=1)
+        M = np.zeros((p, p), order="F")
+        block, other = np.empty(2 * p * m), np.empty(p * m)
+        for first in range(0, m, 2):
+            ks = range(first, min(first + 2, m))
+            # Fortran order, as Fa and Fb: column ranges are contiguous.
+            G = block[:p * sum(m - k for k in ks)].reshape(-1, p).T
+            col = 0
+            for k in ks:
+                g, h = G[:, col:col + m - k], other[:p * (m - k)].reshape(-1, p).T
+                np.multiply(self.Fa[:, :m - k], self.Fb[:, k:], out=g)
+                np.multiply(self.Fb[:, :m - k], self.Fa[:, k:], out=h)
+                g += h
+                g *= np.diagonal(scale, k)
+                col += m - k
+            M = dsyrk(1.0, G, beta=1.0, c=M, trans=0, lower=1, overwrite_c=1)
+        root = np.sqrt(self.weight)
+        M *= root[:, None]
+        M *= root
+        M.flat[::p + 1] += 1.0
         factor, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise NumericalError(f"pair system factorization failed: dpotrf info={info}")

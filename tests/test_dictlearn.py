@@ -622,13 +622,17 @@ def test_negative_cut_matches_psd_project(vals, sign, seed):
     from the partial eigendecomposition, or from the full one where that
     fails (the cluster example); it must agree with the full clamp of
     psd_project. sign = +-1 makes every eigenvalue nonnegative or
-    nonpositive, 0 keeps the mixed spectrum."""
+    nonpositive, 0 keeps the mixed spectrum. The loop's states are
+    symmetric bit for bit, and so are the projection and the part it cuts
+    off."""
     vals = np.asarray(vals) if sign == 0.0 else sign * np.abs(vals)
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(vals.size, vals.size)))
     M = (Q * vals) @ Q.T
+    M = 0.5 * (M + M.T)
     expected = psd_project(M)
-    got = dictlearn._cut_negative(M)
-    assert np.array_equal(got, got.T)
+    got, cut = dictlearn._cut_negative(M)
+    assert np.array_equal(got, got.T) and np.array_equal(cut, cut.T)
+    assert np.linalg.norm(got + cut - M) <= 1e-15 * (1.0 + np.linalg.norm(M))
     assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(M))
 
 
@@ -856,6 +860,87 @@ def test_fit_reconstruction_stays_psd():
     assert vals.min() >= -1e-8 * max(vals.max(), 1.0)
 
 
+def _kkt_draw(seed, grouping):
+    """The problem test_fit_satisfies_kkt_conditions and tools/kkt_stress.py
+    draw from a seed."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    if grouping:
+        return _random_grouping_problem(rng, m=m)
+    return _random_labeled_problem(rng, m=m, l=int(rng.integers(2, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), grouping=st.booleans(),
+       lam=st.sampled_from((1e-3, 1.0, 100.0)))
+def test_loop_states_are_symmetric_bit_for_bit(seed, grouping, lam):
+    """The projection reads the lower triangle of the state it is handed
+    and does not symmetrize it, so every state of the loop, the start's
+    first map value, Anderson's extrapolations and the plain steps, must be
+    symmetric bit for bit."""
+    core, side = _kkt_draw(seed, grouping)
+    cut, asymmetric, states = dictlearn._cut_negative, [], []
+
+    def record(W):
+        states.append(None)
+        if not np.array_equal(W, W.T):
+            asymmetric.append(float(np.abs(W - W.T).max()))
+        return cut(W)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dictlearn, "_cut_negative", record)
+        result = fit(core, side, LearnConfig(lam=lam, max_iters=20000))
+    assert len(states) == result.report.iterations
+    assert asymmetric == []
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: _kkt_draw(99, grouping=False), lambda: _kkt_draw(324, grouping=True),
+    lambda: _fit_pairs_problem()], ids=["labels", "pairs", "fit-pairs"])
+def test_loop_objective_matches_objective_at_its_iterates(problem):
+    """The loop takes J at an iterate Y from its expansion about the start,
+    in one dot product; it must agree with objective at S = matrix(Y)."""
+    core, side = problem()
+    lam = 1e-3
+    step, seen = dictlearn._ADMM.step, []
+
+    def record(self):
+        point, value, bound = step(self)
+        seen.append((self.matrix(point), value))
+        return point, value, bound
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dictlearn._ADMM, "step", record)
+        fit(core, side, LearnConfig(lam=lam))
+    assert seen
+    for S, value in seen:
+        assert abs(value - objective(S, core, side, lam)) <= 1e-12 * (1.0 + value)
+
+
+def test_failed_anderson_solve_takes_the_plain_step(monkeypatch):
+    """A nonzero info from the Cholesky solve of Anderson's least-squares
+    system (dposv) takes the plain step from the kept state and restarts the
+    memory there; the fit still reaches the optimum."""
+    core, side = _random_grouping_problem(np.random.default_rng(13), m=5)
+    lam = 1e-3
+    fake = _lapack_failing_once(dictlearn.dposv)
+    monkeypatch.setattr(dictlearn, "dposv", fake)
+    extrapolate, plain = dictlearn._Anderson.extrapolate, []
+
+    def record(self, f, g):
+        W = extrapolate(self, f, g)
+        if len(fake.calls) == 1 and not plain:
+            plain.append((W is f, self.size))
+        return W
+
+    monkeypatch.setattr(dictlearn._Anderson, "extrapolate", record)
+    result = fit(core, side, LearnConfig(lam=lam))
+    assert plain == [(True, 0)]
+    assert len(fake.calls) > 1
+    assert result.report.converged_by == "grad_norm"
+    _assert_kkt(result.state.S, core, side, lam)
+
+
 def test_fit_deterministic():
     rng = np.random.default_rng(26)
     core, side = _random_labeled_problem(rng)
@@ -920,7 +1005,7 @@ def test_pair_x_step_solves_dense_masked_system():
         return solver.DD * (solver.V.T @ M @ solver.V)
 
     S1 = psd_project(_random_symmetric(rng, 5))
-    value, grad = solver._evaluate(solver.coords(S1))
+    value, grad = solver._evaluate(solver.coords(S1) - solver.Y0)
     assert_allclose(value, objective(S1, core, side, lam), rtol=1e-12)
     assert_allclose(grad, to_z(gradient(S1, core, side, lam)), rtol=1e-10, atol=1e-12)
 
@@ -942,7 +1027,8 @@ def test_pair_x_step_solves_dense_masked_system():
         U = _random_symmetric(rng, m)
         # grad J(X) + rho (X - Y + U) = 0, with grad J(X) = G(0) + H X.
         dense = np.linalg.solve(H + rho * np.eye(m * m), (rho * (Y - U) - G_at_zero).ravel())
-        assert_allclose(solver._x_step(Y, U), dense.reshape(m, m), rtol=1e-9, atol=1e-11)
+        assert_allclose(solver._x_step(Y - solver.Y0, U), dense.reshape(m, m),
+                        rtol=1e-9, atol=1e-11)
         assert solver.factor_builds == builds + 1
 
 

@@ -27,7 +27,7 @@ from gnystrom import (
     nka_score,
 )
 import gnystrom
-from gnystrom.kernels import _double_center, _squared_distances
+from gnystrom.kernels import _centred_cosine, _double_center, _squared_distances, _unit_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +435,25 @@ def test_nka_ignores_row_and_column_offsets(seed, q, spread):
     shifted = K + u[:, None] + v[None, :]
     assert_allclose(nka_score(shifted, Kp), nka_score(K, Kp), rtol=0, atol=1e-10)
     assert_allclose(nka_score(Kp, shifted), nka_score(Kp, K), rtol=0, atol=1e-10)
+
+
+def _inline_nka_score(K, Kp):
+    """nka_score with every step in line, each operand unit-scaled, centred
+    and normed where it is used."""
+    K, Kp = _unit_scaled(K, "K"), _unit_scaled(Kp, "Kp")
+    Kc, Kpc = _double_center(K), _double_center(Kp)
+    return _centred_cosine(float(np.sum(Kc * Kpc)), float(np.linalg.norm(Kc)),
+                           float(np.linalg.norm(Kpc)), float(np.linalg.norm(K)),
+                           float(np.linalg.norm(Kp)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.integers(2, 30), spread=_SCALES)
+def test_nka_from_prepared_operands_keeps_its_bits(seed, q, spread):
+    """nka_score, composed from operands prepared one at a time (so that a
+    shared one is prepared once), equals the in-line computation bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    K, Kp = spread * rng.normal(size=(2, q, q))
+    assert nka_score(K, Kp) == _inline_nka_score(K, Kp)
+    assert nka_score(K @ K.T, Kp @ Kp.T) == _inline_nka_score(K @ K.T, Kp @ Kp.T)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from gnystrom import (
     DEFAULT_LAMBDA_GRID,
     InputError,
+    KMeansConfig,
     KernelParams,
     LabelVector,
     LambdaRecord,
@@ -15,11 +16,14 @@ from gnystrom import (
     NystromCore,
     SelectionReport,
     SideInformation,
+    bandwidth_heuristic,
     build_core,
     fit,
     make_blobs,
+    make_two_moons,
     nka_score,
     sample_labeled,
+    select_kmeans,
     select_lambda,
     select_random,
 )
@@ -257,3 +261,42 @@ def test_flags_read_the_scored_candidates_only():
                _scored(10.0, 0.9, 0.5))
     report = SelectionReport(records=records, chosen_lambda=1.0)
     assert not report.chosen_at_edge and not report.prior_is_flat
+
+
+def test_grid_scores_the_prior_alignment_bit_for_bit():
+    """select_lambda prepares S0 once for the whole grid; every candidate's
+    rho_prior equals nka_score(S, S0) bit for bit, on the
+    configs/moons400.cfg problem (m = 25, 16 labels)."""
+    ds = make_two_moons(400, noise=0.1, seed=3)
+    seeds = np.random.SeedSequence(0).generate_state(2)
+    labeled = sample_labeled(ds, 16, int(seeds[0]))
+    Z = select_kmeans(ds.X, KMeansConfig(k=25, seed=int(seeds[1])))
+    core = build_core(ds.X, Z, KernelParams(bandwidth=float(bandwidth_heuristic(ds.X))))
+    report = select_lambda(core, SideInformation.from_labels(labeled),
+                           grid=(1e-3, 1e-1, 1.0, 10.0, 1e3))
+    for record in report.records:
+        assert record.rho_prior == nka_score(record.S, core.S0)
+
+
+def _pair_blob_problem(seed=0):
+    core, side = _blob_problem(seed=seed)
+    codes, l = side.codes, side.indices.size
+    a, b = np.triu_indices(l, 1)
+    must = codes[a] == codes[b]
+    pairs = np.column_stack([side.indices[a], side.indices[b]])
+    return core, SideInformation.from_constraints(pairs[must].tolist(), pairs[~must].tolist())
+
+
+@pytest.mark.parametrize("kind", ["labels", "grouping"])
+def test_target_alignment_does_not_depend_on_the_scale_of_S(kind):
+    """rho_align of S scaled by a power of two is that of S bit for bit,
+    and of S scaled by 1e-300 or 1e300 within 1e-15: the norms of the
+    reconstruction neither underflow below the zero floor nor overflow."""
+    core, side = _blob_problem(seed=3) if kind == "labels" else _pair_blob_problem(seed=3)
+    S = fit(core, side, LearnConfig(lam=1.0)).state.S
+    sup = supervision._Supervision(core, side)
+    base = sup.alignment(S)
+    for k in (-990, 990):
+        assert sup.alignment(np.ldexp(S, k)) == base
+    for scale in (1e-300, 1e300):
+        assert abs(sup.alignment(scale * S) - base) <= 1e-15

@@ -13,7 +13,9 @@ three checks. It prints one JSON line: the fits, the KKT failures (and which
 draws failed), the total iterations, the fits past 2,000 iterations, the
 factor builds, the fits returned at their start after 0 iterations
 (``at_start``), the iterations per kind and lambda (``iterations_by_draw``,
-keyed ``"<kind> <lambda>"``), the largest iteration count of one fit per
+keyed ``"<kind> <lambda>"``), the wall seconds of those fits
+(``seconds_by_draw``, keyed the same, so a solver change can be read cell by
+cell), the largest iteration count of one fit per
 kind and lambda (``max_iterations_by_draw``, keyed the same), the seed of
 that largest fit (``slowest_seed_by_draw``, the first such seed on a tie,
 keyed the same), so a tail regression names its draw, a ``digest``, the
@@ -38,6 +40,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -90,14 +93,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "at_start"), 0)
-    by_draw, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, []
+    by_draw, seconds, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, {}, []
     factor_error, margin = {}, {}
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
+            start = time.perf_counter()
             result = fit(core, side, LearnConfig(lam=lam, max_iters=MAX_ITERS))
+            elapsed = time.perf_counter() - start
             report = result.report
             key = f"{kind} {lam:g}"
+            seconds[key] = seconds.get(key, 0.0) + elapsed
             hashes = [digest, digest_by_draw.setdefault(key, hashlib.sha256())]
             if report.iterations:
                 hashes.append(digest_iterating)
@@ -124,7 +130,9 @@ def main(argv=None):
                 failed.append({"seed": seed, "kind": kind, "lam": lam,
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
-                      "iterations_by_draw": by_draw, "max_iterations_by_draw": max_by_draw,
+                      "iterations_by_draw": by_draw,
+                      "seconds_by_draw": {k: round(v, 3) for k, v in seconds.items()},
+                      "max_iterations_by_draw": max_by_draw,
                       "slowest_seed_by_draw": slowest_seed,
                       "factor_error_by_draw": factor_error,
                       "eigenvalue_margin_by_draw": margin,
