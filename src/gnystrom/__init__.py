@@ -16,8 +16,7 @@ from .kernels import KernelParams, LabelVector, bandwidth_heuristic, kernel_matr
 from .landmarks import KMeansConfig, LandmarkSet, select_kmeans, select_random
 from .linear_svm import LinearModel, train_linear
 from .modelselect import DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport, select_lambda
-from .nystrom import (BoundCheck, LandmarkEigensystem, NystromCore, build_core,
-                      extrapolate_eigenvectors, landmark_eigensystem, extrapolation_bound,
+from .nystrom import (BoundCheck, NystromCore, build_core, extrapolation_bound,
                       rbf_lipschitz_constant, reconstruct_entry)
 from .supervision import SideInformation
 
@@ -27,15 +26,15 @@ __all__ = [
     "BoundCheck", "Dataset", "DegenerateBandwidthError",
     "DictionaryState", "ExperimentConfig", "FitResult", "GNystromError",
     "InductiveModel", "InputError", "KMeansConfig", "KernelParams",
-    "LabelVector", "LambdaRecord", "LandmarkEigensystem", "LandmarkSet",
+    "LabelVector", "LambdaRecord", "LandmarkSet",
     "LearnConfig", "LinearModel", "ModelFormatError", "NumericalError",
     "NystromCore", "ParseError", "RepeatResult", "RunReport", "SelectionReport",
     "SideInformation", "SolverReport",
     "UndefinedAlignmentError", "DEFAULT_LAMBDA_GRID",
     "bandwidth_heuristic", "build_core", "embed", "emit_report",
-    "experiment_config_from_file", "extrapolate_eigenvectors", "factorize",
+    "experiment_config_from_file", "factorize",
     "fit", "gradient", "init_closed_form", "kernel_matrix",
-    "landmark_eigensystem", "load", "load_dataset",
+    "load", "load_dataset",
     "make_blobs", "make_two_moons", "nka_score", "objective", "extrapolation_bound",
     "psd_project", "rbf_lipschitz_constant",
     "reconstruct_entry", "run_experiment", "sample_labeled", "save",

@@ -10,13 +10,15 @@ landmark block and the residual compares the reconstructed similarities of
 the supervised rows against a 0/1 target (optionally through a mask that
 limits which pairs are constrained). J is a convex quadratic. The fit
 starts from a closed form where the side information has one (labels) and
-from the prior S0 otherwise. A start that is not PSD by construction passes
-one rule: it is kept as it is when a Cholesky factorization certifies it
-positive definite, and PSD-projected otherwise. For labels at lam > 0 the
-closed form is the unconstrained minimizer, so a positive definite one is
-the constrained optimum too. For labels at lam = 0 the constrained optimum
-itself has a closed form, a Gram matrix and so PSD by construction, and the
-fit returns it without iterating.
+from the prior S0 otherwise. The prior is PSD by construction, S0 = R R^T
+with the core's factor R, and starts as it is. The closed form at lam > 0
+is not PSD by construction and passes one rule: it is kept as it is when a
+Cholesky factorization certifies it positive definite, and PSD-projected
+otherwise. For labels at lam > 0 the closed form is the unconstrained
+minimizer, so a positive definite one is the constrained optimum too. For
+labels at lam = 0 the constrained optimum itself has a closed form, a Gram
+matrix and so PSD by construction, and the fit returns it without
+iterating.
 
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
@@ -84,11 +86,11 @@ removed directions, which the congruence back to S can magnify past the
 PSD tolerance.
 
 Every fit returns its S with a factor L, S = L @ L.T, PSD by construction,
-taken from a decomposition the fit has already made: the Cholesky factor
-that certified its start, the factor H of the closed form at lam = 0, or
-the eigenpairs of the projection that made its start or its exit. So no fit
-path eigendecomposes its S again, neither to check it nor to build a model
-from it (:meth:`inductive.InductiveModel.from_state`).
+taken from a decomposition already made: the core's factor R of the prior,
+the Cholesky factor that certified its start, the factor H of the closed
+form at lam = 0, or the eigenpairs of the projection that made its start or
+its exit. So no fit path eigendecomposes its S again, neither to check it
+nor to build a model from it (:meth:`inductive.InductiveModel.from_state`).
 """
 
 import math
@@ -123,9 +125,11 @@ _RHO_START = 0.125
 # 6-8 at s ~ 4.5e-4 (the benchmark's fit-pairs fits) and 0-2 at s from
 # 1e-2 to 1 (most grouping draws of tools/kkt_stress.py). On those sets,
 # without the floor, slope 3 took between 1% fewer and 8% more iterations
-# than slope 4, and slope 6 2-19% more. The floor keeps rho off 0 where the
-# constrained rows carry almost no kernel mass: without it a pair fit there
-# ran to 2,000 iterations at lam = 1 (see the tests).
+# than slope 4, and slope 6 2-19% more. The floor is the best factor
+# measured at the smallest share seen, 2**-5 (k = 10 at s ~ 5e-5, where the
+# slope alone gives about 2**-5.1): no measurement supports a lower one, and
+# without the floor rho would follow sqrt(s) toward 0 where the constrained
+# rows carry almost no kernel mass.
 _PAIR_RHO_SLOPE = 4.0
 _PAIR_RHO_FLOOR = 2.0 ** -5
 # Differences of the ADMM fixed-point map kept by Anderson acceleration.
@@ -384,7 +388,7 @@ def init_closed_form(core, side, lam, project=True):
 
 def _psd_start(S):
     """(start, L): the start :func:`fit` takes from the symmetric S, a
-    closed form or the prior that is not PSD by construction, and a factor
+    closed form at lam > 0, which is not PSD by construction, and a factor
     of it. If S is finite and LAPACK's Cholesky (dpotrf) factors it, the
     start is S and L its Cholesky factor. Otherwise the start is
     :func:`psd_project` of S and L the :func:`_factor` of the same
@@ -424,12 +428,12 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     :func:`init_closed_form`, and at lam = 0 the optimum itself
     (:meth:`supervision._Supervision.closed_form`), a Gram matrix, which
     starts as it is. C = El.T @ El is eigendecomposed once, for the closed
-    form and the loop alike. Any other start, the closed form at lam > 0 or
-    the prior, is kept as it is when a Cholesky factorization certifies it
-    positive definite and PSD-projected otherwise (:func:`_psd_start`): the
-    prior pinv(W) of a full-rank W is positive definite, and a core built
-    with an indefinite S0 still starts PSD. A fit that stops at an
-    unprojected start costs no eigendecomposition beyond C's.
+    form and the loop alike. The prior S0 = R @ R.T is a Gram matrix too and
+    starts as it is, with the core's factor R: it is neither Cholesky-tested
+    nor projected. The closed form at lam > 0 is kept as it is when a
+    Cholesky factorization certifies it positive definite and PSD-projected
+    otherwise (:func:`_psd_start`). A fit that stops at an unprojected start
+    costs no eigendecomposition beyond C's.
 
     A start whose gradient norm is already within the tolerance of
     :class:`LearnConfig` is returned after 0 iterations, and so is the
@@ -446,12 +450,15 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     The returned :class:`DictionaryState` holds S with a factor L, S = L @ L.T,
     from the decomposition that made S, so it is not decomposed again:
 
-    - a start that Cholesky certified: S as it is, L its Cholesky factor;
+    - the prior: S = core.S0 and L = core.R;
+    - a closed form that Cholesky certified: S as it is, L its Cholesky
+      factor;
     - the closed form at lam = 0: L = H, S = H @ H.T;
-    - a projected start: S the projection, L from its eigenpairs, over the
-      eigenvalues above RANK_RTOL times the largest (:func:`_factor`);
+    - a projected closed form: S the projection, L from its eigenpairs,
+      over the eigenvalues above RANK_RTOL times the largest
+      (:func:`_factor`);
     - the full projection at the exit of a fit that iterates: L from its
-      eigenpairs, as for a projected start, and S = L @ L.T.
+      eigenpairs, as for a projected closed form, and S = L @ L.T.
 
     ``_supervision`` is private: :func:`select_lambda` passes the
     :class:`_Supervision` of (core, side) that its whole grid shares.
@@ -467,7 +474,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         L = np.linalg.qr(start.T, mode="r").T if start.shape[1] > start.shape[0] else start
     else:
         closed = start is not None and np.all(np.isfinite(start))
-        S, L = _psd_start(start if closed else core.S0)
+        S, L = _psd_start(start) if closed else (core.S0, core.R)
 
     grad_tol = 1e-6 * (1.0 + 2.0 * sup.B_norm)
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)

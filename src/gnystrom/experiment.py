@@ -17,7 +17,7 @@ import numpy as np
 
 from ._arrays import as_count, as_seed
 from .datasets import Dataset, sample_labeled
-from .dictlearn import LearnConfig, fit, factorize
+from .dictlearn import LearnConfig, fit
 from .errors import InputError, ParseError
 from .kernels import KernelParams, bandwidth_heuristic
 from .landmarks import (KMeansConfig, LANDMARK_METHODS, LandmarkSet, select_kmeans,
@@ -128,7 +128,8 @@ class PipelineResult:
     ``record`` describes the dictionary in use: the chosen candidate of a
     grid, the fit at a fixed weight, or for the baseline a record with
     ``lam = None``, NaN scores, no solver report, ``S = core.S0`` and
-    ``L = factorize(core.S0)``.
+    ``L = core.R``, the prior's factor from the core's one decomposition
+    of W.
     ``selection`` is the grid's report (None without a grid), and
     ``seconds`` maps the phases "landmarks", "core" and "fit" to their
     wall-clock time.
@@ -154,8 +155,9 @@ def pipeline(X, side, cfg, landmark_seed):
 
     Resolves m (:func:`default_landmark_count` when ``cfg.m`` is None),
     selects the landmarks with ``landmark_seed``, resolves the bandwidth and
-    builds the core. ``side = None`` keeps the baseline S = core.S0 and
-    factors it here, so every record carries its L; with side information,
+    builds the core. ``side = None`` keeps the baseline S = core.S0 with the
+    core's factor L = core.R, so every record carries its L and S0 is not
+    decomposed; with side information,
     ``cfg.lambda_grid`` runs :func:`select_lambda`, and otherwise one
     :func:`fit` runs at ``cfg.lam`` (1.0 when unset), whose NumericalError
     propagates; the fit and its alignment scores share one supervision
@@ -173,7 +175,7 @@ def pipeline(X, side, cfg, landmark_seed):
     if side is None:
         nan = float("nan")
         record = LambdaRecord(lam=None, rho_prior=nan, rho_align=nan, criterion=nan,
-                              solver=None, S=core.S0, L=factorize(core.S0))
+                              solver=None, S=core.S0, L=core.R)
     elif cfg.lambda_grid is not None:
         selection = select_lambda(core, side, cfg.lambda_grid)
         record = selection.chosen

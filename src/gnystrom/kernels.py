@@ -7,7 +7,7 @@ between two kernel matrices after double-centering, used both as a fit
 diagnostic and as the model-selection criterion.
 
 :func:`kernel_matrix` is the package's one routine for kernel blocks: E and
-W, eigenvector extrapolation, ``similarity`` and ``embed`` all call it. Its
+W, ``similarity`` and ``embed`` all call it. Its
 exponents come from one matrix product. Rows with an entry at or near zero
 distance are recomputed pairwise, so those rows are exactly pairwise: every
 row of a block of a point set against itself, such as W, and every row of a

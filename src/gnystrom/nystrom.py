@@ -2,12 +2,14 @@
 
 Given samples X and landmarks Z, the two kernel blocks E = k(X, Z) and
 W = k(Z, Z) extrapolate the full Gram matrix as E @ pinv(W) @ E.T without
-ever forming it. ``extrapolation_bound`` evaluates a per-entry error bound
-for that extrapolation in terms of the distance of each sample to its
-nearest landmark.
+ever forming it. :func:`build_core` eigendecomposes W once and keeps the
+factor R of pinv(W) = R @ R.T, so the prior and its embedding k(x, Z) @ R
+need no further decomposition. ``extrapolation_bound`` evaluates a
+per-entry error bound for that extrapolation in terms of the distance of
+each sample to its nearest landmark.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +33,38 @@ def _landmark_points(Z):
 
 @dataclass(frozen=True)
 class NystromCore:
-    """Kernel blocks E (samples vs landmarks), W (landmarks vs landmarks),
-    and S0, the pseudo-inverse of W on its ``pinv_rank`` leading
-    eigenvalues (the ones above :func:`build_core`'s relative cutoff)."""
+    """Kernel blocks E (samples vs landmarks) and W (landmarks vs
+    landmarks), and R, an m x r factor of the prior: S0 = R @ R.T.
+
+    :func:`build_core` takes R = U diag(1 / sqrt(w)) over the eigenpairs
+    (w, U) of W above its relative cutoff, so S0 is the pseudo-inverse of W
+    on its ``pinv_rank`` = r leading eigenvalues, and R is the factor a fit
+    starting from the prior and the baseline's embedding k(x, Z) @ R use.
+    S0 is formed here, once, by BLAS syrk (NumPy's product of a matrix with
+    its own transpose), so it is symmetric bit for bit. R must be finite,
+    with m rows and at most m columns.
+    """
 
     E: np.ndarray
     W: np.ndarray
-    S0: np.ndarray
-    pinv_rank: int
+    R: np.ndarray
+    S0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         E = np.asarray(self.E, dtype=np.float64)
         W = np.asarray(self.W, dtype=np.float64)
-        S0 = np.asarray(self.S0, dtype=np.float64)
+        R = np.asarray(self.R, dtype=np.float64)
         if E.ndim != 2:
             raise InputError("E must be 2-D")
         m = E.shape[1]
-        if W.shape != (m, m) or S0.shape != (m, m):
-            raise InputError("W and S0 must be m-by-m with m matching E's columns")
-        if not 0 <= self.pinv_rank <= m:
-            raise InputError("pinv_rank out of range")
+        if W.shape != (m, m):
+            raise InputError("W must be m-by-m with m matching E's columns")
+        if R.ndim != 2 or R.shape[0] != m or R.shape[1] > m or not np.all(np.isfinite(R)):
+            raise InputError(f"R must be a finite {m} x r matrix with r <= {m}")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "S0", S0)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S0", R @ R.T)
 
     @property
     def n(self):
@@ -63,31 +74,14 @@ class NystromCore:
     def m(self):
         return int(self.E.shape[1])
 
-
-@dataclass(frozen=True)
-class LandmarkEigensystem:
-    """Retained eigenpairs of W: orthonormal columns, eigenvalues positive
-    and sorted descending."""
-
-    eigvecs: np.ndarray
-    eigvals: np.ndarray
-
-    def __post_init__(self):
-        vecs = np.asarray(self.eigvecs, dtype=np.float64)
-        vals = np.asarray(self.eigvals, dtype=np.float64)
-        if vecs.ndim != 2 or vals.ndim != 1 or vecs.shape[1] != vals.shape[0]:
-            raise InputError("eigvecs must be (m, r) with r matching eigvals")
-        if vals.size:
-            if not np.all(vals > 0):
-                raise InputError("retained eigenvalues must be positive")
-            if np.any(np.diff(vals) > 0):
-                raise InputError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigvecs", vecs)
-        object.__setattr__(self, "eigvals", vals)
+    @property
+    def pinv_rank(self):
+        """The number of W's eigenvalues S0 inverts: R's width."""
+        return int(self.R.shape[1])
 
 
 def build_core(X, Z, params):
-    """Assemble E, W and S0 = pinv(W).
+    """Assemble E, W and the prior's factor R, with S0 = R @ R.T = pinv(W).
 
     Both blocks come from :func:`kernels.kernel_matrix`. W is pairwise in
     every row, so it is exactly symmetric with a unit diagonal, and a row of
@@ -95,8 +89,10 @@ def build_core(X, Z, params):
     row bit for bit. Every other entry of E agrees with its pairwise value to
     about 1e-15.
 
-    Eigenvalues of W at or below 1e-10 times the largest one are
-    treated as zero; the retained count is recorded as ``pinv_rank``. The
+    W is eigendecomposed once, here. Eigenvalues of W at or below 1e-10
+    times the largest one are treated as zero; R = U diag(1 / sqrt(w)) over
+    the others, in ascending order of w, so R's columns come in descending
+    order of S0's eigenvalues 1 / w, and their count is ``pinv_rank``. The
     result satisfies W @ S0 @ W == W on the retained subspace.
     """
     X = as_data_matrix(X)
@@ -106,46 +102,17 @@ def build_core(X, Z, params):
     E = kernel_matrix(X, Zp, params)
     W = kernel_matrix(Zp, Zp, params)
     vals, vecs = _truncate(*eigh(W), _PINV_RTOL)
-    S0 = (vecs / vals) @ vecs.T
-    S0 = 0.5 * (S0 + S0.T)
-    return NystromCore(E=E, W=W, S0=S0, pinv_rank=vals.size)
-
-
-def landmark_eigensystem(core):
-    """Eigendecompose core.W, keeping its ``core.pinv_rank`` largest
-    eigenpairs: the ones S0 inverts."""
-    vals, vecs = eigh(core.W)
-    r = core.pinv_rank
-    return LandmarkEigensystem(eigvecs=vecs[:, ::-1][:, :r], eigvals=vals[::-1][:r])
+    return NystromCore(E=E, W=W, R=vecs / np.sqrt(vals))
 
 
 def reconstruct_entry(core, i, j):
-    """Extrapolated kernel value between samples i and j: E_i . S0 . E_j."""
+    """Extrapolated kernel value between samples i and j: (E_i R) . (E_j R),
+    which is E_i . S0 . E_j, taken through the factor."""
     n = core.n
     for name, idx in (("i", i), ("j", j)):
         if not 0 <= idx < n:
             raise InputError(f"index {name}={idx} out of range for {n} samples")
-    return float(core.E[i] @ core.S0 @ core.E[j])
-
-
-def extrapolate_eigenvectors(core, eig, X, Z, params):
-    """Evaluate the landmark eigenvectors at new points.
-
-    Column i of the result is (1/eigval_i) * (1/m) * sum_j k(x, z_j) *
-    eigvec_i(z_j) for each row x of X. Evaluated at the landmarks themselves
-    this reduces to eigvecs / m, a consistent rescaling of the landmark
-    eigensystem. The landmark coordinates are needed to evaluate k(x, z_j),
-    so Z is taken explicitly.
-    """
-    X = as_data_matrix(X)
-    Zp = _landmark_points(Z)
-    m = core.m
-    if Zp.shape[0] != m:
-        raise InputError(f"expected {m} landmarks, got {Zp.shape[0]}")
-    if eig.eigvals.size == 0:
-        raise InputError("eigensystem retains no eigenpairs")
-    E_new = kernel_matrix(X, Zp, params)
-    return (E_new @ eig.eigvecs) / (m * eig.eigvals)
+    return float((core.E[i] @ core.R) @ (core.E[j] @ core.R))
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,7 @@ def _identity_problem():
     """Two samples sitting on two landmarks with an identity prior whose
     reconstruction already equals the two-class target: the objective is
     exactly zero at the prior."""
-    core = NystromCore(E=np.eye(2), W=np.eye(2), S0=np.eye(2),
-                       pinv_rank=2)
+    core = NystromCore(E=np.eye(2), W=np.eye(2), R=np.eye(2))
     side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
                                       target=np.eye(2))
     return core, side
@@ -745,10 +744,8 @@ def test_init_closed_form_is_the_fit_start(lam):
 
 def test_tiny_lambda_starts_from_prior():
     """At lam = 1e-320 the closed form overflows. Without a warning, fit
-    starts from the prior and init_closed_form rejects the non-finite
-    solution. S0 = pinv(W) of a full-rank W is positive definite, so a
-    Cholesky factorization certifies it and it starts as it is; a core
-    built directly with an indefinite S0 starts from psd_project(S0)."""
+    starts from the prior, S0 as it is, and init_closed_form rejects the
+    non-finite solution."""
     rng = np.random.default_rng(30)
     core, side = _random_labeled_problem(rng)
     assert core.pinv_rank == core.m
@@ -759,14 +756,18 @@ def test_tiny_lambda_starts_from_prior():
     with pytest.raises(InputError, match="non-finite"):
         init_closed_form(core, side, 1e-320)
 
-    shift = np.median(np.linalg.eigvalsh(core.S0)) * np.eye(core.m)
-    indefinite = NystromCore(E=core.E, W=core.W, S0=core.S0 - shift,
-                             pinv_rank=core.pinv_rank)
-    assert np.linalg.eigvalsh(indefinite.S0).min() < 0.0
-    result = fit(indefinite, side, LearnConfig(lam=1e-320, max_iters=1), record_iterates=True)
-    start = result.report.iterates[0]
-    assert np.array_equal(start, psd_project(indefinite.S0))
-    DictionaryState(S=start)
+
+def test_psd_start_projects_what_cholesky_rejects():
+    """A closed form that Cholesky rejects starts from its PSD projection,
+    with the factor of the same eigenpairs: the fit cases that iterate
+    leave this start behind, so it is checked here directly."""
+    A = np.random.default_rng(32).normal(size=(5, 5))
+    M = 0.5 * (A + A.T)
+    assert np.linalg.eigvalsh(M).min() < 0.0
+    S, L = dictlearn._psd_start(M)
+    assert np.array_equal(S, psd_project(M))
+    assert L.shape[1] == np.count_nonzero(np.linalg.eigvalsh(M) > 0.0)
+    assert np.linalg.norm(L @ L.T - S) <= 1e-12 * np.linalg.norm(S)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,10 +1198,7 @@ def test_slowest_kkt_sweep_pair_fits(seed):
 def test_fit_with_faint_supervised_rows(grouping, lam):
     """Supervised rows of E scaled by 1e-6 leave the pair term's share of the
     Hessian trace near 0, and so rho near 0 without the floor on the pair
-    factor: the pair fit at lam = 1 then ran to 2,000 iterations at a
-    mapping norm of 5e-3. With the floor each fit stops in 2 iterations.
-    The core's S0 is shifted indefinite as in
-    test_tiny_lambda_starts_from_prior, so the fits start projected."""
+    factor. The fits start from the prior and stop within 5 iterations."""
     rng = np.random.default_rng(30)
     core, side = _random_labeled_problem(rng)
     if grouping:
@@ -1208,8 +1206,7 @@ def test_fit_with_faint_supervised_rows(grouping, lam):
             must_link=[(0, 1), (2, 3)], cannot_link=[(0, 4), (1, 5)])
     E = core.E.copy()
     E[side.indices] *= 1e-6
-    shift = np.median(np.linalg.eigvalsh(core.S0)) * np.eye(core.m)
-    faint = NystromCore(E=E, W=core.W, S0=core.S0 - shift, pinv_rank=core.pinv_rank)
+    faint = NystromCore(E=E, W=core.W, R=core.R)
     report = fit(faint, side, LearnConfig(lam=lam)).report
     assert report.converged_by == "grad_norm"
     assert report.iterations <= 5
@@ -1683,15 +1680,6 @@ def test_dictionary_state_with_factor_skips_the_eigenvalue_check(monkeypatch):
         DictionaryState(S=L @ L.T, L=np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
-def _indefinite_prior(core, shift):
-    """core with its prior's smallest eigenvalue moved to shift times the
-    largest (negative shift: an S0 that Cholesky rejects)."""
-    vals, vecs = np.linalg.eigh(core.S0)
-    vals[0] = shift * vals[-1]
-    S0 = (vecs * vals) @ vecs.T
-    return NystromCore(E=core.E, W=core.W, S0=0.5 * (S0 + S0.T), pinv_rank=core.pinv_rank)
-
-
 def _no_labels():
     return SideInformation.from_labels(LabelVector(indices=[], labels=[]))
 
@@ -1706,12 +1694,8 @@ _FACTOR_CASES = {
                                  1e-3, True),
     "iterating-pairs": lambda: (*_random_grouping_problem(np.random.default_rng(31)),
                                 0.1, True),
-    "projected-prior": lambda: (
-        _indefinite_prior(_random_labeled_problem(np.random.default_rng(30))[0], -1e-13),
-        _no_labels(), 1.0, False),
-    "iterating-from-projected-prior": lambda: (
-        _indefinite_prior(_random_grouping_problem(np.random.default_rng(31))[0], -0.5),
-        _random_grouping_problem(np.random.default_rng(31))[1], 0.1, True),
+    "prior": lambda: (_random_labeled_problem(np.random.default_rng(30))[0],
+                      _no_labels(), 1.0, False),
 }
 
 
@@ -1719,7 +1703,8 @@ _FACTOR_CASES = {
 def test_fit_and_model_never_decompose_the_returned_matrix(monkeypatch, case):
     """fit returns S with its factor, from the decomposition that made S,
     and from_state embeds through it: no eigvalsh anywhere, no eigh of the
-    returned S, and none at all in from_state."""
+    returned S, and none at all in from_state. The prior comes with the
+    core's factor R, so a fit that stops there decomposes nothing."""
     core, side, lam, iterates = _FACTOR_CASES[case]()
     calls = []
 
@@ -1731,8 +1716,18 @@ def test_fit_and_model_never_decompose_the_returned_matrix(monkeypatch, case):
 
     monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+    real_dpotrf, cholesky = dictlearn.dpotrf, []
+
+    def recording_dpotrf(a, **kwargs):
+        cholesky.append(a)
+        return real_dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(dictlearn, "dpotrf", recording_dpotrf)
     result = fit(core, side, LearnConfig(lam=lam))
     in_fit = len(calls)
+    if case == "prior":
+        assert result.state.L is core.R
+        assert in_fit == 0 and cholesky == []
     model = InductiveModel.from_state(np.zeros((core.m, 2)), KernelParams(bandwidth=1.0),
                                       result.state)
     monkeypatch.undo()

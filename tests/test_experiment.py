@@ -32,7 +32,7 @@ from gnystrom import (
     select_random,
     train_linear,
 )
-from gnystrom import experiment, supervision
+from gnystrom import dictlearn, experiment, supervision
 from gnystrom._arrays import as_index_array, as_seed
 from gnystrom.experiment import (_CONFIG_PARSERS, _CONFIG_RENAMES, default_landmark_count,
                                  read_config)
@@ -164,19 +164,30 @@ def test_baseline_ignores_labels_in_dictionary():
 
 
 def test_baseline_record_carries_its_factor(monkeypatch):
-    """The pipeline factors S0 for the baseline, and run_experiment embeds
-    through each record's L without factoring again."""
+    """The baseline's record carries the core's factor R of S0, so the
+    pipeline eigendecomposes W alone, once, and run_experiment embeds
+    through each record's L without factoring S0."""
     ds = _small_blobs(seed=2)
     cfg = ExperimentConfig(labeled_per_run=10, repeats=2, seed=3, m=8)
+    real_eigh, decomposed = np.linalg.eigh, []
+
+    def recording_eigh(M, *args, **kwargs):
+        decomposed.append(np.array(M))
+        return real_eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     run = experiment.pipeline(ds.X, None, cfg, 5)
+    monkeypatch.undo()
+    assert len(decomposed) == 1 and np.array_equal(decomposed[0], run.core.W)
     assert run.record.S is run.core.S0
-    assert np.array_equal(run.record.L, factorize(run.core.S0))
-    expected = run_experiment(ds, cfg, "nystrom_baseline").errors
+    assert run.record.L is run.core.R
+
     factored = []
-    monkeypatch.setattr(experiment, "factorize",
-                        lambda S: factored.append(S) or factorize(S))
-    assert np.array_equal(run_experiment(ds, cfg, "nystrom_baseline").errors, expected)
-    assert len(factored) == cfg.repeats
+    for module in (experiment, dictlearn):
+        monkeypatch.setattr(module, "factorize",
+                            lambda S: factored.append(S) or factorize(S), raising=False)
+    assert run_experiment(ds, cfg, "nystrom_baseline").errors.size == cfg.repeats
+    assert factored == []
 
 
 def test_huge_lambda_matches_baseline_per_repeat():

@@ -1,5 +1,5 @@
-"""Tests for the low-rank core: kernel blocks, pseudo-inverse prior,
-entry reconstruction, eigenvector extrapolation, and the error bound."""
+"""Tests for the low-rank core: kernel blocks, the pseudo-inverse prior
+and its factor, entry reconstruction, and the error bound."""
 
 import tracemalloc
 
@@ -11,13 +11,10 @@ from scipy.spatial.distance import cdist
 from gnystrom import (
     InputError,
     KernelParams,
-    LandmarkEigensystem,
     NystromCore,
     build_core,
-    extrapolate_eigenvectors,
     extrapolation_bound,
     kernel_matrix,
-    landmark_eigensystem,
     rbf_lipschitz_constant,
     reconstruct_entry,
     select_random,
@@ -94,12 +91,21 @@ def test_build_core_input_validation():
 
 
 def test_nystrom_core_shape_validation():
+    E, W = np.ones((3, 2)), np.eye(2)
     with pytest.raises(InputError):
-        NystromCore(E=np.ones((3, 2)), W=np.ones((3, 3)), S0=np.ones((2, 2)),
-                    pinv_rank=2)
-    with pytest.raises(InputError):
-        NystromCore(E=np.ones((3, 2)), W=np.ones((2, 2)), S0=np.ones((2, 2)),
-                    pinv_rank=5)
+        NystromCore(E=E, W=np.ones((3, 3)), R=np.eye(2))
+    for R in (np.ones(2), np.ones((1, 2, 2)), np.ones((3, 2)), np.ones((2, 3))):
+        with pytest.raises(InputError, match="R must be"):
+            NystromCore(E=E, W=W, R=R)
+
+
+def test_nystrom_core_prior_is_its_factor_gram():
+    R = np.array([[2.0, 0.0], [1.0, 3.0], [0.5, -1.0]])
+    core = NystromCore(E=np.ones((4, 3)), W=np.eye(3), R=R)
+    assert core.pinv_rank == 2
+    assert np.array_equal(core.S0, core.S0.T)
+    assert_allclose(core.S0, R @ R.T, rtol=1e-15)
+    assert NystromCore(E=np.ones((4, 3)), W=np.eye(3), R=np.empty((3, 0))).pinv_rank == 0
 
 
 def test_reconstruction_rank_bounded_by_m():
@@ -164,94 +170,80 @@ def test_reconstruct_entry_index_checks():
 
 
 # ---------------------------------------------------------------------------
-# landmark_eigensystem / extrapolate_eigenvectors
+# the prior's factor R
 
 
 def test_eigensystem_orthonormal_descending():
+    # R = U diag(1 / sqrt(w)): orthogonal columns whose squared norms, the
+    # eigenvalues 1 / w of S0, are positive and descending.
     rng = np.random.default_rng(8)
     _, _, core = _random_core(rng, n=10, m=6)
-    eig = landmark_eigensystem(core)
-    r = eig.eigvals.size
-    assert_allclose(eig.eigvecs.T @ eig.eigvecs, np.eye(r), atol=1e-8)
-    assert np.all(np.diff(eig.eigvals) <= 0)
-    assert np.all(eig.eigvals > 0)
+    gram = core.R.T @ core.R
+    norms = np.diag(gram)
+    assert_allclose(gram, np.diag(norms), atol=1e-12 * norms.max())
+    assert np.all(norms > 0)
+    assert np.all(np.diff(norms) <= 0)
 
 
 def test_eigensystem_reconstructs_w():
+    # R whitens W on the retained subspace: R.T W R = I.
     rng = np.random.default_rng(9)
     _, _, core = _random_core(rng, n=10, m=5)
-    eig = landmark_eigensystem(core)
-    W_back = (eig.eigvecs * eig.eigvals) @ eig.eigvecs.T
-    assert_allclose(W_back, core.W, atol=1e-10)
+    assert_allclose(core.R.T @ core.W @ core.R, np.eye(core.pinv_rank), atol=1e-8)
 
 
 def test_eigensystem_keeps_the_pairs_the_prior_inverts():
-    # The cutoff drops the weak direction of two landmarks 1e-9 apart; the
-    # eigensystem keeps the same pinv_rank leading pairs.
+    # The cutoff drops the weak direction of two landmarks 1e-9 apart; R
+    # keeps the other pinv_rank pairs, and its Gram matrix is S0.
     Z = np.array([[0.0], [1e-9], [3.0]])
     core = build_core(Z, Z, KernelParams(bandwidth=1.0))
     assert core.pinv_rank == 2
-    eig = landmark_eigensystem(core)
+    assert core.R.shape == (3, 2)
     vals, vecs = np.linalg.eigh(core.W)
-    assert np.array_equal(eig.eigvals, vals[::-1][:2])
-    assert np.array_equal(eig.eigvecs, vecs[:, ::-1][:, :2])
-    S0 = (eig.eigvecs / eig.eigvals) @ eig.eigvecs.T
-    assert_allclose(S0, core.S0, atol=1e-12 * np.abs(core.S0).max())
+    assert_allclose(np.abs(core.R), np.abs(vecs[:, 1:] / np.sqrt(vals[1:])),
+                    atol=1e-12 * np.abs(core.R).max())
+    assert np.array_equal(core.R @ core.R.T, core.S0)
 
 
 def test_eigensystem_rejects_bad_values():
-    with pytest.raises(InputError):
-        LandmarkEigensystem(eigvecs=np.eye(2), eigvals=np.array([1.0, -1.0]))
-    with pytest.raises(InputError):
-        LandmarkEigensystem(eigvecs=np.eye(2), eigvals=np.array([1.0, 2.0]))
+    for bad in (np.nan, np.inf):
+        R = np.eye(2)
+        R[1, 0] = bad
+        with pytest.raises(InputError, match="R must be a finite"):
+            NystromCore(E=np.ones((3, 2)), W=np.eye(2), R=R)
 
 
 def test_extrapolation_at_landmarks_recovers_scaled_eigvecs():
+    # The embedding k(x, Z) @ R at the landmarks is W R = U diag(sqrt(w)):
+    # the eigenvectors of W scaled by the square roots of their
+    # eigenvalues, whose Gram matrix is W again.
     rng = np.random.default_rng(10)
     X = rng.normal(size=(6, 2))
     Z = select_random(X, 4, seed=0)
     p = KernelParams(bandwidth=3.0)
     core = build_core(X, Z, p)
-    eig = landmark_eigensystem(core)
-    phi = extrapolate_eigenvectors(core, eig, Z.points, Z, p)
-    assert_allclose(phi, eig.eigvecs / core.m, atol=1e-8)
-
-
-def test_extrapolation_single_landmark_single_sample():
-    p = KernelParams(bandwidth=1.0)
-    Z = np.array([[0.7]])
-    core = build_core(Z, Z, p)
-    eig = landmark_eigensystem(core)
-    phi = extrapolate_eigenvectors(core, eig, Z, Z, p)
-    assert_allclose(phi, eig.eigvecs, atol=1e-12)  # m = 1, eigval = 1
+    phi = kernel_matrix(Z.points, Z.points, p) @ core.R
+    vals, vecs = np.linalg.eigh(core.W)
+    assert_allclose(np.abs(phi), np.abs(vecs * np.sqrt(vals)), atol=1e-8)
+    assert_allclose(phi @ phi.T, core.W, atol=1e-10)
 
 
 def test_extrapolation_matches_direct_summation():
-    """Independent oracle: per-sample, per-column explicit sums."""
+    """Independent oracle: per-sample, per-column explicit sums of the
+    embedding k(x, Z) @ R."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(5, 2))
     Z = rng.normal(size=(3, 2))
     p = KernelParams(bandwidth=2.0)
     core = build_core(X, Z, p)
-    eig = landmark_eigensystem(core)
-    phi = extrapolate_eigenvectors(core, eig, X, Z, p)
-    m = 3
+    phi = core.E @ core.R
     for a in range(5):
-        for i in range(eig.eigvals.size):
+        for i in range(core.pinv_rank):
             total = 0.0
-            for j in range(m):
+            for j in range(3):
                 diff = X[a] - Z[j]
-                total += np.exp(-np.dot(diff, diff) / 2.0) * eig.eigvecs[j, i]
-            expected = total / (m * eig.eigvals[i])
-            assert abs(phi[a, i] - expected) < 1e-10
-
-
-def test_extrapolation_requires_eigenpairs():
-    p = KernelParams(bandwidth=1.0)
-    core = build_core([[0.0]], [[0.0]], p)
-    empty = LandmarkEigensystem(eigvecs=np.empty((1, 0)), eigvals=np.empty(0))
-    with pytest.raises(InputError):
-        extrapolate_eigenvectors(core, empty, [[0.0]], [[0.0]], p)
+                total += np.exp(-np.dot(diff, diff) / 2.0) * core.R[j, i]
+            assert abs(phi[a, i] - total) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +279,7 @@ def test_bound_single_offset_sample():
 
 def test_bound_holds_on_random_instances():
     rng = np.random.default_rng(13)
+    on_landmarks = 0
     for _ in range(100):
         n = int(rng.integers(3, 12))
         m = int(rng.integers(1, min(n, 6) + 1))
@@ -297,7 +290,14 @@ def test_bound_holds_on_random_instances():
         eta = rbf_lipschitz_constant(X, Z, p)
         i, j = int(rng.integers(n)), int(rng.integers(n))
         check = extrapolation_bound(core, X, Z, p, eta, i, j)
-        assert check.lhs <= check.rhs + 1e-12
+        if check.rhs == 0.0:
+            # Both samples sit on landmarks, where the reconstruction is
+            # exact up to rounding.
+            on_landmarks += 1
+            assert check.lhs <= 1e-14
+        else:
+            assert check.lhs <= check.rhs + 1e-12
+    assert on_landmarks > 0
 
 
 def test_lipschitz_constant_equals_full_distance_maximum():
