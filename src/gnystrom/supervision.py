@@ -363,9 +363,10 @@ class _Supervision:
                                    centred_target, raw, self.target_norm)
         x = self._pairs().entries(S)
         t = np.broadcast_to(self.pair_target, x.shape)
+        cx, ct = self._centring(x), self._centring(t)
         return _centred_cosine(
-            self._centred_inner(x, t), np.sqrt(max(self._centred_inner(x, x), 0.0)),
-            np.sqrt(max(self._centred_inner(t, t), 0.0)),
+            self._centred_inner(cx, ct), np.sqrt(max(self._centred_inner(cx, cx), 0.0)),
+            np.sqrt(max(self._centred_inner(ct, ct), 0.0)),
             np.sqrt(np.sum(self.weight * x * x)), np.sqrt(np.sum(self.weight * t * t)))
 
     @cached_property
@@ -381,15 +382,42 @@ class _Supervision:
         Rc, Ac, _ = _qr_parts(Ec, Yc)
         return Rc, Ac @ Ac.T, float(np.linalg.norm(Yc.T @ Yc))
 
-    def _centred_inner(self, x, y):
-        """<H X H, H Y H> for the l x l matrices X and Y that hold x and y
-        (2 x p, as from :meth:`_Pairs.entries`) at the pairs, H = I - 11^T / l, in
-        O(p + l): with row sums r, column sums c and total s,
-        <X, Y> - (r_X . r_Y + c_X . c_Y) / l + s_X s_Y / l^2."""
+    def _centring(self, x):
+        """(x, g, a, b, e) for the l x l matrix X that holds x (2 x p, as
+        from :meth:`_Pairs.entries`) at the pairs and 0 elsewhere: its grand
+        mean g, its centred row and column means a and b, and e = a_i + b_j
+        at the entries of x. H X H = X - D for D_ij = g + a_i + b_j,
+        H = I - 11^T / l."""
         l = max(self.El.shape[0], 1)
-        (rx, cx), (ry, cy) = self._sums(x), self._sums(y)
-        return float(np.sum(self.weight * x * y) - (rx @ ry + cx @ cy) / l
-                     + rx.sum() * ry.sum() / l ** 2)
+        r, c = self._sums(x)
+        g = r.sum() / l ** 2
+        a, b = r / l - g, c / l - g
+        i, j = self.pair_rows
+        return x, g, a, b, np.stack([a[i] + b[j], a[j] + b[i]])
+
+    def _centred_inner(self, u, v):
+        """<H X H, H Y H> from the :meth:`_centring` of X and of Y, in
+        O(p + l): the sum over the pairs of (x - g_X - e_X)(y - g_Y - e_Y),
+        plus that of D_X D_Y over the entries off the pairs, the whole sum of
+        D_X D_Y less its part at the pairs, with the g_X g_Y terms counted
+        as (l^2 - #pair entries) g_X g_Y.
+
+        It holds for any g, a and b, and is stationary in them (H X H has
+        zero row and column sums), so their rounding errors enter squared.
+        Each term is at most of size ||X|| ||H X H||, so a nearly constant X
+        loses eps ||X|| / ||H X H||, as the dense centring in
+        :func:`nka_score` does, and not the square of that ratio, as
+        <X, Y> - (r_X . r_Y + c_X . c_Y) / l + s_X s_Y / l^2 does."""
+        (x, gx, ax, bx, ex), (y, gy, ay, by, ey) = u, v
+        l = max(self.El.shape[0], 1)
+        w = np.broadcast_to(self.weight, x.shape)
+        on = np.sum(w * (x - gx - ex) * (y - gy - ey))
+        off_ex = l * (ax.sum() + bx.sum()) - np.sum(w * ex)
+        off_ey = l * (ay.sum() + by.sum()) - np.sum(w * ey)
+        off = ((l * l - w.sum()) * gx * gy + gx * off_ey + gy * off_ex
+               + l * (ax @ ay + bx @ by) + ax.sum() * by.sum() + bx.sum() * ay.sum()
+               - np.sum(w * ex * ey))
+        return float(on + off)
 
     def _sums(self, x):
         """Row and column sums of the matrix that holds x at the pairs."""

@@ -489,6 +489,8 @@ def _drawn_problem(rng, grouping):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), grouping=st.booleans(),
        lam=st.sampled_from((0.0, 1e-3, 1.0)), symmetric=st.booleans())
+# A nearly constant reconstructed block, whose centred part is some 1e-5 of it.
+@example(seed=1396652, grouping=True, lam=0.0, symmetric=False)
 def test_compact_forms_match_dense_formulas(seed, grouping, lam, symmetric):
     """J, grad J, B, the closed form and both alignment factors, from the
     class codes or the pair list, against the l x l formulas, for symmetric
