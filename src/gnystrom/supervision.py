@@ -47,7 +47,6 @@ class SideInformation:
 
     ``target`` and ``mask`` build the dense l x l arrays on demand, for
     inspection; fitting, selection and alignment never call them.
-    :meth:`from_dense` takes the dense form.
     """
 
     kind: str
@@ -122,43 +121,6 @@ class SideInformation:
         return out
 
     @classmethod
-    def from_dense(cls, kind, indices, target, mask=None):
-        """Side information from a dense l x l 0/1 ``target`` (and ``mask``
-        for the grouping kind), both symmetric.
-
-        A label target must be an equivalence relation with a unit diagonal
-        (a same-class kernel). A grouping target must lie inside the mask;
-        every nonzero of the mask's upper triangle, its diagonal included,
-        becomes a pair.
-        """
-        if kind not in SIDE_KINDS:
-            raise InputError(f"unknown side-information kind {kind!r}")
-        indices = as_index_array(indices)
-        target = np.asarray(target, dtype=np.float64)
-        l = indices.shape[0]
-        _check_dense(target, l, "target")
-        if kind == "labels":
-            if mask is not None:
-                raise InputError("label-kind side information takes no mask")
-            # Rows of an equivalence relation with a unit diagonal are equal
-            # within a class and differ across classes.
-            _, codes = np.unique(target, axis=0, return_inverse=True)
-            codes = codes.ravel()
-            if not np.array_equal(target, codes[:, None] == codes[None, :]):
-                raise InputError("a label target must be an equivalence relation "
-                                 "with a unit diagonal")
-            return cls(kind=kind, indices=indices, codes=codes)
-        if mask is None:
-            raise InputError("grouping-kind side information requires a mask")
-        mask = np.asarray(mask, dtype=np.float64)
-        _check_dense(mask, l, "mask")
-        if np.any(target > mask):
-            raise InputError("target support must lie inside the mask")
-        a, b = np.nonzero(np.triu(mask))
-        return cls(kind=kind, indices=indices, pairs=np.column_stack([a, b]),
-                   must=target[a, b] == 1.0)
-
-    @classmethod
     def from_labels(cls, labels):
         """Build label-kind side information from a LabelVector."""
         if not isinstance(labels, LabelVector):
@@ -196,15 +158,6 @@ class SideInformation:
         order = np.argsort(keys)
         return cls(kind="grouping", indices=involved,
                    pairs=np.column_stack(np.divmod(keys[order], l)), must=order < must.size)
-
-
-def _check_dense(M, l, name):
-    if M.shape != (l, l):
-        raise InputError(f"{name} must be {l}x{l}, got {M.shape}")
-    if not np.array_equal(M, M.T):
-        raise InputError(f"{name} must be symmetric")
-    if not np.all((M == 0.0) | (M == 1.0)):
-        raise InputError(f"{name} entries must be 0 or 1")
 
 
 def _sample_pairs(pairs):

@@ -54,8 +54,7 @@ def _identity_problem():
     reconstruction already equals the two-class target: the objective is
     exactly zero at the prior."""
     core = NystromCore(E=np.eye(2), W=np.eye(2), R=np.eye(2))
-    side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                      target=np.eye(2))
+    side = SideInformation(kind="labels", indices=[0, 1], codes=[0, 1])
     return core, side
 
 
@@ -78,6 +77,15 @@ def _random_grouping_problem(rng, n=12, m=4, d=2, bandwidth=3.0):
     return core, side
 
 
+def _pairs_from_mask(indices, target, mask):
+    """Grouping-kind side information with a pair at every nonzero of the
+    upper triangle of the dense 0/1 ``mask``, its diagonal included, and a
+    must-link flag where ``target`` is 1 there."""
+    a, b = np.nonzero(np.triu(mask))
+    return SideInformation(kind="grouping", indices=indices,
+                           pairs=np.column_stack([a, b]), must=target[a, b] == 1.0)
+
+
 def _fd_gradient(S, core, side, lam, h=1e-5):
     G = np.zeros_like(S)
     for i in range(S.shape[0]):
@@ -98,40 +106,6 @@ def _random_symmetric(rng, m):
 
 # ---------------------------------------------------------------------------
 # SideInformation
-
-
-def test_side_information_label_kind_validation():
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                   target=np.array([[1.0, 0.0], [1.0, 1.0]]))  # asymmetric
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                   target=np.array([[1.0, 0.5], [0.5, 1.0]]))  # not 0/1
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                   target=np.eye(2), mask=np.eye(2))  # labels take no mask
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="other", indices=np.array([0]), target=np.eye(1))
-    with pytest.raises(InputError):  # not an equivalence relation
-        SideInformation.from_dense(kind="labels", indices=np.arange(3),
-                                   target=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
-                                   [0.0, 1.0, 1.0]]))
-    with pytest.raises(InputError):  # no unit diagonal
-        SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                   target=np.zeros((2, 2)))
-
-
-def test_side_information_grouping_kind_validation():
-    idx = np.array([0, 1])
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="grouping", indices=idx, target=np.eye(2))  # no mask
-    with pytest.raises(InputError):
-        SideInformation.from_dense(kind="grouping", indices=idx, target=np.eye(2),
-                                   mask=np.zeros((2, 2)))  # target outside mask
-    ok = SideInformation.from_dense(kind="grouping", indices=idx,
-                                    target=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                                    mask=np.ones((2, 2)))
-    assert ok.kind == "grouping"
 
 
 def test_side_information_from_labels():
@@ -254,8 +228,6 @@ def test_label_target_property_matches_dense_builder(labels):
     assert side.mask is None
     assert np.array_equal(side.target, _old_ideal_kernel(values))
     assert side.target.dtype == np.float64
-    again = SideInformation.from_dense("labels", side.indices, side.target)
-    assert np.array_equal(again.target, side.target)
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,13 +253,13 @@ def test_pair_properties_match_dense_builder(draws):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), l=st.integers(0, 9))
-def test_dense_pair_constructor_keeps_diagonal_pairs(seed, l):
+def test_pair_constructor_keeps_diagonal_pairs(seed, l):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((l, l)) < 0.4)
     mask = (upper | upper.T).astype(np.float64)
     target = mask * np.triu(rng.random((l, l)) < 0.5)
     target = np.maximum(target, target.T)
-    side = SideInformation.from_dense("grouping", np.arange(l), target, mask)
+    side = _pairs_from_mask(np.arange(l), target, mask)
     assert np.array_equal(side.mask, mask)
     assert np.array_equal(side.target, target)
     assert side.pairs.shape[0] == np.count_nonzero(np.triu(mask))
@@ -295,6 +267,8 @@ def test_dense_pair_constructor_keeps_diagonal_pairs(seed, l):
 
 def test_side_information_validates_compact_fields():
     idx = np.arange(3)
+    with pytest.raises(InputError):
+        SideInformation(kind="other", indices=idx, codes=[0, 0, 0])
     with pytest.raises(InputError):
         SideInformation(kind="labels", indices=idx)  # no codes
     with pytest.raises(InputError):
@@ -483,7 +457,7 @@ def _drawn_problem(rng, grouping):
     mask = (upper | upper.T).astype(np.float64)
     target = mask * (rng.random((l, l)) < 0.5)
     target = np.triu(target) + np.triu(target, 1).T
-    return core, SideInformation.from_dense("grouping", idx, target, mask)
+    return core, _pairs_from_mask(idx, target, mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -534,8 +508,7 @@ def _as_full_mask_pairs(side):
     """The label target of ``side`` as grouping-kind side information that
     constrains every pair of its rows."""
     l = side.indices.size
-    return SideInformation.from_dense("grouping", side.indices, side.target,
-                                      mask=np.ones((l, l)))
+    return _pairs_from_mask(side.indices, side.target, np.ones((l, l)))
 
 
 def test_compact_objective_is_accurate_near_zero():
@@ -994,8 +967,7 @@ def test_pair_x_step_solves_dense_masked_system():
     for a, b, must in ((0, 1, 1.0), (1, 3, 0.0), (2, 2, 1.0), (3, 3, 0.0), (0, 2, 1.0)):
         mask[a, b] = mask[b, a] = 1.0
         target[a, b] = target[b, a] = must
-    side = SideInformation.from_dense(kind="grouping", indices=np.array([1, 4, 7, 9]),
-                                      target=target, mask=mask)
+    side = _pairs_from_mask(np.array([1, 4, 7, 9]), target, mask)
     El = core.E[side.indices]
     lam = 0.3
     S = psd_project(_random_symmetric(rng, 5))
@@ -1437,6 +1409,25 @@ def test_label_fit_and_alignment_memory_is_linear_in_l(wide_core):
     (result, scores), peak = _traced_peak(run)
     assert result.report.iterations > 0
     assert all(np.isfinite(scores))
+    assert peak < 32 * 2**20
+
+
+def test_pair_objective_and_alignment_memory_is_linear_in_l(wide_core):
+    """2,000 pairs over 4,000 distinct rows at m = 100: J and the target
+    alignment at the prior gather the pairs' rows and centre over O(p + l)
+    sums, with no l x l array (one takes 122 MiB). The fit is left out: its
+    p x p system alone takes 32 MB."""
+    ds, core = wide_core
+    rows = np.random.default_rng(0).permutation(ds.n)[:4000].reshape(-1, 2)
+    same = ds.y[rows[:, 0]] == ds.y[rows[:, 1]]
+
+    def run():
+        side = SideInformation.from_constraints(rows[same].tolist(), rows[~same].tolist())
+        return side, objective(core.S0, core, side, 0.1), alignment_scores(core.S0, core, side)
+
+    (side, value, scores), peak = _traced_peak(run)
+    assert side.indices.size == 4000 and side.pairs.shape[0] == 2000
+    assert np.isfinite(value) and all(np.isfinite(scores))
     assert peak < 32 * 2**20
 
 

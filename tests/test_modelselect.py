@@ -88,8 +88,7 @@ def test_tie_breaks_toward_smallest():
     # The prior already reproduces the target exactly, so every candidate
     # fit stays at the prior and all criteria coincide.
     core = NystromCore(E=np.eye(2), W=np.eye(2), R=np.eye(2))
-    side = SideInformation.from_dense(kind="labels", indices=np.array([0, 1]),
-                                      target=np.eye(2))
+    side = SideInformation(kind="labels", indices=[0, 1], codes=[0, 1])
     report = select_lambda(core, side, grid=(0.01, 1.0, 100.0))
     crits = [r.criterion for r in report.records]
     assert_allclose(crits, [crits[0]] * 3, atol=1e-12)

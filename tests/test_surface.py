@@ -48,3 +48,11 @@ def test_helpers_kept_in_their_modules_are_not_reexported():
                          ("experiment", "read_config"), ("modelselect", "validate_grid")):
         assert callable(getattr(getattr(gnystrom, module), name))
         assert not hasattr(gnystrom, name)
+
+
+def test_side_information_is_built_from_codes_or_pairs_only():
+    """Besides its constructor, side information comes from labels or from
+    constraint pairs; nothing takes the dense l x l form."""
+    classmethods = {name for name, value in vars(gnystrom.SideInformation).items()
+                    if isinstance(value, classmethod)}
+    assert classmethods == {"from_labels", "from_constraints"}
