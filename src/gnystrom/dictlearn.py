@@ -97,9 +97,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dsyevr
 
 from ._arrays import RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh
+from ._lapack import dposv, dpotrf, dsyevr
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 

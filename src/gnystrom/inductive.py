@@ -43,9 +43,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from ._arrays import as_data_matrix, as_vector
+from ._lapack import dtrmm
 from .dictlearn import DictionaryState, factorize
 from .errors import InputError, ModelFormatError
 from .kernels import KernelParams, kernel_matrix

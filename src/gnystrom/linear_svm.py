@@ -10,12 +10,13 @@ Q = c_reg * (y y^T) * K.
 The QP is solved by a primal-dual interior-point method with Mehrotra's
 predictor-corrector (Nocedal & Wright 2006, section 16.6): each step of a
 class factors one n x n matrix, c_reg * K plus a positive diagonal, and
-solves with it twice. On the benchmark's rows it takes 6 to 8 steps, and on small
-random problems with features scaled from 1e-3 to 1e3 at most 80. An
-accelerated projected gradient on the same dual (FISTA with adaptive
-restart) takes 100 to 1,000 steps on the benchmark's rows and tens of
-thousands or more on badly scaled ones, where it settles the rows at the
-bounds of the box one at a time.
+solves with it twice; with two classes one step serves both, as the second
+class's dual is the first's with y negated. On the benchmark's rows it takes
+6 to 8 steps, and on small random problems with features scaled from 1e-3
+to 1e3 at most 80. An accelerated projected gradient on the same dual (FISTA
+with adaptive restart) takes 100 to 1,000 steps on the benchmark's rows and
+tens of thousands or more on badly scaled ones, where it settles the rows at
+the bounds of the box one at a time.
 
 Before every step each class's duality gap P(w) - D(alpha), an upper bound
 on how far P(w) lies above the optimum, is computed from w. A class stops
@@ -30,9 +31,9 @@ reproducible.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._arrays import as_count
+from ._lapack import dpotrf, dpotrs
 from .errors import InputError, NumericalError
 
 # A class stops once its duality gap is at most this fraction of its primal
@@ -97,9 +98,10 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
     class through its dual (see the module docstring) until every class's
     duality gap is at most GAP_TOL of its primal objective, or for at most
     ``n_iters`` interior-point steps; the model records which. A step
-    factors an n x n matrix per class, so the cost suits the labelled rows
-    a classifier here is trained on. Degenerate inputs (duplicate points
-    with clashing labels) have a bounded dual and train like any other.
+    factors an n x n matrix per class (one for two classes), so the cost
+    suits the labelled rows a classifier here is trained on. Degenerate
+    inputs (duplicate points with clashing labels) have a bounded dual and
+    train like any other.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -141,9 +143,16 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
         stepping = (gaps > GAP_TOL) & (2.0 * mu > np.finfo(float).eps * primal)
         if not stepping.any() or iterations == n_iters:
             break
-        for c in np.flatnonzero(stepping):
+        # With two classes, class 1's y is class 0's negated. Negation is
+        # exact in every product and solve of a step, so class 1 would step
+        # as class 0 does, bit for bit: one step serves both.
+        binary = classes.size == 2
+        for c in [0] if binary else np.flatnonzero(stepping):
             alpha[:, c], rest[:, c], z[:, c], s[:, c] = _interior_step(
                 cK, Y[:, c], alpha[:, c], rest[:, c], z[:, c], s[:, c])
+        if binary:
+            for v in (alpha, rest, z, s):
+                v[:, 1] = v[:, 0]
     if np.all(gaps <= GAP_TOL):
         stop_reason = "gap"
     else:

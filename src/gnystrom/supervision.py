@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs
 
 from ._arrays import RANK_RTOL, as_index_array, eigh
+from ._lapack import dgeqrt, dpotrf, dpotrs, dsyrk
 from .errors import InputError, NumericalError
 from .kernels import LabelVector, _centred_cosine, _unit_scaled
 

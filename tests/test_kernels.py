@@ -177,10 +177,12 @@ def test_kernel_matrix_overflow_goes_pairwise_without_warnings(scale, bandwidth)
     assert block[0, 0] == 1.0
 
 
-def test_pipeline_does_not_import_scipy_spatial():
-    """build_core, fit, embed and rbf_lipschitz_constant run without
-    scipy.spatial, whose import alone costs about 9 MiB of resident memory."""
-    script = """
+def test_pipeline_does_not_import_scipy_spatial_or_linalg(tmp_path):
+    """The whole pipeline, from landmarks through label and pair fits,
+    selection, the classifier and a saved model, runs without scipy.linalg,
+    whose import costs about 22 MiB of resident memory, or scipy.spatial,
+    which imports it and costs about 9 MiB more."""
+    script = f"""
 import sys
 import numpy as np
 import gnystrom as gn
@@ -190,15 +192,22 @@ Z = gn.select_kmeans(ds.X, gn.KMeansConfig(k=8, seed=0))
 core = gn.build_core(ds.X, Z, params)
 side = gn.SideInformation.from_labels(gn.sample_labeled(ds, 10, 1))
 result = gn.fit(core, side, gn.LearnConfig(lam=0.1))
+pairs = gn.SideInformation.from_constraints([(0, 1), (2, 3)], [(0, 2), (1, 4)])
+gn.fit(core, pairs, gn.LearnConfig(lam=0.1))
+gn.select_lambda(core, side, grid=(0.01, 1.0))
+gn.factorize(result.state)
 model = gn.InductiveModel.from_state(Z, params, result.state, lam=0.1)
-gn.embed(model, ds.X)
+G = gn.embed(model, ds.X)
+gn.train_linear(G, ds.y).predict(G)
+gn.save(model, {str(tmp_path / "model.gnys")!r})
+gn.load({str(tmp_path / "model.gnys")!r})
 gn.rbf_lipschitz_constant(ds.X, Z, params)
-print("scipy.spatial" in sys.modules)
+print("scipy.spatial" in sys.modules, "scipy.linalg" in sys.modules)
 """
     src = str(Path(gnystrom.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 # ---------------------------------------------------------------------------

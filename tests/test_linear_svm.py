@@ -17,6 +17,7 @@ from gnystrom import (
     make_blobs,
     train_linear,
 )
+from gnystrom import linear_svm
 from gnystrom.linear_svm import GAP_TOL
 
 
@@ -63,6 +64,27 @@ def test_training_is_deterministic():
     a = train_linear(G, labels)
     b = train_linear(G, labels)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_binary_training_steps_one_class(monkeypatch):
+    """With two classes the second class's dual is the first's with y
+    negated, so one interior-point step per iteration serves both."""
+    calls = []
+    real = linear_svm._interior_step
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linear_svm, "_interior_step", counting)
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(40, 3))
+    labels = np.where(G[:, 0] + 0.3 * rng.normal(size=40) > 0, 7, 2)
+    model = train_linear(G, labels)
+    assert model.stop_reason == "gap"
+    assert model.iterations > 0
+    assert len(calls) == model.iterations
+    assert np.array_equal(model.weights[1], -model.weights[0])
 
 
 def test_multiclass_blobs_low_error():

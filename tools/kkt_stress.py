@@ -9,18 +9,16 @@ a kind and a lambda, then m and the problem from the seed. This script makes
 the same draws for every seed in the range and every kind x lambda pair the
 test allows (labels at lambda 0, 1e-3, 1 and 100; grouping at the three
 positive ones), fits each at ``max_iters = 20000`` and applies the test's
-three checks. It prints one JSON line: the fits, the KKT failures (and which
-draws failed), the total iterations, the fits past 2,000 iterations, the
-factor builds, the fits returned at their start after 0 iterations
-(``at_start``), the iterations per kind and lambda (``iterations_by_draw``,
-keyed ``"<kind> <lambda>"``), the wall seconds of those fits
-(``seconds_by_draw``, keyed the same, so a solver change can be read cell by
-cell), the largest iteration count of one fit per
-kind and lambda (``max_iterations_by_draw``, keyed the same), the seed of
-that largest fit (``slowest_seed_by_draw``, the first such seed on a tie,
-keyed the same), so a tail regression names its draw, a ``digest``, the
-sha256 of every returned S and objective trace in sweep order,
-``digest_iterating``, the same over the fits that iterated only, and
+three checks. It prints one JSON line on stdout: the fits, the KKT failures
+(and which draws failed), the total iterations, the fits past 2,000
+iterations, the factor builds, the fits returned at their start after 0
+iterations (``at_start``), the iterations per kind and lambda
+(``iterations_by_draw``, keyed ``"<kind> <lambda>"``), the largest iteration
+count of one fit per kind and lambda (``max_iterations_by_draw``, keyed the
+same), the seed of that largest fit (``slowest_seed_by_draw``, the first
+such seed on a tie, keyed the same), so a tail regression names its draw, a
+``digest``, the sha256 of every returned S and objective trace in sweep
+order, ``digest_iterating``, the same over the fits that iterated only, and
 ``digest_by_draw``, the same per kind and lambda, keyed like
 ``iterations_by_draw``. Each returned state also carries its factor L; per
 kind and lambda, ``factor_error_by_draw`` holds the largest
@@ -30,9 +28,14 @@ lambda_min(S) / lambda_max(S), which DictionaryState's check of a bare S
 draws; this sweep shows how often it can fail. BLAS runs on one thread, as
 in the benchmark, so a sweep repeats bit for bit, and running this file in
 two checkouts shows whether a change leaves every fit bit-identical (the
-digests match), moves only fits that stop at their start (only
-``digest_iterating`` matches), and which kind and lambda cells it moves
-(the ``digest_by_draw`` cells that differ).
+stdout lines are equal, so ``cmp`` checks it), moves only fits that stop at
+their start (only ``digest_iterating`` matches), and which kind and lambda
+cells it moves (the ``digest_by_draw`` cells that differ).
+
+The wall seconds of the fits per kind and lambda vary from run to run, so
+they go to stderr as a JSON line of their own, ``{"seconds_by_draw": ...}``,
+keyed like ``iterations_by_draw``, so a solver change can be read cell by
+cell.
 """
 
 import argparse
@@ -131,7 +134,6 @@ def main(argv=None):
                                "iterations": report.iterations})
     print(json.dumps({"seeds": [args.first_seed, args.last_seed], **totals,
                       "iterations_by_draw": by_draw,
-                      "seconds_by_draw": {k: round(v, 3) for k, v in seconds.items()},
                       "max_iterations_by_draw": max_by_draw,
                       "slowest_seed_by_draw": slowest_seed,
                       "factor_error_by_draw": factor_error,
@@ -140,6 +142,8 @@ def main(argv=None):
                       "digest_iterating": digest_iterating.hexdigest(),
                       "digest_by_draw": {k: h.hexdigest() for k, h in digest_by_draw.items()},
                       "failed": failed}))
+    print(json.dumps({"seconds_by_draw": {k: round(v, 3) for k, v in seconds.items()}}),
+          file=sys.stderr)
     return 0
 
 
