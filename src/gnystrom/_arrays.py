@@ -1,4 +1,9 @@
-"""Small validation helpers shared by the public modules."""
+"""Helpers shared by the public modules: the validation of arrays, counts
+and reals; ``RANK_RTOL``, the relative eigenvalue level below which
+eigenvalues count as rounding; and the symmetric eigendecomposition, PSD
+projection and rank truncation that several modules build on."""
+
+import numbers
 
 import numpy as np
 
@@ -9,6 +14,8 @@ from .errors import InputError, NumericalError
 # ADMM loop lifts its congruence weights to that level, and the closed form
 # at lam = 0 takes the eigenvalues of C above it as C's numerical range.
 RANK_RTOL = 1e-12
+# The largest index or count an intp array holds.
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def as_data_matrix(x, name="X"):
@@ -58,7 +65,7 @@ def as_index_array(x, name="indices", distinct=True):
     ``distinct`` is False."""
     arr = _nonnegative_integers(x, name)
     # Tested before the cast to intp, which would wrap such values.
-    if arr.size and arr.max() > np.iinfo(np.intp).max:
+    if arr.size and arr.max() > _INTP_MAX:
         raise InputError(f"{name} must be below 2**63")
     arr = arr.astype(np.intp, copy=False)
     if distinct and np.unique(arr).size != arr.size:
@@ -74,11 +81,31 @@ def as_seed(seed):
 
 def as_count(x, name):
     """A count, such as a number of centers or of iterations, as an int;
-    InputError unless it is an integer of at least 1. A float, even a whole
-    one, and a bool are not integers."""
-    value = int(_nonnegative_integers([x], name)[0])
+    InputError unless it is an integer of at least 1 and below 2**63. A
+    float, even a whole one, and a bool are not integers."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InputError(f"{name} must be of integer type")
+    value = int(x)
     if value < 1:
         raise InputError(f"{name} must be >= 1, got {value}")
+    if value > _INTP_MAX:
+        raise InputError(f"{name} must be below 2**63, got {value}")
+    return value
+
+
+def as_real(x, name, positive=False):
+    """A finite real, such as a weight, a bandwidth or a tolerance, as a
+    float; InputError unless it is a real number, finite and at least 0, or
+    above 0 if ``positive``. A bool, a string and an array are not reals."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an int beyond the float range
+        value = np.inf
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise InputError(f"{name} must be a {sign} finite real, got {x!r}")
     return value
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_data_matrix, as_seed
+from ._arrays import as_count, as_data_matrix, as_real, as_seed
 from .errors import InputError, ParseError
 from .kernels import LabelVector
 
@@ -181,6 +181,7 @@ def sample_labeled(ds, count, seed):
     order breaking ties), and members are drawn uniformly without
     replacement with the given seed. Infeasible quotas raise InputError.
     """
+    count = as_count(count, "count")
     classes, class_counts = np.unique(ds.y, return_counts=True)
     k = classes.size
     if count < k:
@@ -208,8 +209,9 @@ def make_blobs(n, d, n_classes=2, separation=3.0, seed=0, name="blobs"):
     classes than dimensions), so ``separation`` controls class overlap
     directly. Rows are shuffled; labels are 0..n_classes-1.
     """
-    if n < n_classes or n_classes < 1 or d < 1:
-        raise InputError("need n >= n_classes >= 1 and d >= 1")
+    n, d, n_classes = as_count(n, "n"), as_count(d, "d"), as_count(n_classes, "n_classes")
+    if n < n_classes:
+        raise InputError(f"need n >= n_classes, got n={n} with n_classes={n_classes}")
     rng = np.random.default_rng(as_seed(seed))
     centers = np.zeros((n_classes, d))
     for c in range(1, n_classes):
@@ -227,10 +229,9 @@ def make_blobs(n, d, n_classes=2, separation=3.0, seed=0, name="blobs"):
 
 def make_two_moons(n, noise=0.1, seed=0, name="moons"):
     """Two interleaved half-circles in 2-D with Gaussian coordinate noise."""
+    n, noise = as_count(n, "n"), as_real(noise, "noise")
     if n < 2:
         raise InputError("need n >= 2")
-    if noise < 0:
-        raise InputError("noise must be >= 0")
     rng = np.random.default_rng(as_seed(seed))
     n_outer = n // 2
     n_inner = n - n_outer

@@ -17,8 +17,10 @@ Cholesky factorization certifies it positive definite, and PSD-projected
 otherwise. For labels at lam > 0 the closed form is the unconstrained
 minimizer, so a positive definite one is the constrained optimum too. For
 labels at lam = 0 the constrained optimum itself has a closed form, a Gram
-matrix and so PSD by construction, and the fit returns it without
-iterating.
+matrix and so PSD by construction, which starts as it is. Any start is
+returned without iterating when the norm of its gradient is within the
+tolerance, and iterates otherwise: on ill-conditioned cores the rounding
+in a closed form can leave its gradient above it.
 
 Side information (:mod:`supervision`) is held as class codes or as a list
 of constrained pairs, never as l x l arrays, for l supervised rows; J and
@@ -76,14 +78,16 @@ constant of grad J. It vanishes exactly at the constrained optimum. Each
 iteration bounds it by ||grad J(S) - M||_F, where M = -rho * U is the PSD
 part the projection cut off, orthogonal to S for any W; that residual of the
 optimality conditions needs no further eigendecomposition. The bound holds
-at the current iterate, while the loop returns the best one, so a stop on
-it is confirmed by the gradient-mapping norm of the matrix returned, and
-the loop goes on if that exceeds the tolerance. The same evaluation, of J
-and the gradient-mapping norm, certifies the closed form at lam = 0. A
-second test stops once the best objective stalls. The returned S goes
-through one full projection: the subtraction leaves rounding along the
-removed directions, which the congruence back to S can magnify past the
-PSD tolerance.
+at the current iterate, while the loop returns the best one. One block at
+the end of each iteration handles every stop: when the bound is within the
+tolerance, the best objective has stalled or the iteration cap is reached,
+it takes the matrix the fit would return and evaluates J and its
+gradient-mapping norm there, once. The fit ends by "grad_norm" if that norm
+is within the tolerance, else by "obj_rel" if the objective stalled, else
+by "max_iters" at the cap; a stop on the bound alone that this evaluation
+fails goes on iterating. The returned S goes through one full projection:
+the subtraction leaves rounding along the removed directions, which the
+congruence back to S can magnify past the PSD tolerance.
 
 Every fit returns its S with a factor L, S = L @ L.T, PSD by construction,
 taken from a decomposition already made: the core's factor R of the prior,
@@ -98,7 +102,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import RANK_RTOL, _clamp, _project, _truncate, as_count, as_square_matrix, eigh
+from ._arrays import (RANK_RTOL, _clamp, _project, _truncate, as_count, as_real,
+                      as_square_matrix, eigh)
 from ._lapack import dposv, dpotrf, dsyevr
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
@@ -155,10 +160,11 @@ class LearnConfig:
     matrix (its negative eigenpairs only) and one x-step; an Anderson
     extrapolation that the safeguard rejects counts as one. ``obj_rel_tol = 0``
     disables the objective test. ``lam = 0`` is legal (pure data fitting).
-    A label fit then returns the optimum over the PSD cone in closed form,
-    without iterating (see :func:`fit`). A grouping-kind fit starts from
-    the prior and may end at ``max_iters``: the masked problem need not
-    attain its infimum.
+    A label fit then starts from the optimum over the PSD cone in closed
+    form (see :func:`fit`), and iterates when rounding leaves its gradient
+    above the tolerance, as on ill-conditioned cores. A grouping-kind fit
+    starts from the prior and may end at ``max_iters``: the masked problem
+    need not attain its infimum.
     """
 
     lam: float = 1.0
@@ -166,11 +172,9 @@ class LearnConfig:
     obj_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise InputError(f"lam must be a nonnegative real, got {self.lam}")
+        object.__setattr__(self, "lam", as_real(self.lam, "lam"))
         object.__setattr__(self, "max_iters", as_count(self.max_iters, "max_iters"))
-        if not self.obj_rel_tol >= 0:
-            raise InputError("obj_rel_tol must be >= 0")
+        object.__setattr__(self, "obj_rel_tol", as_real(self.obj_rel_tol, "obj_rel_tol"))
 
 
 @dataclass(frozen=True)
@@ -227,14 +231,13 @@ class SolverReport:
     ``final_objective``. ``final_grad_norm`` is the gradient-mapping norm
     L * ||S - P(S - grad J(S) / L)||_F at the returned S; a fit that stops
     at a start whose ||grad J||_F is within the tolerance reports that
-    instead, which bounds it. A label fit at lam = 0 whose gradient is not
-    within it reports the mapping norm of its closed form.
-    ``converged_by`` is one of "grad_norm", "obj_rel", "max_iters" --
-    stopping at the iteration cap is reported, not raised; "grad_norm"
-    means ``final_grad_norm`` is within the tolerance. ``factor_builds``
-    counts the loop's Cholesky factorizations of the p x p pair system: 1
-    for a pair fit that iterates, one more each time the loop goes on after
-    a stop it could not confirm, and 0 for labels.
+    instead, which bounds it. ``converged_by`` is one of "grad_norm",
+    "obj_rel", "max_iters" -- stopping at the iteration cap is reported,
+    not raised; "grad_norm" means ``final_grad_norm`` is within the
+    tolerance, and the other two that it is not. ``factor_builds`` counts
+    the loop's Cholesky factorizations of the p x p pair system: 1 for a
+    pair fit that iterates, one more each time the loop goes on after a
+    stop it could not confirm, and 0 for labels.
     """
 
     iterations: int
@@ -436,13 +439,13 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     costs no eigendecomposition beyond C's.
 
     A start whose gradient norm is already within the tolerance of
-    :class:`LearnConfig` is returned after 0 iterations, and so is the
-    closed form at lam = 0 whose gradient-mapping norm is within it (its
-    gradient need not vanish). Otherwise one ADMM loop runs from the start
-    for both kinds (see the module docstring), until the gradient-mapping
-    norm falls within that tolerance, the best objective stalls
-    (obj_rel_tol), or max_iters; the stopping reason lands in the report's
-    ``converged_by``.
+    :class:`LearnConfig` is returned after 0 iterations; any other start,
+    the closed form at lam = 0 included, iterates. One ADMM loop runs from
+    the start for both kinds (see the module docstring), until the
+    gradient-mapping norm of the matrix it would return falls within that
+    tolerance, the best objective stalls (obj_rel_tol), or max_iters; one
+    block at the end of each iteration confirms each of these stops once,
+    and the stopping reason lands in the report's ``converged_by``.
 
     The report's ``final_objective`` is J at the returned S, from the same
     evaluation as its ``final_grad_norm``.
@@ -465,8 +468,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     """
     sup = _Supervision(core, side) if _supervision is None else _supervision
     start = sup.closed_form(core.S0, cfg.lam) if side.indices.size > 0 else None
-    optimum = start is not None and cfg.lam == 0
-    if optimum:
+    if start is not None and cfg.lam == 0:
         # The closed form at lam = 0 is the factor H of the optimum H H^T,
         # one column per class. With more classes than landmarks, the state
         # keeps the m columns of its triangular form R.T (H.T = Q R).
@@ -480,10 +482,6 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     value, grad = _value_and_gradient(S, core, side, cfg.lam, sup)
     # ||grad|| bounds the gradient-mapping norm and needs no eigendecomposition.
     gnorm = float(np.linalg.norm(grad))
-    # At lam = 0 the closed form is the constrained optimum, whose gradient
-    # need not vanish: the exit evaluation certifies it.
-    if gnorm > grad_tol and optimum:
-        value, gnorm = _exit_evaluation(S, core, side, cfg.lam, sup)
     final = value
     trace = [value]
     iterates = [S] if record_iterates else None
@@ -493,8 +491,7 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
     if gnorm > grad_tol:
         solver = _ADMM(S, core.S0, value, cfg.lam, sup)
         best = solver.Y0
-        converged_by = "max_iters"
-        while iterations < cfg.max_iters:
+        while True:
             point, value, bound = solver.step()
             iterations += 1
             if not math.isfinite(value):
@@ -504,29 +501,25 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
             trace.append(min(value, trace[-1]))
             if record_iterates:
                 iterates.append(solver.matrix(_project(best)))
-            # The bound holds at the current iterate, which need not be the
-            # best one the fit returns: confirm the stop on the returned
-            # matrix and keep iterating if it fails.
-            if bound <= grad_tol:
-                state = solver.finish(best)
-                final, gnorm = _exit_evaluation(state.S, core, side, cfg.lam, sup)
-                if gnorm <= grad_tol:
-                    converged_by = "grad_norm"
-                    break
             # The best objective has stalled over the window, and the iterate
             # has settled on it (ADMM may wander above the best for a while
             # before improving on it).
             slack = cfg.obj_rel_tol * max(1.0, abs(trace[-1]))
-            if (cfg.obj_rel_tol > 0 and iterations >= _OBJ_WINDOW
-                    and trace[-1 - _OBJ_WINDOW] - trace[-1] <= slack
-                    and value - trace[-1] <= slack):
-                converged_by = "obj_rel"
-                break
-        if converged_by != "grad_norm":
-            state = solver.finish(best)
-            final, gnorm = _exit_evaluation(state.S, core, side, cfg.lam, sup)
-            if converged_by == "max_iters" and gnorm <= grad_tol:
-                converged_by = "grad_norm"
+            stalled = (cfg.obj_rel_tol > 0 and iterations >= _OBJ_WINDOW
+                       and trace[-1 - _OBJ_WINDOW] - trace[-1] <= slack
+                       and value - trace[-1] <= slack)
+            capped = iterations >= cfg.max_iters
+            # The bound holds at the current iterate, which need not be the
+            # best one the fit returns: every stop is confirmed on the
+            # returned matrix, and a stop on the bound alone that fails it
+            # goes on iterating.
+            if bound <= grad_tol or stalled or capped:
+                state = solver.finish(best)
+                final, gnorm = _exit_evaluation(state.S, core, side, cfg.lam, sup)
+                if gnorm <= grad_tol or stalled or capped:
+                    converged_by = ("grad_norm" if gnorm <= grad_tol
+                                    else "obj_rel" if stalled else "max_iters")
+                    break
     else:
         state = DictionaryState(S=S, L=L)
     report = SolverReport(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_data_matrix, as_index_array, as_square_matrix
+from ._arrays import as_data_matrix, as_index_array, as_real, as_square_matrix
 from .errors import DegenerateBandwidthError, InputError, UndefinedAlignmentError
 
 # Centered operands with Frobenius norm below this (relative to the raw
@@ -39,10 +39,7 @@ class KernelParams:
     bandwidth: float
 
     def __post_init__(self):
-        bw = float(self.bandwidth)
-        if not (np.isfinite(bw) and bw > 0.0):
-            raise InputError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        object.__setattr__(self, "bandwidth", bw)
+        object.__setattr__(self, "bandwidth", as_real(self.bandwidth, "bandwidth", positive=True))
 
 
 @dataclass(frozen=True)

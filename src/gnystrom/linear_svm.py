@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_count
+from ._arrays import as_count, as_real
 from ._lapack import dpotrf, dpotrs
 from .errors import InputError, NumericalError
 
@@ -111,13 +111,11 @@ def train_linear(G, labels, c_reg=1.0, n_iters=1000):
     A = np.hstack([G, np.ones((n, 1))])
     if labels.shape[0] != n:
         raise InputError("one label per feature row required")
-    if not (np.isfinite(c_reg) and c_reg > 0):
-        raise InputError(f"c_reg must be positive and finite, got {c_reg}")
+    c_reg = as_real(c_reg, "c_reg", positive=True)
     n_iters = as_count(n_iters, "n_iters")
     classes = np.unique(labels)
     if classes.size < 2:
         raise InputError("training needs at least two classes")
-    c_reg = float(c_reg)
     reg = 1.0 / (c_reg * n)
     # Column c holds +1 where a row is in class c and -1 elsewhere.
     Y = np.where(labels[:, None] == classes, 1.0, -1.0)

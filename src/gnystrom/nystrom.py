@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _truncate, as_data_matrix, eigh
+from ._arrays import _truncate, as_data_matrix, as_real, eigh
 from .errors import InputError
 from .kernels import _squared_distances, kernel_matrix
 from .landmarks import LandmarkSet
@@ -158,8 +158,7 @@ def extrapolation_bound(core, X, Z, params, eta_lip, i, j):
     n, m = core.E.shape
     if X.shape[0] != n or Zp.shape[0] != m:
         raise InputError("X and Z must match the core's dimensions")
-    if not (np.isfinite(eta_lip) and eta_lip >= 0):
-        raise InputError(f"eta_lip must be a nonnegative real, got {eta_lip}")
+    eta_lip = as_real(eta_lip, "eta_lip")
     # reconstruct_entry range-checks i and j before X is indexed by them.
     entry = reconstruct_entry(core, i, j)
     dist_i = np.sqrt(_squared_distances(X[[i]], Zp)).ravel()

@@ -296,6 +296,23 @@ def test_make_blobs_validation():
         make_blobs(1, d=2, n_classes=2)
     with pytest.raises(InputError):
         make_blobs(10, d=0)
+    # Counts that are not integers raised a bare TypeError.
+    for args in ((10.0, 2), (10, 2.0), (10, 2, 2.0)):
+        with pytest.raises(InputError, match="must be of integer type"):
+            make_blobs(*args)
+    with pytest.raises(InputError, match="n must be of integer type"):
+        make_two_moons(10.0)
+    with pytest.raises(InputError, match="noise must be a real number"):
+        make_two_moons(10, noise="0.1")
+
+
+def test_sample_labeled_takes_an_integer_count():
+    """A float count raised a bare TypeError and 2**70 an OverflowError."""
+    ds = Dataset(X=np.zeros((4, 1)), y=np.array([0, 1, 0, 1]))
+    for count in (10.0, 2**70, True):
+        with pytest.raises(InputError, match="count must be"):
+            sample_labeled(ds, count, 0)
+    assert len(sample_labeled(ds, np.int64(2), 0)) == 2
 
 
 def test_make_two_moons():

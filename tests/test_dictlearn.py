@@ -1353,6 +1353,65 @@ def test_lambda_zero_label_fit_is_the_closed_form(monkeypatch, problem, norm_bou
         assert result.report.final_objective <= loop_objective
 
 
+def test_every_stop_is_confirmed_once(monkeypatch):
+    """One block at the end of each iteration confirms every stop, once.
+
+    On this ill-conditioned core (the bandwidth 1e4 times the heuristic) the
+    closed form at lam = 0 has ||grad J|| at 2.95 times the tolerance, so
+    the fit iterates. Every iteration's bound is within the tolerance while
+    the mapping norm of the matrix the fit would return is not, so each
+    iteration confirms and goes on, until the objective stalls at iteration
+    20: 20 exit evaluations and 20 projections of the returned matrix. A
+    second confirmation after the loop, and one of the closed form before
+    it, made them 22 and 21."""
+    ds = make_blobs(1500, 10, n_classes=3, separation=3.0, seed=9)
+    core = build_core(ds.X, select_random(ds.X, 10, 9),
+                      KernelParams(1e4 * bandwidth_heuristic(ds.X)))
+    side = SideInformation.from_labels(sample_labeled(ds, 5, 10))
+    real_exit, real_finish, calls = dictlearn._exit_evaluation, dictlearn._ADMM.finish, []
+
+    def exit_evaluation(*args):
+        calls.append("exit")
+        return real_exit(*args)
+
+    def finish(*args):
+        calls.append("finish")
+        return real_finish(*args)
+
+    monkeypatch.setattr(dictlearn, "_exit_evaluation", exit_evaluation)
+    monkeypatch.setattr(dictlearn._ADMM, "finish", finish)
+    report = fit(core, side, LearnConfig(lam=0.0)).report
+    monkeypatch.undo()
+    tol = _mapping_tolerance(core, side)
+    H = supervision._Supervision(core, side).closed_form(core.S0, 0.0)
+    assert np.linalg.norm(gradient(H @ H.T, core, side, 0.0)) > 2.9 * tol
+    assert calls.count("exit") == 20 and calls.count("finish") == 20
+    assert (report.iterations, report.converged_by, report.factor_builds) == (20, "obj_rel", 0)
+    assert report.objective_trace.size == 21
+    assert report.final_grad_norm > tol
+    assert_allclose(report.final_grad_norm, 4.7326e-3, rtol=1e-4)
+
+
+def test_pair_rho_floor_sets_rho_at_a_tiny_pair_share():
+    """The grouping draw of test_fit_satisfies_kkt_conditions at seed 108
+    and lam = 100 (m = 2) has a pair share s = 1.74e-5 of the Hessian's
+    trace, so _PAIR_RHO_SLOPE * sqrt(s) = 0.0167 falls below the floor
+    2**-5, and the floor sets rho. It is the only one of the 600 grouping
+    draws at seeds 0-199 where the floor binds."""
+    lam = 100.0
+    rng = np.random.default_rng(108)
+    core, side = _random_grouping_problem(rng, m=int(rng.integers(2, 7)))
+    sup = supervision._Supervision(core, side)
+    # The solver as fit builds it from the prior start.
+    value, _ = dictlearn._value_and_gradient(core.S0, core, side, lam, sup)
+    solver = dictlearn._ADMM(core.S0, core.S0, value, lam, sup)
+    pair_mean = solver.pairs.hessian_trace() / solver.Hs.size
+    mean = 2.0 * float(np.mean(solver.Hs)) + pair_mean
+    assert pair_mean / mean == pytest.approx(1.74e-5, rel=1e-2)
+    assert dictlearn._PAIR_RHO_SLOPE * np.sqrt(pair_mean / mean) < dictlearn._PAIR_RHO_FLOOR
+    assert solver.rho == dictlearn._RHO_START * dictlearn._PAIR_RHO_FLOOR * mean
+
+
 def test_grouping_fit_memory_stays_below_pair_by_entry_array():
     """The pair x-step's p x p system is accumulated over the rows of Z, so a
     fit never holds a p x m^2 array (one would take p * m^2 * 8 bytes)."""
@@ -1599,6 +1658,13 @@ def test_learn_config_validation():
         LearnConfig(max_iters=0)
     with pytest.raises(InputError):
         LearnConfig(obj_rel_tol=-1e-9)
+    # A string raised a bare TypeError and True was stored; an infinite
+    # obj_rel_tol would stall every iterating fit at iteration 20.
+    for kwargs in ({"lam": "1"}, {"obj_rel_tol": "1"}, {"lam": True},
+                   {"obj_rel_tol": np.inf}, {"lam": np.inf}):
+        with pytest.raises(InputError):
+            LearnConfig(**kwargs)
+    assert type(LearnConfig(lam=np.float32(0.5)).lam) is float
 
 
 @pytest.mark.parametrize("max_iters", [2.5, 3.0, True])

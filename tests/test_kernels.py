@@ -35,7 +35,8 @@ from gnystrom.kernels import _centred_cosine, _double_center, _squared_distances
 
 
 def test_kernel_params_requires_positive_bandwidth():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    # "abc" raised a bare ValueError and True was accepted as 1.0.
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "abc", "1.0", True):
         with pytest.raises(InputError):
             KernelParams(bandwidth=bad)
 

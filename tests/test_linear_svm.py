@@ -111,6 +111,8 @@ def test_input_validation():
         train_linear(np.ones((2, 1)), np.array([0, 1]), c_reg=0.0)
     with pytest.raises(InputError):
         train_linear(np.ones((2, 1)), np.array([0, 1]), c_reg=np.inf)
+    with pytest.raises(InputError):  # a bare TypeError before
+        train_linear(np.ones((2, 1)), np.array([0, 1]), c_reg="1")
     with pytest.raises(InputError):
         train_linear(np.ones((2, 1)), np.array([0, 1]), n_iters=0)
     with pytest.raises(InputError):

@@ -21,20 +21,25 @@ to ``first-seed + 9``; each run is
 Odd seeds run the parent first and even seeds the change first, so neither
 side always finds the machine in the same state. The output file holds, per
 workload and end-to-end metric, every run, each side's median and quartiles,
-the ratio of the medians and the number of pairs the change wins (it reads
-lower; ties count for neither), and two flags against the metric's ``bound``
-in BENCHMARK.json: ``over_bound``, the change's median is worse than the
-parent's by more than the bound, relative to the parent's median; and
-``unresolved``, the parent's IQR over its median exceeds the bound, so its
-runs spread too widely to tell; one line per workload prints these flags
-and the failed operations. The file also holds the failed and attempted
-operations of every run and the minor page faults and system CPU seconds
-each run cost (``getrusage(RUSAGE_CHILDREN)`` deltas around it), and three
-traced runs per side of every workload (``--seed S --seconds 14 --trace 1``
-for S = 0, 1, 2, alternating sides like the pairs), with every run, the
-median and the quartiles per side of their quality, solver, classifier and
-per-layer metrics: one traced run per side cannot tell a 30% move of a
-layer from noise.
+the ratio of the medians, the per-pair ratio ``pair_ratio`` (the median over
+the pairs of change / parent) and the number of pairs the change wins (it
+reads lower; ties count for neither), and three flags against the metric's
+``bound`` in BENCHMARK.json: ``over_bound``, the change's median is worse
+than the parent's by more than the bound, relative to the parent's median;
+``over_bound_paired``, the per-pair ratio is worse than 1 by more than the
+bound; and ``unresolved``, the parent's IQR over its median exceeds the
+bound, so its runs spread too widely to tell. A host that slows both sides
+together for part of a comparison can put the two medians in different
+speed modes and trip ``over_bound`` with no difference within any pair;
+the per-pair ratio does not move with such drift. One line per workload
+prints both ratios, the flags and the failed operations. The file also
+holds the failed and attempted operations of every run and the minor page
+faults and system CPU seconds each run cost (``getrusage(RUSAGE_CHILDREN)``
+deltas around it), and three traced runs per side of every workload
+(``--seed S --seconds 14 --trace 1`` for S = 0, 1, 2, alternating sides
+like the pairs), with every run, the median and the quartiles per side of
+their quality, solver, classifier and per-layer metrics: one traced run per
+side cannot tell a 30% move of a layer from noise.
 
 SIGTERM ends a comparison as Ctrl-C does: it raises SystemExit, which kills
 the running bench child and removes the temporary directory of exports.
@@ -135,36 +140,45 @@ def compare(seeds, results, usage, bounds):
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         p, c = summary(parent), summary(change)
+        pair_ratio = (float(np.median([b / a for a, b in zip(parent, change)]))
+                      if all(parent) else None)
         out["metrics"][name] = {
             "unit": entry["unit"], "parent": p, "change": c,
             "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+            "pair_ratio": pair_ratio,
             "change_wins": sum(b < a for a, b in zip(parent, change)),
             "ties": sum(b == a for a, b in zip(parent, change)),
             "pairs": len(seeds),
         }
         if name in bounds:
-            out["metrics"][name].update(bound_flags(p, c, bounds[name]))
+            out["metrics"][name].update(bound_flags(p, c, pair_ratio, bounds[name]))
     return out
 
 
-def bound_flags(parent, change, spec):
-    """``over_bound`` and ``unresolved`` of one end-to-end metric, from the
-    two sides' summaries and the metric's BENCHMARK.json entry."""
+def bound_flags(parent, change, pair_ratio, spec):
+    """``over_bound``, ``over_bound_paired`` and ``unresolved`` of one
+    end-to-end metric, from the two sides' summaries, the per-pair ratio
+    (None when a parent run reads 0) and the metric's BENCHMARK.json entry."""
     base = parent["median"]
-    worse = change["median"] - base if spec["better"] == "lower" else base - change["median"]
+    lower = spec["better"] == "lower"
+    worse = change["median"] - base if lower else base - change["median"]
+    paired = None if pair_ratio is None else (pair_ratio - 1.0 if lower else 1.0 - pair_ratio)
     return {"bound": spec["bound"], "over_bound": worse > spec["bound"] * abs(base),
+            "over_bound_paired": paired is not None and paired > spec["bound"],
             "unresolved": parent["iqr"] > spec["bound"] * abs(base)}
 
 
 def workload_line(workload, comparison):
-    """One line: each end-to-end metric's ratio of medians and its flags,
-    then the failed operations of each side."""
+    """One line: each end-to-end metric's ratio of medians, its per-pair
+    ratio and its flags, then the failed operations of each side."""
     parts = []
     for name, m in comparison["metrics"].items():
         if "bound" in m:
-            flags = [flag for flag in ("over_bound", "unresolved") if m[flag]]
-            ratio = m["change_over_parent"]
-            parts.append((f"{name} {ratio:.3f}x" if ratio is not None else f"{name} n/a")
+            flags = [flag for flag in ("over_bound", "over_bound_paired", "unresolved")
+                     if m[flag]]
+            ratios = [f"{r:.3f}x" if r is not None else "n/a"
+                      for r in (m["change_over_parent"], m["pair_ratio"])]
+            parts.append(f"{name} {ratios[0]}, paired {ratios[1]}"
                          + (f" ({', '.join(flags)})" if flags else ""))
     failed = ", ".join(f"{side} {sum(comparison['failed'][side])}"
                        for side in ("parent", "change"))
@@ -227,9 +241,11 @@ def main(argv=None):
                    "odd seeds run the parent first, even seeds the change first. Per run: "
                    f"python3 bench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
                    "--trace 0. Medians and quartiles are numpy.percentile over the runs; "
-                   "change_wins counts pairs where the change reads lower. "
+                   "change_wins counts pairs where the change reads lower; pair_ratio is "
+                   "the median over the pairs of change / parent. "
                    "over_bound: the change's median is worse than the parent's by more "
                    "than the metric's bound, relative to the parent's median; "
+                   "over_bound_paired: pair_ratio is worse than 1 by more than the bound; "
                    "unresolved: the parent's IQR exceeds the bound times its median. "
                    "rusage holds each run's minor page faults and system CPU seconds, "
                    "getrusage(RUSAGE_CHILDREN) deltas around it."),

@@ -35,7 +35,12 @@ cells it moves (the ``digest_by_draw`` cells that differ).
 The wall seconds of the fits per kind and lambda vary from run to run, so
 they go to stderr as a JSON line of their own, ``{"seconds_by_draw": ...}``,
 keyed like ``iterations_by_draw``, so a solver change can be read cell by
-cell.
+cell. A second stderr line, ``{"converged_by_by_draw": ...}``, keyed the
+same, counts the fits per stop reason (``{"grad_norm": n, ...}``). The
+digests hash S and the trace but not the stop reason, so this line shows
+whether a change to the solver's stopping kept every reason; it is
+deterministic, so ``cmp`` of it checks that too. It stays off stdout, so
+the stdout line of a sweep reads as before.
 """
 
 import argparse
@@ -97,7 +102,7 @@ def main(argv=None):
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
                             "factor_builds", "at_start"), 0)
     by_draw, seconds, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, {}, []
-    factor_error, margin = {}, {}
+    factor_error, margin, reasons = {}, {}, {}
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
     for seed in range(args.first_seed, args.last_seed + 1):
         for kind, lam, core, side in draws(seed):
@@ -121,6 +126,8 @@ def main(argv=None):
                 max_by_draw[key], slowest_seed[key] = report.iterations, seed
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
             totals["factor_builds"] += report.factor_builds
+            counts = reasons.setdefault(key, {})
+            counts[report.converged_by] = counts.get(report.converged_by, 0) + 1
             S, L = result.state.S, result.state.L
             norm = np.linalg.norm(S)
             error = np.linalg.norm(S - L @ L.T) / norm if norm else 0.0
@@ -144,6 +151,7 @@ def main(argv=None):
                       "failed": failed}))
     print(json.dumps({"seconds_by_draw": {k: round(v, 3) for k, v in seconds.items()}}),
           file=sys.stderr)
+    print(json.dumps({"converged_by_by_draw": reasons}), file=sys.stderr)
     return 0
 
 
