@@ -207,16 +207,18 @@ def make_blobs(n, d, n_classes=2, separation=3.0, seed=0, name="blobs"):
     Class centers sit on coordinate axes at distance ``separation`` from the
     origin (cycling through axes with growing radius when there are more
     classes than dimensions), so ``separation`` controls class overlap
-    directly. Rows are shuffled; labels are 0..n_classes-1.
+    directly; being a distance, it must be a nonnegative finite real. Rows
+    are shuffled; labels are 0..n_classes-1.
     """
     n, d, n_classes = as_count(n, "n"), as_count(d, "d"), as_count(n_classes, "n_classes")
+    separation = as_real(separation, "separation")
     if n < n_classes:
         raise InputError(f"need n >= n_classes, got n={n} with n_classes={n_classes}")
     rng = np.random.default_rng(as_seed(seed))
     centers = np.zeros((n_classes, d))
     for c in range(1, n_classes):
         axis = (c - 1) % d
-        radius = float(separation) * (1 + (c - 1) // d)
+        radius = separation * (1 + (c - 1) // d)
         centers[c, axis] = radius
     per = np.full(n_classes, n // n_classes, dtype=np.intp)
     per[: n - int(per.sum())] += 1

@@ -234,10 +234,7 @@ class SolverReport:
     instead, which bounds it. ``converged_by`` is one of "grad_norm",
     "obj_rel", "max_iters" -- stopping at the iteration cap is reported,
     not raised; "grad_norm" means ``final_grad_norm`` is within the
-    tolerance, and the other two that it is not. ``factor_builds`` counts
-    the loop's Cholesky factorizations of the p x p pair system: 1 for a
-    pair fit that iterates, one more each time the loop goes on after a
-    stop it could not confirm, and 0 for labels.
+    tolerance, and the other two that it is not.
     """
 
     iterations: int
@@ -246,7 +243,6 @@ class SolverReport:
     final_objective: float
     converged_by: str
     iterates: tuple | None = None
-    factor_builds: int = 0
 
     def __post_init__(self):
         if self.converged_by not in CONVERGENCE_REASONS:
@@ -529,7 +525,6 @@ def fit(core, side, cfg, record_iterates=False, *, _supervision=None):
         final_objective=final,
         converged_by=converged_by,
         iterates=tuple(iterates) if record_iterates else None,
-        factor_builds=solver.factor_builds if solver else 0,
     )
     return FitResult(state=state, report=report)
 
@@ -553,7 +548,9 @@ class _ADMM:
     V diag(d), supplies the pull in G0, the diagonal and the pair operator
     that holds the pair term and the x-step's p x p system (see
     :meth:`supervision._Supervision.in_basis`); the loop keeps only that
-    operator and does not depend on the kind of side information.
+    operator and does not depend on the kind of side information. rho, and
+    so the system, is fixed for the fit: the constructor factors it once,
+    and the factor is kept until the fit returns (None with no pairs).
 
     Y0 and G0 are symmetrized once, here, and every state after them is
     symmetric bit for bit (see the module docstring): the projection
@@ -580,8 +577,6 @@ class _ADMM:
         self.half_G0 = 0.5 * self.G0
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
-        self.factor = None
-        self.factor_builds = 0
         self.Hs = (lam + diagonal) * self.DD ** 2
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included, scaled down with pairs by their share of it (see
@@ -591,8 +586,10 @@ class _ADMM:
         factor = (min(max(_PAIR_RHO_SLOPE * np.sqrt(pair_mean / mean), _PAIR_RHO_FLOOR), 1.0)
                   if pair_mean > 0 else 1.0)
         self.rho = _RHO_START * factor * mean
-        # The x-step's diagonal, fixed with rho for the whole fit.
+        # The x-step's diagonal and the pair system's factor, fixed with rho
+        # for the whole fit.
         self.Dg = self.Hs + 0.5 * self.rho
+        self.factor = self.pairs.factor(self.Dg)
         # The weights that take a Z-space residual to S's norm (see step).
         self.inv_DD = 1.0 / self.DD
         self.rho_DD = self.rho / self.DD
@@ -632,24 +629,17 @@ class _ADMM:
 
         E solves Dg * E + (the pair term's gradient at E) / 2 = N, with
         Dg = Hs + rho/2 and N = (rho (D - U) - G0) / 2, through the
-        pair operator's system for Dg, factored when no factor is held.
+        pair operator's system for Dg, factored once in the constructor.
         """
         N = D - U
         N *= 0.5 * self.rho
         N -= self.half_G0
-        if self.factor is None:
-            self.factor = self.pairs.factor(self.Dg)
-            self.factor_builds += self.factor is not None
         return self.Y0 + self.pairs.solve(self.factor, N, self.Dg)
 
     def finish(self, Z):
         """The state the fit returns for the iterate Z: its full projection,
         in S, as the Gram matrix of L = V diag(d) Q diag(sqrt(mu)) over the
-        eigenpairs (mu, Q) of Z that :func:`_factor` keeps. The p x p pair
-        factor is released first, so that the exit evaluation's pair
-        evaluation does not sit on top of it; the next x-step rebuilds it if
-        the loop goes on."""
-        self.factor = None
+        eigenpairs (mu, Q) of Z that :func:`_factor` keeps."""
         L = (self.V * self.scale) @ _factor(*eigh(Z))
         # NumPy takes the product of a matrix with its own transpose by BLAS
         # syrk, which fills one triangle and mirrors it: S is symmetric bit

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _truncate, as_data_matrix, as_real, eigh
+from ._arrays import _truncate, as_data_matrix, as_index_array, as_real, eigh
 from .errors import InputError
 from .kernels import _squared_distances, kernel_matrix
 from .landmarks import LandmarkSet
@@ -107,10 +107,12 @@ def build_core(X, Z, params):
 
 def reconstruct_entry(core, i, j):
     """Extrapolated kernel value between samples i and j: (E_i R) . (E_j R),
-    which is E_i . S0 . E_j, taken through the factor."""
+    which is E_i . S0 . E_j, taken through the factor. i and j must be
+    nonnegative integers below n; a float or a bool raises InputError."""
     n = core.n
     for name, idx in (("i", i), ("j", j)):
-        if not 0 <= idx < n:
+        (idx,) = as_index_array([idx], f"index {name}")
+        if idx >= n:
             raise InputError(f"index {name}={idx} out of range for {n} samples")
     return float((core.E[i] @ core.R) @ (core.E[j] @ core.R))
 
@@ -159,7 +161,7 @@ def extrapolation_bound(core, X, Z, params, eta_lip, i, j):
     if X.shape[0] != n or Zp.shape[0] != m:
         raise InputError("X and Z must match the core's dimensions")
     eta_lip = as_real(eta_lip, "eta_lip")
-    # reconstruct_entry range-checks i and j before X is indexed by them.
+    # reconstruct_entry checks i and j before X is indexed by them.
     entry = reconstruct_entry(core, i, j)
     dist_i = np.sqrt(_squared_distances(X[[i]], Zp)).ravel()
     dist_j = np.sqrt(_squared_distances(X[[j]], Zp)).ravel()

@@ -154,6 +154,28 @@ def test_non_finite_label_is_parse_error(tmp_path, format, label):
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("format, text, error, match", [
+    ("csv", "1,0.5\n2\n", ParseError, "expected a label and at least one feature"),
+    ("svmlight", "0 1:abc\n", ParseError, "malformed feature"),
+    ("svmlight", "# only\n# comments\n", InputError, "no data rows"),
+    ("svmlight", "1\n0\n", InputError, "no features present"),
+], ids=["csv-label-only", "svmlight-malformed-feature", "svmlight-comments-only",
+        "svmlight-labels-only"])
+def test_malformed_file_is_rejected(tmp_path, format, text, error, match):
+    f = tmp_path / "d.txt"
+    f.write_text(text)
+    with pytest.raises(error, match=match):
+        load_dataset(f, format=format)
+
+
+def test_non_integral_numeric_labels_load_as_float(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("0.5,1.0\n1,2.0\n0.5,3.0\n")
+    ds = load_dataset(f)
+    assert ds.y.dtype == np.float64
+    assert ds.y.tolist() == [0.5, 1.0, 0.5]
+
+
 def test_svmlight_index_too_large_to_densify(tmp_path):
     """An index whose row alone exceeds the largest array NumPy can describe
     is refused before anything is allocated."""
@@ -304,6 +326,14 @@ def test_make_blobs_validation():
         make_two_moons(10.0)
     with pytest.raises(InputError, match="noise must be a real number"):
         make_two_moons(10, noise="0.1")
+    with pytest.raises(InputError, match="need n >= 2"):
+        make_two_moons(1)
+    # separation went unchecked: "abc" raised a bare ValueError, and True,
+    # negative distances and any value with one class were accepted.
+    for separation, n_classes in (("abc", 2), (True, 2), (-1.0, 2), (float("nan"), 2),
+                                  ("abc", 1), (-3.0, 1)):
+        with pytest.raises(InputError, match="separation must be a"):
+            make_blobs(10, 2, n_classes=n_classes, separation=separation)
 
 
 def test_sample_labeled_takes_an_integer_count():

@@ -954,7 +954,7 @@ def test_fit_satisfies_kkt_conditions(seed, grouping, lam):
     assert abs(np.sum(S * G)) <= tol * (1.0 + np.linalg.norm(S))
 
 
-def test_pair_x_step_solves_dense_masked_system():
+def test_pair_x_step_solves_dense_masked_system(monkeypatch):
     """The grouping solver evaluates J and grad J on the list of constrained
     pairs and solves its x-step through a p x p system; compare with the
     dense masked l x l form, and with the x-step's m^2 x m^2 linear system
@@ -991,20 +991,22 @@ def test_pair_x_step_solves_dense_masked_system():
         D = solver.V @ (solver.DD * np.eye(m * m)[k].reshape(m, m)) @ solver.V.T
         H[:, k] = to_z(2.0 * lam * D + 2.0 * El.T @ (mask * (El @ D @ El.T)) @ El).ravel()
     G_at_zero = to_z(gradient(solver.matrix(np.zeros((m, m))), core, side, lam))
+    built = _count_pair_factors(monkeypatch)
     for rho in (0.05, 40.0):
         # The solver keeps one rho; set another, with its x-step diagonal,
-        # and drop the factor so that the x-step builds it for that rho.
+        # and factor the system for that rho.
         solver.rho = rho
         solver.Dg = solver.Hs + 0.5 * rho
-        solver.factor = None
-        builds = solver.factor_builds
+        solver.factor = solver.pairs.factor(solver.Dg)
+        builds = len(built)
         Y = _random_symmetric(rng, m)
         U = _random_symmetric(rng, m)
         # grad J(X) + rho (X - Y + U) = 0, with grad J(X) = G(0) + H X.
         dense = np.linalg.solve(H + rho * np.eye(m * m), (rho * (Y - U) - G_at_zero).ravel())
         assert_allclose(solver._x_step(Y - solver.Y0, U), dense.reshape(m, m),
                         rtol=1e-9, atol=1e-11)
-        assert solver.factor_builds == builds + 1
+        # The x-step solves with the factor held and builds none.
+        assert len(built) == builds
 
 
 @pytest.mark.parametrize("lam, reference", [(1e-3, 42.9811990362), (0.1, 68.2695641497)])
@@ -1112,7 +1114,22 @@ def _kkt_sweep_grouping_draw(seed=0):
     return _random_grouping_problem(rng, m=int(rng.integers(2, 7)))
 
 
-def test_pair_fit_starts_rho_near_where_it_settles():
+def _count_pair_factors(monkeypatch):
+    """A list that gains one entry each time :meth:`supervision._Pairs.factor`
+    returns a factor of the pair system (it returns None with no pairs)."""
+    real, built = supervision._Pairs.factor, []
+
+    def factor(self, Dg):
+        result = real(self, Dg)
+        if result is not None:
+            built.append(result.shape)
+        return result
+
+    monkeypatch.setattr(supervision._Pairs, "factor", factor)
+    return built
+
+
+def test_pair_fit_starts_rho_near_where_it_settles(monkeypatch):
     """Started at twice the mean Hessian diagonal and rebalanced on a 10-fold
     residual imbalance, rho was halved five times on this problem: 86
     iterations and 6 builds of the p x p factor. Started at an eighth of
@@ -1122,49 +1139,53 @@ def test_pair_fit_starts_rho_near_where_it_settles():
     term's share of the Hessian trace instead, as pair fits now are: 27
     iterations and 1 build. A label fit builds no factor."""
     core, side = _fit_pairs_problem()
+    built = _count_pair_factors(monkeypatch)
     report = fit(core, side, LearnConfig(lam=0.1)).report
     assert report.converged_by == "grad_norm"
     assert report.iterations <= 60
-    assert report.factor_builds == 1
+    assert len(built) == 1
     reference = 19.9793485462
     assert abs(report.objective_trace[-1] - reference) <= 2e-7 * reference
     labels = fit(*_random_labeled_problem(np.random.default_rng(3)), LearnConfig(lam=1e-3))
-    assert labels.report.iterations > 0 and labels.report.factor_builds == 0
+    assert labels.report.iterations > 0 and len(built) == 1
 
 
-def _assert_pair_fit_builds_once(core, side, lam, reference):
+def _assert_pair_fit_builds_once(monkeypatch, core, side, lam, reference):
+    built = _count_pair_factors(monkeypatch)
     report = fit(core, side, LearnConfig(lam=lam)).report
     assert report.converged_by == "grad_norm"
-    assert report.factor_builds == 1
+    assert len(built) == 1
     assert report.iterations <= 40
     assert abs(report.objective_trace[-1] - reference) <= 2e-7 * reference
 
 
-def test_pair_fit_builds_its_system_once():
+def test_pair_fit_builds_its_system_once(monkeypatch):
     """The loop keeps its starting rho, so a pair fit builds the p x p
     system once: 27 iterations on this problem. The reference is the
     long-run optimum."""
-    _assert_pair_fit_builds_once(*_fit_pairs_problem(), 0.1, 19.9793485462)
+    _assert_pair_fit_builds_once(monkeypatch, *_fit_pairs_problem(), 0.1, 19.9793485462)
 
 
-def test_kkt_sweep_pair_fit_builds_its_system_once():
+def test_kkt_sweep_pair_fit_builds_its_system_once(monkeypatch):
     """On the grouping problem that tools/kkt_stress.py draws at seed 0,
     residual balancing changed rho at each of the fit's 4 iterations, so
     the fit built the system 5 times. The reference is the long-run
     optimum."""
-    _assert_pair_fit_builds_once(*_kkt_sweep_grouping_draw(), 1.0, 0.822803902053)
+    _assert_pair_fit_builds_once(monkeypatch, *_kkt_sweep_grouping_draw(), 1.0,
+                                 0.822803902053)
 
 
 @pytest.mark.parametrize("seed", [539, 1244, 51])
-def test_slowest_kkt_sweep_pair_fits(seed):
+def test_slowest_kkt_sweep_pair_fits(seed, monkeypatch):
     """The three slowest grouping draws of tools/kkt_stress.py over seeds
     0-1499 (m = 3, four pairs) at lam = 1e-3. With rho at 2**-2.5 of the
     label rule they took 245, 235 and 157 iterations; scaled by the pair
     term's share of the Hessian trace, 38, 20 and 24."""
+    built = _count_pair_factors(monkeypatch)
     report = fit(*_kkt_sweep_grouping_draw(seed), LearnConfig(lam=1e-3)).report
     assert report.converged_by == "grad_norm"
     assert report.iterations <= 100
-    assert report.factor_builds == 1
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1.0])
@@ -1380,16 +1401,38 @@ def test_every_stop_is_confirmed_once(monkeypatch):
 
     monkeypatch.setattr(dictlearn, "_exit_evaluation", exit_evaluation)
     monkeypatch.setattr(dictlearn._ADMM, "finish", finish)
+    built = _count_pair_factors(monkeypatch)
     report = fit(core, side, LearnConfig(lam=0.0)).report
     monkeypatch.undo()
     tol = _mapping_tolerance(core, side)
     H = supervision._Supervision(core, side).closed_form(core.S0, 0.0)
     assert np.linalg.norm(gradient(H @ H.T, core, side, 0.0)) > 2.9 * tol
     assert calls.count("exit") == 20 and calls.count("finish") == 20
-    assert (report.iterations, report.converged_by, report.factor_builds) == (20, "obj_rel", 0)
+    assert (report.iterations, report.converged_by, len(built)) == (20, "obj_rel", 0)
     assert report.objective_trace.size == 21
     assert report.final_grad_norm > tol
     assert_allclose(report.final_grad_norm, 4.7326e-3, rtol=1e-4)
+
+
+def test_failed_confirmations_keep_the_pair_factor(monkeypatch):
+    """A pair fit factors its p x p system once and keeps it until it
+    returns. On this ill-conditioned core (the bandwidth 1e4 times the
+    heuristic) the fit confirms a stop 22 times, and 21 of them fail and go
+    on, until the objective stalls at iteration 24. Releasing the factor
+    before each exit evaluation and rebuilding it on the next x-step made
+    22 builds."""
+    ds = make_blobs(1500, 10, n_classes=3, separation=3.0, seed=0)
+    core = build_core(ds.X, select_random(ds.X, 20, 0),
+                      KernelParams(1e4 * bandwidth_heuristic(ds.X)))
+    pairs = np.random.default_rng(1).integers(0, 1500, size=(60, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    same = ds.y[pairs[:, 0]] == ds.y[pairs[:, 1]]
+    side = SideInformation.from_constraints(pairs[same].tolist(), pairs[~same].tolist())
+    built = _count_pair_factors(monkeypatch)
+    report = fit(core, side, LearnConfig(lam=0.1)).report
+    assert len(built) == 1
+    assert (report.iterations, report.converged_by) == (24, "obj_rel")
+    assert_allclose(report.final_objective, 26.66398836, rtol=1e-8)
 
 
 def test_pair_rho_floor_sets_rho_at_a_tiny_pair_share():
@@ -1659,9 +1702,10 @@ def test_learn_config_validation():
     with pytest.raises(InputError):
         LearnConfig(obj_rel_tol=-1e-9)
     # A string raised a bare TypeError and True was stored; an infinite
-    # obj_rel_tol would stall every iterating fit at iteration 20.
+    # obj_rel_tol would stall every iterating fit at iteration 20; an int
+    # beyond the float range reads as infinite.
     for kwargs in ({"lam": "1"}, {"obj_rel_tol": "1"}, {"lam": True},
-                   {"obj_rel_tol": np.inf}, {"lam": np.inf}):
+                   {"obj_rel_tol": np.inf}, {"lam": np.inf}, {"lam": 10**400}):
         with pytest.raises(InputError):
             LearnConfig(**kwargs)
     assert type(LearnConfig(lam=np.float32(0.5)).lam) is float

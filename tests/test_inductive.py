@@ -496,6 +496,21 @@ def test_load_rejects_version_1(tmp_path):
         load(path)
 
 
+def test_load_rejects_metadata_that_is_not_an_object(tmp_path):
+    model, *_ = _fitted_model(seed=13)
+    path = tmp_path / "model.bin"
+    save(model, path)
+    data = path.read_bytes()
+    header_size = struct.calcsize(_HEADER_FMT)
+    fields = list(struct.unpack_from(_HEADER_FMT, data))
+    body = data[header_size + fields[-1]:]
+    meta = b"[1, 2]"
+    fields[-1] = len(meta)
+    path.write_bytes(struct.pack(_HEADER_FMT, *fields) + meta + body)
+    with pytest.raises(ModelFormatError, match="metadata must be a JSON object"):
+        load(path)
+
+
 @pytest.mark.parametrize("family", [b"poly", b"rbf\0\0\0\0x", b"RBF", b""])
 def test_load_rejects_other_kernel_family(tmp_path, family):
     model, *_ = _fitted_model(seed=17)

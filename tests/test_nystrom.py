@@ -167,6 +167,17 @@ def test_reconstruct_entry_index_checks():
         reconstruct_entry(core, 2, 0)
     with pytest.raises(InputError):
         reconstruct_entry(core, 0, -1)
+    with pytest.raises(InputError, match="index i=2 out of range for 2 samples"):
+        reconstruct_entry(core, 2, 0)
+    # A float index raised a bare IndexError and a bool a TypeError; a float
+    # index reached extrapolation_bound's indexing the same way.
+    for i, j in ((1.5, 0), (True, 0), (0, 1.0), (0, np.float64(1.0))):
+        with pytest.raises(InputError, match="must be of integer type"):
+            reconstruct_entry(core, i, j)
+    with pytest.raises(InputError, match="index i must be of integer type"):
+        extrapolation_bound(core, [[0.0], [1.0]], [[0.5]], KernelParams(bandwidth=1.0),
+                            1.0, 2.0, 1)
+    assert reconstruct_entry(core, np.int64(1), 0) == reconstruct_entry(core, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ test allows (labels at lambda 0, 1e-3, 1 and 100; grouping at the three
 positive ones), fits each at ``max_iters = 20000`` and applies the test's
 three checks. It prints one JSON line on stdout: the fits, the KKT failures
 (and which draws failed), the total iterations, the fits past 2,000
-iterations, the factor builds, the fits returned at their start after 0
-iterations (``at_start``), the iterations per kind and lambda
+iterations, the fits returned at their start after 0 iterations
+(``at_start``), the iterations per kind and lambda
 (``iterations_by_draw``, keyed ``"<kind> <lambda>"``), the largest iteration
 count of one fit per kind and lambda (``max_iterations_by_draw``, keyed the
 same), the seed of that largest fit (``slowest_seed_by_draw``, the first
@@ -30,7 +30,9 @@ in the benchmark, so a sweep repeats bit for bit, and running this file in
 two checkouts shows whether a change leaves every fit bit-identical (the
 stdout lines are equal, so ``cmp`` checks it), moves only fits that stop at
 their start (only ``digest_iterating`` matches), and which kind and lambda
-cells it moves (the ``digest_by_draw`` cells that differ).
+cells it moves (the ``digest_by_draw`` cells that differ). When a change
+alters what this script prints, as dropping a field does, a bit-identity
+check across it runs the change's copy of the script in both checkouts.
 
 The wall seconds of the fits per kind and lambda vary from run to run, so
 they go to stderr as a JSON line of their own, ``{"seconds_by_draw": ...}``,
@@ -100,7 +102,7 @@ def main(argv=None):
     parser.add_argument("--last-seed", type=int, default=1499)
     args = parser.parse_args(argv)
     totals = dict.fromkeys(("fits", "kkt_failures", "iterations", "past_default_cap",
-                            "factor_builds", "at_start"), 0)
+                            "at_start"), 0)
     by_draw, seconds, max_by_draw, slowest_seed, digest_by_draw, failed = {}, {}, {}, {}, {}, []
     factor_error, margin, reasons = {}, {}, {}
     digest, digest_iterating = hashlib.sha256(), hashlib.sha256()
@@ -125,7 +127,6 @@ def main(argv=None):
             if report.iterations > max_by_draw.get(key, -1):
                 max_by_draw[key], slowest_seed[key] = report.iterations, seed
             totals["past_default_cap"] += report.iterations > DEFAULT_CAP
-            totals["factor_builds"] += report.factor_builds
             counts = reasons.setdefault(key, {})
             counts[report.converged_by] = counts.get(report.converged_by, 0) + 1
             S, L = result.state.S, result.state.L

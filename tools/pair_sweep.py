@@ -11,11 +11,11 @@ On each dataset three pair sets are drawn, ``default_rng(s).integers(0, n,
 dropped, each pair a must-link when both rows share a class and a
 cannot-link otherwise. Only the fit is timed.
 
-It prints one JSON line per fit and one for the total: iterations, p x p
-factor builds, the stop reason, the final objective J and the
-fit's seconds. BLAS runs on one thread, as in the benchmark, so the counts
-and objectives repeat bit for bit; running this file in two checkouts
-compares a solver change on pair fits larger than the benchmark's.
+It prints one JSON line per fit and one for the total: iterations, the
+stop reason, the final objective J and the fit's seconds. BLAS runs on one
+thread, as in the benchmark, so the counts and objectives repeat bit for
+bit; running this file in two checkouts compares a solver change on pair
+fits larger than the benchmark's.
 """
 
 import json
@@ -49,7 +49,7 @@ def side_information(ds, seed, count):
 
 
 def main():
-    total = dict.fromkeys(("fits", "iterations", "factor_builds"), 0)
+    total = dict.fromkeys(("fits", "iterations"), 0)
     total["seconds"] = 0.0
     for dataset_seed in DATASET_SEEDS:
         ds = make_blobs(N, D, n_classes=CLASSES, separation=SEPARATION, seed=dataset_seed)
@@ -62,13 +62,11 @@ def main():
             seconds = time.perf_counter() - t0
             row = {"dataset_seed": dataset_seed, "pair_seed": pair_seed,
                    "pairs": int(side.pairs.shape[0]), "iterations": report.iterations,
-                   "factor_builds": report.factor_builds,
                    "converged_by": report.converged_by,
                    "objective": report.final_objective, "seconds": round(seconds, 3)}
             print(json.dumps(row), flush=True)
             total["fits"] += 1
-            for key in ("iterations", "factor_builds"):
-                total[key] += row[key]
+            total["iterations"] += row["iterations"]
             total["seconds"] += seconds
     total["seconds"] = round(total["seconds"], 3)
     print(json.dumps({"total": total}))
