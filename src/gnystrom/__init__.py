@@ -13,7 +13,7 @@ from .experiment import (ExperimentConfig, RepeatResult, RunReport, emit_report,
                          experiment_config_from_file, run_experiment)
 from .inductive import InductiveModel, embed, load, save, similarity
 from .kernels import KernelParams, LabelVector, bandwidth_heuristic, kernel_matrix, nka_score
-from .landmarks import KMeansConfig, LandmarkSet, select_kmeans, select_random
+from .landmarks import KMeansConfig, select_kmeans, select_random
 from .linear_svm import LinearModel, train_linear
 from .modelselect import DEFAULT_LAMBDA_GRID, LambdaRecord, SelectionReport, select_lambda
 from .nystrom import (BoundCheck, NystromCore, build_core, extrapolation_bound,
@@ -26,7 +26,7 @@ __all__ = [
     "BoundCheck", "Dataset", "DegenerateBandwidthError",
     "DictionaryState", "ExperimentConfig", "FitResult", "GNystromError",
     "InductiveModel", "InputError", "KMeansConfig", "KernelParams",
-    "LabelVector", "LambdaRecord", "LandmarkSet",
+    "LabelVector", "LambdaRecord",
     "LearnConfig", "LinearModel", "ModelFormatError", "NumericalError",
     "NystromCore", "ParseError", "RepeatResult", "RunReport", "SelectionReport",
     "SideInformation", "SolverReport",

@@ -112,8 +112,8 @@ def _cmd_synth(args):
 def _cmd_landmarks(args):
     ds = load_dataset(args.input, format=args.format)
     Z = _select_landmarks(ds.X, args.method, args.m, args.seed)
-    np.savetxt(args.out, Z.points, delimiter=",", fmt="%.17g")
-    print(f"wrote {Z.m} {Z.method} landmarks to {args.out}")
+    np.savetxt(args.out, Z, delimiter=",", fmt="%.17g")
+    print(f"wrote {len(Z)} {args.method} landmarks to {args.out}")
     return 0
 
 

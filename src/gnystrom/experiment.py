@@ -20,8 +20,7 @@ from .datasets import Dataset, sample_labeled
 from .dictlearn import LearnConfig, fit
 from .errors import InputError, ParseError
 from .kernels import KernelParams, bandwidth_heuristic
-from .landmarks import (KMeansConfig, LANDMARK_METHODS, LandmarkSet, select_kmeans,
-                        select_random)
+from .landmarks import KMeansConfig, LANDMARK_METHODS, select_kmeans, select_random
 from .linear_svm import train_linear
 from .modelselect import (LambdaRecord, SelectionReport, _score_fit, select_lambda,
                           validate_grid)
@@ -65,6 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("labeled_per_run", "repeats"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.m is not None:
             object.__setattr__(self, "m", as_count(self.m, "m"))
         if self.landmark_method not in LANDMARK_METHODS:
@@ -135,7 +135,7 @@ class PipelineResult:
     wall-clock time.
     """
 
-    landmarks: LandmarkSet
+    landmarks: np.ndarray
     kernel: KernelParams
     core: NystromCore
     record: LambdaRecord
@@ -195,7 +195,7 @@ def _repeat_draws(ds, cfg):
     repeats, in order, from the label and landmark seeds that ``cfg.seed``
     derives: words 2 i and 2 i + 1 of its SeedSequence's state for repeat i.
     """
-    seeds = np.random.SeedSequence(as_seed(cfg.seed)).generate_state(2 * cfg.repeats)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.repeats)
     for label_seed, landmark_seed in seeds.reshape(-1, 2):
         yield sample_labeled(ds, cfg.labeled_per_run, int(label_seed)), int(landmark_seed)
 

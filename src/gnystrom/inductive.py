@@ -44,12 +44,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_data_matrix, as_vector
+from ._arrays import as_data_matrix, as_real, as_vector
 from ._lapack import dtrmm
 from .dictlearn import DictionaryState, factorize
 from .errors import InputError, ModelFormatError
 from .kernels import KernelParams, kernel_matrix
-from .landmarks import LandmarkSet
 
 _MAGIC = b"GNYM"
 _VERSION = 2
@@ -80,6 +79,11 @@ class InductiveModel:
             raise InputError("factor rank cannot exceed the landmark count")
         if not isinstance(self.metadata, dict):
             raise InputError("metadata must be a dict")
+        # As save writes it: sorting fails on keys of mixed types too.
+        try:
+            json.dumps(self.metadata, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"metadata must serialize to JSON: {exc}") from exc
         # L.T = Q @ R gives L @ L.T = R.T @ R; flipping the rows of R with a
         # negative diagonal keeps that product. A factor already in this form,
         # as every saved one and every Cholesky factor is, skips the QR,
@@ -100,12 +104,12 @@ class InductiveModel:
         DictionaryState or a bare PSD matrix S. The factor is the state's L
         when it holds one, as every state :func:`dictlearn.fit` returns
         does, so S is not decomposed again; otherwise :func:`factorize` of
-        S. The constructor brings the factor to lower-trapezoidal form."""
-        Z = landmarks.points if isinstance(landmarks, LandmarkSet) else landmarks
+        S. The constructor brings the factor to lower-trapezoidal form.
+        ``lam``, when given, is checked as :class:`LearnConfig` checks it."""
         has_factor = isinstance(state, DictionaryState) and state.L is not None
         L = state.L if has_factor else factorize(state)
         metadata = {
-            "lambda": None if lam is None else float(lam),
+            "lambda": None if lam is None else as_real(lam, "lam"),
             "created": datetime.now(timezone.utc).isoformat(),
         }
         if report is not None:
@@ -115,7 +119,7 @@ class InductiveModel:
                 "final_grad_norm": float(report.final_grad_norm),
                 "final_objective": float(report.final_objective),
             }
-        return cls(landmarks=Z, kernel=kernel, L=L, metadata=metadata)
+        return cls(landmarks=landmarks, kernel=kernel, L=L, metadata=metadata)
 
     @property
     def m(self):

@@ -36,52 +36,27 @@ class KMeansConfig:
         object.__setattr__(self, "k", as_count(self.k, "k"))
 
 
-@dataclass(frozen=True)
-class LandmarkSet:
-    """Landmark points plus the provenance of their selection.
-
-    ``source_indices`` is set only for random selection, where landmarks are
-    actual dataset rows; k-means centers are synthetic means.
-    """
-
-    points: np.ndarray
-    method: str
-    seed: int
-    source_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        points = as_data_matrix(self.points, "landmark points")
-        object.__setattr__(self, "points", points)
-        if self.method not in LANDMARK_METHODS:
-            raise InputError(f"unknown landmark method {self.method!r}")
-
-    @property
-    def m(self):
-        return int(self.points.shape[0])
-
-
 def select_random(X, m, seed):
-    """Pick m distinct rows of X uniformly at random, reproducibly."""
+    """m distinct rows of X, drawn uniformly at random from ``seed``, as a
+    new m x d array: X[default_rng(seed).choice(n, m, replace=False)]."""
     X = as_data_matrix(X)
     n = X.shape[0]
     m = as_count(m, "m")
     if m > n:
         raise InputError(f"need 1 <= m <= n, got m={m} with n={n}")
     rng = np.random.default_rng(as_seed(seed))
-    idx = rng.choice(n, size=m, replace=False)
-    return LandmarkSet(points=X[idx].copy(), method="random", seed=int(seed),
-                       source_indices=idx)
+    return X[rng.choice(n, size=m, replace=False)]
 
 
 def select_kmeans(X, cfg):
-    """Landmarks as k-means centers, deterministic for a given config."""
+    """The cfg.k x d array of k-means centers, deterministic for a given
+    config."""
     X = as_data_matrix(X)
     if cfg.k > X.shape[0]:
         raise InputError(f"k={cfg.k} exceeds the number of samples {X.shape[0]}")
     rng = np.random.default_rng(as_seed(cfg.seed))
     centers = _init_spread(X, cfg.k, rng)
-    centers, _ = lloyd_iterations(X, centers, _LLOYD_MAX_ITERS, _LLOYD_TOL)
-    return LandmarkSet(points=centers, method="kmeans", seed=int(cfg.seed))
+    return lloyd_iterations(X, centers, _LLOYD_MAX_ITERS, _LLOYD_TOL)[0]
 
 
 def lloyd_iterations(X, centers, max_iters, tol):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import as_real
 from .dictlearn import LearnConfig, SolverReport, fit
 from .errors import InputError, NumericalError, UndefinedAlignmentError
 from .kernels import _prepared, _prepared_cosine
@@ -89,12 +90,12 @@ class SelectionReport:
 
 
 def validate_grid(grid):
-    """Candidate weights must be nonempty, positive, strictly increasing."""
-    vals = [float(g) for g in grid]
+    """Candidate weights must be nonempty, strictly increasing and each a
+    positive finite real (:func:`as_real`), so a string, a bool or a nested
+    sequence raises InputError."""
+    vals = [as_real(g, "grid candidate", positive=True) for g in grid]
     if not vals:
         raise InputError("candidate grid must be nonempty")
-    if any(not (np.isfinite(v) and v > 0) for v in vals):
-        raise InputError("grid candidates must be positive finite reals")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise InputError("grid candidates must be strictly increasing")
     return vals

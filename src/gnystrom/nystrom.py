@@ -16,19 +16,12 @@ import numpy as np
 from ._arrays import _truncate, as_data_matrix, as_index_array, as_real, eigh
 from .errors import InputError
 from .kernels import _squared_distances, kernel_matrix
-from .landmarks import LandmarkSet
 
 # Distances per row block of rbf_lipschitz_constant's diameter (512 KiB).
 _DIAMETER_BLOCK = 1 << 16
 # Eigenvalues of W at or below this fraction of the largest one count as 0
 # in the prior S0 = pinv(W).
 _PINV_RTOL = 1e-10
-
-
-def _landmark_points(Z):
-    if isinstance(Z, LandmarkSet):
-        return Z.points
-    return as_data_matrix(Z, "Z")
 
 
 @dataclass(frozen=True)
@@ -96,11 +89,11 @@ def build_core(X, Z, params):
     result satisfies W @ S0 @ W == W on the retained subspace.
     """
     X = as_data_matrix(X)
-    Zp = _landmark_points(Z)
-    if X.shape[1] != Zp.shape[1]:
+    Z = as_data_matrix(Z, "Z")
+    if X.shape[1] != Z.shape[1]:
         raise InputError("samples and landmarks must share a feature dimension")
-    E = kernel_matrix(X, Zp, params)
-    W = kernel_matrix(Zp, Zp, params)
+    E = kernel_matrix(X, Z, params)
+    W = kernel_matrix(Z, Z, params)
     vals, vecs = _truncate(*eigh(W), _PINV_RTOL)
     return NystromCore(E=E, W=W, R=vecs / np.sqrt(vals))
 
@@ -137,7 +130,7 @@ def rbf_lipschitz_constant(X, Z, params):
     of all (n + m)**2. A distance rounds the same either way round, so the
     result equals the maximum of the full distance matrix bit for bit.
     """
-    pts = np.vstack([as_data_matrix(X), _landmark_points(Z)])
+    pts = np.vstack([as_data_matrix(X), as_data_matrix(Z, "Z")])
     total = pts.shape[0]
     rows = max(1, _DIAMETER_BLOCK // total)
     diameter = max(float(np.sqrt(_squared_distances(pts[a:a + rows], pts[a:]).max()))
@@ -156,15 +149,15 @@ def extrapolation_bound(core, X, Z, params, eta_lip, i, j):
     kernel; see :func:`rbf_lipschitz_constant` for a usable default.
     """
     X = as_data_matrix(X)
-    Zp = _landmark_points(Z)
+    Z = as_data_matrix(Z, "Z")
     n, m = core.E.shape
-    if X.shape[0] != n or Zp.shape[0] != m:
+    if X.shape[0] != n or Z.shape[0] != m:
         raise InputError("X and Z must match the core's dimensions")
     eta_lip = as_real(eta_lip, "eta_lip")
     # reconstruct_entry checks i and j before X is indexed by them.
     entry = reconstruct_entry(core, i, j)
-    dist_i = np.sqrt(_squared_distances(X[[i]], Zp)).ravel()
-    dist_j = np.sqrt(_squared_distances(X[[j]], Zp)).ravel()
+    dist_i = np.sqrt(_squared_distances(X[[i]], Z)).ravel()
+    dist_j = np.sqrt(_squared_distances(X[[j]], Z)).ravel()
     p = int(dist_i.argmin())
     q = int(dist_j.argmin())
     d_p = float(dist_i[p])

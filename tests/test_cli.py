@@ -38,13 +38,18 @@ def test_synth_moons(tmp_path):
 
 
 def test_landmarks_command(blob_csv, tmp_path, capsys):
-    out = tmp_path / "landmarks.csv"
-    rc = main(["landmarks", "--input", str(blob_csv), "--m", "6",
-               "--method", "kmeans", "--seed", "0", "--out", str(out)])
-    assert rc == 0
-    Z = np.loadtxt(out, delimiter=",")
-    assert Z.shape == (6, 3)
-    assert "6 kmeans landmarks" in capsys.readouterr().out
+    """The CSV holds the selected array to the last bit, and the line names
+    its size and method."""
+    X = load_dataset(blob_csv).X
+    for method in ("kmeans", "random"):
+        out = tmp_path / f"{method}.csv"
+        rc = main(["landmarks", "--input", str(blob_csv), "--m", "6",
+                   "--method", method, "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        Z = np.loadtxt(out, delimiter=",")
+        assert Z.shape == (6, 3)
+        assert Z.tobytes() == experiment._select_landmarks(X, method, 6, 0).tobytes()
+        assert capsys.readouterr().out == f"wrote 6 {method} landmarks to {out}\n"
 
 
 def test_fit_embed_round_trip(blob_csv, tmp_path, capsys):

@@ -85,6 +85,11 @@ def test_config_validation():
         ExperimentConfig(labeled_per_run=4, lam=1.0, lambda_grid=(0.1, 1.0))
     with pytest.raises(InputError):
         ExperimentConfig(labeled_per_run=4, lambda_grid=(1.0, 0.1))
+    # Each constructed, and failed only when run_experiment drew its seeds.
+    for seed in (-1, 1.5):
+        with pytest.raises(InputError, match="^seed must be"):
+            ExperimentConfig(labeled_per_run=4, seed=seed)
+    assert type(ExperimentConfig(labeled_per_run=4, seed=np.int64(3)).seed) is int
 
 
 @pytest.mark.parametrize("field", ["labeled_per_run", "repeats", "m"])

@@ -79,6 +79,14 @@ def test_model_invariants_validated():
         InductiveModel(landmarks=Z, kernel=p, L=np.ones((2, 3)))  # rank above m
     with pytest.raises(InputError):
         InductiveModel(landmarks=Z, kernel=p, L=np.eye(2), metadata=[])
+    # Each raised a bare TypeError from json.dumps, but only in save.
+    for metadata in ({"a": object()}, {"a": 1, 2: "b"}):
+        with pytest.raises(InputError, match="metadata must serialize to JSON"):
+            InductiveModel(landmarks=Z, kernel=p, L=np.eye(2), metadata=metadata)
+    # "x" raised a bare ValueError from float(), and True was recorded as 1.0.
+    for lam in ("x", True, -1.0, np.nan):
+        with pytest.raises(InputError, match="^lam must be"):
+            InductiveModel.from_state(Z, p, np.eye(2), lam=lam)
 
 
 def _counting_qr(monkeypatch):
@@ -249,7 +257,7 @@ def test_triangular_features_predict_like_eigenvector_features():
     tri = train_linear(embed(model, ds.X[labeled.indices]), labeled.labels)
     eig = train_linear(core.E[labeled.indices] @ L, labeled.labels)
     tri_pred = tri.predict(embed(model, held.X))
-    eig_pred = eig.predict(kernel_matrix(held.X, Z.points, params) @ L)
+    eig_pred = eig.predict(kernel_matrix(held.X, Z, params) @ L)
     assert np.array_equal(tri_pred, eig_pred)
 
 
@@ -259,14 +267,14 @@ def test_triangular_features_predict_like_eigenvector_features():
 
 def test_embed_on_landmarks_reproduces_dictionary():
     model, _, Z, core, _ = _prior_model()
-    G = embed(model, Z.points)
+    G = embed(model, Z)
     assert np.linalg.matrix_rank(core.W) == core.m  # full-rank premise
     assert_allclose(G @ G.T, core.W, atol=1e-6)
 
 
 def test_embed_landmark_self_similarity():
     model, _, Z, core, _ = _prior_model(seed=2)
-    G = embed(model, Z.points)
+    G = embed(model, Z)
     for pidx in range(core.m):
         assert abs(G[pidx] @ G[pidx] - core.W[pidx, pidx]) < 1e-6
 
@@ -276,7 +284,7 @@ def test_embed_matches_dense_quadratic_form():
     rng = np.random.default_rng(30)
     Xnew = rng.normal(size=(7, 3))
     G = embed(model, Xnew)
-    e = kernel_matrix(Xnew, Z.points, p)
+    e = kernel_matrix(Xnew, Z, p)
     expected = e @ (model.L @ model.L.T) @ e.T
     assert_allclose(G @ G.T, expected, atol=1e-10)
 
@@ -284,8 +292,8 @@ def test_embed_matches_dense_quadratic_form():
 def test_embed_matches_pairwise_kernel_product():
     model, _, Z, _, p = _fitted_model(seed=6)
     rng = np.random.default_rng(60)
-    Xnew = np.vstack([rng.normal(size=(40, 3)), Z.points, 1e3 + rng.normal(size=(5, 3))])
-    expected = kernel_matrix(Xnew, Z.points, p) @ model.L
+    Xnew = np.vstack([rng.normal(size=(40, 3)), Z, 1e3 + rng.normal(size=(5, 3))])
+    expected = kernel_matrix(Xnew, Z, p) @ model.L
     atol = 1e-12 * (1.0 + np.linalg.norm(model.L))
     assert_allclose(embed(model, Xnew), expected, rtol=0, atol=atol)
 
@@ -366,7 +374,7 @@ def test_similarity_at_landmarks_recovers_dictionary():
     model, _, Z, core, _ = _prior_model(seed=7)
     for pidx in range(core.m):
         for q in range(core.m):
-            got = similarity(model, Z.points[pidx], Z.points[q])
+            got = similarity(model, Z[pidx], Z[q])
             assert abs(got - core.W[pidx, q]) < 1e-8
 
 

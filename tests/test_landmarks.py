@@ -12,7 +12,6 @@ from scipy.spatial.distance import cdist
 from gnystrom import (
     InputError,
     KMeansConfig,
-    LandmarkSet,
     make_blobs,
     make_two_moons,
     select_kmeans,
@@ -35,14 +34,13 @@ def test_select_random_all_rows_is_permutation():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(7, 2))
     lm = select_random(X, 7, seed=3)
-    assert_allclose(_sorted_rows(lm.points), _sorted_rows(X))
+    assert_allclose(_sorted_rows(lm), _sorted_rows(X))
 
 
 def test_select_random_single_row():
     X = np.array([[1.5, -2.0]])
     lm = select_random(X, 1, seed=0)
-    assert_allclose(lm.points, X)
-    assert lm.m == 1
+    assert_allclose(lm, X)
 
 
 def test_select_random_deterministic():
@@ -50,16 +48,21 @@ def test_select_random_deterministic():
     X = rng.normal(size=(30, 3))
     a = select_random(X, 5, seed=42)
     b = select_random(X, 5, seed=42)
-    assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.source_indices, b.source_indices)
+    assert np.array_equal(a, b)
 
 
 def test_select_random_rows_come_from_x():
+    """The landmarks are X[default_rng(seed).choice(n, m, replace=False)],
+    bit for bit: m distinct rows, in a new array."""
     rng = np.random.default_rng(2)
-    X = rng.normal(size=(12, 4))
-    lm = select_random(X, 6, seed=9)
-    assert np.array_equal(lm.points, X[lm.source_indices])
-    assert len(set(lm.source_indices.tolist())) == 6
+    for n, m, seed in ((12, 6, 9), (30, 30, 0), (200, 17, 2**40)):
+        X = rng.normal(size=(n, 4))
+        lm = select_random(X, m, seed)
+        idx = np.random.default_rng(seed).choice(n, m, replace=False)
+        assert isinstance(lm, np.ndarray) and lm.shape == (m, 4)
+        assert lm.tobytes() == X[idx].tobytes()
+        assert np.unique(idx).size == m
+        assert not np.shares_memory(lm, X)
 
 
 def test_select_random_m_too_large():
@@ -79,20 +82,20 @@ def test_select_random_m_nonpositive():
 def test_kmeans_two_singletons():
     X = np.array([[0.0, 0.0], [10.0, 10.0]])
     lm = select_kmeans(X, KMeansConfig(k=2, seed=0))
-    assert_allclose(_sorted_rows(lm.points), _sorted_rows(X), atol=1e-12)
+    assert_allclose(_sorted_rows(lm), _sorted_rows(X), atol=1e-12)
 
 
 def test_kmeans_two_duplicate_pairs():
     X = np.array([[0.0], [0.0], [10.0], [10.0]])
     lm = select_kmeans(X, KMeansConfig(k=2, seed=1))
-    assert_allclose(_sorted_rows(lm.points), [[0.0], [10.0]], atol=1e-12)
+    assert_allclose(_sorted_rows(lm), [[0.0], [10.0]], atol=1e-12)
 
 
 def test_kmeans_single_cluster_is_centroid():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(25, 3))
     lm = select_kmeans(X, KMeansConfig(k=1, seed=0))
-    assert_allclose(lm.points, X.mean(axis=0, keepdims=True), atol=1e-12)
+    assert_allclose(lm, X.mean(axis=0, keepdims=True), atol=1e-12)
 
 
 def test_kmeans_output_shape_and_finite():
@@ -100,8 +103,8 @@ def test_kmeans_output_shape_and_finite():
     X = rng.normal(size=(40, 2))
     for k in (1, 3, 7):
         lm = select_kmeans(X, KMeansConfig(k=k, seed=5))
-        assert lm.points.shape == (k, 2)
-        assert np.all(np.isfinite(lm.points))
+        assert isinstance(lm, np.ndarray) and lm.shape == (k, 2)
+        assert np.all(np.isfinite(lm))
 
 
 def test_kmeans_deterministic():
@@ -110,7 +113,7 @@ def test_kmeans_deterministic():
     cfg = KMeansConfig(k=6, seed=11)
     a = select_kmeans(X, cfg)
     b = select_kmeans(X, cfg)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_kmeans_commutes_with_translation():
@@ -120,7 +123,7 @@ def test_kmeans_commutes_with_translation():
     X = make_two_moons(400, noise=0.1, seed=3).X
     cfg = KMeansConfig(k=25, seed=0)
     shifted = select_kmeans(X + 1e6, cfg)
-    assert_allclose(shifted.points, select_kmeans(X, cfg).points + 1e6, rtol=1e-9)
+    assert_allclose(shifted, select_kmeans(X, cfg) + 1e6, rtol=1e-9)
 
 
 def test_kmeans_k_too_large():
@@ -268,7 +271,7 @@ def test_kmeans_matches_reference_lloyd_exactly(X, k):
     cfg = KMeansConfig(k=k, seed=0)
     start = _init_spread(X, k, np.random.default_rng(cfg.seed))
     reference = _reference_lloyd(X, start, _LLOYD_MAX_ITERS, _LLOYD_TOL)
-    assert np.array_equal(select_kmeans(X, cfg).points, reference)
+    assert np.array_equal(select_kmeans(X, cfg), reference)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,17 +338,4 @@ def test_kmeans_memory_stays_below_the_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * k * 8 / 4
-
-
-# ---------------------------------------------------------------------------
-# LandmarkSet
-
-
-def test_landmark_set_validation():
-    with pytest.raises(InputError):
-        LandmarkSet(points=np.empty((0, 2)), method="random", seed=0)
-    with pytest.raises(InputError):
-        LandmarkSet(points=np.array([[np.nan]]), method="kmeans", seed=0)
-    with pytest.raises(InputError):
-        LandmarkSet(points=np.ones((2, 2)), method="other", seed=0)
 

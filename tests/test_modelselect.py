@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from gnystrom import (
     DEFAULT_LAMBDA_GRID,
+    ExperimentConfig,
     InputError,
     KMeansConfig,
     KernelParams,
@@ -67,6 +68,17 @@ def test_validate_grid_rejections():
         validate_grid((1.0, 1.0))
     with pytest.raises(InputError):
         validate_grid((2.0, 1.0))
+    # A bare ValueError, a bare TypeError, a bare ValueError from the
+    # string's characters, and an accepted lambda = 1.
+    core, side = _blob_problem()
+    with pytest.raises(InputError, match="^grid candidate must be"):
+        select_lambda(core, side, ["a"])
+    with pytest.raises(InputError, match="^grid candidate must be"):
+        validate_grid([[1.0]])
+    with pytest.raises(InputError, match="^grid candidate must be"):
+        ExperimentConfig(labeled_per_run=4, lambda_grid="1,2")
+    with pytest.raises(InputError, match="^grid candidate must be"):
+        validate_grid([True])
 
 
 def test_default_grid_is_valid():

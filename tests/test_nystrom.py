@@ -233,7 +233,7 @@ def test_extrapolation_at_landmarks_recovers_scaled_eigvecs():
     Z = select_random(X, 4, seed=0)
     p = KernelParams(bandwidth=3.0)
     core = build_core(X, Z, p)
-    phi = kernel_matrix(Z.points, Z.points, p) @ core.R
+    phi = kernel_matrix(Z, Z, p) @ core.R
     vals, vecs = np.linalg.eigh(core.W)
     assert_allclose(np.abs(phi), np.abs(vecs * np.sqrt(vals)), atol=1e-8)
     assert_allclose(phi @ phi.T, core.W, atol=1e-10)

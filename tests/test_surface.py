@@ -10,7 +10,7 @@ import gnystrom
 PUBLIC = (
     "BoundCheck", "Dataset", "DegenerateBandwidthError", "DictionaryState",
     "ExperimentConfig", "FitResult", "GNystromError", "InductiveModel", "InputError",
-    "KMeansConfig", "KernelParams", "LabelVector", "LambdaRecord", "LandmarkSet",
+    "KMeansConfig", "KernelParams", "LabelVector", "LambdaRecord",
     "LearnConfig", "LinearModel", "ModelFormatError", "NumericalError",
     "NystromCore", "ParseError", "RepeatResult", "RunReport", "SelectionReport",
     "SideInformation", "SolverReport", "UndefinedAlignmentError", "DEFAULT_LAMBDA_GRID",
@@ -25,7 +25,7 @@ PUBLIC = (
 
 
 def test_all_lists_the_public_surface():
-    assert len(gnystrom.__all__) == len(set(gnystrom.__all__)) == 55
+    assert len(gnystrom.__all__) == len(set(gnystrom.__all__)) == 54
     assert set(gnystrom.__all__) == set(PUBLIC)
 
 
