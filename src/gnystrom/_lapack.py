@@ -1,49 +1,319 @@
-"""The seven LAPACK and BLAS routines the package calls, loaded without
-importing ``scipy.linalg``.
+"""The seven LAPACK and BLAS routines the package calls, bound with
+:mod:`ctypes` in the OpenBLAS that NumPy has already loaded.
 
-SciPy's wrappers ``scipy.linalg.lapack.dpotrf`` and the like are the
-functions of its compiled f2py modules ``_flapack`` and ``_fblas``, but
-importing them through ``scipy.linalg`` runs that package's ``__init__``,
-which imports about 300 more modules. On Linux x86_64 with one BLAS thread
-(NumPy 2.4, SciPy 1.17) that took ``import gnystrom`` to a peak of 57.2 MiB
-resident (``ru_maxrss``); loading the two modules straight from their files
-takes it to 34.2 MiB, in about half the start-up time. NumPy alone takes
-26.8 MiB.
+NumPy's wheels bundle one OpenBLAS, ``libscipy_openblas64_*`` in
+``numpy.libs/`` (``numpy/.dylibs/`` on macOS), which runs every ``@``,
+``eigh`` and ``qr``. This module assumes what that build's name says: it
+uses 64-bit integers (ILP64), and it exports the Fortran routines under a
+``scipy_`` prefix and a ``64_`` suffix (``scipy_dsyevr_64_``). It loads the
+first such file whose seven symbols are all there, which is the object
+NumPy loaded, so a process maps one OpenBLAS and never imports SciPy. On
+Linux x86_64 with one BLAS thread (NumPy 2.4, SciPy 1.17) that took
+``import gnystrom`` from a peak of 34.2 MiB resident (``ru_maxrss``), with
+SciPy's ``_flapack`` and ``_fblas`` and their second OpenBLAS, to 28.8 MiB;
+NumPy alone takes 26.8 MiB (``tools/import_cost.py`` measures it).
 
-Only the top-level ``scipy`` package is imported (about 1.3 MiB), so SciPy's
-own start-up runs, which on some platforms registers the directory of its
-bundled BLAS. The routines are the same compiled functions, linked against
-the same library, so every result is bit-identical to SciPy's public
-wrappers. CPython keeps each module under its full name
-(``scipy.linalg._flapack``) in ``sys.modules`` and in its cache of extension
-modules, so in one process this module and ``scipy.linalg``, imported before
-or after, share the same function objects; ``scipy.linalg`` itself is never
-imported here.
+Each wrapper takes the arguments and returns the values of SciPy's f2py
+wrapper of the same name (``scipy.linalg.lapack.dsyevr`` and so on), for the
+keywords the package passes, and like it holds the GIL for the call. Arrays
+reach Fortran as f2py hands them: in place when an ``overwrite_*`` flag
+allows and the array already is a writeable, aligned, Fortran-ordered
+float64 one, else as such a copy. ``dsyevr`` gets f2py's workspace sizes
+(``lwork = 26 n``, ``liwork = 10 n``), which set dsytrd's block size, and
+returns its m eigenpairs only. So every output the package reads has the
+bits SciPy's wrapper would give with the same library; against SciPy's own
+OpenBLAS (0.3.30 next to NumPy's 0.3.31 here) only ``dpotrf`` differs, in
+the last bits of some factors.
+
+``dsyevr``, ``dposv`` and, in pair fits, ``dpotrs`` run once per iteration
+of the solver's loop, so their calls are kept lean: the by-reference
+scalars are built once per order (``dsyevr`` keeps its workspaces per
+thread for the last order it saw, with z up to order 32), array addresses
+are taken through the buffer protocol, at a third of the cost of
+``ndarray.ctypes``, and the functions declare no ``argtypes``, which would
+double the cost of a call: every argument is already a ctypes pointer, a
+64-bit integer or a double passed by reference, or a one-byte ``bytes``
+character. Like SciPy's wrappers, they pass no hidden lengths for the
+character arguments, which LAPACK declares one long.
+
+Where NumPy bundles no such library (conda and distribution builds, or
+Accelerate on macOS arm64), or it lacks one of the symbols, the routines are
+SciPy's: its compiled modules ``_flapack`` and ``_fblas`` loaded straight
+from their files. That skips ``scipy.linalg``'s ``__init__``, about 300 more
+modules (57.2 MiB against 34.2 MiB for ``import gnystrom`` on the machine
+above); only the top-level ``scipy`` package is imported, so SciPy's own
+start-up runs, which on some platforms registers the directory of its
+bundled BLAS.
 """
 
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+import ctypes
+import threading
+from functools import lru_cache
 from pathlib import Path
 
-import scipy
+import numpy as np
+
+_ROUTINES = ("dposv", "dpotrf", "dpotrs", "dsyevr", "dgeqrt", "dtrmm", "dsyrk")
 
 
-def _load(directory, name):
-    """Load SciPy's compiled module ``name`` from ``directory``."""
-    for suffix in EXTENSION_SUFFIXES:
-        path = directory / f"{name}{suffix}"
-        if path.is_file():
-            loader = ExtensionFileLoader(f"scipy.linalg.{name}", str(path))
-            module = module_from_spec(spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-            return module
-    raise ImportError(f"SciPy's compiled module {name} is not in {directory}")
+def _bundled_openblas(numpy_dir):
+    """(path, {name: function}) of the ILP64 OpenBLAS bundled with the NumPy
+    installed in ``numpy_dir``, or None if there is none or it lacks one of
+    the seven routines."""
+    for path in sorted([*numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *numpy_dir.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            library = ctypes.PyDLL(str(path))
+            functions = {name: getattr(library, f"scipy_{name}_64_") for name in _ROUTINES}
+        except (OSError, AttributeError):
+            continue
+        for function in functions.values():
+            function.restype = None
+        return path, functions
+    return None
 
 
-_LINALG = Path(scipy.__file__).parent / "linalg"
-_flapack = _load(_LINALG, "_flapack")
-_fblas = _load(_LINALG, "_fblas")
+def _scipy_routines():
+    """The seven routines from SciPy's compiled modules, loaded from their
+    files without importing ``scipy.linalg``."""
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
 
-dposv, dpotrf, dpotrs, dsyevr, dgeqrt = (
-    _flapack.dposv, _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevr, _flapack.dgeqrt)
-dtrmm, dsyrk = _fblas.dtrmm, _fblas.dsyrk
+    import scipy
+
+    def load(name):
+        directory = Path(scipy.__file__).parent / "linalg"
+        for suffix in EXTENSION_SUFFIXES:
+            path = directory / f"{name}{suffix}"
+            if path.is_file():
+                loader = ExtensionFileLoader(f"scipy.linalg.{name}", str(path))
+                module = module_from_spec(spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                return module
+        raise ImportError(f"SciPy's compiled module {name} is not in {directory}")
+
+    flapack, fblas = load("_flapack"), load("_fblas")
+    return {name: getattr(fblas if name in ("dtrmm", "dsyrk") else flapack, name)
+            for name in _ROUTINES}
+
+
+# The bundled library's path, or None where the routines are SciPy's, and
+# its functions by name.
+LIBRARY, _f = _bundled_openblas(Path(np.__file__).parent) or (None, None)
+
+_UPLO = (b"U", b"L")
+_BYTES = ctypes.c_char * 0
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _int(value):
+    """A 64-bit integer passed by reference."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _real(value):
+    return ctypes.byref(ctypes.c_double(value))
+
+
+# LAPACK only reads these, so one object serves every call and thread.
+_ONE, _ZERO = _int(1), _real(0.0)
+# dsyevr's isuppz for range "V", which LAPACK does not write.
+_NO_SUPPORT = np.zeros(0, np.int64)
+_NO_SUPPORT.flags.writeable = False
+
+
+def _ptr(a):
+    """The address of a writeable contiguous array's data, taken through the
+    buffer protocol, which asks for a C-contiguous array: ``a.T`` is one
+    when ``a`` is Fortran-ordered. The object keeps ``a`` alive."""
+    return _BYTES.from_buffer(a.T)
+
+
+def _fortran(a, in_place):
+    """(array, pointer) of the array f2py hands Fortran for ``a``: ``a``
+    itself when ``in_place`` is set and it is a writeable, aligned,
+    Fortran-ordered float64 array (of NumPy's own float64 dtype object),
+    else a Fortran-ordered float64 copy."""
+    if not (in_place and type(a) is np.ndarray and a.dtype is _FLOAT64
+            and (flags := a.flags).f_contiguous and flags.behaved):
+        a = np.array(a, dtype=np.float64, order="F")
+    return a, _ptr(a)
+
+
+def _square(a, name):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
+@lru_cache(maxsize=64)
+def _order(n):
+    """(n, max(1, n)) by reference, cached: the solver's small systems
+    repeat a few orders, and LAPACK only reads them, so one object serves
+    every call and thread."""
+    order = _int(n)
+    return order, order if n else _ONE
+
+
+class _Syevr:
+    """dsyevr's arrays for matrices of order n: the copy of the input, w and
+    the workspace in one block of doubles, isuppz and the integer workspace
+    in one of 64-bit integers, n^2 + 39 n words; and its by-reference
+    arguments before and after z. Up to order :data:`_KEPT_Z` it keeps z
+    too, and ``args`` holds them all; above, each call allocates z."""
+
+    def __init__(self, n):
+        nn, lwork, liwork = n * n, max(1, 26 * n), max(1, 10 * n)
+        floats, ints = np.empty(nn + n + lwork), np.zeros(2 * n + liwork, np.int64)
+        self.a = floats[:nn].reshape((n, n), order="F")
+        self.w = floats[nn:nn + n]
+        # Written only when all eigenpairs are asked for.
+        self.isuppz = ints[:2 * n]
+        self.vl, self.vu, self.m, self.info = (
+            ctypes.c_double(), ctypes.c_double(), ctypes.c_int64(), ctypes.c_int64())
+        f, i = _ptr(floats), _ptr(ints)
+        order, ld = _int(n), _int(max(1, n))
+        self.head = (order, ctypes.byref(f), ld, ctypes.byref(self.vl), ctypes.byref(self.vu),
+                     _ONE, order, _ZERO, ctypes.byref(self.m), ctypes.byref(f, 8 * nn))
+        self.tail = (ld, ctypes.byref(i), ctypes.byref(f, 8 * (nn + n)), _int(lwork),
+                     ctypes.byref(i, 16 * n), _int(liwork), ctypes.byref(self.info))
+        self.z = self.args = None
+        if n <= _KEPT_Z:
+            self.z = np.empty((n, n), order="F")
+            self.args = (*self.head, _ptr(self.z), *self.tail)
+
+
+# The largest order whose z a thread keeps between dsyevr calls, 8 KiB at
+# 32. Allocating a z and taking its address costs a solver iteration at
+# order 25 about 2 us, 5% of its dsyevr; at order 40 a kept z would take a
+# pair fit's memory over the bound that
+# test_grouping_fit_memory_stays_below_pair_by_entry_array sets.
+_KEPT_Z = 32
+
+
+class _Workspace(threading.local):
+    """Per thread: the last :class:`_Syevr`, and the info argument of
+    :func:`dposv` and :func:`dpotrs`."""
+
+    def __init__(self):
+        self.syevr = None
+        self.info = ctypes.c_int64()
+        self.info_ref = ctypes.byref(self.info)
+
+
+_workspace = _Workspace()
+
+
+def dsyevr(a, compute_v=1, range="A", lower=0, vl=0.0, vu=1.0):
+    """(w, z, m, isuppz, info): the m eigenvalues of the symmetric ``a`` in
+    the set ``range`` names ("A" all, "V" those in (vl, vu]), ascending in
+    w, and their eigenvectors in the columns of z. SciPy's wrapper returns
+    n of each, zero beyond m; these w and z hold the m, so ``w[:m]`` and
+    ``z[:, :m]`` read the same bits. isuppz is empty for range "V", as
+    there. ``a`` is copied, and only its ``lower`` or upper triangle read."""
+    a = np.asarray(a)
+    plan = _workspace.syevr
+    if plan is None or plan.a.shape != a.shape:
+        plan = _workspace.syevr = _Syevr(_square(a, "a"))
+    plan.a[...] = a
+    plan.vl.value, plan.vu.value = vl, vu
+    chars = b"V" if compute_v else b"N", range.encode(), _UPLO[lower]
+    if plan.z is None:
+        z = np.empty(a.shape, order="F")
+        _f["dsyevr"](*chars, *plan.head, _BYTES.from_buffer(z.T), *plan.tail)
+    else:
+        z = plan.z
+        _f["dsyevr"](*chars, *plan.args)
+    m = plan.m.value
+    return (plan.w[:m].copy(), z[:, :m if compute_v else 0].copy(order="F"), m,
+            _NO_SUPPORT if range == "V" else plan.isuppz.copy(), plan.info.value)
+
+
+def dposv(a, b, lower=0, overwrite_a=0, overwrite_b=0, *, _routine="dposv"):
+    """(c, x, info): the Cholesky factor c of the symmetric positive
+    definite ``a`` and the solution x of a x = b. :func:`dpotrs` runs here
+    too, with ``a`` its factor. The solver calls each once per iteration on
+    small systems, where each Python call the wrapper made would cost about
+    as much as the solve, so this does :func:`_fortran`'s work inline."""
+    if not (overwrite_a and type(a) is np.ndarray and a.dtype is _FLOAT64
+            and (flags := a.flags).f_contiguous and flags.behaved):
+        a = np.array(a, dtype=np.float64, order="F")
+    if not (overwrite_b and type(b) is np.ndarray and b.dtype is _FLOAT64
+            and (flags := b.flags).f_contiguous and flags.behaved):
+        b = np.array(b, dtype=np.float64, order="F")
+    n = a.shape[0]
+    if a.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"a of shape {a.shape} and b of shape {b.shape} "
+                         "do not form a linear system")
+    order, ld = _order(n)
+    ws = _workspace
+    _f[_routine](_UPLO[lower], order, _ONE if b.ndim == 1 else _int(b.shape[1]),
+                 _BYTES.from_buffer(a.T), ld, _BYTES.from_buffer(b.T), ld, ws.info_ref)
+    return a, b, ws.info.value
+
+
+def dpotrs(c, b, lower=0, overwrite_b=0):
+    """(x, info): the solution of a x = b from the Cholesky factor c of a,
+    which is only read."""
+    return dposv(c, b, lower, 1, overwrite_b, _routine="dpotrs")[1:]
+
+
+def dpotrf(a, lower=0, clean=1, overwrite_a=0):
+    """(c, info): the Cholesky factor of the symmetric positive definite
+    ``a`` in its ``lower`` or upper triangle; ``clean`` zeroes the other."""
+    c, pc = _fortran(a, overwrite_a)
+    n = _square(c, "a")
+    info = ctypes.c_int64()
+    _f["dpotrf"](_UPLO[lower], _int(n), pc, _int(max(1, n)), ctypes.byref(info))
+    if clean:
+        strictly_lower = np.tri(n, k=-1, dtype=bool)
+        np.copyto(c, 0.0, where=strictly_lower.T if lower else strictly_lower)
+    return c, info.value
+
+
+def dgeqrt(nb, a, overwrite_a=0):
+    """(a, t, info): the blocked Householder QR of ``a`` with block size nb,
+    R and the reflectors in ``a`` and the block reflectors' triangular
+    factors in t."""
+    a, pa = _fortran(a, overwrite_a)
+    m, n = a.shape
+    t = np.zeros((nb, min(m, n)), order="F")
+    work = np.empty(max(1, nb * n))
+    info = ctypes.c_int64()
+    _f["dgeqrt"](_int(m), _int(n), _int(nb), pa, _int(max(1, m)), _ptr(t),
+                 _int(max(1, nb)), _ptr(work), ctypes.byref(info))
+    return a, t, info.value
+
+
+def dtrmm(alpha, a, b, overwrite_b=0):
+    """alpha a b for the upper triangle of ``a`` (SciPy's defaults: a on the
+    left, not transposed, its diagonal read), written over a copy of b or,
+    with ``overwrite_b``, b."""
+    a, pa = _fortran(a, True)
+    b, pb = _fortran(b, overwrite_b)
+    m, n = b.shape
+    if a.ndim != 2 or a.shape[1] != m or a.shape[0] < m:
+        raise ValueError(f"triangular factor of shape {a.shape} does not match {b.shape}")
+    _f["dtrmm"](b"L", b"U", b"N", b"N", _int(m), _int(n), _real(alpha), pa,
+                _int(max(1, a.shape[0])), pb, _int(max(1, m)))
+    return b
+
+
+def dsyrk(alpha, a, beta=0.0, c=None, trans=0, lower=0, overwrite_c=0):
+    """alpha a a^T + beta c (``trans`` 0) or alpha a^T a + beta c, in the
+    ``lower`` or upper triangle of a copy of c or, with ``overwrite_c``, c."""
+    a, pa = _fortran(a, True)
+    n, k = a.shape[::-1] if trans else a.shape
+    if c is None:
+        c, overwrite_c = np.zeros((n, n), order="F"), 1
+    c, pc = _fortran(c, overwrite_c)
+    if c.shape != (n, n):
+        raise ValueError(f"c of shape {c.shape} does not match a of shape {a.shape}")
+    _f["dsyrk"](_UPLO[lower], b"T" if trans else b"N", _int(n), _int(k), _real(alpha),
+                pa, _int(max(1, a.shape[0])), _real(beta), pc, _int(max(1, n)))
+    return c
+
+
+if _f is None:
+    _scipy = _scipy_routines()
+    dposv, dpotrf, dpotrs, dsyevr, dgeqrt, dtrmm, dsyrk = (_scipy[name] for name in _ROUTINES)

@@ -34,6 +34,7 @@ class KMeansConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_count(self.k, "k"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
 
 def select_random(X, m, seed):
@@ -54,7 +55,7 @@ def select_kmeans(X, cfg):
     X = as_data_matrix(X)
     if cfg.k > X.shape[0]:
         raise InputError(f"k={cfg.k} exceeds the number of samples {X.shape[0]}")
-    rng = np.random.default_rng(as_seed(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     centers = _init_spread(X, cfg.k, rng)
     return lloyd_iterations(X, centers, _LLOYD_MAX_ITERS, _LLOYD_TOL)[0]
 

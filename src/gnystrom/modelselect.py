@@ -90,9 +90,12 @@ class SelectionReport:
 
 
 def validate_grid(grid):
-    """Candidate weights must be nonempty, strictly increasing and each a
-    positive finite real (:func:`as_real`), so a string, a bool or a nested
-    sequence raises InputError."""
+    """Candidate weights must come in an iterable other than a string,
+    nonempty, strictly increasing and each a positive finite real
+    (:func:`as_real`), so a scalar, a string, a bool or a nested sequence
+    raises InputError."""
+    if isinstance(grid, (str, bytes)) or not np.iterable(grid):
+        raise InputError(f"grid candidate must be a real in a sequence, got {grid!r} as the grid")
     vals = [as_real(g, "grid candidate", positive=True) for g in grid]
     if not vals:
         raise InputError("candidate grid must be nonempty")

@@ -182,7 +182,9 @@ def test_pipeline_does_not_import_scipy_spatial_or_linalg(tmp_path):
     """The whole pipeline, from landmarks through label and pair fits,
     selection, the classifier and a saved model, runs without scipy.linalg,
     whose import costs about 22 MiB of resident memory, or scipy.spatial,
-    which imports it and costs about 9 MiB more."""
+    which imports it and costs about 9 MiB more. Where NumPy bundles its
+    OpenBLAS, the pipeline imports no SciPy at all, and on Linux the process
+    maps one OpenBLAS, NumPy's, not SciPy's second copy too."""
     script = f"""
 import sys
 import numpy as np
@@ -204,11 +206,21 @@ gn.save(model, {str(tmp_path / "model.gnys")!r})
 gn.load({str(tmp_path / "model.gnys")!r})
 gn.rbf_lipschitz_constant(ds.X, Z, params)
 print("scipy.spatial" in sys.modules, "scipy.linalg" in sys.modules)
+print(gn._lapack.LIBRARY is not None, "scipy" in sys.modules)
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        print(len({{line.split()[-1] for line in maps if "openblas" in line}}))
 """
     src = str(Path(gnystrom.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False False"
+    lines = out.stdout.split("\n")
+    assert lines[0] == "False False"
+    bundled, scipy_imported = lines[1].split()
+    if bundled == "True":
+        assert scipy_imported == "False"
+        if sys.platform.startswith("linux"):
+            assert lines[2] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,18 @@ def test_kmeans_config_validation():
         KMeansConfig(k=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3"])
+def test_kmeans_config_rejects_bad_seed(seed):
+    """A negative or fractional seed was accepted and failed only when
+    select_kmeans drew from it."""
+    with pytest.raises(InputError, match="^seed must be"):
+        KMeansConfig(k=3, seed=seed)
+
+
+def test_kmeans_config_stores_seed_as_int():
+    assert type(KMeansConfig(k=3, seed=np.int64(7)).seed) is int
+
+
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
 def test_kmeans_config_rejects_non_integer_k(k):
     """A fractional k was accepted and failed in select_kmeans with a raw

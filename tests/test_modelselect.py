@@ -81,6 +81,21 @@ def test_validate_grid_rejections():
         validate_grid([True])
 
 
+def test_scalar_or_string_grid_raises_input_error():
+    """A scalar was iterated and raised a bare TypeError; a string was
+    iterated by characters and failed on its first one as a candidate."""
+    core, side = _blob_problem()
+    for grid in (0.1, 5, np.float64(1.0), np.array(1.0), "1,2", b"1"):
+        with pytest.raises(InputError, match="as the grid$"):
+            validate_grid(grid)
+    with pytest.raises(InputError, match="as the grid$"):
+        select_lambda(core, side, 5)
+    with pytest.raises(InputError, match="as the grid$"):
+        ExperimentConfig(labeled_per_run=4, lambda_grid=0.1)
+    assert validate_grid(np.array([0.1, 1.0])) == [0.1, 1.0]
+    assert validate_grid(g for g in (0.1, 1.0)) == [0.1, 1.0]
+
+
 def test_default_grid_is_valid():
     assert validate_grid(DEFAULT_LAMBDA_GRID) == list(DEFAULT_LAMBDA_GRID)
 

@@ -1,14 +1,25 @@
 """Tests for the measurement scripts under tools/."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+import_cost = _tool("import_cost")
 
 
 def _compare(parent, change, better="lower"):
@@ -49,3 +60,20 @@ def test_pair_ratio_flags_a_change_slower_in_every_pair():
     # For a metric where higher is better the same runs read as a gain.
     m = _compare(parent, [1.3 * v for v in parent], better="higher")
     assert not m["over_bound"] and not m["over_bound_paired"]
+
+
+def test_import_cost_measures_a_checkout(tmp_path):
+    """One run per side and command, this checkout on both sides, reads a
+    peak of tens of MiB and a positive wall time; a directory without
+    src/gnystrom is refused. The script runs in a process of its own: a
+    child's ru_maxrss also counts the process it was forked from."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "import_cost.py"),
+                          "--parent", str(ROOT), "--change", str(ROOT), "--runs", "1"],
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    for side in ("parent", "change"):
+        for command in import_cost.COMMANDS:
+            assert 20.0 < result[side][command]["maxrss_mib"] < 200.0
+            assert result[side][command]["wall_s"] > 0.0
+    with pytest.raises(SystemExit):
+        import_cost.parse_args(["--parent", str(tmp_path), "--change", str(ROOT)])
