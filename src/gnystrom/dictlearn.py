@@ -98,13 +98,14 @@ nor to build a model from it (:meth:`inductive.InductiveModel.from_state`).
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._arrays import (RANK_RTOL, _clamp, _project, _truncate, as_count, as_real,
                       as_square_matrix, eigh)
-from ._lapack import dposv, dpotrf, dsyevr
+from ._lapack import Posv, Syevr, dposv, dpotrf, dsyevr
 from .errors import InputError, NumericalError
 from .supervision import _Supervision
 
@@ -310,27 +311,57 @@ def psd_project(M):
 
 def _cut_negative(W):
     """(Y, U): the PSD projection Y = W - U of the symmetric W and its
-    :func:`_negative_part` U. Both are symmetric bit for bit when W is.
+    :func:`_negative_part` U, through the loop's plan when it has W's
+    order. Both are symmetric bit for bit when W is.
     Exact in exact arithmetic; in floating point Y keeps rounding of size
     eps * ||U|| along the removed directions, so :func:`fit` passes the
     matrix it returns through one full :func:`_project`.
     """
-    U = _negative_part(W)
+    U = _negative_part(W, _loop.projection)
     return W - U, U
 
 
-def _negative_part(M):
+def _projection(n):
+    """The :class:`_lapack.Syevr` of :func:`_negative_part` for order n."""
+    return Syevr(n, compute_v=1, range="V", lower=1, vl=-np.inf, vu=0.0)
+
+
+class _Loop(threading.local):
+    """Per thread: the loop's :func:`_projection` and the Anderson system. A
+    fit drops a projection of another order, and a step makes one when
+    there is none. :meth:`_ADMM.finish` drops one above order
+    :data:`_KEPT_ORDER`, before the exit evaluation, which is a fit's
+    memory peak; up to that order the thread's next fits reuse it."""
+
+    projection = None
+    system = None
+
+
+_loop = _Loop()
+# The largest order whose projection plan a thread keeps between fits,
+# 26 KiB at 32. Making one per fit took select-moons units (order 25) 2%
+# longer in their median, and at order 40 keeping one through the exit
+# evaluation would take test_grouping_fit_memory_stays_below_pair_by_entry_array
+# over its bound.
+_KEPT_ORDER = 32
+
+
+def _negative_part(M, plan=None):
     """The part -B B^T of the symmetric M on its eigenvalues at or below 0,
     B = V diag(sqrt(-vals)) over those eigenpairs. NumPy takes B @ B.T by
     BLAS syrk, which fills one triangle and mirrors it, so the part is
     symmetric bit for bit. LAPACK reads M's lower triangle only.
 
-    It computes only those eigenpairs (dsyevr). dsyevr's bisection and
-    inverse iteration can fail (nonzero info) when the nonpositive
-    eigenvalues form an exact cluster; the full decomposition (eigh) then
-    takes over, and only its failure raises.
+    It computes only those eigenpairs (dsyevr), through ``plan`` if it is a
+    :func:`_projection` of M's order, else one made for this call. dsyevr's
+    bisection and inverse iteration can fail (nonzero info) when the
+    nonpositive eigenvalues form an exact cluster; the full decomposition
+    (eigh) then takes over, and only its failure raises.
     """
-    vals, vecs, k, _, info = dsyevr(M, compute_v=1, range="V", vl=-np.inf, vu=0.0, lower=1)
+    if plan is None or plan.a.shape != M.shape:
+        plan = _projection(M.shape[0])
+    plan.a[...] = M
+    vals, vecs, k, _, info = dsyevr(plan)
     if info != 0:
         try:
             vals, vecs = eigh(M)
@@ -352,7 +383,7 @@ def _exit_evaluation(S, core, side, lam, supervision):
     tolerance on a pair fit with L = 1.5e10."""
     value, grad = _value_and_gradient(S, core, side, lam, supervision)
     lipschitz = 2.0 * lam + 2.0 * max(float(supervision.eigenpairs[0].max(initial=0.0)), 0.0) ** 2
-    N = _negative_part(S - grad / lipschitz)
+    N = _negative_part(S - grad / lipschitz, _loop.projection)
     return value, float(np.linalg.norm(grad + lipschitz * N))
 
 
@@ -577,6 +608,8 @@ class _ADMM:
         self.half_G0 = 0.5 * self.G0
         self.J0 = value
         self.memory = _Anderson(self.Y0.shape)
+        if _loop.projection is not None and _loop.projection.a.shape != self.Y0.shape:
+            _loop.projection = None
         self.Hs = (lam + diagonal) * self.DD ** 2
         # An eighth of twice the mean diagonal of the Hessian in Z, pair term
         # included, scaled down with pairs by their share of it (see
@@ -639,7 +672,11 @@ class _ADMM:
     def finish(self, Z):
         """The state the fit returns for the iterate Z: its full projection,
         in S, as the Gram matrix of L = V diag(d) Q diag(sqrt(mu)) over the
-        eigenpairs (mu, Q) of Z that :func:`_factor` keeps."""
+        eigenpairs (mu, Q) of Z that :func:`_factor` keeps. Above order
+        :data:`_KEPT_ORDER` it drops the loop's projection plan, 2 m^2 + 39 m
+        words (see :class:`_Loop`); a step after it makes a new one."""
+        if self.Y0.shape[0] > _KEPT_ORDER:
+            _loop.projection = None
         L = (self.V * self.scale) @ _factor(*eigh(Z))
         # NumPy takes the product of a matrix with its own transpose by BLAS
         # syrk, which fills one triangle and mirrors it: S is symmetric bit
@@ -649,6 +686,8 @@ class _ADMM:
     def step(self):
         """One evaluation of the fixed-point map f at the state W; returns
         the projection Y = P(W), J(Y) and the bound on the mapping norm at Y."""
+        if _loop.projection is None:
+            _loop.projection = _projection(self.Y0.shape[0])
         Y, U = _cut_negative(self.W)
         D = Y - self.Y0
         value, grad = self._evaluate(D)
@@ -696,6 +735,9 @@ class _Anderson:
         self.dF = np.zeros((_AA_MEMORY, size))
         self.dG = np.zeros((_AA_MEMORY, size))
         self.gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+        if _loop.system is None:
+            _loop.system = Posv(_AA_MEMORY)
+        self.system = _loop.system
         self.clear()
 
     def clear(self):
@@ -714,14 +756,17 @@ class _Anderson:
             self.gram[k, :self.size] = self.gram[:self.size, k] = self.dG[:self.size] @ self.dG[k]
         self.last = f_flat, g_flat
         n = self.size
-        scale = float(np.trace(self.gram[:n, :n])) if n else 0.0
+        scale = float(self.gram[:n, :n].trace()) if n else 0.0
         if not scale > 0.0:
             return f
         # Tikhonov term on a copy of the Gram matrix's diagonal, which makes
-        # it positive definite: LAPACK's Cholesky solve (dposv) takes it.
-        A = self.gram[:n, :n].copy(order="F")
+        # it positive definite: LAPACK's Cholesky solve (dposv) takes it, in
+        # the leading block of the system's buffers.
+        A, b = self.system.block(n)
+        A[...] = self.gram[:n, :n]
         A.flat[::n + 1] += _AA_REG * scale
-        _, gamma, info = dposv(A, self.dG[:n] @ g_flat, overwrite_a=1, overwrite_b=1)
+        np.matmul(self.dG[:n], g_flat, out=b)
+        _, gamma, info = dposv(self.system)
         if info != 0:
             # Not positive definite in floating point: take the plain step,
             # and restart the memory from this state.
@@ -735,7 +780,7 @@ def _norm(x):
     product of the raveled array, then its square root, without the
     dispatch on ``ord`` and ``axis``."""
     x = x.ravel(order="K")
-    return float(np.sqrt(x.dot(x)))
+    return math.sqrt(x.dot(x))
 
 
 def factorize(state):

@@ -176,7 +176,8 @@ def _interior_step(cK, y, x, u, z, s):
     # it until it factors.
     shift = 0.0
     while True:
-        H = cK.copy()
+        # In Fortran order LAPACK factors H in place.
+        H = cK.copy(order="F")
         np.fill_diagonal(H, diagonal + shift)
         factor, info = dpotrf(H, lower=1, clean=0, overwrite_a=1)
         if info == 0:
@@ -187,7 +188,8 @@ def _interior_step(cK, y, x, u, z, s):
 
     def direction(target_z, target_s):
         # Newton direction that moves x * z by target_z and u * s by target_s.
-        v, info = dpotrs(factor, y * (target_z / x - target_s / u - residual), lower=1)
+        v, info = dpotrs(factor, y * (target_z / x - target_s / u - residual), lower=1,
+                         overwrite_b=1)
         if info != 0:
             raise NumericalError(f"interior-point solve failed: dpotrs info={info}")
         dx = y * v

@@ -917,6 +917,41 @@ def test_failed_anderson_solve_takes_the_plain_step(monkeypatch):
     _assert_kkt(result.state.S, core, side, lam)
 
 
+def test_concurrent_fits_match_fits_alone():
+    """Each thread keeps its own projection plan and Anderson system: fits
+    of order 6, and one above the kept order, running at once in threads
+    that switch every microsecond return what each returns alone, bit for
+    bit."""
+    import sys
+    import threading
+
+    problems = [(*_random_labeled_problem(np.random.default_rng(seed), n=60, m=m, l=20), 0.3)
+                for seed, m in ((40, 6), (42, 6), (45, 6), (46, dictlearn._KEPT_ORDER + 2))]
+    problems.append((*_random_grouping_problem(np.random.default_rng(45), m=6), 1e-3))
+    alone = [fit(core, side, LearnConfig(lam=lam)).state.S for core, side, lam in problems]
+    failures = []
+
+    def worker(i):
+        core, side, lam = problems[i]
+        for _ in range(50):
+            if not np.array_equal(fit(core, side, LearnConfig(lam=lam)).state.S, alone[i]):
+                failures.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(problems))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
 def test_fit_deterministic():
     rng = np.random.default_rng(26)
     core, side = _random_labeled_problem(rng)

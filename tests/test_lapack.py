@@ -3,8 +3,6 @@ OpenBLAS through ctypes, or SciPy's compiled modules where there is none."""
 
 import importlib.util
 import shutil
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +21,11 @@ def _spd(rng, n):
 
 def _calls(rng):
     """(name, module of the public wrapper, arguments, keywords, indices of
-    the outputs the package reads) per call, made as the package makes it:
-    dictlearn's dsyevr, dposv and dpotrf, linear_svm's dpotrf and dpotrs,
-    supervision's dsyrk, dpotrf, dpotrs and dgeqrt, inductive's dtrmm."""
+    the outputs the package reads) per call on arrays, made as the package
+    makes it, dictlearn's dsyevr and dposv aside (:func:`_prepared`):
+    dictlearn's dpotrf, linear_svm's dpotrf and dpotrs, supervision's dsyrk,
+    dpotrf, dpotrs and dgeqrt, inductive's dtrmm; and dsyevr and dposv on
+    arrays, as SciPy's wrappers take them."""
     S, b, B = _spd(rng, 6), rng.normal(size=6), rng.normal(size=(6, 2))
     F, K = rng.normal(size=(9, 6)), rng.normal(size=(11, 6))
     factor = np.linalg.cholesky(S)
@@ -37,6 +37,7 @@ def _calls(rng):
         ("dposv", lapack, (S.copy(order="F"), b), {"overwrite_a": 1, "overwrite_b": 1},
          (1, 2)),
         ("dpotrf", lapack, (S,), {"lower": 1}, (0, 1)),
+        ("dpotrf", lapack, (S,), {}, (0, 1)),
         ("dpotrf", lapack, (S.copy(),), {"lower": 1, "clean": 0, "overwrite_a": 1}, (0, 1)),
         ("dpotrf", lapack, (S.copy(order="F"),), {"lower": 1, "clean": 0, "overwrite_a": 1},
          (0, 1)),
@@ -85,6 +86,35 @@ def test_routines_match_scipy_public_wrappers_bit_for_bit():
         a, k = _copy(args, kwargs)
         theirs = getattr(public, name)(*a, **k)
         _assert_same(_read(ours, indices), _read(theirs, indices), name)
+
+
+def _prepared(module, rng):
+    """(ours, SciPy's) for the loop's calls: dsyevr through a Syevr loaded
+    with a matrix, and dposv through a Posv whose leading block of order 4
+    of 6 holds a system, against SciPy's wrappers on the arrays."""
+    sym, S, b = _spd(rng, 6) - 8.0 * np.eye(6), _spd(rng, 4), rng.normal(size=4)
+    options = {"compute_v": 1, "range": "V", "vl": -np.inf, "vu": 0.0, "lower": 1}
+    plan = module.Syevr(6, **options)
+    plan.a[...] = sym
+    system = module.Posv(6)
+    A, x = system.block(4)
+    A[...], x[...] = S, b
+    return [("dsyevr", _read(module.dsyevr(plan), (0, 1, 2, 4)),
+             _read(lapack.dsyevr(sym, **options), (0, 1, 2, 4))),
+            ("dposv", _read(module.dposv(system), (1, 2)),
+             _read(lapack.dposv(S, b), (1, 2)))]
+
+
+def test_prepared_calls_match_scipy_public_wrappers_bit_for_bit():
+    for name, ours, theirs in _prepared(_lapack, np.random.default_rng(4)):
+        _assert_same(ours, theirs, name)
+
+
+def test_data_pointer_read_from_the_array_struct():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 5))
+    for x in (a, a.T, a[2:, 1:], np.asfortranarray(a), a[:, 3], np.empty(0)):
+        assert _lapack._data(x).value == x.ctypes.data
 
 
 def test_bundled_library_is_numpys_when_numpy_bundles_one():
@@ -142,41 +172,11 @@ def test_shapes_that_do_not_fit_raise_before_any_call():
         _lapack.dsyrk(1.0, np.ones((3, 2)), c=np.eye(2))
 
 
-def test_dsyevr_workspaces_are_per_thread():
-    """Threads calling dsyevr at once on matrices of one order, and of two
-    more, each get their own results, bit for bit those of a call alone."""
-    rng = np.random.default_rng(2)
-    mats = [_spd(rng, n) - n * np.eye(n) for n in (6, 6, 6, 6, 3, 9)]
-    kwargs = {"range": "V", "vl": -np.inf, "vu": 0.0, "lower": 1}
-    expected = [_lapack.dsyevr(M, **kwargs) for M in mats]
-    failures = []
-
-    def worker(i):
-        for _ in range(2000):
-            w, z, m, _, info = _lapack.dsyevr(mats[i], **kwargs)
-            if not (m == expected[i][2] and np.array_equal(w, expected[i][0])
-                    and np.array_equal(z, expected[i][1])):
-                failures.append(i)
-                return
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(mats))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
-
-
 def test_failed_discovery_falls_back_to_scipys_modules(tmp_path, monkeypatch):
     """With no bundled library to find, a fresh copy of the module takes the
-    routines from SciPy's compiled modules, and they give the public
-    wrappers' results in full."""
+    routines from SciPy's compiled modules (dsyevr and dposv call them,
+    taking a Syevr or a Posv too), and they give the public wrappers'
+    results in full."""
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     spec = importlib.util.spec_from_file_location("lapack_fallback", _lapack.__file__)
     fallback = importlib.util.module_from_spec(spec)
@@ -184,12 +184,14 @@ def test_failed_discovery_falls_back_to_scipys_modules(tmp_path, monkeypatch):
     assert fallback.LIBRARY is None
     for name, public, args, kwargs, _ in _calls(np.random.default_rng(3)):
         ours = getattr(fallback, name)
-        assert type(ours).__name__ == "fortran", name
+        assert type(ours).__name__ == "fortran" or name in ("dsyevr", "dposv"), name
         a, k = _copy(args, kwargs)
         out = ours(*a, **k)
         a, k = _copy(args, kwargs)
         ref = getattr(public, name)(*a, **k)
         out, ref = (out, ref) if isinstance(out, tuple) else ((out,), (ref,))
+        _assert_same(out, ref, name)
+    for name, out, ref in _prepared(fallback, np.random.default_rng(4)):
         _assert_same(out, ref, name)
 
 
